@@ -128,6 +128,12 @@ def _parse_mode_key(data, path: str) -> tuple[int, tuple[int, int, int]]:
     return int(s), (n[0], n[1], n[2])
 
 
+def _positive_int(value, path: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ConfigError(f"{path}: must be an integer >= 1, got {value!r}")
+    return value
+
+
 def _parse_complex(data, path: str) -> complex:
     if not (isinstance(data, list) and len(data) == 2):
         raise ConfigError(f"{path}: complex values are [re, im] pairs")
@@ -209,7 +215,7 @@ def parse_scenario(data: dict) -> Scenario:
         grid = GridSpec(
             t_start=float(g["t_start"]),
             t_stop=float(g["t_stop"]),
-            samples=int(g["samples"]),
+            samples=_positive_int(g["samples"], "scenario.grid.samples"),
             r=(float(g["r"][0]), float(g["r"][1]), float(g["r"][2])),
             kind=kind_name,
         )
@@ -218,7 +224,12 @@ def parse_scenario(data: dict) -> Scenario:
     if "vacuum_scan" in data:
         vs = data["vacuum_scan"]
         _require_keys(vs, {"cutoffs"}, {"cutoffs"}, "scenario.vacuum_scan")
-        cutoffs = tuple(int(v) for v in vs["cutoffs"])
+        path = "scenario.vacuum_scan.cutoffs"
+        if not isinstance(vs["cutoffs"], list) or not vs["cutoffs"]:
+            raise ConfigError(f"{path}: must be a nonempty list of integers")
+        cutoffs = tuple(_positive_int(v, f"{path}[{i}]") for i, v in enumerate(vs["cutoffs"]))
+        if any(b <= a for a, b in zip(cutoffs, cutoffs[1:])):
+            raise ConfigError(f"{path}: must be strictly increasing, got {list(cutoffs)}")
 
     seed = data["seed"]
     if not isinstance(seed, int) or seed < 0:
@@ -761,6 +772,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        if not (np.isfinite(args.tolerance_scale) and args.tolerance_scale >= 0):
+            raise ConfigError(f"--tolerance-scale: must be finite and >= 0, got {args.tolerance_scale!r}")
         scenario = load_scenario(args.config)
         seed = scenario.seed if args.seed is None else args.seed
         out_dir = Path(args.out)

@@ -126,20 +126,13 @@ def expectation(op: SparseOperator, state: FockState) -> complex:
 def amplitude_profile(state: FockState) -> AmplitudeProfile:
     """<a_m> for every mode, computed from coefficient ladder sums.
 
-    <a_m> = sum_occ conj(C[occ]) C[occ + 1_m] sqrt(occ_m + 1); this is the
-    coefficient-weighted form and agrees with the matrix expectation.
+    <a_m> = sum_src conj(C[dst]) C[src] amp over the basis's lowering table
+    (a_m |src> = amp |dst>); this is the coefficient-weighted form and
+    agrees with the matrix expectation.
     """
-    basis = state.basis
+    src, dst, amp = state.basis.lowering
     c = state.coefficients
-    occ = basis.occupancy_table()
-    amps = np.zeros(basis.n_modes, dtype=complex)
-    for j in range(basis.n_modes):
-        stride = basis.strides[j]
-        mask = occ[:, j] < basis.n_max
-        idx = np.nonzero(mask)[0]
-        amps[j] = np.sum(
-            np.conj(c[idx]) * c[idx + stride] * np.sqrt(occ[idx, j] + 1.0)
-        )
+    amps = np.sum(np.conj(c[dst]) * c[src] * amp, axis=1)
     return AmplitudeProfile(amplitudes=amps)
 
 
@@ -184,10 +177,7 @@ def vacuum_field_square(basis: FockBasis) -> float:
     growing the momentum cutoff grows the sum without bound, which is the
     lattice rendering of the divergent point fluctuation.
     """
-    hbar = basis.config.hbar
-    return sum(
-        basis.delta3p * m.omega / (2.0 * np.pi * hbar) ** 2 for m in basis.modes
-    )
+    return float(np.sum(basis.delta3p * basis.omega / (2.0 * np.pi * basis.config.hbar) ** 2))
 
 
 def vacuum_field_square_scan(

@@ -1,34 +1,34 @@
 """Electromagnetic field operators on the Fock basis and their identities.
 
-The electric field is assembled mode by mode,
+A field is an (n_modes, 3) array of coefficients of a_m, one row per mode:
 
     E(r,t) = (1/(2 pi hbar)) sum_modes sqrt(Delta3p) sqrt(omega)
              ( i a eps exp(i(p.r - E t)/hbar) + h.c. ),
 
 the magnetic field uses k x eps in place of eps, and the transverse
-potential uses weight c/sqrt(omega) and no factor i.  The total energy,
-momentum and spin are recovered as box integrals of the familiar quadratic
-densities; the spatial integral is done analytically via the orthogonality
-of box modes (no quadrature), which makes the reductions exact up to
-floating point and truncation at the occupancy cap.
+potential uses weight c/sqrt(omega) and no factor i; each component is one
+fock.ladder_sum.  The total energy, momentum and spin are box integrals of
+quadratic densities: the box keeps only mode pairs of equal or opposite
+momentum, so each is a coefficient array over mode pairs, assembled by
+fock.ladder_products with no quadrature and exact up to floating point and
+truncation at the occupancy cap.
 """
 
 from __future__ import annotations
 
 import enum
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .fock import (
     ANTIHERMITIAN,
     HERMITIAN,
     FockBasis,
-    Mode,
     SparseOperator,
     diagonal_operator,
+    ladder_products,
+    ladder_sum,
 )
 
 
@@ -69,10 +69,10 @@ class ZeroPointConstants:
 
 def zero_point(basis: FockBasis) -> ZeroPointConstants:
     hbar = basis.config.hbar
-    e0 = 0.5 * sum(hbar * m.omega for m in basis.modes)
-    p0 = 0.5 * sum(m.p for m in basis.modes)
-    s0 = 0.5 * sum(m.s * hbar * m.k.k for m in basis.modes)
-    return ZeroPointConstants(E0=float(e0), P0=np.asarray(p0), S0=np.asarray(s0))
+    e0 = 0.5 * np.sum(hbar * basis.omega)
+    p0 = 0.5 * basis.p.sum(axis=0)
+    s0 = 0.5 * basis.spin.sum(axis=0)
+    return ZeroPointConstants(E0=float(e0), P0=p0, S0=s0)
 
 
 # ---------------------------------------------------------------------------
@@ -88,16 +88,11 @@ def _amplitudes(basis: FockBasis, kind: FieldKind, t: float) -> np.ndarray:
     kind = FieldKind(kind)
     hbar, c = basis.config.hbar, basis.config.c
     scale = np.sqrt(basis.delta3p) / (2.0 * np.pi * hbar)
-    amps = np.empty((basis.n_modes, 3), dtype=complex)
-    for j, m in enumerate(basis.modes):
-        phase = np.exp(-1j * m.omega * t)
-        if kind is FieldKind.E:
-            amps[j] = scale * 1j * np.sqrt(m.omega) * m.eps * phase
-        elif kind is FieldKind.B:
-            amps[j] = scale * 1j * np.sqrt(m.omega) * np.cross(m.k.k, m.eps) * phase
-        else:
-            amps[j] = scale * (c / np.sqrt(m.omega)) * m.eps * phase
-    return amps
+    phase = np.exp(-1j * basis.omega * t)[:, None]
+    if kind is FieldKind.A:
+        return scale * (c / np.sqrt(basis.omega))[:, None] * basis.eps * phase
+    pol = basis.eps if kind is FieldKind.E else basis.k_cross_eps
+    return scale * 1j * np.sqrt(basis.omega)[:, None] * pol * phase
 
 
 def field_mode_coefficients(
@@ -113,27 +108,22 @@ def field_mode_coefficients(
     mode m by (-i omega_m), each derivative along axis j by (i p_j / hbar).
     """
     hbar = basis.config.hbar
-    coeffs = _amplitudes(basis, kind, x.t)
-    for j, m in enumerate(basis.modes):
-        factor = np.exp(1j * np.dot(m.p, x.r) / hbar)
-        factor *= (-1j * m.omega) ** dt
-        for axis, order in enumerate(dr):
-            factor *= (1j * m.p[axis] / hbar) ** order
-        coeffs[j] *= factor
-    return coeffs
+    factor = np.exp(1j * np.vecdot(basis.p, x.r) / hbar)
+    factor *= (-1j * basis.omega) ** dt
+    factor *= np.prod((1j * basis.p / hbar) ** np.asarray(dr), axis=1)
+    return _amplitudes(basis, kind, x.t) * factor[:, None]
 
 
-def _linear_sum(basis: FockBasis, coeffs: np.ndarray, sign: float) -> SparseOperator:
-    """sum_m ( c_m a_m + sign * conj(c_m) a-dagger_m )."""
-    acc = sp.csr_matrix((basis.dim, basis.dim), dtype=complex)
-    for j in range(basis.n_modes):
-        c = complex(coeffs[j])
-        if c == 0:
-            continue
-        low = basis._lowering(j)
-        acc = acc + c * low + sign * np.conj(c) * low.conj().T
+def _ladder_weights(coeffs: np.ndarray, sign: float = 1.0) -> np.ndarray:
+    """Stack a-side coefficients c over (c, sign * conj(c)), the a-dagger side."""
+    return np.concatenate([coeffs, sign * np.conj(coeffs)])
+
+
+def _field_operators(basis: FockBasis, coeffs: np.ndarray, sign: float = 1.0):
+    """sum_m ( c_m a_m + sign * conj(c_m) a-dagger_m ) for each column of coeffs."""
+    weights = _ladder_weights(coeffs, sign)
     flag = HERMITIAN if sign > 0 else ANTIHERMITIAN
-    return SparseOperator(acc, basis, flag)
+    return tuple(ladder_sum(basis, weights[:, i], flag) for i in range(weights.shape[1]))
 
 
 def linear_functional(basis: FockBasis, coeffs) -> SparseOperator:
@@ -142,19 +132,18 @@ def linear_functional(basis: FockBasis, coeffs) -> SparseOperator:
     coeffs maps modes (Mode, (s, n) key, or integer position) to complex
     amplitudes; unnamed modes get coefficient zero.
     """
-    vec = np.zeros(basis.n_modes, dtype=complex)
+    vec = np.zeros((basis.n_modes, 1), dtype=complex)
     for key, value in coeffs.items():
         j = key if isinstance(key, (int, np.integer)) else basis.mode_index(key)
         vec[int(j)] = value
-    return _linear_sum(basis, vec, +1.0)
+    return _field_operators(basis, vec)[0]
 
 
 def field(
     basis: FockBasis, kind: FieldKind, x: SpacetimePoint
 ) -> tuple[SparseOperator, SparseOperator, SparseOperator]:
     """The three cartesian component operators of E, B or A at x."""
-    coeffs = field_mode_coefficients(basis, kind, x)
-    return tuple(_linear_sum(basis, coeffs[:, i], +1.0) for i in range(3))
+    return _field_operators(basis, field_mode_coefficients(basis, kind, x))
 
 
 def field_derivative(
@@ -165,8 +154,7 @@ def field_derivative(
     dr: tuple[int, int, int] = (0, 0, 0),
 ) -> tuple[SparseOperator, SparseOperator, SparseOperator]:
     """Analytic per-mode derivative of a field; exact, no discretization."""
-    coeffs = field_mode_coefficients(basis, kind, x, dt=dt, dr=dr)
-    return tuple(_linear_sum(basis, coeffs[:, i], +1.0) for i in range(3))
+    return _field_operators(basis, field_mode_coefficients(basis, kind, x, dt=dt, dr=dr))
 
 
 def field_number_commutator(
@@ -178,8 +166,7 @@ def field_number_commutator(
     truncated space, so the matrix commutator equals this antihermitian
     operator everywhere, not just on a safe subspace.
     """
-    coeffs = field_mode_coefficients(basis, kind, x)
-    return tuple(_linear_sum(basis, coeffs[:, i], -1.0) for i in range(3))
+    return _field_operators(basis, field_mode_coefficients(basis, kind, x), -1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -187,69 +174,39 @@ def field_number_commutator(
 
 
 def observable_H(basis: FockBasis) -> SparseOperator:
-    hbar = basis.config.hbar
-    occ = basis.occupancy_table()
-    w = np.array([hbar * m.omega for m in basis.modes])
-    return diagonal_operator(basis, occ @ w)
+    return diagonal_operator(basis, basis.occupancy_table() @ (basis.config.hbar * basis.omega))
 
 
 def observable_P(basis: FockBasis) -> tuple[SparseOperator, SparseOperator, SparseOperator]:
     occ = basis.occupancy_table()
-    p = np.stack([m.p for m in basis.modes])
-    return tuple(diagonal_operator(basis, occ @ p[:, i]) for i in range(3))
+    return tuple(diagonal_operator(basis, occ @ basis.p[:, i]) for i in range(3))
 
 
 def observable_S(basis: FockBasis) -> tuple[SparseOperator, SparseOperator, SparseOperator]:
-    hbar = basis.config.hbar
     occ = basis.occupancy_table()
-    s = np.stack([m.s * hbar * m.k.k for m in basis.modes])
-    return tuple(diagonal_operator(basis, occ @ s[:, i]) for i in range(3))
+    return tuple(diagonal_operator(basis, occ @ basis.spin[:, i]) for i in range(3))
 
 
 # ---------------------------------------------------------------------------
 # quadratic observables via the analytic box integral
 
 
-def _pair_products(basis: FockBasis, i: int, j: int):
-    low_i, low_j = basis._lowering(i), basis._lowering(j)
-    raise_i, raise_j = low_i.conj().T, low_j.conj().T
-    return low_i @ low_j, low_i @ raise_j, raise_i @ low_j, raise_i @ raise_j
+def _box_integral(basis: FockBasis, u: np.ndarray, v: np.ndarray, cross: bool) -> np.ndarray:
+    """Box integral of field_u . field_v (or x) as weights over ladder pairs.
 
-
-def _integrated_product(basis: FockBasis, u: np.ndarray, v: np.ndarray, cross: bool):
-    """Box integral of (field_u . field_v) or (field_u x field_v).
-
-    u, v are the per-mode a-side coefficient 3-vectors.  Integrating
-    exp(i(p +/- p').r/hbar) over the box leaves L^3 times a Kronecker
-    delta pairing equal or opposite lattice momenta; the time-dependent
-    opposite-momentum terms are kept and cancel between the paired
-    orderings of the physical densities.
+    u, v are the per-mode a-side coefficient 3-vectors.  With ladder
+    operators L = (a, a-dagger) carrying momenta q = (p, -p), integrating
+    exp(i(q_k + q_l).r/hbar) over the box leaves its volume where q_k + q_l = 0:
+    equal momenta for a a-dagger and a-dagger a, opposite momenta for a a
+    and a-dagger a-dagger.  The time-dependent opposite-momentum terms are
+    kept and cancel between the paired orderings of the physical densities.
+    Returns shape (2 n_modes, 2 n_modes, components).
     """
-    combine = np.cross if cross else lambda a, b: np.dot(a, b)
-    n_out = 3 if cross else 1
-    acc = [sp.csr_matrix((basis.dim, basis.dim), dtype=complex) for _ in range(n_out)]
-    vol = basis.config.length**3
-    modes = basis.modes
-    for i, j in itertools.product(range(basis.n_modes), repeat=2):
-        ni, nj = modes[i].n, modes[j].n
-        same = ni == nj
-        opposite = nj == (-ni[0], -ni[1], -ni[2])
-        if not (same or opposite):
-            continue
-        aa, a_ad, ad_a, ad_ad = _pair_products(basis, i, j)
-        terms = []
-        if same:
-            terms.append((combine(u[i], np.conj(v[j])), a_ad))
-            terms.append((combine(np.conj(u[i]), v[j]), ad_a))
-        if opposite:
-            terms.append((combine(u[i], v[j]), aa))
-            terms.append((combine(np.conj(u[i]), np.conj(v[j])), ad_ad))
-        for coef, op in terms:
-            coef = np.atleast_1d(coef)
-            for comp in range(n_out):
-                if coef[comp] != 0:
-                    acc[comp] = acc[comp] + (vol * coef[comp]) * op
-    return acc
+    q = np.concatenate([basis.n, -basis.n])
+    paired = np.all(q[:, None, :] + q[None, :, :] == 0, axis=-1)
+    f, g = _ladder_weights(u)[:, None, :], _ladder_weights(v)[None, :, :]
+    terms = np.cross(f, g) if cross else np.sum(f * g, axis=-1, keepdims=True)
+    return basis.config.length**3 * np.where(paired[..., None], terms, 0.0)
 
 
 def quadratic_H_from_fields(basis: FockBasis, t: float = 0.0) -> SparseOperator:
@@ -260,59 +217,52 @@ def quadratic_H_from_fields(basis: FockBasis, t: float = 0.0) -> SparseOperator:
     """
     u_e = _amplitudes(basis, FieldKind.E, t)
     u_b = _amplitudes(basis, FieldKind.B, t)
-    ee = _integrated_product(basis, u_e, u_e, cross=False)[0]
-    bb = _integrated_product(basis, u_b, u_b, cross=False)[0]
-    return SparseOperator((ee + bb) / (8.0 * np.pi), basis, HERMITIAN)
+    weights = _box_integral(basis, u_e, u_e, False) + _box_integral(basis, u_b, u_b, False)
+    return ladder_products(basis, weights[..., 0] / (8.0 * np.pi), HERMITIAN)
+
+
+def _cross_observable(basis: FockBasis, u: np.ndarray, v: np.ndarray):
+    """(1/8 pi c) Integral (F_u x F_v - F_v x F_u) d^3r, one operator per component."""
+    weights = _box_integral(basis, u, v, True) - _box_integral(basis, v, u, True)
+    weights /= 8.0 * np.pi * basis.config.c
+    return tuple(ladder_products(basis, weights[..., i], HERMITIAN) for i in range(3))
 
 
 def quadratic_P_from_fields(
     basis: FockBasis, t: float = 0.0
 ) -> tuple[SparseOperator, SparseOperator, SparseOperator]:
     """(1/8 pi c) Integral (E x B - B x E) d^3r; equals P + P0 on the safe subspace."""
-    u_e = _amplitudes(basis, FieldKind.E, t)
-    u_b = _amplitudes(basis, FieldKind.B, t)
-    eb = _integrated_product(basis, u_e, u_b, cross=True)
-    be = _integrated_product(basis, u_b, u_e, cross=True)
-    scale = 1.0 / (8.0 * np.pi * basis.config.c)
-    return tuple(SparseOperator(scale * (eb[i] - be[i]), basis, HERMITIAN) for i in range(3))
+    return _cross_observable(
+        basis, _amplitudes(basis, FieldKind.E, t), _amplitudes(basis, FieldKind.B, t)
+    )
 
 
 def quadratic_S_from_fields(
     basis: FockBasis, t: float = 0.0
 ) -> tuple[SparseOperator, SparseOperator, SparseOperator]:
     """(1/8 pi c) Integral (E x A - A x E) d^3r; equals S + S0 on the safe subspace."""
-    u_e = _amplitudes(basis, FieldKind.E, t)
-    u_a = _amplitudes(basis, FieldKind.A, t)
-    ea = _integrated_product(basis, u_e, u_a, cross=True)
-    ae = _integrated_product(basis, u_a, u_e, cross=True)
-    scale = 1.0 / (8.0 * np.pi * basis.config.c)
-    return tuple(SparseOperator(scale * (ea[i] - ae[i]), basis, HERMITIAN) for i in range(3))
+    return _cross_observable(
+        basis, _amplitudes(basis, FieldKind.E, t), _amplitudes(basis, FieldKind.A, t)
+    )
 
 
 # ---------------------------------------------------------------------------
 # derivative relations and Maxwell's equations
 
 
-def _fd_time(basis, kind, x, h):
-    plus = field(basis, kind, SpacetimePoint(r=x.r, t=x.t + h))
-    minus = field(basis, kind, SpacetimePoint(r=x.r, t=x.t - h))
-    return tuple((p - m) * (0.5 / h) for p, m in zip(plus, minus))
-
-
-def _fd_partial(basis, kind, x, axis, h):
-    shift = np.zeros(3)
-    shift[axis] = h
-    plus = field(basis, kind, SpacetimePoint(r=x.r + shift, t=x.t))
-    minus = field(basis, kind, SpacetimePoint(r=x.r - shift, t=x.t))
+def _derivative(basis, kind, x, h, method, dt=0, dr=(0, 0, 0)):
+    """Field derivative along the unit step (dt, dr), exact or by O(h^2) central difference."""
+    if method == "analytic":
+        return field_derivative(basis, kind, x, dt=dt, dr=dr)
+    step_r, step_t = h * np.asarray(dr, dtype=float), h * dt
+    plus = field(basis, kind, SpacetimePoint(r=x.r + step_r, t=x.t + step_t))
+    minus = field(basis, kind, SpacetimePoint(r=x.r - step_r, t=x.t - step_t))
     return tuple((p - m) * (0.5 / h) for p, m in zip(plus, minus))
 
 
 def _grad_components(basis, kind, x, h, method):
     """partial_j F_i for all axes j: grad[j] = tuple of 3 component operators."""
-    if method == "fd":
-        return [_fd_partial(basis, kind, x, axis, h) for axis in range(3)]
-    axes = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
-    return [field_derivative(basis, kind, x, dr=axes[axis]) for axis in range(3)]
+    return [_derivative(basis, kind, x, h, method, dr=axis) for axis in np.eye(3, dtype=int)]
 
 
 def _curl(grad):
@@ -327,14 +277,15 @@ def _divergence(grad):
     return grad[0][0] + grad[1][1] + grad[2][2]
 
 
-def _time_derivative(basis, kind, x, h, method):
-    if method == "fd":
-        return _fd_time(basis, kind, x, h)
-    return field_derivative(basis, kind, x, dt=1)
-
-
 def _max_over(ops) -> float:
     return max(op.max_abs() for op in ops)
+
+
+def _check_step(h: float, method: str) -> None:
+    if h <= 0:
+        raise ValueError("step h must be positive")
+    if method not in ("fd", "analytic"):
+        raise ValueError(f"method must be 'fd' or 'analytic', got {method!r}")
 
 
 def check_derivative_relations(
@@ -346,14 +297,11 @@ def check_derivative_relations(
     method "analytic" uses exact per-mode differentiation and serves as
     the oracle for the finite-difference path.
     """
-    if h <= 0:
-        raise ValueError("step h must be positive")
-    if method not in ("fd", "analytic"):
-        raise ValueError(f"method must be 'fd' or 'analytic', got {method!r}")
+    _check_step(h, method)
     c = basis.config.c
     e_ops = field(basis, FieldKind.E, x)
     b_ops = field(basis, FieldKind.B, x)
-    da_dt = _time_derivative(basis, FieldKind.A, x, h, method)
+    da_dt = _derivative(basis, FieldKind.A, x, h, method, dt=1)
     curl_a = _curl(_grad_components(basis, FieldKind.A, x, h, method))
     return {
         "potential_time": _max_over(e + da * (1.0 / c) for e, da in zip(e_ops, da_dt)),
@@ -365,15 +313,12 @@ def check_maxwell(
     basis: FockBasis, x: SpacetimePoint, h: float, method: str = "fd"
 ) -> dict[str, float]:
     """Residuals of the four source-free Maxwell equations at x."""
-    if h <= 0:
-        raise ValueError("step h must be positive")
-    if method not in ("fd", "analytic"):
-        raise ValueError(f"method must be 'fd' or 'analytic', got {method!r}")
+    _check_step(h, method)
     c = basis.config.c
     grad_e = _grad_components(basis, FieldKind.E, x, h, method)
     grad_b = _grad_components(basis, FieldKind.B, x, h, method)
-    de_dt = _time_derivative(basis, FieldKind.E, x, h, method)
-    db_dt = _time_derivative(basis, FieldKind.B, x, h, method)
+    de_dt = _derivative(basis, FieldKind.E, x, h, method, dt=1)
+    db_dt = _derivative(basis, FieldKind.B, x, h, method, dt=1)
     curl_e = _curl(grad_e)
     curl_b = _curl(grad_b)
     return {
@@ -420,31 +365,22 @@ def field_commutator_closed_form(
     rho = x1.r - x2.r
     tau = x1.t - x2.t
     dp3 = basis.delta3p
-    by_momentum: dict[tuple[int, int, int], Mode] = {}
-    for m in basis.modes:
-        by_momentum.setdefault(m.n, m)
-    out = np.zeros((3, 3), dtype=complex)
-    for m in by_momentum.values():
-        kv = m.k.k
-        phase = np.exp(1j * np.dot(m.p, rho) / hbar)
-        if kind1 is kind2:
-            proj = np.eye(3) - np.outer(kv, kv)
-            out += (-2j / (2.0 * np.pi * hbar) ** 2) * dp3 * m.omega * proj * phase * np.sin(
-                m.omega * tau
-            )
-        else:
-            eps_k = np.array(
-                [
-                    [0.0, kv[2], -kv[1]],
-                    [-kv[2], 0.0, kv[0]],
-                    [kv[1], -kv[0], 0.0],
-                ]
-            )
-            sign = 1.0 if kind1 is FieldKind.E else -1.0
-            out += sign * (2.0 / (2.0 * np.pi * hbar) ** 2) * dp3 * m.omega * eps_k * phase * np.cos(
-                m.omega * tau
-            )
-    return out
+    first = basis.momentum_modes()
+    kv = basis.k[first]
+    omega = basis.omega[first][:, None, None]
+    phase = np.exp(1j * np.vecdot(basis.p[first], rho) / hbar)[:, None, None]
+    if kind1 is kind2:
+        proj = np.eye(3) - kv[:, :, None] * kv[:, None, :]
+        terms = (-2j / (2.0 * np.pi * hbar) ** 2) * dp3 * omega * proj * phase * np.sin(
+            omega * tau
+        )
+    else:
+        eps_k = np.cross(kv[:, None, :], np.eye(3))  # eps_k[m, i, j] = epsilon_ijl k_l
+        sign = 1.0 if kind1 is FieldKind.E else -1.0
+        terms = sign * (2.0 / (2.0 * np.pi * hbar) ** 2) * dp3 * omega * eps_k * phase * np.cos(
+            omega * tau
+        )
+    return terms.sum(axis=0)
 
 
 def discrete_pauli_jordan(rho: np.ndarray, tau: float, basis: FockBasis) -> float:
@@ -461,11 +397,10 @@ def discrete_pauli_jordan(rho: np.ndarray, tau: float, basis: FockBasis) -> floa
         )
     rho = np.asarray(rho, dtype=float)
     hbar = basis.config.hbar
-    dp3 = basis.delta3p
-    total = 0.0 + 0.0j
-    for n in basis.momenta():
-        m = next(mode for mode in basis.modes if mode.n == n)
-        total += dp3 * np.exp(1j * np.dot(m.p, rho) / hbar) * np.sin(m.omega * tau) / m.omega
+    first = basis.momentum_modes()
+    omega = basis.omega[first]
+    phase = np.exp(1j * np.vecdot(basis.p[first], rho) / hbar)
+    total = np.sum(basis.delta3p * phase * np.sin(omega * tau) / omega)
     total *= -1.0 / (2.0 * np.pi * hbar) ** 3
     if abs(total.imag) > 1e-12:
         raise ValueError(f"kernel acquired an imaginary part {total.imag!r}")

@@ -11,6 +11,12 @@ and a mode is one (helicity, n) pair.  The dictionary used throughout:
 Each mode carries at most n_max quanta; the creation operator annihilates
 top-occupancy states, so operator identities are stated on "safe"
 subspaces whose occupancies stay below the cap.
+
+Operators are coefficient arrays over the ladder operators L = (a_1..a_n,
+a-dagger_1..a-dagger_n): linear forms sum_k w_k L_k (ladder_sum) and
+quadratic forms sum_kl w_kl L_k L_l (ladder_products), each assembled in one
+pass from the basis's lowering table, the one place that says how a_j acts:
+a_j |s> = sqrt(occ_j) |s - strides[j]> for every state s with occ_j >= 1.
 """
 
 from __future__ import annotations
@@ -146,14 +152,28 @@ class FockBasis:
         self.strides = tuple(local ** (self.n_modes - 1 - j) for j in range(self.n_modes))
         occ = np.unravel_index(np.arange(dim), (local,) * self.n_modes)
         self._occupancies = np.stack(occ, axis=1)  # shape (dim, n_modes)
-        single = sp.diags(np.sqrt(np.arange(1, local)), offsets=1, format="csr", dtype=complex)
-        self._lowerings = tuple(
-            sp.kron(
-                sp.kron(sp.identity(local**j, format="csr", dtype=complex), single),
-                sp.identity(local ** (self.n_modes - 1 - j), format="csr", dtype=complex),
-            ).tocsr()
-            for j in range(self.n_modes)
+        # Lowering table (src, dst, amp), row j = mode j: a_j |src> = amp |dst>
+        # for each state src with occ_j >= 1, in increasing order; a-dagger_j
+        # is the transpose.  Shape (n_modes, dim n_max / (n_max + 1)) each.
+        by_mode = self._occupancies.T
+        mode, src = np.nonzero(by_mode)
+        shape = (self.n_modes, -1)
+        self.lowering = (
+            src.astype(np.int32).reshape(shape),
+            (src - np.asarray(self.strides)[mode]).astype(np.int32).reshape(shape),
+            np.sqrt(by_mode[mode, src]).reshape(shape),
         )
+        # Per-mode arrays, row j = mode j.
+        self.n = np.array([m.n for m in self.modes])
+        self.omega = np.array([m.omega for m in self.modes])
+        self.p = np.stack([m.p for m in self.modes])
+        self.k = np.stack([m.k.k for m in self.modes])
+        self.eps = np.stack([m.eps for m in self.modes])
+        self.k_cross_eps = np.cross(self.k, self.eps)
+        self.spin = np.array([m.s * config.hbar for m in self.modes])[:, None] * self.k
+        for arr in (*self.lowering, self.n, self.omega, self.p, self.k, self.eps,
+                    self.k_cross_eps, self.spin):
+            arr.setflags(write=False)
 
     # -- index bookkeeping -------------------------------------------------
 
@@ -183,28 +203,22 @@ class FockBasis:
     def delta3p(self) -> float:
         return self.config.delta3p
 
+    def momentum_modes(self) -> np.ndarray:
+        """Index of the first mode of each distinct lattice momentum, in mode order."""
+        return np.sort(np.unique(self.n, axis=0, return_index=True)[1])
+
     def momenta(self) -> tuple[IntVec, ...]:
         """Distinct lattice momenta, in first-appearance order."""
-        seen: list[IntVec] = []
-        for m in self.modes:
-            if m.n not in seen:
-                seen.append(m.n)
-        return tuple(seen)
+        return tuple(self.modes[j].n for j in self.momentum_modes())
 
     def helicities_complete(self) -> bool:
         """True when every lattice momentum carries both helicities."""
-        keys = {m.key for m in self.modes}
-        return all((1, n) in keys and (-1, n) in keys for n in self.momenta())
+        return 2 * len(self.momentum_modes()) == self.n_modes
 
     def momentum_symmetric(self) -> bool:
         """True when the momentum set is closed under n -> -n."""
         ns = set(self.momenta())
         return all(tuple(-v for v in n) in ns for n in ns)
-
-    # -- elementary operators ----------------------------------------------
-
-    def _lowering(self, j: int) -> sp.csr_matrix:
-        return self._lowerings[j]
 
 
 HERMITIAN = "hermitian"
@@ -281,10 +295,6 @@ def identity(basis: FockBasis) -> SparseOperator:
     return SparseOperator(sp.identity(basis.dim, dtype=complex, format="csr"), basis, HERMITIAN)
 
 
-def zero(basis: FockBasis) -> SparseOperator:
-    return SparseOperator(sp.csr_matrix((basis.dim, basis.dim), dtype=complex), basis, HERMITIAN)
-
-
 def diagonal_operator(basis: FockBasis, values: np.ndarray) -> SparseOperator:
     values = np.asarray(values)
     sym = HERMITIAN if np.all(np.isreal(values)) else None
@@ -295,16 +305,65 @@ def build_basis(config: LatticeConfig) -> FockBasis:
     return FockBasis(config)
 
 
+def _ladder_moves(basis: FockBasis) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(source, target, amplitude) rows of L_k: a_k for k < n_modes, then a-dagger."""
+    src, dst, amp = basis.lowering
+    return np.concatenate([src, dst]), np.concatenate([dst, src]), np.concatenate([amp, amp])
+
+
+def _assemble(basis: FockBasis, rows, cols, data, symmetry: str | None) -> SparseOperator:
+    """One CSR from coordinate entries; duplicates add, zeros are not stored.
+
+    Adding 0.0 turns -0.0 parts into 0.0: exports never show the sign of a zero.
+    """
+    keep = data != 0
+    matrix = sp.csr_matrix(
+        (data[keep] + 0.0, (rows[keep], cols[keep])), shape=(basis.dim, basis.dim)
+    )
+    matrix.eliminate_zeros()
+    return SparseOperator(matrix, basis, symmetry)
+
+
+def ladder_sum(basis: FockBasis, weights: np.ndarray, symmetry: str | None = None) -> SparseOperator:
+    """sum_k weights[k] L_k, for weights of shape (2 n_modes,).
+
+    L = (a_1..a_n, a-dagger_1..a-dagger_n); weights = (c, d) gives
+    sum_j (c_j a_j + d_j a-dagger_j).
+    """
+    src, dst, amp = _ladder_moves(basis)
+    k = np.flatnonzero(weights)
+    data = np.asarray(weights)[k, None] * amp[k]
+    return _assemble(basis, dst[k].ravel(), src[k].ravel(), data.ravel(), symmetry)
+
+
+def ladder_products(
+    basis: FockBasis, weights: np.ndarray, symmetry: str | None = None
+) -> SparseOperator:
+    """sum_{k,l} weights[k, l] L_k L_l, for weights of shape (2 n_modes, 2 n_modes).
+
+    Built without sparse products: for each stored entry of L_l (source s,
+    target t), the amplitude and target of L_k at t are read from by-state
+    copies of the table.
+    """
+    src, dst, amp = _ladder_moves(basis)
+    amp_at = np.zeros((len(src), basis.dim))
+    dst_at = np.zeros((len(src), basis.dim), dtype=dst.dtype)
+    np.put_along_axis(amp_at, src, amp, axis=1)
+    np.put_along_axis(dst_at, src, dst, axis=1)
+    k, l = np.nonzero(weights)
+    mid = dst[l]
+    data = weights[k, l][:, None] * (amp_at[k[:, None], mid] * amp[l])
+    return _assemble(basis, dst_at[k[:, None], mid].ravel(), src[l].ravel(), data.ravel(), symmetry)
+
+
 def annihilation(basis: FockBasis, mode: Mode | ModeKey) -> SparseOperator:
     """a for one mode: a|..n..> = sqrt(n)|..n-1..>, a|vacuum> = 0."""
-    j = basis.mode_index(mode)
-    return SparseOperator(basis._lowering(j), basis, None)
+    return ladder_sum(basis, np.eye(2 * basis.n_modes)[basis.mode_index(mode)])
 
 
 def creation(basis: FockBasis, mode: Mode | ModeKey) -> SparseOperator:
     """a-dagger for one mode; annihilates top-occupancy states (truncation)."""
-    j = basis.mode_index(mode)
-    return SparseOperator(basis._lowering(j).conj().T.tocsr(), basis, None)
+    return ladder_sum(basis, np.eye(2 * basis.n_modes)[basis.n_modes + basis.mode_index(mode)])
 
 
 def commutator(a: SparseOperator, b: SparseOperator) -> SparseOperator:

@@ -65,3 +65,14 @@ def offaxis_basis():
         modes=((1, (1, 2, 2)), (-1, (1, 2, 2)), (1, (-1, -2, -2)), (-1, (-1, -2, -2))),
     )
     return pf.build_basis(cfg)
+
+
+@pytest.fixture(scope="session")
+def three_mode_basis():
+    """Three modes of distinct helicity and momentum, n_max = 2, dimension 27."""
+    cfg = pf.LatticeConfig(
+        length=2 * np.pi,
+        n_max=2,
+        modes=((1, (0, 0, 1)), (-1, (1, 0, 0)), (1, (0, -1, 1))),
+    )
+    return pf.build_basis(cfg)

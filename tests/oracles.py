@@ -1,5 +1,8 @@
 """Independent oracles used by the tests.
 
+The ladder oracle builds a_j as a Kronecker product of single-mode
+matrices, independent of the library's lowering table.
+
 The quadrature oracle integrates the quadratic field densities over the
 box on a uniform grid.  The integrands are trigonometric polynomials whose
 per-axis frequencies are bounded by twice the largest lattice momentum
@@ -8,9 +11,19 @@ roundoff) and independent of the analytic pair reduction in the library.
 """
 
 import numpy as np
+import scipy.sparse as sp
 
 import photonfield as pf
 from photonfield.fields import FieldKind, SpacetimePoint
+
+
+def kron_lowering(basis, j):
+    """a_j = 1_(local^j) (x) a (x) 1_(local^(n_modes - 1 - j)) as a CSR matrix."""
+    local = basis.n_max + 1
+    single = sp.diags(np.sqrt(np.arange(1, local)), offsets=1, format="csr", dtype=complex)
+    left = sp.identity(local**j, format="csr", dtype=complex)
+    right = sp.identity(local ** (basis.n_modes - 1 - j), format="csr", dtype=complex)
+    return sp.kron(sp.kron(left, single), right).tocsr()
 
 
 def _grid(basis):

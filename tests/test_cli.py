@@ -60,6 +60,31 @@ def test_zero_tolerance_scale_fails(tmp_path):
     assert any(not r["pass"] for r in report["records"])
 
 
+@pytest.mark.parametrize("scale", ["nan", "inf", "-1"])
+def test_bad_tolerance_scale_rejected_before_checks(tmp_path, capsys, scale):
+    out = tmp_path / "out"
+    assert cli.main(["verify", "--out", str(out), "--tolerance-scale", scale]) == 2
+    assert "--tolerance-scale" in capsys.readouterr().err
+    assert not (out / "report.json").exists()
+
+
+def test_zero_grid_samples_rejected(tmp_path, capsys):
+    data = default_data()
+    data["grid"]["samples"] = 0
+    config = write_scenario(tmp_path, data)
+    assert cli.main(["verify", "--config", config, "--out", str(tmp_path / "o")]) == 2
+    assert "scenario.grid.samples" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cutoffs", [[3, 1], [2, 2], [], [0]])
+def test_bad_vacuum_scan_cutoffs_rejected(tmp_path, capsys, cutoffs):
+    data = default_data()
+    data["vacuum_scan"] = {"cutoffs": cutoffs}
+    config = write_scenario(tmp_path, data)
+    assert cli.main(["vacuum-scan", "--config", config, "--out", str(tmp_path / "o")]) == 2
+    assert "scenario.vacuum_scan.cutoffs" in capsys.readouterr().err
+
+
 def test_single_helicity_commutator_scenario_exits_2(tmp_path, capsys):
     data = default_data()
     data["lattice"]["modes"] = [{"s": 1, "n": [0, 0, 1]}, {"s": 1, "n": [0, 0, -1]}]

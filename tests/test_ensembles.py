@@ -88,14 +88,15 @@ def test_norm_deficit_bookkeeping(single_mode_basis):
     assert abs(np.linalg.norm(state.coefficients) - 1.0) < 1e-14
 
 
-def test_amplitude_profile_matches_matrix_path(standard_basis):
+def test_amplitude_profile_matches_matrix_path(standard_basis, three_mode_basis):
     rng = np.random.default_rng(21)
-    coeff = rng.standard_normal(standard_basis.dim) + 1j * rng.standard_normal(standard_basis.dim)
-    state = pf.FockState(basis=standard_basis, coefficients=coeff)
-    amps = pf.amplitude_profile(state).amplitudes
-    for j, mode in enumerate(standard_basis.modes):
-        a = pf.annihilation(standard_basis, mode)
-        assert abs(amps[j] - pf.expectation(a, state)) < 1e-12
+    for basis in (standard_basis, three_mode_basis):
+        coeff = rng.standard_normal(basis.dim) + 1j * rng.standard_normal(basis.dim)
+        state = pf.FockState(basis=basis, coefficients=coeff)
+        amps = pf.amplitude_profile(state).amplitudes
+        for j, mode in enumerate(basis.modes):
+            a = pf.annihilation(basis, mode)
+            assert abs(amps[j] - pf.expectation(a, state)) < 1e-12
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,8 @@ import pytest
 import photonfield as pf
 from photonfield.fock import BasisMismatchError, LatticeSizeError
 
+import oracles
+
 
 def small_config(**kwargs):
     defaults = dict(length=2 * np.pi, n_max=3, modes=((1, (0, 0, 1)),))
@@ -62,6 +64,16 @@ def test_creation_annihilates_top_state():
     top = np.zeros(4, dtype=complex)
     top[3] = 1.0
     assert np.max(np.abs(adag.matrix @ top)) == 0.0
+
+
+def test_ladder_operators_match_kron_oracle(three_mode_basis):
+    for j, mode in enumerate(three_mode_basis.modes):
+        ref = oracles.kron_lowering(three_mode_basis, j)
+        a = pf.annihilation(three_mode_basis, mode).matrix
+        adag = pf.creation(three_mode_basis, mode).matrix
+        assert abs(a - ref).max() == 0.0
+        assert abs(adag - ref.conj().T).max() == 0.0
+        assert a.nnz == ref.nnz == adag.nnz
 
 
 def test_canonical_commutator_on_safe_subspace(standard_basis):
