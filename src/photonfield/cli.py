@@ -140,6 +140,48 @@ def _parse_complex(data, path: str) -> complex:
     return complex(float(data[0]), float(data[1]))
 
 
+def _check_occupancies(data, lattice: LatticeConfig, path: str) -> None:
+    if not (isinstance(data, list) and len(data) == len(lattice.modes)):
+        raise ConfigError(f"{path}: must be a list of {len(lattice.modes)} occupancies, one per lattice mode")
+    for i, v in enumerate(data):
+        if isinstance(v, bool) or not isinstance(v, int) or not 0 <= v <= lattice.n_max:
+            raise ConfigError(f"{path}[{i}]: occupancy must be an integer in 0..{lattice.n_max} (n_max), got {v!r}")
+
+
+def _check_state(state, lattice: LatticeConfig) -> None:
+    """Validate scenario.state against the lattice, whichever checks run."""
+    if not isinstance(state, dict) or "kind" not in state:
+        raise ConfigError("scenario.state: must be an object with a 'kind'")
+    kind = state["kind"]
+    if kind == "vacuum":
+        _require_keys(state, {"kind"}, {"kind"}, "scenario.state")
+    elif kind == "number":
+        _require_keys(state, {"kind", "occupancies"}, {"kind", "occupancies"}, "scenario.state")
+        _check_occupancies(state["occupancies"], lattice, "scenario.state.occupancies")
+    elif kind == "coherent":
+        _require_keys(state, {"kind", "alpha", "mode", "cap"}, {"kind", "alpha", "mode", "cap"}, "scenario.state")
+        mode = _parse_mode_key(state["mode"], "scenario.state.mode")
+        if mode not in lattice.modes:
+            raise ConfigError(f"scenario.state.mode: mode {mode} is not on the lattice")
+        _parse_complex(state["alpha"], "scenario.state.alpha")
+        cap = state["cap"]
+        if isinstance(cap, bool) or not isinstance(cap, int) or not 0 <= cap <= lattice.n_max:
+            raise ConfigError(f"scenario.state.cap: must be an integer in 0..{lattice.n_max} (n_max), got {cap!r}")
+    elif kind == "superposition":
+        _require_keys(state, {"kind", "terms"}, {"kind", "terms"}, "scenario.state")
+        if not isinstance(state["terms"], list) or not state["terms"]:
+            raise ConfigError("scenario.state.terms: must be a nonempty list")
+        for i, term in enumerate(state["terms"]):
+            path = f"scenario.state.terms[{i}]"
+            if not isinstance(term, dict):
+                raise ConfigError(f"{path}: must be an object with keys 'occupancies' and 'amplitude'")
+            _require_keys(term, {"occupancies", "amplitude"}, {"occupancies", "amplitude"}, path)
+            _check_occupancies(term["occupancies"], lattice, f"{path}.occupancies")
+            _parse_complex(term["amplitude"], f"{path}.amplitude")
+    else:
+        raise ConfigError(f"scenario.state.kind: unknown state kind {kind!r}")
+
+
 def parse_scenario(data: dict) -> Scenario:
     if not isinstance(data, dict):
         raise ConfigError("scenario: top level must be an object")
@@ -175,21 +217,7 @@ def parse_scenario(data: dict) -> Scenario:
         raise ConfigError(f"scenario.lattice: {err}") from err
 
     state = data["state"]
-    if not isinstance(state, dict) or "kind" not in state:
-        raise ConfigError("scenario.state: must be an object with a 'kind'")
-    kind = state["kind"]
-    if kind == "vacuum":
-        _require_keys(state, {"kind"}, {"kind"}, "scenario.state")
-    elif kind == "number":
-        _require_keys(state, {"kind", "occupancies"}, {"kind", "occupancies"}, "scenario.state")
-    elif kind == "coherent":
-        _require_keys(state, {"kind", "alpha", "mode", "cap"}, {"kind", "alpha", "mode", "cap"}, "scenario.state")
-        _parse_mode_key(state["mode"], "scenario.state.mode")
-        _parse_complex(state["alpha"], "scenario.state.alpha")
-    elif kind == "superposition":
-        _require_keys(state, {"kind", "terms"}, {"kind", "terms"}, "scenario.state")
-    else:
-        raise ConfigError(f"scenario.state.kind: unknown state kind {kind!r}")
+    _check_state(state, lattice)
 
     checks = data["checks"]
     if not isinstance(checks, list) or not checks:
@@ -255,19 +283,13 @@ def build_state(scenario: Scenario, basis: FockBasis) -> ensembles.FockState:
     if kind == "coherent":
         mode = _parse_mode_key(state["mode"], "scenario.state.mode")
         alpha = _parse_complex(state["alpha"], "scenario.state.alpha")
-        profile = ensembles.coherent_profile(alpha, mode, int(state["cap"]))
+        profile = ensembles.coherent_profile(alpha, mode, state["cap"])
         return ensembles.superposition(basis, profile)
     if kind == "superposition":
-        terms = {}
-        for i, term in enumerate(state["terms"]):
-            _require_keys(
-                term,
-                {"occupancies", "amplitude"},
-                {"occupancies", "amplitude"},
-                f"scenario.state.terms[{i}]",
-            )
-            occ = tuple(int(v) for v in term["occupancies"])
-            terms[occ] = _parse_complex(term["amplitude"], f"scenario.state.terms[{i}].amplitude")
+        terms = {
+            tuple(term["occupancies"]): _parse_complex(term["amplitude"], f"scenario.state.terms[{i}].amplitude")
+            for i, term in enumerate(state["terms"])
+        }
         return ensembles.superposition(basis, terms)
     raise ConfigError(f"scenario.state.kind: unknown state kind {kind!r}")
 
@@ -321,54 +343,44 @@ class RunContext:
         )
 
 
-def _random_directions(rng: np.random.Generator, count: int) -> list[polarization.Direction]:
-    dirs = []
-    while len(dirs) < count:
-        v = rng.standard_normal(3)
-        norm = np.linalg.norm(v)
-        if norm > 1e-6:
-            dirs.append(polarization.Direction(k=v / norm))
-    return dirs
+def _random_directions(rng: np.random.Generator, count: int) -> np.ndarray:
+    """count unit rows, stacked (count, 3).
+
+    The draws are those of count successive rng.standard_normal(3) calls,
+    each skipped (and redrawn after the others) when its norm is below 1e-6.
+    """
+    rows = np.empty((0, 3))
+    while len(rows) < count:
+        v = rng.standard_normal((count - len(rows), 3))
+        norm = np.sqrt(np.vecdot(v, v))[:, None]
+        keep = norm[:, 0] > 1e-6
+        rows = np.concatenate([rows, v[keep] / norm[keep]])
+    return rows
 
 
-def _near_singular_directions(count: int) -> list[polarization.Direction]:
-    """Directions with the closed-form helicity normalization almost vanishing."""
+def _near_singular_directions(count: int) -> np.ndarray:
+    """Directions with the closed-form helicity normalization almost vanishing, (count, 3)."""
     base = np.ones(3) / np.sqrt(3.0)
     u = np.array([1.0, -1.0, 0.0]) / np.sqrt(2.0)
-    deltas = np.geomspace(1e-5, 6e-4, count)
-    out = []
-    for d in deltas:
-        v = base + d * u
-        out.append(polarization.Direction(k=v / np.linalg.norm(v)))
-    return out
+    v = base + np.geomspace(1e-5, 6e-4, count)[:, None] * u
+    return v / np.sqrt(np.vecdot(v, v))[:, None]
+
+
+def _worst(*arrays: np.ndarray) -> float:
+    return max(float(np.max(np.abs(a))) for a in arrays)
 
 
 def check_polarization(ctx: RunContext) -> list[Record]:
     rng = ctx.rng("polarization")
     count = 1000
-    axes = [
-        polarization.Direction(k=np.array(v))
-        for v in ([1.0, 0, 0], [0, 1.0, 0], [0, 0, 1.0], [0, 0, -1.0])
-    ]
-    dirs = axes + _random_directions(rng, count - len(axes))
-    worst_rel = 0.0
-    worst_proj = 0.0
-    worst_det = 0.0
-    for d in dirs:
-        triad = polarization.make_triad(d)
-        worst_rel = max(worst_rel, max(polarization.check_relations(triad).values()))
-        m = polarization.completeness_matrix(triad)
-        worst_proj = max(
-            worst_proj,
-            float(np.max(np.abs(m @ m - m))),
-            float(np.max(np.abs(m @ d.k))),
-        )
-        again = polarization.make_triad(polarization.Direction(k=d.k.copy()))
-        worst_det = max(
-            worst_det,
-            float(np.max(np.abs(again.eps_plus - triad.eps_plus))),
-            float(np.max(np.abs(again.eps_minus - triad.eps_minus))),
-        )
+    axes = np.array([[1.0, 0, 0], [0, 1.0, 0], [0, 0, 1.0], [0, 0, -1.0]])
+    k = np.concatenate([axes, _random_directions(rng, count - len(axes))])
+    _, _, eps_plus, eps_minus = polarization.triads(k)
+    worst_rel = _worst(*polarization.relation_residuals(k, eps_plus, eps_minus).values())
+    m = polarization.completeness_matrices(eps_plus, eps_minus)
+    worst_proj = _worst(m @ m - m, m @ k[:, :, None])
+    _, _, again_plus, again_minus = polarization.triads(k.copy())
+    worst_det = _worst(again_plus - eps_plus, again_minus - eps_minus)
     return [
         ctx.record("polarization.relations", {"directions": count}, worst_rel, 1e-12),
         ctx.record("polarization.projector", {"directions": count}, worst_proj, 1e-12),
@@ -380,41 +392,30 @@ def check_helicity(ctx: RunContext) -> list[Record]:
     rng = ctx.rng("helicity")
     count = 1000
     near = 10
-    singular = [
-        polarization.Direction(k=np.ones(3) / np.sqrt(3.0)),
-        polarization.Direction(k=-np.ones(3) / np.sqrt(3.0)),
-    ]
-    generic = _random_directions(rng, count - near - len(singular))
-    edge = _near_singular_directions(near) + singular
-    mats = spin.spin_matrices(hbar=1.0)
-    worst_eig = 0.0
-    worst_norm = 0.0
-    worst_orth = 0.0
-    worst_overlap = 0.0
+    singular = np.array([np.ones(3), -np.ones(3)]) / np.sqrt(3.0)
+    generic = count - near - len(singular)
+    k = np.concatenate([_random_directions(rng, generic), _near_singular_directions(near), singular])
+    chi = np.stack(spin.helicity_vectors(k), axis=1)  # (direction, helicity, component)
+    signs = np.array([1.0, -1.0])[:, None]
+    # S.k for every row; same sums as SpinMatrices.dotted on one direction.
+    sk = spin.spin_matrices(hbar=1.0).dotted(k.T[:, :, None, None])
     # The eigenvalue relation is insensitive to the overall scale and is
     # asserted for every direction; the norm-sensitive checks run on the
     # generic population, where the closed form is well conditioned.
-    for d in generic + edge:
-        pair = spin.helicity_states(d)
-        sk = mats.dotted(d.k)
-        for s in (1, -1):
-            chi = pair.chi(s)
-            worst_eig = max(worst_eig, float(np.max(np.abs(sk @ chi - s * chi))))
-    for d in generic:
-        pair = spin.helicity_states(d)
-        triad = polarization.make_triad(d)
-        for s in (1, -1):
-            chi = pair.chi(s)
-            worst_norm = max(worst_norm, abs(float(np.linalg.norm(chi)) - 1.0))
-            worst_overlap = max(
-                worst_overlap, abs(abs(np.vdot(chi, triad.eps(s))) - 1.0)
-            )
-        worst_orth = max(worst_orth, abs(np.vdot(pair.chi_plus, pair.chi_minus)))
+    worst_eig = _worst(sk[:, None] @ chi[..., None] - (signs * chi)[..., None])
+    chi = chi[:generic]
+    _, _, eps_plus, eps_minus = polarization.triads(k[:generic])
+    norms = np.sqrt(np.vecdot(chi.real, chi.real) + np.vecdot(chi.imag, chi.imag))
+    orth = np.vecdot(chi[:, 0], chi[:, 1])
+    overlap = np.vecdot(chi, np.stack([eps_plus, eps_minus], axis=1))
+    # Complex moduli via hypot, as the scalar abs() takes them; np.abs on an
+    # array may round differently.
+    orth, overlap = np.hypot(orth.real, orth.imag), np.hypot(overlap.real, overlap.imag)
     return [
         ctx.record("helicity.eigenvalue", {"directions": count, "near_singular": near}, worst_eig, 1e-10),
-        ctx.record("helicity.unit_norm", {"directions": count - near - 2}, worst_norm, 1e-10),
-        ctx.record("helicity.orthogonality", {"directions": count - near - 2}, worst_orth, 1e-10),
-        ctx.record("helicity.polarization_overlap", {"directions": count - near - 2}, worst_overlap, 1e-10),
+        ctx.record("helicity.unit_norm", {"directions": generic}, _worst(norms - 1.0), 1e-10),
+        ctx.record("helicity.orthogonality", {"directions": generic}, _worst(orth), 1e-10),
+        ctx.record("helicity.polarization_overlap", {"directions": generic}, _worst(overlap - 1.0), 1e-10),
     ]
 
 

@@ -136,6 +136,12 @@ def amplitude_profile(state: FockState) -> AmplitudeProfile:
     return AmplitudeProfile(amplitudes=amps)
 
 
+def _mean_field(state: FockState, kind: FieldKind, x: SpacetimePoint, amps: np.ndarray) -> np.ndarray:
+    """sum_m ( coef_m(r,t) <a_m> + c.c. ) for the amplitudes <a_m> of state."""
+    coeffs = field_mode_coefficients(state.basis, kind, x)
+    return 2.0 * np.real(coeffs.T @ amps)
+
+
 def field_expectation_closed_form(
     state: FockState, kind: FieldKind, x: SpacetimePoint
 ) -> np.ndarray:
@@ -144,18 +150,20 @@ def field_expectation_closed_form(
     <F(r,t)> = sum_m ( coef_m(r,t) <a_m> + c.c. ), with the same mode
     coefficients that define the field operators.
     """
-    coeffs = field_mode_coefficients(state.basis, kind, x)
-    amps = amplitude_profile(state).amplitudes
-    return 2.0 * np.real(coeffs.T @ amps)
+    return _mean_field(state, kind, x, amplitude_profile(state).amplitudes)
 
 
 def expectation_grid(
     state: FockState, kind: FieldKind, points: Iterable[SpacetimePoint]
 ) -> list[tuple[float, float, float, float, float, float, float]]:
-    """Rows (t, x, y, z, Fx, Fy, Fz) of the closed-form mean field."""
+    """Rows (t, x, y, z, Fx, Fy, Fz) of the closed-form mean field.
+
+    The amplitudes <a_m> are computed once for the whole grid.
+    """
+    amps = amplitude_profile(state).amplitudes
     rows = []
     for pt in points:
-        f = field_expectation_closed_form(state, kind, pt)
+        f = _mean_field(state, kind, pt, amps)
         rows.append((pt.t, pt.r[0], pt.r[1], pt.r[2], f[0], f[1], f[2]))
     return rows
 
@@ -185,24 +193,23 @@ def vacuum_field_square_scan(
 ) -> list[tuple[int, float]]:
     """(cutoff, vacuum <E^2>) for momentum balls |n| <= cutoff, both helicities.
 
-    Pure lattice sum; no Fock basis is built, so large cutoffs stay cheap.
+    Pure lattice sum over one table of n^2 for the largest cutoff; no Fock
+    basis is built.  Each row adds its terms in (nx, ny, nz) lexicographic
+    order.
     """
+    if any(cutoff < 1 for cutoff in cutoffs):
+        raise ValueError("cutoffs must be >= 1")
+    if not cutoffs:
+        return []
     dp3 = (2.0 * np.pi * hbar / length) ** 3
-    rows = []
-    for cutoff in cutoffs:
-        if cutoff < 1:
-            raise ValueError("cutoffs must be >= 1")
-        total = 0.0
-        rng = range(-cutoff, cutoff + 1)
-        for nx in rng:
-            for ny in rng:
-                for nz in rng:
-                    if nx == ny == nz == 0:
-                        continue
-                    norm = math.sqrt(nx * nx + ny * ny + nz * nz)
-                    if norm > cutoff:
-                        continue
-                    omega = c * (2.0 * np.pi / length) * norm
-                    total += 2.0 * dp3 * omega / (2.0 * np.pi * hbar) ** 2
-        rows.append((cutoff, total))
-    return rows
+    # n^2 over the cube of the largest cutoff, flattened in (nx, ny, nz)
+    # lexicographic order; every smaller ball is a subset in the same order.
+    top = max(cutoffs)
+    sq = np.arange(-top, top + 1) ** 2
+    n2 = (sq[:, None, None] + sq[None, :, None] + sq[None, None, :]).ravel()
+    terms = 2.0 * dp3 * (c * (2.0 * np.pi / length) * np.sqrt(n2)) / (2.0 * np.pi * hbar) ** 2
+    # cumsum adds the terms one after another, as a running total would.
+    return [
+        (cutoff, float(np.cumsum(terms[(n2 > 0) & (n2 <= cutoff * cutoff)])[-1]))
+        for cutoff in cutoffs
+    ]

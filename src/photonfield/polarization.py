@@ -1,4 +1,4 @@
-"""Circular polarization algebra for a single propagation direction.
+"""Circular polarization algebra over stacked propagation directions.
 
 For a unit vector k we build the right-handed orthonormal frame
 (e_hat, b_hat, k) and the circular polarization complex vectors
@@ -7,8 +7,13 @@ For a unit vector k we build the right-handed orthonormal frame
     eps_minus = (i e_hat + b_hat) / sqrt(2)
 
 together with numerical checks of the orthogonality, cross-product and
-completeness relations they satisfy.  Everything here is O(1) classical
-vector algebra; all residuals are expected at the 1e-12 level.
+completeness relations they satisfy.  The core works on N directions at
+once, stacked as the rows of an (N, 3) array: `triads`,
+`relation_residuals` and `completeness_matrices` return one row (or one
+3x3 block) per direction, with every per-row choice made row by row.  The
+single-direction API (`Direction`, `make_triad`, `check_relations`,
+`completeness_matrix`) wraps the same core on one row.  All residuals are
+expected at the 1e-12 level.
 """
 
 from __future__ import annotations
@@ -26,11 +31,38 @@ _PRIMARY_AXIS = np.array([1.0, 0.0, 0.0])
 _SECONDARY_AXIS = np.array([0.0, 1.0, 0.0])
 _AXIS_SWITCH = 0.9
 
+_SQRT2 = np.sqrt(2.0)
+_HELICITIES = np.array([1.0, -1.0])
+_NEXT = np.array([1, 2, 0])
+_PREV = np.array([2, 0, 1])
+
 
 def _readonly(a: np.ndarray) -> np.ndarray:
     a = np.ascontiguousarray(a)
     a.setflags(write=False)
     return a
+
+
+def _norms(v: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row; equal bit for bit to np.linalg.norm of the row."""
+    return np.sqrt(np.vecdot(v, v))
+
+
+def unit_rows(k) -> np.ndarray:
+    """Stacked propagation directions as a read-only (N, 3) float array.
+
+    Raises ValueError unless k has shape (N, 3) and every row is unit
+    length to ATOL, the rule `Direction` applies to one vector.
+    """
+    k = np.asarray(k, dtype=float)
+    if k.ndim != 2 or k.shape[1] != 3:
+        raise ValueError(f"directions must be stacked as (N, 3), got shape {k.shape}")
+    norms = _norms(k)
+    bad = np.abs(norms - 1.0) > ATOL
+    if bad.any():
+        row = int(np.argmax(bad))
+        raise ValueError(f"direction must be unit length, row {row} has |k| = {norms[row]!r}")
+    return _readonly(k)
 
 
 @dataclass(frozen=True, eq=False)
@@ -48,6 +80,11 @@ class Direction:
         object.__setattr__(self, "k", _readonly(k))
 
 
+def _circular(e: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(eps_plus, eps_minus) from the real frame vectors, for one row or a stack."""
+    return (e + 1j * b) / _SQRT2, (1j * e + b) / _SQRT2
+
+
 @dataclass(frozen=True, eq=False)
 class PolarizationTriad:
     """Right-handed frame (e_hat, b_hat, k) and the circular vectors eps_+/-."""
@@ -61,10 +98,11 @@ class PolarizationTriad:
     def __post_init__(self) -> None:
         e = _readonly(np.asarray(self.e_hat, dtype=float))
         b = _readonly(np.asarray(self.b_hat, dtype=float))
+        eps_plus, eps_minus = _circular(e, b)
         object.__setattr__(self, "e_hat", e)
         object.__setattr__(self, "b_hat", b)
-        object.__setattr__(self, "eps_plus", _readonly((e + 1j * b) / np.sqrt(2.0)))
-        object.__setattr__(self, "eps_minus", _readonly((1j * e + b) / np.sqrt(2.0)))
+        object.__setattr__(self, "eps_plus", _readonly(eps_plus))
+        object.__setattr__(self, "eps_minus", _readonly(eps_minus))
 
     def eps(self, s: int) -> np.ndarray:
         """Circular polarization vector for helicity s = +1 or -1."""
@@ -73,6 +111,38 @@ class PolarizationTriad:
         if s == -1:
             return self.eps_minus
         raise ValueError(f"helicity must be +1 or -1, got {s}")
+
+
+def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise a x b over the last axis; the same products and differences as np.cross."""
+    return a.take(_NEXT, axis=-1) * b.take(_PREV, axis=-1) - a.take(_PREV, axis=-1) * b.take(_NEXT, axis=-1)
+
+
+def _frames(k: np.ndarray, reference) -> tuple[np.ndarray, np.ndarray]:
+    """(e_hat, b_hat) rows for unit rows k; see `make_triad` for the gauge choice."""
+    if reference is None:
+        near_x = np.abs(k[:, 0]) > _AXIS_SWITCH
+        a = np.where(near_x[:, None], _SECONDARY_AXIS, _PRIMARY_AXIS)
+    else:
+        a = np.asarray(reference, dtype=float)
+        a = (a / np.linalg.norm(a))[None]
+    e = a - np.vecdot(a, k)[:, None] * k
+    norm = _norms(e)
+    if norm.min() < 1e-6:
+        raise ValueError("reference axis is (nearly) parallel to k; pick another gauge reference")
+    e = e / norm[:, None]
+    return e, _cross(k, e)
+
+
+def triads(k, reference=None) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(e_hat, b_hat, eps_plus, eps_minus) for stacked unit directions k.
+
+    Each is an (N, 3) read-only array whose row i is the triad of k[i]; the
+    reference-axis switch is made per row, and a reference, when given, is
+    shared by all rows.
+    """
+    e, b = _frames(unit_rows(k), reference)
+    return tuple(_readonly(v) for v in (e, b, *_circular(e, b)))
 
 
 def make_triad(k: Direction, reference: np.ndarray | None = None) -> PolarizationTriad:
@@ -85,19 +155,8 @@ def make_triad(k: Direction, reference: np.ndarray | None = None) -> Polarizatio
     reference axis selects a different transverse gauge; physical
     observables must not depend on this choice.
     """
-    kv = k.k
-    if reference is None:
-        a = _PRIMARY_AXIS if abs(np.dot(kv, _PRIMARY_AXIS)) <= _AXIS_SWITCH else _SECONDARY_AXIS
-    else:
-        a = np.asarray(reference, dtype=float)
-        a = a / np.linalg.norm(a)
-    e = a - np.dot(a, kv) * kv
-    norm = np.linalg.norm(e)
-    if norm < 1e-6:
-        raise ValueError("reference axis is (nearly) parallel to k; pick another gauge reference")
-    e = e / norm
-    b = np.cross(kv, e)
-    return PolarizationTriad(k=k, e_hat=e, b_hat=b)
+    e, b = _frames(k.k[None], reference)
+    return PolarizationTriad(k=k, e_hat=e[0], b_hat=b[0])
 
 
 def phase_shift(triad: PolarizationTriad, theta: float) -> tuple[np.ndarray, np.ndarray]:
@@ -106,11 +165,13 @@ def phase_shift(triad: PolarizationTriad, theta: float) -> tuple[np.ndarray, np.
     return w * triad.eps_plus, w * triad.eps_minus
 
 
-def check_relations(triad: PolarizationTriad) -> dict[str, float]:
-    """Max residual of every algebraic relation the circular vectors satisfy.
+def relation_residuals(k, eps_plus, eps_minus) -> dict[str, np.ndarray]:
+    """Per-row residual of every algebraic relation the circular vectors satisfy.
 
-    Returns a map from relation name to the worst absolute deviation; the
-    caller decides what to assert.  The relations, for s, s' in {+1, -1}:
+    k, eps_plus and eps_minus are (N, 3) stacks (as returned by `triads`).
+    Returns a map from relation name to an (N,) array of the worst absolute
+    deviation of each row; the caller decides what to assert.  The
+    relations, for s, s' in {+1, -1}:
 
         conj(eps_s) . k        = 0
         conj(eps_s) . eps_s'   = delta_{s,s'}
@@ -121,41 +182,46 @@ def check_relations(triad: PolarizationTriad) -> dict[str, float]:
         eps_s x eps_s'         = s k delta_{s,-s'}
         sum_s conj(eps_s)_i (eps_s)_j = delta_ij - k_i k_j
     """
-    kv = triad.k.k
-    eps = {1: triad.eps_plus, -1: triad.eps_minus}
+    k = np.asarray(k, dtype=float)
+    eps = np.stack([eps_plus, eps_minus], axis=1)  # (N, s, 3)
+    conj = np.conj(eps)
+    same = np.eye(2)
+    opposite = same[::-1]
+    sign = _HELICITIES[:, None]  # s, indexed like the first helicity axis
 
-    def vmax(v) -> float:
-        return float(np.max(np.abs(v)))
+    def rowmax(v: np.ndarray) -> np.ndarray:
+        return np.max(np.abs(v).reshape(len(v), -1), axis=1)
 
-    res: dict[str, float] = {}
-    res["transversality"] = max(vmax(np.dot(np.conj(eps[s]), kv)) for s in (1, -1))
-    res["orthonormality"] = max(
-        vmax(np.dot(np.conj(eps[s]), eps[t]) - (1.0 if s == t else 0.0))
-        for s in (1, -1)
-        for t in (1, -1)
-    )
-    res["conjugate_cross"] = max(
-        vmax(np.cross(np.conj(eps[s]), eps[t]) - (s * 1j * kv if s == t else 0.0))
-        for s in (1, -1)
-        for t in (1, -1)
-    )
-    res["propagation_cross"] = max(
-        vmax(np.cross(kv, eps[s]) - s * np.conj(eps[-s])) for s in (1, -1)
-    )
-    res["minus_from_plus"] = vmax(eps[-1] - 1j * np.conj(eps[1]))
-    res["plain_dot"] = max(
-        vmax(np.dot(eps[s], eps[t]) - (1j if s == -t else 0.0))
-        for s in (1, -1)
-        for t in (1, -1)
-    )
-    res["plain_cross"] = max(
-        vmax(np.cross(eps[s], eps[t]) - (s * kv if s == -t else 0.0))
-        for s in (1, -1)
-        for t in (1, -1)
-    )
-    target = np.eye(3) - np.outer(kv, kv)
-    res["completeness"] = vmax(completeness_matrix(triad) - target)
+    kk = k[:, None, None, :]
+    res = {
+        "transversality": rowmax(np.vecdot(eps, k[:, None])),
+        "orthonormality": rowmax(np.vecdot(eps[:, :, None], eps[:, None]) - same),
+        "conjugate_cross": rowmax(
+            _cross(conj[:, :, None], eps[:, None]) - (same * sign * 1j)[..., None] * kk
+        ),
+        "propagation_cross": rowmax(_cross(k[:, None], eps) - sign * conj[:, ::-1]),
+        "minus_from_plus": rowmax(eps[:, 1] - 1j * conj[:, 0]),
+        "plain_dot": rowmax(np.vecdot(conj[:, :, None], eps[:, None]) - 1j * opposite),
+        "plain_cross": rowmax(_cross(eps[:, :, None], eps[:, None]) - (opposite * sign)[..., None] * kk),
+    }
+    target = np.eye(3) - k[:, :, None] * k[:, None, :]
+    res["completeness"] = rowmax(completeness_matrices(eps_plus, eps_minus) - target)
     return res
+
+
+def check_relations(triad: PolarizationTriad) -> dict[str, float]:
+    """Max residual of every relation of `relation_residuals` for one triad."""
+    res = relation_residuals(triad.k.k[None], triad.eps_plus[None], triad.eps_minus[None])
+    return {name: float(v[0]) for name, v in res.items()}
+
+
+def completeness_matrices(eps_plus, eps_minus) -> np.ndarray:
+    """The helicity sums  sum_s conj(eps_s)_i (eps_s)_j  of (N, 3) stacks, shape (N, 3, 3).
+
+    Each is real symmetric and equals the transverse projector delta_ij - k_i k_j.
+    """
+    plus = np.conj(eps_plus)[:, :, None] * eps_plus[:, None, :]
+    return np.real(plus + np.conj(eps_minus)[:, :, None] * eps_minus[:, None, :])
 
 
 def completeness_matrix(triad: PolarizationTriad) -> np.ndarray:
@@ -163,7 +229,4 @@ def completeness_matrix(triad: PolarizationTriad) -> np.ndarray:
 
     Equals the transverse projector delta_ij - k_i k_j.
     """
-    m = sum(
-        np.outer(np.conj(triad.eps(s)), triad.eps(s)) for s in (1, -1)
-    )
-    return np.real(m)
+    return completeness_matrices(triad.eps_plus[None], triad.eps_minus[None])[0]

@@ -1,4 +1,10 @@
-"""Spin-1 matrices, helicity eigenvectors, and plane-wave momentum states."""
+"""Spin-1 matrices, helicity eigenvectors, and plane-wave momentum states.
+
+The helicity eigenvectors of S.k are computed for N directions at once,
+stacked as the rows of an (N, 3) array (`helicity_vectors`), with the
+closed-form/fallback switch made per row; `helicity_states` wraps the same
+core on one row.
+"""
 
 from __future__ import annotations
 
@@ -6,13 +12,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .polarization import Direction, make_triad
+from .polarization import Direction, triads, unit_rows
 
 # Below this value of the normalization sqrt(1 - kx ky - ky kz - kz kx) the
 # closed-form eigenvector expression is numerically unusable (it is exactly
 # singular at k = +/-(1,1,1)/sqrt(3)) and we fall back to the circular
 # polarization vectors, which are helicity eigenvectors for every k.
 SINGULAR_CUTOFF = 1e-6
+
+# k @ _SIGNED_CROSS, reshaped (N, 2, 3), is s k x (1, 1, 1) = s (ky - kz, kz - kx, kx - ky)
+# for s = +1, -1; the products are by 0 and +-1 only, so each entry is one
+# rounded difference.
+_SIGNED_CROSS = np.array([[0.0, -1.0, 1.0], [1.0, 0.0, -1.0], [-1.0, 1.0, 0.0]])
+_SIGNED_CROSS = np.concatenate([_SIGNED_CROSS, -_SIGNED_CROSS], axis=1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -57,47 +69,53 @@ def spin_matrices(hbar: float = 1.0) -> SpinMatrices:
     )
 
 
-def _formula_chi(k: np.ndarray, sign: int, denom: float) -> np.ndarray:
-    kx, ky, kz = k
-    total = kx + ky + kz
-    v = np.array(
-        [
-            1.0 - kx * total + sign * 1j * (ky - kz),
-            1.0 - ky * total + sign * 1j * (kz - kx),
-            1.0 - kz * total + sign * 1j * (kx - ky),
-        ]
-    )
-    return v / (2.0 * denom)
+def _phase_fixed(k: np.ndarray) -> np.ndarray:
+    """Circular vectors eps_s of unit rows k, each with a fixed global phase, as (N, 2, 3).
 
-
-def _fallback_chi(k: Direction, sign: int) -> np.ndarray:
-    # eps_s is an eigenvector of S.k with eigenvalue s; fix the global phase
-    # by making the first component of largest modulus real and positive.
-    v = make_triad(k).eps(sign)
+    eps_s is an eigenvector of S.k with eigenvalue s; the phase makes the
+    first component of largest modulus real and positive.
+    """
+    _, _, eps_plus, eps_minus = triads(k)
+    v = np.stack([eps_plus, eps_minus], axis=1)
     mods = np.abs(v)
-    lead = int(np.argmax(mods > np.max(mods) - 1e-15))
-    return v * np.conj(v[lead]) / mods[lead]
+    lead = np.argmax(mods > np.max(mods, axis=2, keepdims=True) - 1e-15, axis=2)[..., None]
+    return v * np.conj(np.take_along_axis(v, lead, axis=2)) / np.take_along_axis(mods, lead, axis=2)
+
+
+def _helicity_rows(k: np.ndarray) -> np.ndarray:
+    """(chi_plus, chi_minus) of unit rows k as (N, 2, 3); see `helicity_vectors`."""
+    kx, ky, kz = k.T
+    denom = np.sqrt(np.maximum(1.0 - kx * ky - ky * kz - kz * kx, 0.0))
+    # Closed form  chi_s = (1 - k (kx + ky + kz) + i s k x (1, 1, 1)) / (2 denom)
+    # on every row; rows at or below the cutoff are replaced after it.
+    chi = np.empty((len(k), 2, 3), dtype=complex)
+    chi.real = (1.0 - k * (kx + ky + kz)[:, None])[:, None]
+    chi.imag = (k @ _SIGNED_CROSS).reshape(-1, 2, 3)
+    chi /= 2.0 * np.maximum(denom, SINGULAR_CUTOFF)[:, None, None]
+    if denom.min() <= SINGULAR_CUTOFF:
+        singular = denom <= SINGULAR_CUTOFF
+        chi[singular] = _phase_fixed(k[singular])
+    return chi
+
+
+def helicity_vectors(k) -> tuple[np.ndarray, np.ndarray]:
+    """Helicity eigenvectors (chi_plus, chi_minus) for stacked unit directions k.
+
+    Each is an (N, 3) read-only array whose row i belongs to k[i].  Rows
+    whose normalization exceeds SINGULAR_CUTOFF get the closed-form
+    expression verbatim; rows on and near the singular set get the
+    phase-fixed circular polarization vectors instead.  The switch is made
+    per row.
+    """
+    chi = _helicity_rows(unit_rows(k))
+    chi.setflags(write=False)
+    return chi[:, 0], chi[:, 1]
 
 
 def helicity_states(k: Direction) -> HelicityPair:
-    """Helicity eigenvectors for propagation direction k.
-
-    Away from the singular directions the closed-form expression is
-    returned verbatim (it is exactly unit-norm); on and near the singular
-    set the phase-fixed circular polarization vectors are used instead.
-    """
-    kv = k.k
-    radicand = 1.0 - kv[0] * kv[1] - kv[1] * kv[2] - kv[2] * kv[0]
-    denom = np.sqrt(radicand) if radicand > 0.0 else 0.0
-    if denom > SINGULAR_CUTOFF:
-        return HelicityPair(
-            chi_plus=_formula_chi(kv, +1, denom),
-            chi_minus=_formula_chi(kv, -1, denom),
-        )
-    return HelicityPair(
-        chi_plus=_fallback_chi(k, +1),
-        chi_minus=_fallback_chi(k, -1),
-    )
+    """Helicity eigenvectors for propagation direction k (one row of `helicity_vectors`)."""
+    chi = _helicity_rows(k.k[None])[0]
+    return HelicityPair(chi_plus=chi[0], chi_minus=chi[1])
 
 
 def momentum_wavefunction(p: np.ndarray, r: np.ndarray, hbar: float = 1.0) -> complex:

@@ -8,6 +8,10 @@ box on a uniform grid.  The integrands are trigonometric polynomials whose
 per-axis frequencies are bounded by twice the largest lattice momentum
 component, so a uniform rule with enough points per axis is *exact* (up to
 roundoff) and independent of the analytic pair reduction in the library.
+
+The direction oracles build triads, helicity vectors and random directions
+one 3-vector at a time, and the vacuum-scan oracle sums the lattice by a
+running total, independent of the library's stacked (N, 3) and table code.
 """
 
 import numpy as np
@@ -98,3 +102,77 @@ def poisson_tail(alpha, cap):
         kept += term
         term *= lam / (n + 1)
     return 1.0 - kept
+
+
+# Per-direction polarization and helicity construction, one 3-vector at a
+# time: an independent reference for the batched direction core.
+
+_PRIMARY_AXIS = np.array([1.0, 0.0, 0.0])
+_SECONDARY_AXIS = np.array([0.0, 1.0, 0.0])
+
+
+def triad_oracle(k, reference=None):
+    """(e_hat, b_hat, eps_plus, eps_minus) for one unit 3-vector k."""
+    if reference is None:
+        a = _PRIMARY_AXIS if abs(np.dot(k, _PRIMARY_AXIS)) <= 0.9 else _SECONDARY_AXIS
+    else:
+        a = np.asarray(reference, dtype=float)
+        a = a / np.linalg.norm(a)
+    e = a - np.dot(a, k) * k
+    norm = np.linalg.norm(e)
+    if norm < 1e-6:
+        raise ValueError("reference axis is (nearly) parallel to k")
+    e = e / norm
+    b = np.cross(k, e)
+    return e, b, (e + 1j * b) / np.sqrt(2.0), (1j * e + b) / np.sqrt(2.0)
+
+
+def helicity_oracle(k, cutoff=1e-6):
+    """(chi_plus, chi_minus) for one unit 3-vector k: closed form or phase-fixed eps_s."""
+    radicand = 1.0 - k[0] * k[1] - k[1] * k[2] - k[2] * k[0]
+    denom = np.sqrt(radicand) if radicand > 0.0 else 0.0
+    out = []
+    for sign in (1, -1):
+        if denom > cutoff:
+            kx, ky, kz = k
+            total = kx + ky + kz
+            v = np.array(
+                [
+                    1.0 - kx * total + sign * 1j * (ky - kz),
+                    1.0 - ky * total + sign * 1j * (kz - kx),
+                    1.0 - kz * total + sign * 1j * (kx - ky),
+                ]
+            )
+            out.append(v / (2.0 * denom))
+        else:
+            v = triad_oracle(k)[2 if sign == 1 else 3]
+            mods = np.abs(v)
+            lead = int(np.argmax(mods > np.max(mods) - 1e-15))
+            out.append(v * np.conj(v[lead]) / mods[lead])
+    return tuple(out)
+
+
+def random_directions_oracle(rng, count):
+    """count unit 3-vectors drawn one standard_normal(3) at a time, near-zero draws skipped."""
+    out = []
+    while len(out) < count:
+        v = rng.standard_normal(3)
+        norm = np.linalg.norm(v)
+        if norm > 1e-6:
+            out.append(v / norm)
+    return np.array(out)
+
+
+def vacuum_scan_oracle(length, hbar, c, cutoff):
+    """Vacuum <E^2> summed over |n| <= cutoff by a running total in (nx, ny, nz) order."""
+    dp3 = (2.0 * np.pi * hbar / length) ** 3
+    total = 0.0
+    rng = range(-cutoff, cutoff + 1)
+    for nx in rng:
+        for ny in rng:
+            for nz in rng:
+                norm = np.sqrt(nx * nx + ny * ny + nz * nz)
+                if 0 < norm <= cutoff:
+                    omega = c * (2.0 * np.pi / length) * norm
+                    total += 2.0 * dp3 * omega / (2.0 * np.pi * hbar) ** 2
+    return total

@@ -6,6 +6,8 @@ import pytest
 
 from photonfield import cli
 
+import oracles
+
 
 def write_scenario(tmp_path, data, name="scenario.json"):
     path = tmp_path / name
@@ -236,3 +238,53 @@ def test_state_mode_missing_from_lattice_rejected(tmp_path, capsys):
     config = write_scenario(tmp_path, data)
     assert cli.main(["verify", "--config", config, "--out", str(tmp_path / "o")]) == 2
     assert "not on the lattice" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "state,where",
+    [
+        ({"kind": "coherent", "alpha": [0.5, 0.0], "mode": {"s": 1, "n": [5, 5, 5]}, "cap": 3}, "not on the lattice"),
+        ({"kind": "number", "occupancies": [1, 2]}, "scenario.state.occupancies"),
+        ({"kind": "coherent", "alpha": [0.5, 0.0], "mode": {"s": 1, "n": [0, 0, 1]}, "cap": 9}, "scenario.state.cap"),
+        ({"kind": "number", "occupancies": [0, 4, 0, 0]}, "scenario.state.occupancies[1]"),
+        (
+            {"kind": "superposition", "terms": [{"occupancies": [0, 0, -1, 0], "amplitude": [1.0, 0.0]}]},
+            "scenario.state.terms[0].occupancies[2]",
+        ),
+    ],
+    ids=["mode_off_lattice", "occupancies_length", "cap_above_n_max", "number_above_n_max", "superposition_negative"],
+)
+def test_bad_state_rejected_whatever_checks(tmp_path, capsys, state, where):
+    data = default_data()
+    data["checks"] = ["ladder"]
+    data["state"] = state
+    config = write_scenario(tmp_path, data)
+    assert cli.main(["verify", "--config", config, "--out", str(tmp_path / "o")]) == 2
+    assert where in capsys.readouterr().err
+
+
+class ScriptedNormal:
+    """Stand-in generator serving standard_normal draws from a fixed stream."""
+
+    def __init__(self, values):
+        self.values = np.asarray(values, dtype=float).ravel()
+        self.used = 0
+
+    def standard_normal(self, size):
+        n = int(np.prod(size))
+        out = self.values[self.used:self.used + n].reshape(size)
+        self.used += n
+        return out
+
+
+def test_stacked_random_directions_draw_the_per_call_stream():
+    got = cli._random_directions(np.random.default_rng([20260808, 0]), 996)
+    want = oracles.random_directions_oracle(np.random.default_rng([20260808, 0]), 996)
+    assert np.array_equal(got, want)
+    # A rejected (near-zero) draw is replaced by the next draw of the stream.
+    stream = np.random.default_rng(3).standard_normal((8, 3))
+    stream[2] = [1e-9, 0.0, -1e-9]
+    stream[4] = 0.0
+    scripted, reference = ScriptedNormal(stream), ScriptedNormal(stream)
+    assert np.array_equal(cli._random_directions(scripted, 6), oracles.random_directions_oracle(reference, 6))
+    assert scripted.used == reference.used == 24

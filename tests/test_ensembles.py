@@ -277,3 +277,25 @@ def test_vacuum_scan_consistent_with_basis_sum():
 def test_scan_rejects_bad_cutoff():
     with pytest.raises(ValueError):
         pf.vacuum_field_square_scan(length=1.0, hbar=1.0, c=1.0, cutoffs=(0,))
+
+
+@pytest.mark.parametrize("length,hbar,c", [(2 * np.pi, 1.0, 1.0), (1.7, 0.3, 2.5)])
+def test_vacuum_scan_matches_running_total_oracle(length, hbar, c):
+    rows = pf.vacuum_field_square_scan(length=length, hbar=hbar, c=c, cutoffs=(1, 2, 3, 5, 8))
+    assert [cutoff for cutoff, _ in rows] == [1, 2, 3, 5, 8]
+    for cutoff, value in rows:
+        assert value == oracles.vacuum_scan_oracle(length, hbar, c, cutoff)
+
+
+def test_expectation_grid_rows_equal_pointwise_closed_form(coherent_state, monkeypatch):
+    from photonfield import ensembles
+
+    points = [SpacetimePoint(r=np.array([0.3, -0.2, 0.1]), t=t) for t in np.linspace(0.0, 1.0, 5)]
+    expected = [ensembles.field_expectation_closed_form(coherent_state, FieldKind.B, pt) for pt in points]
+    calls = []
+    profile = ensembles.amplitude_profile
+    monkeypatch.setattr(ensembles, "amplitude_profile", lambda state: calls.append(state) or profile(state))
+    rows = ensembles.expectation_grid(coherent_state, FieldKind.B, points)
+    assert len(calls) == 1
+    for pt, row, f in zip(points, rows, expected):
+        assert row == (pt.t, *pt.r, *f)

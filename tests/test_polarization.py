@@ -3,7 +3,9 @@ import pytest
 from hypothesis import given, settings
 
 import photonfield as pf
+from photonfield import cli, polarization
 
+import oracles
 from conftest import unit_vectors
 
 SQRT2 = np.sqrt(2.0)
@@ -128,3 +130,59 @@ def test_custom_gauge_still_satisfies_relations():
     assert max(pf.check_relations(triad).values()) < 1e-12
     default = pf.make_triad(d)
     assert not np.allclose(triad.e_hat, default.e_hat)
+
+
+def mixed_batch():
+    """Axes, both sides of the |k.x| = 0.9 axis switch, the helicity-singular set, random rows."""
+    rows = [*np.eye(3), *-np.eye(3)]
+    for kx in (np.nextafter(0.9, 0.0), 0.9, np.nextafter(0.9, 1.0), 0.9 - 1e-9, 0.9 + 1e-9):
+        for sign in (1.0, -1.0):
+            rows.append(np.array([sign * kx, np.sqrt(1.0 - kx * kx), 0.0]))
+    rows += [np.ones(3) / np.sqrt(3.0), -np.ones(3) / np.sqrt(3.0)]
+    rows += list(cli._near_singular_directions(10))
+    v = np.random.default_rng(77).standard_normal((40, 3))
+    rows += list(v / np.linalg.norm(v, axis=1, keepdims=True))
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("reference", [None, np.array([0.3, -0.5, 0.8])])
+def test_batched_triads_match_oracle_row_by_row(reference):
+    k = mixed_batch()
+    assert np.any(np.abs(k[:, 0]) > 0.9) and np.any((np.abs(k[:, 0]) <= 0.9) & (np.abs(k[:, 0]) > 0.89))
+    batch = polarization.triads(k, reference=reference)
+    for i, row in enumerate(k):
+        for got, want in zip(batch, oracles.triad_oracle(row, reference=reference)):
+            assert np.array_equal(got[i], want), i
+        triad = pf.make_triad(pf.Direction(k=row), reference=reference)
+        for got, want in zip(batch, (triad.e_hat, triad.b_hat, triad.eps_plus, triad.eps_minus)):
+            assert np.array_equal(got[i], want), i
+
+
+def test_batched_triads_validate_rows():
+    k = mixed_batch()
+    assert all(not a.flags.writeable for a in polarization.triads(k))
+    bad = k.copy()
+    bad[5] *= 1.0 + 1e-9
+    with pytest.raises(ValueError, match="row 5"):
+        polarization.triads(bad)
+    with pytest.raises(ValueError):
+        polarization.triads(k[0])
+    with pytest.raises(ValueError):
+        polarization.triads(k, reference=k[7])
+
+
+def test_relation_residuals_are_per_row():
+    k = mixed_batch()
+    _, _, eps_plus, eps_minus = polarization.triads(k)
+    res = polarization.relation_residuals(k, eps_plus, eps_minus)
+    assert sorted(res) == sorted(pf.check_relations(pf.make_triad(pf.Direction(k=k[0]))))
+    assert all(r.shape == (len(k),) and r.max() < 1e-12 for r in res.values())
+    broken = eps_plus.copy()
+    broken[9] = eps_minus[9]
+    res = polarization.relation_residuals(k, broken, eps_minus)
+    worst = np.max(np.stack(list(res.values())), axis=0)
+    assert worst[9] > 0.1 and np.delete(worst, 9).max() < 1e-12
+    m = polarization.completeness_matrices(eps_plus, eps_minus)
+    assert m.shape == (len(k), 3, 3)
+    for i in (0, 9, len(k) - 1):
+        assert np.array_equal(m[i], pf.completeness_matrix(pf.make_triad(pf.Direction(k=k[i]))))

@@ -2,9 +2,12 @@ import numpy as np
 from hypothesis import given, settings
 
 import photonfield as pf
+from photonfield import spin
 from photonfield.spin import SINGULAR_CUTOFF
 
+import oracles
 from conftest import unit_vectors
+from test_polarization import mixed_batch
 
 SQRT3 = np.sqrt(3.0)
 
@@ -128,3 +131,17 @@ def test_momentum_wavefunction_hbar_scaling():
     hbar = 2.0
     val = pf.momentum_wavefunction(np.zeros(3), np.zeros(3), hbar=hbar)
     assert abs(val - (2 * np.pi * hbar) ** -1.5) < 1e-15
+
+
+def test_batched_helicity_vectors_match_oracle_row_by_row():
+    k = mixed_batch()
+    denom = np.sqrt(np.maximum(1.0 - k[:, 0] * k[:, 1] - k[:, 1] * k[:, 2] - k[:, 2] * k[:, 0], 0.0))
+    assert np.any(denom <= SINGULAR_CUTOFF) and np.any(denom > SINGULAR_CUTOFF)
+    chi_plus, chi_minus = spin.helicity_vectors(k)
+    assert not chi_plus.flags.writeable and not chi_minus.flags.writeable
+    for i, row in enumerate(k):
+        want_plus, want_minus = oracles.helicity_oracle(row, SINGULAR_CUTOFF)
+        assert np.max(np.abs(chi_plus[i] - want_plus)) <= 1e-15, i
+        assert np.max(np.abs(chi_minus[i] - want_minus)) <= 1e-15, i
+        pair = pf.helicity_states(pf.Direction(k=row))
+        assert np.array_equal(pair.chi_plus, chi_plus[i]) and np.array_equal(pair.chi_minus, chi_minus[i])
