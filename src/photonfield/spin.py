@@ -14,17 +14,15 @@ import numpy as np
 
 from .polarization import Direction, triads, unit_rows
 
-# Below this value of the normalization sqrt(1 - kx ky - ky kz - kz kx) the
-# closed-form eigenvector expression is numerically unusable (it is exactly
-# singular at k = +/-(1,1,1)/sqrt(3)) and we fall back to the circular
-# polarization vectors, which are helicity eigenvectors for every k.
+# At or below this value of the normalization sqrt(1 - kx ky - ky kz - kz kx)
+# the closed-form eigenvector expression is not used (it is exactly singular
+# at k = +/-(1,1,1)/sqrt(3)) and we fall back to the circular polarization
+# vectors, which are helicity eigenvectors for every k.
 SINGULAR_CUTOFF = 1e-6
 
-# k @ _SIGNED_CROSS, reshaped (N, 2, 3), is s k x (1, 1, 1) = s (ky - kz, kz - kx, kx - ky)
-# for s = +1, -1; the products are by 0 and +-1 only, so each entry is one
-# rounded difference.
-_SIGNED_CROSS = np.array([[0.0, -1.0, 1.0], [1.0, 0.0, -1.0], [-1.0, 1.0, 0.0]])
-_SIGNED_CROSS = np.concatenate([_SIGNED_CROSS, -_SIGNED_CROSS], axis=1)
+# k @ _CROSS is k x (1, 1, 1) = (ky - kz, kz - kx, kx - ky); the products are
+# by 0 and +-1 only, so each entry is one rounded difference.
+_CROSS = np.array([[0.0, -1.0, 1.0], [1.0, 0.0, -1.0], [-1.0, 1.0, 0.0]])
 
 
 @dataclass(frozen=True, eq=False)
@@ -84,13 +82,18 @@ def _phase_fixed(k: np.ndarray) -> np.ndarray:
 
 def _helicity_rows(k: np.ndarray) -> np.ndarray:
     """(chi_plus, chi_minus) of unit rows k as (N, 2, 3); see `helicity_vectors`."""
-    kx, ky, kz = k.T
-    denom = np.sqrt(np.maximum(1.0 - kx * ky - ky * kz - kz * kx, 0.0))
-    # Closed form  chi_s = (1 - k (kx + ky + kz) + i s k x (1, 1, 1)) / (2 denom)
-    # on every row; rows at or below the cutoff are replaced after it.
+    # Closed form  chi_s = (1 - k (kx + ky + kz) + i s c) / (2 denom)  with
+    # c = k x (1, 1, 1) on every row; rows at or below the cutoff are replaced
+    # after it.  For unit k, 1 - k (kx + ky + kz) = c x k and
+    # denom^2 = 1 - kx ky - ky kz - kz kx = |c|^2 / 2.  Both are evaluated from
+    # the differences c, so they keep their relative accuracy near the
+    # singular set, where the textbook forms cancel against 1.
+    c = k @ _CROSS
+    denom = np.sqrt(0.5 * np.vecdot(c, c))
     chi = np.empty((len(k), 2, 3), dtype=complex)
-    chi.real = (1.0 - k * (kx + ky + kz)[:, None])[:, None]
-    chi.imag = (k @ _SIGNED_CROSS).reshape(-1, 2, 3)
+    chi.real = (c[:, [1, 2, 0]] * k[:, [2, 0, 1]] - c[:, [2, 0, 1]] * k[:, [1, 2, 0]])[:, None]
+    chi.imag[:, 0] = c
+    chi.imag[:, 1] = -c
     chi /= 2.0 * np.maximum(denom, SINGULAR_CUTOFF)[:, None, None]
     if denom.min() <= SINGULAR_CUTOFF:
         singular = denom <= SINGULAR_CUTOFF
@@ -103,7 +106,7 @@ def helicity_vectors(k) -> tuple[np.ndarray, np.ndarray]:
 
     Each is an (N, 3) read-only array whose row i belongs to k[i].  Rows
     whose normalization exceeds SINGULAR_CUTOFF get the closed-form
-    expression verbatim; rows on and near the singular set get the
+    expression; rows on and near the singular set get the
     phase-fixed circular polarization vectors instead.  The switch is made
     per row.
     """

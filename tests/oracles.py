@@ -129,21 +129,15 @@ def triad_oracle(k, reference=None):
 
 def helicity_oracle(k, cutoff=1e-6):
     """(chi_plus, chi_minus) for one unit 3-vector k: closed form or phase-fixed eps_s."""
-    radicand = 1.0 - k[0] * k[1] - k[1] * k[2] - k[2] * k[0]
-    denom = np.sqrt(radicand) if radicand > 0.0 else 0.0
+    # 1 - k (kx + ky + kz) = c x k and 1 - kx ky - ky kz - kz kx = |c|^2 / 2
+    # for unit k, with c = k x (1, 1, 1) = (ky - kz, kz - kx, kx - ky).
+    kx, ky, kz = k
+    c = np.array([ky - kz, kz - kx, kx - ky])
+    denom = np.linalg.norm(c) / np.sqrt(2.0)
     out = []
     for sign in (1, -1):
         if denom > cutoff:
-            kx, ky, kz = k
-            total = kx + ky + kz
-            v = np.array(
-                [
-                    1.0 - kx * total + sign * 1j * (ky - kz),
-                    1.0 - ky * total + sign * 1j * (kz - kx),
-                    1.0 - kz * total + sign * 1j * (kx - ky),
-                ]
-            )
-            out.append(v / (2.0 * denom))
+            out.append((np.cross(c, k) + sign * 1j * c) / (2.0 * denom))
         else:
             v = triad_oracle(k)[2 if sign == 1 else 3]
             mods = np.abs(v)
