@@ -9,7 +9,9 @@ vectors
 
 are packed into a real antisymmetric 4x4 tensor whose Lorentz boosts
 describe the photon in other frames.  e and b are *not* the space parts of
-four-vectors; only the tensor transforms linearly.
+four-vectors; only the tensor transforms linearly.  b is taken with the
+row-wise polarization.cross, equal bit for bit to np.cross and far cheaper
+on one 3-vector.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .polarization import Direction, PolarizationTriad, make_triad
+from .polarization import Direction, PolarizationTriad, cross, make_triad
 
 ATOL = 1e-12
 
@@ -67,7 +69,7 @@ def rotating_vectors(photon: ClassicalPhoton, t: float) -> tuple[np.ndarray, np.
     """The rotating field pair (e_s(t), b_s(t)); both have length omega."""
     phase = np.exp(-1j * (photon.omega * t + photon.theta))
     e = np.sqrt(2.0) * photon.omega * np.real(photon.triad.eps(photon.s) * phase)
-    b = np.cross(photon.k.k, e)
+    b = cross(photon.k.k, e)
     return e, b
 
 

@@ -7,7 +7,9 @@ profile C_n = exp(-|alpha|^2/2) alpha^n / sqrt(n!), whose mean field is a
 circularly polarized wave of amplitude set by alpha.
 
 Every closed-form expectation is backed by a matrix path (state vector
-against the operator matrices); the two must agree to 1e-10.
+against the operator matrices); the two must agree to 1e-10.  A grid of
+mean fields is one stacked evaluation (mean_field_table) over one amplitude
+profile, and its CSV formats each distinct value of a column once.
 """
 
 from __future__ import annotations
@@ -18,8 +20,8 @@ from typing import IO, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .fock import BasisMismatchError, FockBasis, Mode, ModeKey, SparseOperator
-from .fields import FieldKind, SpacetimePoint, field_mode_coefficients
+from .fock import BasisMismatchError, FockBasis, Mode, ModeKey, SparseOperator, float_reprs
+from .fields import FieldKind, SpacetimePoint, field_mode_coefficients, mode_coefficients
 
 
 @dataclass(frozen=True, eq=False)
@@ -136,10 +138,9 @@ def amplitude_profile(state: FockState) -> AmplitudeProfile:
     return AmplitudeProfile(amplitudes=amps)
 
 
-def _mean_field(state: FockState, kind: FieldKind, x: SpacetimePoint, amps: np.ndarray) -> np.ndarray:
-    """sum_m ( coef_m(r,t) <a_m> + c.c. ) for the amplitudes <a_m> of state."""
-    coeffs = field_mode_coefficients(state.basis, kind, x)
-    return 2.0 * np.real(coeffs.T @ amps)
+def _mean_field(coeffs: np.ndarray, amps: np.ndarray) -> np.ndarray:
+    """sum_m ( coef_m <a_m> + c.c. ) for coefficients of shape (..., n_modes, 3)."""
+    return 2.0 * np.real(np.swapaxes(coeffs, -1, -2) @ amps)
 
 
 def field_expectation_closed_form(
@@ -150,32 +151,52 @@ def field_expectation_closed_form(
     <F(r,t)> = sum_m ( coef_m(r,t) <a_m> + c.c. ), with the same mode
     coefficients that define the field operators.
     """
-    return _mean_field(state, kind, x, amplitude_profile(state).amplitudes)
+    coeffs = field_mode_coefficients(state.basis, kind, x)
+    return _mean_field(coeffs, amplitude_profile(state).amplitudes)
+
+
+def mean_field_table(
+    state: FockState, kind: FieldKind, r: np.ndarray, t: np.ndarray
+) -> np.ndarray:
+    """(N, 7) rows (t, x, y, z, Fx, Fy, Fz) of the closed-form mean field.
+
+    r of shape (N, 3) and t of shape (N,) are stacked points, which the
+    caller has checked to be finite.  The amplitudes <a_m> and the mode
+    coefficients of all points are computed once each; every row equals
+    field_expectation_closed_form at its point.
+    """
+    amps = amplitude_profile(state).amplitudes
+    means = _mean_field(mode_coefficients(state.basis, kind, r, t), amps)
+    return np.column_stack([t, r, means])
 
 
 def expectation_grid(
     state: FockState, kind: FieldKind, points: Iterable[SpacetimePoint]
 ) -> list[tuple[float, float, float, float, float, float, float]]:
-    """Rows (t, x, y, z, Fx, Fy, Fz) of the closed-form mean field.
+    """Rows (t, x, y, z, Fx, Fy, Fz) of the closed-form mean field at points.
 
-    The amplitudes <a_m> are computed once for the whole grid.
+    The points are stacked into one mean_field_table call.
     """
-    amps = amplitude_profile(state).amplitudes
-    rows = []
-    for pt in points:
-        f = _mean_field(state, kind, pt, amps)
-        rows.append((pt.t, pt.r[0], pt.r[1], pt.r[2], f[0], f[1], f[2]))
-    return rows
+    points = list(points)
+    r = np.reshape([pt.r for pt in points], (-1, 3))
+    t = np.array([pt.t for pt in points], dtype=float)
+    return [tuple(row) for row in mean_field_table(state, kind, r, t).tolist()]
 
 
 GRID_HEADER = "t,x,y,z,Fx,Fy,Fz"
 
 
 def write_grid_csv(rows, stream: IO[str]) -> None:
-    """CSV with shortest round-trip float formatting (bit-stable output)."""
+    """CSV with shortest round-trip float formatting (bit-stable output).
+
+    rows is a list of (t, x, y, z, Fx, Fy, Fz) tuples or an (N, 7) array;
+    each column is formatted with fock.float_reprs.
+    """
     stream.write(GRID_HEADER + "\n")
-    for row in rows:
-        stream.write(",".join(repr(float(v)) for v in row) + "\n")
+    table = np.asarray(rows, dtype=float)
+    if len(table):
+        columns = [float_reprs(column) for column in table.T]
+        stream.writelines(",".join(texts) + "\n" for texts in zip(*columns))
 
 
 def vacuum_field_square(basis: FockBasis) -> float:

@@ -7,7 +7,10 @@ A field is an (n_modes, 3) array of coefficients of a_m, one row per mode:
 
 the magnetic field uses k x eps in place of eps, and the transverse
 potential uses weight c/sqrt(omega) and no factor i; each component is one
-fock.ladder_sum.  The total energy, momentum and spin are box integrals of
+fock.ladder_sum.  mode_coefficients evaluates the coefficients at N
+stacked points at once, (N, 3) positions and (N,) times to an
+(N, n_modes, 3) array; field_mode_coefficients is that core on one point.
+The total energy, momentum and spin are box integrals of
 quadratic densities: the box keeps only mode pairs of equal or opposite
 momentum, so each is a coefficient array over mode pairs, assembled by
 fock.ladder_products with no quadrature and exact up to floating point and
@@ -79,20 +82,47 @@ def zero_point(basis: FockBasis) -> ZeroPointConstants:
 # mode coefficients and linear operators
 
 
-def _amplitudes(basis: FockBasis, kind: FieldKind, t: float) -> np.ndarray:
+def _amplitudes(basis: FockBasis, kind: FieldKind, t) -> np.ndarray:
     """Per-mode coefficient 3-vectors at r = 0 (the a-side of each field).
 
     Row m is the coefficient of a_m; the conjugate multiplies a-dagger.
-    The exp(i p.r / hbar) position factor is applied separately.
+    The exp(i p.r / hbar) position factor is applied separately.  A scalar
+    t gives shape (n_modes, 3); times of shape (...) give (..., n_modes, 3).
     """
     kind = FieldKind(kind)
     hbar, c = basis.config.hbar, basis.config.c
     scale = np.sqrt(basis.delta3p) / (2.0 * np.pi * hbar)
-    phase = np.exp(-1j * basis.omega * t)[:, None]
+    phase = np.exp(-1j * basis.omega * np.asarray(t)[..., None])[..., None]
     if kind is FieldKind.A:
         return scale * (c / np.sqrt(basis.omega))[:, None] * basis.eps * phase
     pol = basis.eps if kind is FieldKind.E else basis.k_cross_eps
     return scale * 1j * np.sqrt(basis.omega)[:, None] * pol * phase
+
+
+def mode_coefficients(
+    basis: FockBasis,
+    kind: FieldKind,
+    r: np.ndarray,
+    t,
+    dt: int = 0,
+    dr: tuple[int, int, int] = (0, 0, 0),
+) -> np.ndarray:
+    """Coefficient of a_m for each field component at stacked spacetime points.
+
+    r of shape (N, 3) and t of shape (N,) give an (N, n_modes, 3) array whose
+    row i holds the coefficients at (r[i], t[i]); r of shape (3,) and a
+    scalar t give the (n_modes, 3) array of one point.  Every element is
+    computed by the same operations as for that point alone.  The points
+    are not validated; SpacetimePoint checks one.
+
+    dt and dr request analytic derivatives: each time derivative multiplies
+    mode m by (-i omega_m), each derivative along axis j by (i p_j / hbar).
+    """
+    hbar = basis.config.hbar
+    factor = np.exp(1j * np.vecdot(basis.p, np.asarray(r)[..., None, :]) / hbar)
+    factor *= (-1j * basis.omega) ** dt
+    factor *= np.prod((1j * basis.p / hbar) ** np.asarray(dr), axis=1)
+    return _amplitudes(basis, kind, t) * factor[..., None]
 
 
 def field_mode_coefficients(
@@ -102,16 +132,8 @@ def field_mode_coefficients(
     dt: int = 0,
     dr: tuple[int, int, int] = (0, 0, 0),
 ) -> np.ndarray:
-    """Coefficient of a_m for each field component at one spacetime point.
-
-    dt and dr request analytic derivatives: each time derivative multiplies
-    mode m by (-i omega_m), each derivative along axis j by (i p_j / hbar).
-    """
-    hbar = basis.config.hbar
-    factor = np.exp(1j * np.vecdot(basis.p, x.r) / hbar)
-    factor *= (-1j * basis.omega) ** dt
-    factor *= np.prod((1j * basis.p / hbar) ** np.asarray(dr), axis=1)
-    return _amplitudes(basis, kind, x.t) * factor[:, None]
+    """Coefficient of a_m for each field component at one spacetime point, (n_modes, 3)."""
+    return mode_coefficients(basis, kind, x.r, x.t, dt=dt, dr=dr)
 
 
 def _ladder_weights(coeffs: np.ndarray, sign: float = 1.0) -> np.ndarray:
@@ -144,6 +166,11 @@ def field(
 ) -> tuple[SparseOperator, SparseOperator, SparseOperator]:
     """The three cartesian component operators of E, B or A at x."""
     return _field_operators(basis, field_mode_coefficients(basis, kind, x))
+
+
+def field_component(basis: FockBasis, kind: FieldKind, x: SpacetimePoint, axis: int) -> SparseOperator:
+    """One cartesian component (axis 0, 1 or 2) of E, B or A at x; the others are not built."""
+    return _field_operators(basis, field_mode_coefficients(basis, kind, x)[:, [axis]])[0]
 
 
 def field_derivative(

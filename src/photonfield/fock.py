@@ -17,6 +17,9 @@ a-dagger_1..a-dagger_n): linear forms sum_k w_k L_k (ladder_sum) and
 quadratic forms sum_kl w_kl L_k L_l (ladder_products), each assembled in one
 pass from the basis's lowering table, the one place that says how a_j acts:
 a_j |s> = sqrt(occ_j) |s - strides[j]> for every state s with occ_j >= 1.
+
+Text exports use float_reprs: shortest round-trip reprs, computed once per
+distinct bit pattern of a column.
 """
 
 from __future__ import annotations
@@ -392,6 +395,18 @@ def safe_projector(basis: FockBasis, margin: int) -> SparseOperator:
     return diagonal_operator(basis, keep.astype(float))
 
 
+def float_reprs(values) -> list[str]:
+    """repr(float(v)) of each value, each distinct bit pattern formatted once.
+
+    Values are told apart by their int64 view, so -0.0 and 0.0 keep their
+    own text.
+    """
+    values = np.ascontiguousarray(values, dtype=float)
+    _, first, inverse = np.unique(values.view(np.int64), return_index=True, return_inverse=True)
+    texts = np.array([repr(v) for v in values[first].tolist()], dtype=object)
+    return texts[inverse].tolist()
+
+
 def export_operator(op: SparseOperator, stream: IO[str]) -> None:
     """Write the coordinate-list text form of an operator.
 
@@ -402,7 +417,9 @@ def export_operator(op: SparseOperator, stream: IO[str]) -> None:
     basis = op.basis
     coo = op.matrix.tocoo()
     order = np.lexsort((coo.col, coo.row))
+    data = coo.data[order]
+    entries = zip(
+        coo.row[order].tolist(), coo.col[order].tolist(), float_reprs(data.real), float_reprs(data.imag)
+    )
     stream.write(f"{basis.dim} {basis.n_modes} {basis.n_max}\n")
-    for i in order:
-        v = coo.data[i]
-        stream.write(f"{coo.row[i]} {coo.col[i]} {float(v.real)!r} {float(v.imag)!r}\n")
+    stream.writelines(f"{row} {col} {re} {im}\n" for row, col, re, im in entries)

@@ -113,8 +113,11 @@ class PolarizationTriad:
         raise ValueError(f"helicity must be +1 or -1, got {s}")
 
 
-def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise a x b over the last axis; the same products and differences as np.cross."""
+def cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise a x b over the last axis; the same products and differences as np.cross.
+
+    Much cheaper than np.cross on a single 3-vector.
+    """
     return a.take(_NEXT, axis=-1) * b.take(_PREV, axis=-1) - a.take(_PREV, axis=-1) * b.take(_NEXT, axis=-1)
 
 
@@ -131,7 +134,7 @@ def _frames(k: np.ndarray, reference) -> tuple[np.ndarray, np.ndarray]:
     if norm.min() < 1e-6:
         raise ValueError("reference axis is (nearly) parallel to k; pick another gauge reference")
     e = e / norm[:, None]
-    return e, _cross(k, e)
+    return e, cross(k, e)
 
 
 def triads(k, reference=None) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -197,12 +200,12 @@ def relation_residuals(k, eps_plus, eps_minus) -> dict[str, np.ndarray]:
         "transversality": rowmax(np.vecdot(eps, k[:, None])),
         "orthonormality": rowmax(np.vecdot(eps[:, :, None], eps[:, None]) - same),
         "conjugate_cross": rowmax(
-            _cross(conj[:, :, None], eps[:, None]) - (same * sign * 1j)[..., None] * kk
+            cross(conj[:, :, None], eps[:, None]) - (same * sign * 1j)[..., None] * kk
         ),
-        "propagation_cross": rowmax(_cross(k[:, None], eps) - sign * conj[:, ::-1]),
+        "propagation_cross": rowmax(cross(k[:, None], eps) - sign * conj[:, ::-1]),
         "minus_from_plus": rowmax(eps[:, 1] - 1j * conj[:, 0]),
         "plain_dot": rowmax(np.vecdot(conj[:, :, None], eps[:, None]) - 1j * opposite),
-        "plain_cross": rowmax(_cross(eps[:, :, None], eps[:, None]) - (opposite * sign)[..., None] * kk),
+        "plain_cross": rowmax(cross(eps[:, :, None], eps[:, None]) - (opposite * sign)[..., None] * kk),
     }
     target = np.eye(3) - k[:, :, None] * k[:, None, :]
     res["completeness"] = rowmax(completeness_matrices(eps_plus, eps_minus) - target)

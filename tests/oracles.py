@@ -12,6 +12,9 @@ roundoff) and independent of the analytic pair reduction in the library.
 The direction oracles build triads, helicity vectors and random directions
 one 3-vector at a time, and the vacuum-scan oracle sums the lattice by a
 running total, independent of the library's stacked (N, 3) and table code.
+
+The writer oracles format every value with its own repr call, one line at
+a time, independent of the library's once-per-distinct-value formatting.
 """
 
 import numpy as np
@@ -170,3 +173,21 @@ def vacuum_scan_oracle(length, hbar, c, cutoff):
                     omega = c * (2.0 * np.pi / length) * norm
                     total += 2.0 * dp3 * omega / (2.0 * np.pi * hbar) ** 2
     return total
+
+
+def export_operator_oracle(op, stream):
+    """Coordinate-list text of an operator, written entry by entry."""
+    basis = op.basis
+    coo = op.matrix.tocoo()
+    order = np.lexsort((coo.col, coo.row))
+    stream.write(f"{basis.dim} {basis.n_modes} {basis.n_max}\n")
+    for i in order:
+        v = coo.data[i]
+        stream.write(f"{coo.row[i]} {coo.col[i]} {float(v.real)!r} {float(v.imag)!r}\n")
+
+
+def grid_csv_oracle(rows, stream):
+    """Grid CSV text, each row joined from per-value reprs."""
+    stream.write("t,x,y,z,Fx,Fy,Fz\n")
+    for row in rows:
+        stream.write(",".join(repr(float(v)) for v in row) + "\n")

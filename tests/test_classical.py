@@ -157,3 +157,17 @@ def test_photon_validation():
         photon(omega=-1.0)
     with pytest.raises(ValueError):
         photon(s=0)
+
+
+def test_rotating_b_is_np_cross_bit_for_bit():
+    rng = np.random.default_rng(8)
+    for _ in range(300):
+        k = rng.standard_normal(3)
+        p = photon(
+            omega=float(rng.uniform(0.5, 3.0)),
+            k=pf.Direction(k=k / np.linalg.norm(k)),
+            s=int(rng.choice([1, -1])),
+            theta=float(rng.uniform(0.0, 2.0 * np.pi)),
+        )
+        e, b = pf.rotating_vectors(p, float(rng.uniform(0.0, 6.0)))
+        assert (b == np.cross(p.k.k, e)).all()

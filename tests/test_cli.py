@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from photonfield import cli
+from photonfield.fields import FieldKind, SpacetimePoint
 
 import oracles
 
@@ -149,6 +150,39 @@ def test_expect_emits_circular_trace(tmp_path):
     assert max(radii) - min(radii) < 1e-10
 
 
+def test_expect_grid_equals_pointwise_rows_written_per_value(tmp_path):
+    import io
+
+    from photonfield import ensembles, fock
+
+    out = tmp_path / "out"
+    assert cli.main(["expect", "--out", str(out)]) == 0
+    scenario = cli.load_scenario(None)
+    state = cli.build_state(scenario, fock.build_basis(scenario.lattice))
+    rows = [
+        (pt.t, *pt.r, *ensembles.field_expectation_closed_form(state, FieldKind.E, pt))
+        for pt in scenario.grid.points()
+    ]
+    expected = io.StringIO()
+    oracles.grid_csv_oracle(rows, expected)
+    assert (out / "grid.csv").read_text() == expected.getvalue()
+
+
+@pytest.mark.parametrize("where,value", [("t_stop", float("inf")), ("r", [0.0, float("nan"), 0.0])])
+def test_nonfinite_grid_rejected_at_parse(tmp_path, capsys, where, value):
+    data = default_data()
+    data["grid"][where] = value
+    data["checks"] = ["polarization"]
+    config = write_scenario(tmp_path, data)
+    for command in ("expect", "verify"):
+        assert cli.main([command, "--config", config, "--out", str(tmp_path / "o")]) == 2
+        assert f"scenario.grid.{where}" in capsys.readouterr().err
+    # Finite ends whose span overflows are still refused.
+    spec = cli.GridSpec(t_start=-1.7e308, t_stop=1.7e308, samples=3, r=(0.0, 0.0, 0.0))
+    with pytest.raises(ValueError, match="finite"), np.errstate(over="ignore", invalid="ignore"):
+        spec.arrays()
+
+
 def test_expect_requires_grid(tmp_path, capsys):
     data = default_data()
     del data["grid"]
@@ -205,6 +239,45 @@ def test_dump_field_operator(tmp_path):
     assert cli.main(["dump-operator", "--out", str(out), "--operator", "Ey@0,0,0,0"]) == 0
     text = (out / "operator.txt").read_text()
     assert text.splitlines()[0] == "256 4 3"
+
+
+def test_dump_field_component_equals_full_field_column(tmp_path):
+    import io
+
+    from photonfield import fields, fock
+
+    x = SpacetimePoint(r=np.array([0.3, -0.2, 0.15]), t=0.1)
+    basis = fock.build_basis(cli.load_scenario(None).lattice)
+    for kind in "EBA":
+        comps = fields.field(basis, FieldKind(kind), x)
+        for axis, name in enumerate("xyz"):
+            out = tmp_path / f"{kind}{name}"
+            assert cli.main(["dump-operator", "--out", str(out), "--operator", f"{kind}{name}@0.3,-0.2,0.15,0.1"]) == 0
+            expected = io.StringIO()
+            oracles.export_operator_oracle(comps[axis], expected)
+            assert (out / "operator.txt").read_text() == expected.getvalue()
+
+
+def test_richardson_without_ratio_signal_fails_with_finite_residual(tmp_path, monkeypatch):
+    from photonfield import fields
+
+    # Every FD residual at the roundoff floor: no ratio carries signal.
+    monkeypatch.setattr(fields, "check_maxwell", lambda *a, **k: {"faraday": 1e-13, "div_e": 0.0})
+    monkeypatch.setattr(fields, "check_derivative_relations", lambda *a, **k: {"potential_time": 5e-13})
+    data = default_data()
+    data["checks"] = ["maxwell"]
+    config = write_scenario(tmp_path, data)
+    for scale in ("1", "1e6"):
+        out = tmp_path / f"scale-{scale}"
+        argv = ["verify", "--config", config, "--out", str(out), "--tolerance-scale", scale]
+        assert cli.main(argv) == 1
+        report = json.loads((out / "report.json").read_text(), parse_constant=pytest.fail)
+        records = {r["check"]: r for r in report["records"]}
+        assert records["maxwell.analytic"]["pass"] and records["maxwell.fd"]["pass"]
+        richardson = records["maxwell.richardson"]
+        assert richardson["pass"] is False
+        assert np.isfinite(richardson["residual"])
+        assert richardson["params"] == {"h": 1e-3}
 
 
 def test_dump_operator_unknown_name(tmp_path, capsys):

@@ -299,3 +299,41 @@ def test_expectation_grid_rows_equal_pointwise_closed_form(coherent_state, monke
     assert len(calls) == 1
     for pt, row, f in zip(points, rows, expected):
         assert row == (pt.t, *pt.r, *f)
+
+
+def _grid_text(rows, writer):
+    out = io.StringIO()
+    writer(rows, out)
+    return out.getvalue()
+
+
+def test_grid_csv_matches_per_value_oracle():
+    rng = np.random.default_rng(11)
+    table = rng.choice(np.array([0.0, -0.0, 0.25, -1.5, 1.0 / 3.0]), size=(50, 7))
+    table[::7] = rng.standard_normal((8, 7))
+    rows = [tuple(row) for row in table]
+    expected = _grid_text(rows, oracles.grid_csv_oracle)
+    assert ",-0.0," in expected
+    assert _grid_text(rows, pf.write_grid_csv) == expected
+    assert _grid_text(table, pf.write_grid_csv) == expected
+
+
+def test_grid_csv_empty_matches_oracle(standard_basis):
+    rows = pf.expectation_grid(pf.vacuum(standard_basis), FieldKind.E, [])
+    assert rows == []
+    for empty in (rows, np.empty((0, 7))):
+        assert _grid_text(empty, pf.write_grid_csv) == _grid_text([], oracles.grid_csv_oracle)
+
+
+def test_mean_field_table_rows_equal_pointwise_closed_form(coherent_state):
+    from photonfield import ensembles
+
+    rng = np.random.default_rng(12)
+    r, t = rng.uniform(-3.0, 3.0, size=(40, 3)), rng.uniform(-5.0, 5.0, size=40)
+    for kind in FieldKind:
+        table = ensembles.mean_field_table(coherent_state, kind, r, t)
+        assert table.shape == (40, 7)
+        for row, ri, ti in zip(table, r, t):
+            pt = SpacetimePoint(r=ri, t=float(ti))
+            f = ensembles.field_expectation_closed_form(coherent_state, kind, pt)
+            assert tuple(row) == (pt.t, *pt.r, *f)

@@ -19,6 +19,21 @@ def point(rx, ry, rz, t=0.0):
 # field assembly
 
 
+@pytest.mark.parametrize("dt,dr", [(0, (0, 0, 0)), (1, (0, 0, 0)), (0, (1, 0, 0)), (2, (0, 1, 2))])
+@pytest.mark.parametrize("kind", list(FieldKind))
+def test_stacked_mode_coefficients_equal_pointwise(offaxis_basis, three_mode_basis, kind, dt, dr):
+    from photonfield.fields import mode_coefficients
+
+    rng = np.random.default_rng(3)
+    r, t = rng.uniform(-4.0, 4.0, size=(25, 3)), rng.uniform(-2.0, 2.0, size=25)
+    for basis in (offaxis_basis, three_mode_basis):
+        stacked = mode_coefficients(basis, kind, r, t, dt=dt, dr=dr)
+        assert stacked.shape == (25, basis.n_modes, 3)
+        for row, ri, ti in zip(stacked, r, t):
+            x = SpacetimePoint(r=ri, t=float(ti))
+            assert (row == pf.field_mode_coefficients(basis, kind, x, dt=dt, dr=dr)).all()
+
+
 def test_field_components_are_hermitian(standard_basis):
     x = point(0.3, -0.8, 0.4, t=0.7)
     for kind in FieldKind:

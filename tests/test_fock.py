@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import photonfield as pf
-from photonfield.fock import BasisMismatchError, LatticeSizeError
+from photonfield.fields import FieldKind, SpacetimePoint
+from photonfield.fock import BasisMismatchError, LatticeSizeError, float_reprs
 
 import oracles
 
@@ -229,6 +230,60 @@ def test_export_is_bit_stable(standard_basis):
     assert lines[0] == "256 4 3"
     coords = [tuple(map(int, line.split()[:2])) for line in lines[1:]]
     assert coords == sorted(coords)
+
+
+def _export_text(op, writer):
+    out = io.StringIO()
+    writer(op, out)
+    return out.getvalue()
+
+
+def _coordinate_operator(basis, rows, cols, data):
+    """Operator holding exactly the given entries (signed zeros kept)."""
+    import scipy.sparse as sp
+
+    matrix = sp.csr_matrix((np.asarray(data, dtype=complex), (rows, cols)), shape=(basis.dim, basis.dim))
+    return pf.SparseOperator(matrix, basis)
+
+
+def test_float_reprs_keep_signed_zeros_and_repeats():
+    values = [0.0, -0.0, 1.5, -0.0, 1.5, 0.1 + 0.2, 1e-300, -2.5e17, 0.0]
+    assert float_reprs(values) == [repr(float(v)) for v in values]
+    assert float_reprs(np.array([])) == []
+
+
+def test_export_matches_per_entry_oracle_signed_zeros_and_repeats(standard_basis):
+    rng = np.random.default_rng(5)
+    count = 400
+    index = rng.choice(standard_basis.dim**2, size=count, replace=False)
+    rows, cols = np.divmod(index, standard_basis.dim)
+    parts = np.array([0.0, -0.0, 0.5, -0.5, 1.0 / 3.0, 2.0])
+    data = np.empty(count, dtype=complex)
+    data.real, data.imag = rng.choice(parts, count), rng.choice(parts, count)
+    data[np.abs(data) == 0] = complex(-0.0, 0.25)
+    op = _coordinate_operator(standard_basis, rows, cols, data)
+    text = _export_text(op, pf.export_operator)
+    assert " -0.0 " in text and " -0.0\n" in text  # signed zeros in both columns
+    assert text == _export_text(op, oracles.export_operator_oracle)
+
+
+def test_export_matches_per_entry_oracle_distinct_values(standard_basis):
+    rng = np.random.default_rng(6)
+    index = rng.choice(standard_basis.dim**2, size=300, replace=False)
+    rows, cols = np.divmod(index, standard_basis.dim)
+    data = rng.standard_normal(300) + 1j * rng.standard_normal(300)
+    op = _coordinate_operator(standard_basis, rows, cols, data)
+    assert _export_text(op, pf.export_operator) == _export_text(op, oracles.export_operator_oracle)
+
+
+def test_export_matches_per_entry_oracle_empty_and_library_operators(standard_basis):
+    empty = _coordinate_operator(standard_basis, [], [], [])
+    assert empty.matrix.nnz == 0
+    assert _export_text(empty, pf.export_operator) == "256 4 3\n"
+    assert _export_text(empty, oracles.export_operator_oracle) == "256 4 3\n"
+    x = SpacetimePoint(r=np.array([0.3, -0.2, 0.15]), t=0.1)
+    for op in (*pf.field(standard_basis, FieldKind.E, x), pf.quadratic_H_from_fields(standard_basis)):
+        assert _export_text(op, pf.export_operator) == _export_text(op, oracles.export_operator_oracle)
 
 
 def test_symmetry_flags(standard_basis):

@@ -186,3 +186,12 @@ def test_relation_residuals_are_per_row():
     assert m.shape == (len(k), 3, 3)
     for i in (0, 9, len(k) - 1):
         assert np.array_equal(m[i], pf.completeness_matrix(pf.make_triad(pf.Direction(k=k[i]))))
+
+
+def test_cross_matches_np_cross_bit_for_bit():
+    rng = np.random.default_rng(4)
+    a, b = rng.standard_normal((2, 20000, 3))
+    assert (polarization.cross(a, b) == np.cross(a, b)).all()
+    c = a + 1j * rng.standard_normal((20000, 3))
+    assert (polarization.cross(c, b) == np.cross(c, b)).all()
+    assert (polarization.cross(a[0], b[0]) == np.cross(a[0], b[0])).all()
