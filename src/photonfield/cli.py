@@ -8,8 +8,10 @@ Subcommands:
     dump-operator  export one named operator in coordinate-list text form
 
 Exit codes: 0 all checks pass, 1 at least one residual exceeded its
-tolerance, 2 configuration or precondition error.  Outputs are byte-stable
-across runs: all sampling is seeded and the seed is recorded in the report.
+tolerance, 2 configuration or precondition error (ConfigError,
+CompletenessError, LatticeSizeError); any other exception is a defect and
+propagates.  Outputs are byte-stable across runs: all sampling is seeded
+and the seed is recorded in the report.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -64,7 +66,7 @@ class GridSpec:
         t = np.linspace(self.t_start, self.t_stop, self.samples)
         r = np.tile(self.r, (self.samples, 1))
         if not (np.all(np.isfinite(r)) and np.all(np.isfinite(t))):
-            raise ValueError("spacetime point must be finite")
+            raise ConfigError("scenario.grid: every sample point must be finite")
         return r, t
 
     def points(self) -> list[SpacetimePoint]:
@@ -114,7 +116,9 @@ DEFAULT_SCENARIO = {
 }
 
 
-def _require_keys(data: dict, allowed: set[str], required: set[str], path: str) -> None:
+def _require_keys(data, allowed: set[str], required: set[str], path: str) -> None:
+    if not isinstance(data, dict):
+        raise ConfigError(f"{path}: must be an object, got {data!r}")
     for key in data:
         if key not in allowed:
             raise ConfigError(f"{path}: unknown key {key!r}")
@@ -123,43 +127,65 @@ def _require_keys(data: dict, allowed: set[str], required: set[str], path: str) 
             raise ConfigError(f"{path}: missing required key {key!r}")
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _parse_mode_key(data, path: str) -> tuple[int, tuple[int, int, int]]:
-    if not isinstance(data, dict):
-        raise ConfigError(f"{path}: mode must be an object with keys 's' and 'n'")
     _require_keys(data, {"s", "n"}, {"s", "n"}, path)
     s = data["s"]
     n = data["n"]
-    if s not in (1, -1):
+    if not _is_int(s) or s not in (1, -1):
         raise ConfigError(f"{path}.s: helicity must be 1 or -1, got {s!r}")
-    if not (isinstance(n, list) and len(n) == 3 and all(isinstance(v, int) for v in n)):
+    if not (isinstance(n, list) and len(n) == 3 and all(_is_int(v) for v in n)):
         raise ConfigError(f"{path}.n: lattice momentum must be a list of 3 integers")
     return int(s), (n[0], n[1], n[2])
 
 
 def _positive_int(value, path: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+    if not _is_int(value) or value < 1:
         raise ConfigError(f"{path}: must be an integer >= 1, got {value!r}")
     return value
 
 
 def _finite(value, path: str) -> float:
-    value = float(value)
-    if not np.isfinite(value):
-        raise ConfigError(f"{path}: must be finite, got {value!r}")
-    return value
+    # abs(value) <= max float is False for NaN and infinities, and for
+    # integers too large to convert.
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not abs(value) <= sys.float_info.max:
+        raise ConfigError(f"{path}: must be a finite number, got {value!r}")
+    return float(value)
+
+
+def _finite_vector(data, path: str) -> tuple[float, float, float]:
+    if not (isinstance(data, list) and len(data) == 3):
+        raise ConfigError(f"{path}: must be a list of 3 numbers, got {data!r}")
+    return tuple(_finite(v, f"{path}[{i}]") for i, v in enumerate(data))
 
 
 def _parse_complex(data, path: str) -> complex:
     if not (isinstance(data, list) and len(data) == 2):
         raise ConfigError(f"{path}: complex values are [re, im] pairs")
-    return complex(float(data[0]), float(data[1]))
+    return complex(_finite(data[0], f"{path}[0]"), _finite(data[1], f"{path}[1]"))
+
+
+def _check_gauge_reference(data, modes, path: str) -> tuple[float, float, float]:
+    """A nonzero reference axis that no mode's momentum is (nearly) parallel to."""
+    reference = _finite_vector(data, path)
+    if not any(reference):
+        raise ConfigError(f"{path}: must be a nonzero vector")
+    n = np.array([n for _, n in modes], dtype=float)
+    try:
+        polarization.triads(n / np.linalg.norm(n, axis=1)[:, None], reference=np.array(reference))
+    except ValueError as err:
+        raise ConfigError(f"{path}: {err}") from err
+    return reference
 
 
 def _check_occupancies(data, lattice: LatticeConfig, path: str) -> None:
     if not (isinstance(data, list) and len(data) == len(lattice.modes)):
         raise ConfigError(f"{path}: must be a list of {len(lattice.modes)} occupancies, one per lattice mode")
     for i, v in enumerate(data):
-        if isinstance(v, bool) or not isinstance(v, int) or not 0 <= v <= lattice.n_max:
+        if not _is_int(v) or not 0 <= v <= lattice.n_max:
             raise ConfigError(f"{path}[{i}]: occupancy must be an integer in 0..{lattice.n_max} (n_max), got {v!r}")
 
 
@@ -178,21 +204,32 @@ def _check_state(state, lattice: LatticeConfig) -> None:
         mode = _parse_mode_key(state["mode"], "scenario.state.mode")
         if mode not in lattice.modes:
             raise ConfigError(f"scenario.state.mode: mode {mode} is not on the lattice")
-        _parse_complex(state["alpha"], "scenario.state.alpha")
+        alpha = _parse_complex(state["alpha"], "scenario.state.alpha")
         cap = state["cap"]
-        if isinstance(cap, bool) or not isinstance(cap, int) or not 0 <= cap <= lattice.n_max:
+        if not _is_int(cap) or not 0 <= cap <= lattice.n_max:
             raise ConfigError(f"scenario.state.cap: must be an integer in 0..{lattice.n_max} (n_max), got {cap!r}")
+        try:
+            amplitudes = ensembles.coherent_profile(alpha, mode, cap).amplitudes
+        except OverflowError:
+            amplitudes = ()
+        if not any(amplitudes):
+            raise ConfigError(f"scenario.state.alpha: the coherent profile up to cap {cap} is zero in floating point")
     elif kind == "superposition":
         _require_keys(state, {"kind", "terms"}, {"kind", "terms"}, "scenario.state")
         if not isinstance(state["terms"], list) or not state["terms"]:
             raise ConfigError("scenario.state.terms: must be a nonempty list")
+        seen, amplitudes = set(), []
         for i, term in enumerate(state["terms"]):
             path = f"scenario.state.terms[{i}]"
-            if not isinstance(term, dict):
-                raise ConfigError(f"{path}: must be an object with keys 'occupancies' and 'amplitude'")
             _require_keys(term, {"occupancies", "amplitude"}, {"occupancies", "amplitude"}, path)
             _check_occupancies(term["occupancies"], lattice, f"{path}.occupancies")
-            _parse_complex(term["amplitude"], f"{path}.amplitude")
+            occupancies = tuple(term["occupancies"])
+            if occupancies in seen:
+                raise ConfigError(f"{path}.occupancies: repeats an earlier term's occupancies")
+            seen.add(occupancies)
+            amplitudes.append(_parse_complex(term["amplitude"], f"{path}.amplitude"))
+        if not any(amplitudes):
+            raise ConfigError("scenario.state.terms: the amplitudes must not all be zero")
     else:
         raise ConfigError(f"scenario.state.kind: unknown state kind {kind!r}")
 
@@ -216,20 +253,24 @@ def parse_scenario(data: dict) -> Scenario:
         {"length", "n_max", "modes"},
         "scenario.lattice",
     )
+    if not isinstance(lat["modes"], list):
+        raise ConfigError(f"scenario.lattice.modes: must be a list of modes, got {lat['modes']!r}")
     modes = tuple(
         _parse_mode_key(m, f"scenario.lattice.modes[{i}]") for i, m in enumerate(lat["modes"])
     )
+    numbers = {
+        "length": _finite(lat["length"], "scenario.lattice.length"),
+        "n_max": _positive_int(lat["n_max"], "scenario.lattice.n_max"),
+        "hbar": _finite(lat.get("hbar", 1.0), "scenario.lattice.hbar"),
+        "c": _finite(lat.get("c", 1.0), "scenario.lattice.c"),
+    }
     try:
-        lattice = LatticeConfig(
-            length=float(lat["length"]),
-            n_max=int(lat["n_max"]),
-            modes=modes,
-            hbar=float(lat.get("hbar", 1.0)),
-            c=float(lat.get("c", 1.0)),
-            gauge_reference=tuple(lat["gauge_reference"]) if "gauge_reference" in lat else None,
-        )
+        lattice = LatticeConfig(modes=modes, **numbers)
     except ValueError as err:
         raise ConfigError(f"scenario.lattice: {err}") from err
+    if "gauge_reference" in lat:
+        path = "scenario.lattice.gauge_reference"
+        lattice = replace(lattice, gauge_reference=_check_gauge_reference(lat["gauge_reference"], lattice.modes, path))
 
     state = data["state"]
     _check_state(state, lattice)
@@ -259,7 +300,7 @@ def parse_scenario(data: dict) -> Scenario:
             t_start=_finite(g["t_start"], "scenario.grid.t_start"),
             t_stop=_finite(g["t_stop"], "scenario.grid.t_stop"),
             samples=_positive_int(g["samples"], "scenario.grid.samples"),
-            r=tuple(_finite(g["r"][i], f"scenario.grid.r[{i}]") for i in range(3)),
+            r=_finite_vector(g["r"], "scenario.grid.r"),
             kind=kind_name,
         )
 
@@ -275,7 +316,7 @@ def parse_scenario(data: dict) -> Scenario:
             raise ConfigError(f"{path}: must be strictly increasing, got {list(cutoffs)}")
 
     seed = data["seed"]
-    if not isinstance(seed, int) or seed < 0:
+    if not _is_int(seed) or seed < 0:
         raise ConfigError(f"scenario.seed: must be a nonnegative integer, got {seed!r}")
 
     return Scenario(
@@ -441,18 +482,16 @@ def check_ladder(ctx: RunContext) -> list[Record]:
     worst_canonical = 0.0
     worst_cross = 0.0
     worst_adjoint = 0.0
-    for i, mode_i in enumerate(basis.modes):
-        a_i = fock.annihilation(basis, mode_i)
-        ad_i = fock.creation(basis, mode_i)
+    a_ops = [fock.annihilation(basis, mode) for mode in basis.modes]
+    adag_ops = [fock.creation(basis, mode) for mode in basis.modes]
+    for i, (a_i, ad_i) in enumerate(zip(a_ops, adag_ops)):
         worst_adjoint = max(worst_adjoint, (ad_i - a_i.dagger()).max_abs())
         canon = proj @ (fock.commutator(a_i, ad_i) - eye) @ proj
         worst_canonical = max(worst_canonical, canon.max_abs())
-        for mode_j in basis.modes[i:]:
-            a_j = fock.annihilation(basis, mode_j)
-            worst_cross = max(worst_cross, fock.commutator(a_i, a_j).max_abs())
-            if mode_j is not mode_i:
-                ad_j = fock.creation(basis, mode_j)
-                worst_cross = max(worst_cross, fock.commutator(a_i, ad_j).max_abs())
+        for j in range(i, basis.n_modes):
+            worst_cross = max(worst_cross, fock.commutator(a_i, a_ops[j]).max_abs())
+            if j != i:
+                worst_cross = max(worst_cross, fock.commutator(a_i, adag_ops[j]).max_abs())
     n_modes = basis.n_modes
     return [
         ctx.record("ladder.canonical", {"modes": n_modes, "margin": 1}, worst_canonical, 1e-12),
@@ -461,7 +500,16 @@ def check_ladder(ctx: RunContext) -> list[Record]:
     ]
 
 
-def _observable_residuals(basis: FockBasis, t: float) -> dict[str, float]:
+def _quadratic_observables(basis: FockBasis, t: float) -> tuple:
+    """(H, (Px, Py, Pz), (Sx, Sy, Sz)) as box integrals of the fields at time t."""
+    return (
+        fields.quadratic_H_from_fields(basis, t=t),
+        fields.quadratic_P_from_fields(basis, t=t),
+        fields.quadratic_S_from_fields(basis, t=t),
+    )
+
+
+def _observable_residuals(basis: FockBasis, h_quad, p_quad, s_quad) -> dict[str, float]:
     proj = fock.safe_projector(basis, 1)
     eye = fock.identity(basis)
     zp = fields.zero_point(basis)
@@ -471,14 +519,11 @@ def _observable_residuals(basis: FockBasis, t: float) -> dict[str, float]:
         return diff.max_abs() / scale
 
     out = {}
-    h_quad = fields.quadratic_H_from_fields(basis, t=t)
     h_target = fields.observable_H(basis) + zp.E0 * eye
     scale_h = max(abs(h_target.diagonal()).max(), 1e-300)
     out["energy"] = rel(h_quad, h_target, scale_h)
 
-    p_quad = fields.quadratic_P_from_fields(basis, t=t)
     p_diag = fields.observable_P(basis)
-    s_quad = fields.quadratic_S_from_fields(basis, t=t)
     s_diag = fields.observable_S(basis)
     for name, quad, diag, consts in (
         ("momentum", p_quad, p_diag, zp.P0),
@@ -498,7 +543,8 @@ def _observable_residuals(basis: FockBasis, t: float) -> dict[str, float]:
 
 def check_observables(ctx: RunContext) -> list[Record]:
     basis = ctx.basis
-    res0 = _observable_residuals(basis, t=0.0)
+    early = _quadratic_observables(basis, 0.0)
+    res0 = _observable_residuals(basis, *early)
     records = [
         ctx.record(f"observables.{name}", {"margin": 1, "t": 0.0}, res0[name], 1e-10)
         for name in ("energy", "momentum", "spin")
@@ -506,15 +552,10 @@ def check_observables(ctx: RunContext) -> list[Record]:
     # Conservation: the quadratic observables do not depend on the field
     # evaluation time.
     scale = max(abs(fields.observable_H(basis).diagonal()).max(), 1.0)
-    drift = (
-        fields.quadratic_H_from_fields(basis, t=0.0)
-        - fields.quadratic_H_from_fields(basis, t=0.37)
-    ).max_abs()
-    for early, late in (
-        (fields.quadratic_P_from_fields(basis, t=0.0), fields.quadratic_P_from_fields(basis, t=0.37)),
-        (fields.quadratic_S_from_fields(basis, t=0.0), fields.quadratic_S_from_fields(basis, t=0.37)),
-    ):
-        drift = max(drift, max((a - b).max_abs() for a, b in zip(early, late)))
+    late = _quadratic_observables(basis, 0.37)
+    drift = (early[0] - late[0]).max_abs()
+    for ops_early, ops_late in zip(early[1:], late[1:]):
+        drift = max(drift, max((a - b).max_abs() for a, b in zip(ops_early, ops_late)))
     records.append(
         ctx.record("observables.conservation", {"t_other": 0.37}, drift / scale, 1e-10)
     )
@@ -674,7 +715,7 @@ def run_verify(scenario: Scenario, out_dir: Path, tolerance_scale: float, seed: 
     }
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / "report.json"
-    path.write_text(json.dumps(report, sort_keys=True, indent=2) + "\n")
+    path.write_text(json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n")
     for r in records:
         status = "PASS" if r.passed else "FAIL"
         print(f"{status} {r.check} residual={r.residual!r} tolerance={r.tolerance!r}")
@@ -727,9 +768,12 @@ def _named_operator(name: str, basis: FockBasis) -> fock.SparseOperator:
     if "@" in name:
         head, _, tail = name.partition("@")
         if head in ("a", "adag", "N"):
-            j = int(tail)
+            try:
+                j = int(tail)
+            except ValueError:
+                j = -1
             if not 0 <= j < basis.n_modes:
-                raise ConfigError(f"operator {name!r}: mode index out of range 0..{basis.n_modes - 1}")
+                raise ConfigError(f"operator {name!r}: mode index must be an integer in 0..{basis.n_modes - 1}")
             mode = basis.modes[j]
             if head == "a":
                 return fock.annihilation(basis, mode)
@@ -737,9 +781,12 @@ def _named_operator(name: str, basis: FockBasis) -> fock.SparseOperator:
                 return fock.creation(basis, mode)
             return fock.number_operator(basis, mode)
         if len(head) == 2 and head[0] in "EBA" and head[1] in "xyz":
-            vals = [float(v) for v in tail.split(",")]
-            if len(vals) != 4:
-                raise ConfigError(f"operator {name!r}: expected '<F><c>@rx,ry,rz,t'")
+            try:
+                vals = [float(v) for v in tail.split(",")]
+            except ValueError:
+                vals = []
+            if len(vals) != 4 or not np.all(np.isfinite(vals)):
+                raise ConfigError(f"operator {name!r}: expected '<F><c>@rx,ry,rz,t' with 4 finite numbers")
             x = SpacetimePoint(r=np.array(vals[:3]), t=vals[3])
             return fields.field_component(basis, FieldKind(head[0]), x, "xyz".index(head[1]))
     raise ConfigError(
@@ -770,6 +817,8 @@ def load_scenario(path: str | None) -> Scenario:
         data = json.loads(Path(path).read_text())
     except json.JSONDecodeError as err:
         raise ConfigError(f"scenario file {path}: invalid JSON ({err})") from err
+    except (OSError, UnicodeDecodeError) as err:
+        raise ConfigError(f"scenario file {path}: cannot be read ({err})") from err
     return parse_scenario(data)
 
 
@@ -795,6 +844,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if not (np.isfinite(args.tolerance_scale) and args.tolerance_scale >= 0):
             raise ConfigError(f"--tolerance-scale: must be finite and >= 0, got {args.tolerance_scale!r}")
+        if args.seed is not None and args.seed < 0:
+            raise ConfigError(f"--seed: must be a nonnegative integer, got {args.seed}")
         scenario = load_scenario(args.config)
         seed = scenario.seed if args.seed is None else args.seed
         out_dir = Path(args.out)
@@ -805,16 +856,8 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "vacuum-scan":
             return run_vacuum_scan(scenario, out_dir)
         return run_dump_operator(scenario, out_dir, args.operator)
-    except (
-        ConfigError,
-        fields.CompletenessError,
-        fock.LatticeSizeError,
-        ValueError,
-        KeyError,
-        TypeError,
-    ) as err:
-        message = err.args[0] if isinstance(err, KeyError) and err.args else err
-        print(f"error: {message}", file=sys.stderr)
+    except (ConfigError, fields.CompletenessError, fock.LatticeSizeError) as err:
+        print(f"error: {err}", file=sys.stderr)
         return 2
 
 

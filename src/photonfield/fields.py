@@ -10,11 +10,12 @@ potential uses weight c/sqrt(omega) and no factor i; each component is one
 fock.ladder_sum.  mode_coefficients evaluates the coefficients at N
 stacked points at once, (N, 3) positions and (N,) times to an
 (N, n_modes, 3) array; field_mode_coefficients is that core on one point.
-The total energy, momentum and spin are box integrals of
-quadratic densities: the box keeps only mode pairs of equal or opposite
-momentum, so each is a coefficient array over mode pairs, assembled by
-fock.ladder_products with no quadrature and exact up to floating point and
-truncation at the occupancy cap.
+The total energy, momentum and spin are box integrals of quadratic
+densities: the box keeps only mode pairs of equal or opposite momentum, so
+each is a coefficient array over mode pairs, assembled by fock.ladder_products
+with no quadrature and exact up to floating point and truncation at the
+occupancy cap.  The Maxwell and potential residuals are array expressions over
+the values each field operator stores (fock.ladder_values); none is assembled.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from .fock import (
     diagonal_operator,
     ladder_products,
     ladder_sum,
+    ladder_values,
 )
 
 
@@ -277,42 +279,38 @@ def quadratic_S_from_fields(
 # derivative relations and Maxwell's equations
 
 
-def _derivative(basis, kind, x, h, method, dt=0, dr=(0, 0, 0)):
-    """Field derivative along the unit step (dt, dr), exact or by O(h^2) central difference."""
-    if method == "analytic":
-        return field_derivative(basis, kind, x, dt=dt, dr=dr)
-    step_r, step_t = h * np.asarray(dr, dtype=float), h * dt
-    plus = field(basis, kind, SpacetimePoint(r=x.r + step_r, t=x.t + step_t))
-    minus = field(basis, kind, SpacetimePoint(r=x.r - step_r, t=x.t - step_t))
-    return tuple((p - m) * (0.5 / h) for p, m in zip(plus, minus))
-
-
-def _grad_components(basis, kind, x, h, method):
-    """partial_j F_i for all axes j: grad[j] = tuple of 3 component operators."""
-    return [_derivative(basis, kind, x, h, method, dr=axis) for axis in np.eye(3, dtype=int)]
-
-
-def _curl(grad):
-    return (
-        grad[1][2] - grad[2][1],
-        grad[2][0] - grad[0][2],
-        grad[0][1] - grad[1][0],
-    )
-
-
-def _divergence(grad):
-    return grad[0][0] + grad[1][1] + grad[2][2]
-
-
-def _max_over(ops) -> float:
-    return max(op.max_abs() for op in ops)
-
-
 def _check_step(h: float, method: str) -> None:
-    if h <= 0:
-        raise ValueError("step h must be positive")
+    if not (np.isfinite(h) and h > 0):
+        raise ValueError(f"step h must be finite and positive, got {h!r}")
     if method not in ("fd", "analytic"):
         raise ValueError(f"method must be 'fd' or 'analytic', got {method!r}")
+
+
+def _derivatives(basis: FockBasis, kind: FieldKind, x: SpacetimePoint, h: float, method: str) -> np.ndarray:
+    """Values of d_t F_i, d_x F_i, d_y F_i, d_z F_i at x, shape (4, 3, n_modes, entries).
+
+    "analytic" differentiates each mode exactly; "fd" takes O(h^2) central
+    differences over the 8 points x +/- h e_(t, x, y, z).
+    """
+    if method == "analytic":
+        coeffs = [field_mode_coefficients(basis, kind, x, dt=dt, dr=dr) for dt, *dr in np.eye(4, dtype=int)]
+        return ladder_values(basis, np.stack(coeffs))
+    steps = h * np.eye(4)
+    t = np.concatenate([x.t + steps[:, 0], x.t - steps[:, 0]])
+    r = np.concatenate([x.r + steps[:, 1:], x.r - steps[:, 1:]])
+    if not (np.all(np.isfinite(r)) and np.all(np.isfinite(t))):
+        raise ValueError("stencil points must be finite")
+    values = ladder_values(basis, mode_coefficients(basis, kind, r, t))
+    return (values[:4] - values[4:]) * (0.5 / h)
+
+
+def _curl(grad: np.ndarray) -> np.ndarray:
+    """Curl from grad[j, i] = d_j F_i: (d_y F_z - d_z F_y, d_z F_x - d_x F_z, d_x F_y - d_y F_x)."""
+    return grad[[1, 2, 0], [2, 0, 1]] - grad[[2, 0, 1], [1, 2, 0]]
+
+
+def _max_abs(values: np.ndarray) -> float:
+    return float(np.max(np.abs(values)))
 
 
 def check_derivative_relations(
@@ -326,13 +324,12 @@ def check_derivative_relations(
     """
     _check_step(h, method)
     c = basis.config.c
-    e_ops = field(basis, FieldKind.E, x)
-    b_ops = field(basis, FieldKind.B, x)
-    da_dt = _derivative(basis, FieldKind.A, x, h, method, dt=1)
-    curl_a = _curl(_grad_components(basis, FieldKind.A, x, h, method))
+    coeffs = [field_mode_coefficients(basis, kind, x) for kind in (FieldKind.E, FieldKind.B)]
+    e, b = ladder_values(basis, np.stack(coeffs))
+    d_a = _derivatives(basis, FieldKind.A, x, h, method)
     return {
-        "potential_time": _max_over(e + da * (1.0 / c) for e, da in zip(e_ops, da_dt)),
-        "potential_curl": _max_over(b - ca for b, ca in zip(b_ops, curl_a)),
+        "potential_time": _max_abs(e + d_a[0] * (1.0 / c)),
+        "potential_curl": _max_abs(b - _curl(d_a[1:])),
     }
 
 
@@ -342,19 +339,13 @@ def check_maxwell(
     """Residuals of the four source-free Maxwell equations at x."""
     _check_step(h, method)
     c = basis.config.c
-    grad_e = _grad_components(basis, FieldKind.E, x, h, method)
-    grad_b = _grad_components(basis, FieldKind.B, x, h, method)
-    de_dt = _derivative(basis, FieldKind.E, x, h, method, dt=1)
-    db_dt = _derivative(basis, FieldKind.B, x, h, method, dt=1)
-    curl_e = _curl(grad_e)
-    curl_b = _curl(grad_b)
+    d_e = _derivatives(basis, FieldKind.E, x, h, method)
+    d_b = _derivatives(basis, FieldKind.B, x, h, method)
     return {
-        "faraday": _max_over(
-            -1.0 * ce - db * (1.0 / c) for ce, db in zip(curl_e, db_dt)
-        ),
-        "ampere": _max_over(cb - de * (1.0 / c) for cb, de in zip(curl_b, de_dt)),
-        "div_e": _divergence(grad_e).max_abs(),
-        "div_b": _divergence(grad_b).max_abs(),
+        "faraday": _max_abs(-1.0 * _curl(d_e[1:]) - d_b[0] * (1.0 / c)),
+        "ampere": _max_abs(_curl(d_b[1:]) - d_e[0] * (1.0 / c)),
+        "div_e": _max_abs(d_e[1, 0] + d_e[2, 1] + d_e[3, 2]),
+        "div_b": _max_abs(d_b[1, 0] + d_b[2, 1] + d_b[3, 2]),
     }
 
 

@@ -339,6 +339,15 @@ def ladder_sum(basis: FockBasis, weights: np.ndarray, symmetry: str | None = Non
     return _assemble(basis, dst[k].ravel(), src[k].ravel(), data.ravel(), symmetry)
 
 
+def ladder_values(basis: FockBasis, coeffs: np.ndarray) -> np.ndarray:
+    """Stored a-side values of sum_m (c_m a_m + h.c.) for each column of coeffs.
+
+    coeffs (..., n_modes, C) give (..., C, n_modes, entries): c_m times each amplitude of
+    lowering-table row m, as ladder_sum stores them; the a-dagger side holds their conjugates.
+    """
+    return np.swapaxes(coeffs, -1, -2)[..., None] * basis.lowering[2]
+
+
 def ladder_products(
     basis: FockBasis, weights: np.ndarray, symmetry: str | None = None
 ) -> SparseOperator:

@@ -13,6 +13,10 @@ The direction oracles build triads, helicity vectors and random directions
 one 3-vector at a time, and the vacuum-scan oracle sums the lattice by a
 running total, independent of the library's stacked (N, 3) and table code.
 
+The Maxwell oracle takes every derivative, curl and divergence on
+assembled sparse operators, one component at a time, independent of the
+library's arithmetic on stored ladder values.
+
 The writer oracles format every value with its own repr call, one line at
 a time, independent of the library's once-per-distinct-value formatting.
 """
@@ -191,3 +195,40 @@ def grid_csv_oracle(rows, stream):
     stream.write("t,x,y,z,Fx,Fy,Fz\n")
     for row in rows:
         stream.write(",".join(repr(float(v)) for v in row) + "\n")
+
+
+def maxwell_oracle(basis, x, h, method):
+    """The four Maxwell and two potential residuals from tuples of assembled operators."""
+
+    def derivative(kind, dt=0, dr=(0, 0, 0)):
+        if method == "analytic":
+            return pf.field_derivative(basis, kind, x, dt=dt, dr=dr)
+        step_r, step_t = h * np.asarray(dr, dtype=float), h * dt
+        plus = pf.field(basis, kind, SpacetimePoint(r=x.r + step_r, t=x.t + step_t))
+        minus = pf.field(basis, kind, SpacetimePoint(r=x.r - step_r, t=x.t - step_t))
+        return tuple((p - m) * (0.5 / h) for p, m in zip(plus, minus))
+
+    def grad(kind):
+        return [derivative(kind, dr=axis) for axis in np.eye(3, dtype=int)]
+
+    def curl(g):
+        return (g[1][2] - g[2][1], g[2][0] - g[0][2], g[0][1] - g[1][0])
+
+    def divergence(g):
+        return g[0][0] + g[1][1] + g[2][2]
+
+    def max_over(ops):
+        return max(op.max_abs() for op in ops)
+
+    c = basis.config.c
+    grad_e, grad_b = grad(FieldKind.E), grad(FieldKind.B)
+    de_dt, db_dt, da_dt = (derivative(kind, dt=1) for kind in (FieldKind.E, FieldKind.B, FieldKind.A))
+    e_ops, b_ops = pf.field(basis, FieldKind.E, x), pf.field(basis, FieldKind.B, x)
+    return {
+        "faraday": max_over(-1.0 * ce - db * (1.0 / c) for ce, db in zip(curl(grad_e), db_dt)),
+        "ampere": max_over(cb - de * (1.0 / c) for cb, de in zip(curl(grad_b), de_dt)),
+        "div_e": divergence(grad_e).max_abs(),
+        "div_b": divergence(grad_b).max_abs(),
+        "potential_time": max_over(e + da * (1.0 / c) for e, da in zip(e_ops, da_dt)),
+        "potential_curl": max_over(b - ca for b, ca in zip(b_ops, curl(grad(FieldKind.A)))),
+    }

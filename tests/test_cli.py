@@ -179,7 +179,7 @@ def test_nonfinite_grid_rejected_at_parse(tmp_path, capsys, where, value):
         assert f"scenario.grid.{where}" in capsys.readouterr().err
     # Finite ends whose span overflows are still refused.
     spec = cli.GridSpec(t_start=-1.7e308, t_stop=1.7e308, samples=3, r=(0.0, 0.0, 0.0))
-    with pytest.raises(ValueError, match="finite"), np.errstate(over="ignore", invalid="ignore"):
+    with pytest.raises(cli.ConfigError, match="scenario.grid.*finite"), np.errstate(over="ignore", invalid="ignore"):
         spec.arrays()
 
 
@@ -334,6 +334,80 @@ def test_bad_state_rejected_whatever_checks(tmp_path, capsys, state, where):
     config = write_scenario(tmp_path, data)
     assert cli.main(["verify", "--config", config, "--out", str(tmp_path / "o")]) == 2
     assert where in capsys.readouterr().err
+
+
+def _superposition(*amplitudes):
+    terms = [{"occupancies": [i, 0, 0, 0], "amplitude": a} for i, a in enumerate(amplitudes)]
+    return {"kind": "superposition", "terms": terms}
+
+
+@pytest.mark.parametrize(
+    "where,value,flags,path",
+    [
+        (("grid", "r"), [0, 0], [], "scenario.grid.r"),
+        (("grid",), 5, [], "scenario.grid"),
+        (("vacuum_scan",), 3, [], "scenario.vacuum_scan"),
+        (("lattice", "modes"), 4, [], "scenario.lattice.modes"),
+        (("grid", "t_start"), "zero", [], "scenario.grid.t_start"),
+        (("state", "alpha"), ["half", 0], [], "scenario.state.alpha[0]"),
+        (("state", "alpha"), [40.0, 0.0], [], "scenario.state.alpha"),
+        (("state",), _superposition([1.0, 0.0], [None, 0.0]), [], "scenario.state.terms[1].amplitude[0]"),
+        (("state",), _superposition([0.0, 0.0], [0, 0]), [], "scenario.state.terms"),
+        (("lattice", "gauge_reference"), [0, 1], [], "scenario.lattice.gauge_reference"),
+        (("lattice", "gauge_reference"), [0, 0, 1], [], "scenario.lattice.gauge_reference"),
+        (("seed",), True, [], "scenario.seed"),
+        ((), None, ["--seed", "-1"], "--seed"),
+    ],
+    ids=[
+        "grid_r_length", "grid_not_object", "vacuum_scan_not_object", "modes_not_list", "t_start_text",
+        "alpha_text", "alpha_underflows", "amplitude_null", "amplitudes_all_zero", "gauge_length",
+        "gauge_parallel", "seed_bool", "seed_flag_negative",
+    ],
+)
+def test_bad_scenario_field_rejected_at_parse(tmp_path, capsys, where, value, flags, path):
+    data = default_data()
+    data["checks"] = ["polarization"]
+    if where:
+        *parents, key = where
+        target = data
+        for name in parents:
+            target = target[name]
+        target[key] = value
+    config = write_scenario(tmp_path, data)
+    out = tmp_path / "o"
+    assert cli.main(["verify", "--config", config, "--out", str(out), *flags]) == 2
+    assert path in capsys.readouterr().err
+    assert not (out / "report.json").exists()
+
+
+def test_repeated_superposition_term_rejected(tmp_path, capsys):
+    data = default_data()
+    data["state"] = _superposition([1.0, 0.0], [0.5, 0.0])
+    data["state"]["terms"][1]["occupancies"] = [0, 0, 0, 0]
+    data["checks"] = ["polarization"]
+    config = write_scenario(tmp_path, data)
+    assert cli.main(["verify", "--config", config, "--out", str(tmp_path / "o")]) == 2
+    assert "scenario.state.terms[1].occupancies" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", ["a@x", "N@1.5", "Ex@0,0,nan,0"])
+def test_bad_operator_argument_rejected(tmp_path, capsys, name):
+    assert cli.main(["dump-operator", "--out", str(tmp_path / "o"), "--operator", name]) == 2
+    assert repr(name) in capsys.readouterr().err
+
+
+def test_error_inside_a_check_is_not_reported_as_configuration(tmp_path, monkeypatch):
+    from photonfield import fields
+
+    def broken(*args, **kwargs):
+        raise ValueError("defect inside a check")
+
+    monkeypatch.setattr(fields, "check_maxwell", broken)
+    data = default_data()
+    data["checks"] = ["maxwell"]
+    config = write_scenario(tmp_path, data)
+    with pytest.raises(ValueError, match="defect inside a check"):
+        cli.main(["verify", "--config", config, "--out", str(tmp_path / "o")])
 
 
 class ScriptedNormal:

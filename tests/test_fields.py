@@ -289,11 +289,41 @@ def test_divergence_vanishes_for_transverse_mode(single_mode_basis):
     assert res["div_e"] < 1e-6 * scale
 
 
+@pytest.mark.parametrize("method,h", [("analytic", 1e-3), ("analytic", 5e-4), ("fd", 1e-3), ("fd", 5e-4)])
+def test_maxwell_residuals_equal_operator_oracle(standard_basis, offaxis_basis, three_mode_basis, method, h):
+    points = (point(0.3, -0.2, 0.15, t=0.1), point(-2.1, 0.7, 1.3, t=-0.8), point(4.0, -3.5, 0.02, t=1.9))
+    for basis in (standard_basis, offaxis_basis, three_mode_basis):
+        for x in points:
+            got = pf.check_maxwell(basis, x, h, method=method)
+            got.update(pf.check_derivative_relations(basis, x, h, method=method))
+            assert got == oracles.maxwell_oracle(basis, x, h, method)
+
+
+def test_maxwell_residuals_assemble_no_operator(standard_basis, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a sparse operator was assembled")
+
+    monkeypatch.setattr(pf.SparseOperator, "__init__", refuse)
+    x = point(0.3, -0.2, 0.15, t=0.1)
+    for method in ("analytic", "fd"):
+        pf.check_maxwell(standard_basis, x, 1e-3, method=method)
+        pf.check_derivative_relations(standard_basis, x, 1e-3, method=method)
+
+
 def test_bad_method_rejected(standard_basis):
     with pytest.raises(ValueError):
         pf.check_maxwell(standard_basis, ORIGIN, 1e-3, method="spectral")
     with pytest.raises(ValueError):
         pf.check_derivative_relations(standard_basis, ORIGIN, -1.0)
+    for method in ("fd", "analytic"):
+        for h in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="step h"):
+                pf.check_maxwell(standard_basis, ORIGIN, h, method=method)
+            with pytest.raises(ValueError, match="step h"):
+                pf.check_derivative_relations(standard_basis, ORIGIN, h, method=method)
+    # A finite step whose stencil overflows is refused too.
+    with pytest.raises(ValueError, match="finite"), np.errstate(over="ignore"):
+        pf.check_maxwell(standard_basis, point(1.7e308, 0.0, 0.0), 1e308)
 
 
 # ---------------------------------------------------------------------------
