@@ -7,6 +7,10 @@ Subcommands:
     vacuum-scan    closed lattice sum of vacuum <E^2> against a momentum cutoff
     dump-operator  export one named operator in coordinate-list text form
 
+parse_scenario checks every field before any work and returns the state as
+the (occupancies, amplitude) terms of ensembles.superposition, so build_state
+parses nothing.  --operator is parsed into a builder before any basis is built.
+
 Exit codes: 0 all checks pass, 1 at least one residual exceeded its
 tolerance, 2 configuration or precondition error (ConfigError,
 CompletenessError, LatticeSizeError); any other exception is a defect and
@@ -21,6 +25,7 @@ import json
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -59,29 +64,29 @@ class GridSpec:
     t_stop: float
     samples: int
     r: tuple[float, float, float]
-    kind: str = "E"
+    kind: FieldKind = FieldKind.E
 
     def arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """Stacked sample positions (samples, 3) and times (samples,), all finite."""
-        t = np.linspace(self.t_start, self.t_stop, self.samples)
+        with np.errstate(over="ignore", invalid="ignore"):
+            t = np.linspace(self.t_start, self.t_stop, self.samples)
         r = np.tile(self.r, (self.samples, 1))
         if not (np.all(np.isfinite(r)) and np.all(np.isfinite(t))):
             raise ConfigError("scenario.grid: every sample point must be finite")
         return r, t
 
-    def points(self) -> list[SpacetimePoint]:
-        r, t = self.arrays()
-        return [SpacetimePoint(r=row, t=float(v)) for row, v in zip(r, t)]
+
+SCAN_CUTOFFS = (1, 2, 3, 4)
 
 
 @dataclass(frozen=True)
 class Scenario:
     lattice: LatticeConfig
-    state: dict
+    state: tuple[tuple[tuple[int, ...], complex], ...]  # (occupancies, amplitude) terms
     checks: tuple[str, ...]
     seed: int
     grid: GridSpec | None = None
-    scan_cutoffs: tuple[int, ...] = (1, 2, 3, 4)
+    scan_cutoffs: tuple[int, ...] = SCAN_CUTOFFS
 
 
 DEFAULT_SCENARIO = {
@@ -116,13 +121,13 @@ DEFAULT_SCENARIO = {
 }
 
 
-def _require_keys(data, allowed: set[str], required: set[str], path: str) -> None:
+def _require_keys(data, path: str, required: set[str], optional: set[str] = frozenset()) -> None:
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: must be an object, got {data!r}")
     for key in data:
-        if key not in allowed:
+        if key not in required and key not in optional:
             raise ConfigError(f"{path}: unknown key {key!r}")
-    for key in required:
+    for key in sorted(required):
         if key not in data:
             raise ConfigError(f"{path}: missing required key {key!r}")
 
@@ -132,7 +137,7 @@ def _is_int(value) -> bool:
 
 
 def _parse_mode_key(data, path: str) -> tuple[int, tuple[int, int, int]]:
-    _require_keys(data, {"s", "n"}, {"s", "n"}, path)
+    _require_keys(data, path, {"s", "n"})
     s = data["s"]
     n = data["n"]
     if not _is_int(s) or s not in (1, -1):
@@ -181,26 +186,28 @@ def _check_gauge_reference(data, modes, path: str) -> tuple[float, float, float]
     return reference
 
 
-def _check_occupancies(data, lattice: LatticeConfig, path: str) -> None:
+def _parse_occupancies(data, lattice: LatticeConfig, path: str) -> tuple[int, ...]:
     if not (isinstance(data, list) and len(data) == len(lattice.modes)):
         raise ConfigError(f"{path}: must be a list of {len(lattice.modes)} occupancies, one per lattice mode")
     for i, v in enumerate(data):
         if not _is_int(v) or not 0 <= v <= lattice.n_max:
             raise ConfigError(f"{path}[{i}]: occupancy must be an integer in 0..{lattice.n_max} (n_max), got {v!r}")
+    return tuple(data)
 
 
-def _check_state(state, lattice: LatticeConfig) -> None:
-    """Validate scenario.state against the lattice, whichever checks run."""
+def _parse_state(state, lattice: LatticeConfig) -> dict[tuple[int, ...], complex]:
+    """scenario.state as the {occupancies: amplitude} terms ensembles.superposition takes."""
     if not isinstance(state, dict) or "kind" not in state:
         raise ConfigError("scenario.state: must be an object with a 'kind'")
     kind = state["kind"]
     if kind == "vacuum":
-        _require_keys(state, {"kind"}, {"kind"}, "scenario.state")
-    elif kind == "number":
-        _require_keys(state, {"kind", "occupancies"}, {"kind", "occupancies"}, "scenario.state")
-        _check_occupancies(state["occupancies"], lattice, "scenario.state.occupancies")
-    elif kind == "coherent":
-        _require_keys(state, {"kind", "alpha", "mode", "cap"}, {"kind", "alpha", "mode", "cap"}, "scenario.state")
+        _require_keys(state, "scenario.state", {"kind"})
+        return {(0,) * len(lattice.modes): 1.0}
+    if kind == "number":
+        _require_keys(state, "scenario.state", {"kind", "occupancies"})
+        return {_parse_occupancies(state["occupancies"], lattice, "scenario.state.occupancies"): 1.0}
+    if kind == "coherent":
+        _require_keys(state, "scenario.state", {"kind", "alpha", "mode", "cap"})
         mode = _parse_mode_key(state["mode"], "scenario.state.mode")
         if mode not in lattice.modes:
             raise ConfigError(f"scenario.state.mode: mode {mode} is not on the lattice")
@@ -214,45 +221,40 @@ def _check_state(state, lattice: LatticeConfig) -> None:
             amplitudes = ()
         if not any(amplitudes):
             raise ConfigError(f"scenario.state.alpha: the coherent profile up to cap {cap} is zero in floating point")
-    elif kind == "superposition":
-        _require_keys(state, {"kind", "terms"}, {"kind", "terms"}, "scenario.state")
-        if not isinstance(state["terms"], list) or not state["terms"]:
-            raise ConfigError("scenario.state.terms: must be a nonempty list")
-        seen, amplitudes = set(), []
-        for i, term in enumerate(state["terms"]):
-            path = f"scenario.state.terms[{i}]"
-            _require_keys(term, {"occupancies", "amplitude"}, {"occupancies", "amplitude"}, path)
-            _check_occupancies(term["occupancies"], lattice, f"{path}.occupancies")
-            occupancies = tuple(term["occupancies"])
-            if occupancies in seen:
-                raise ConfigError(f"{path}.occupancies: repeats an earlier term's occupancies")
-            seen.add(occupancies)
-            amplitudes.append(_parse_complex(term["amplitude"], f"{path}.amplitude"))
-        if not any(amplitudes):
-            raise ConfigError("scenario.state.terms: the amplitudes must not all be zero")
-    else:
+        j = lattice.modes.index(mode)
+        return {tuple(n if i == j else 0 for i in range(len(lattice.modes))): a for n, a in enumerate(amplitudes)}
+    if kind != "superposition":
         raise ConfigError(f"scenario.state.kind: unknown state kind {kind!r}")
+    _require_keys(state, "scenario.state", {"kind", "terms"})
+    if not isinstance(state["terms"], list) or not state["terms"]:
+        raise ConfigError("scenario.state.terms: must be a nonempty list")
+    terms = {}
+    for i, term in enumerate(state["terms"]):
+        path = f"scenario.state.terms[{i}]"
+        _require_keys(term, path, {"occupancies", "amplitude"})
+        occupancies = _parse_occupancies(term["occupancies"], lattice, f"{path}.occupancies")
+        if occupancies in terms:
+            raise ConfigError(f"{path}.occupancies: repeats an earlier term's occupancies")
+        terms[occupancies] = _parse_complex(term["amplitude"], f"{path}.amplitude")
+    if not any(terms.values()):
+        raise ConfigError("scenario.state.terms: the amplitudes must not all be zero")
+    # FockState divides by this norm; overflowing squares make it inf and the state zero.
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(np.array(list(terms.values()))))
+    if not 0 < norm < np.inf:
+        raise ConfigError(f"scenario.state.terms: the amplitude norm must be finite and nonzero, got {norm!r}")
+    return terms
 
 
 def parse_scenario(data: dict) -> Scenario:
     if not isinstance(data, dict):
         raise ConfigError("scenario: top level must be an object")
-    _require_keys(
-        data,
-        {"schema", "lattice", "state", "checks", "grid", "vacuum_scan", "seed"},
-        {"schema", "lattice", "state", "checks", "seed"},
-        "scenario",
-    )
+    _require_keys(data, "scenario", {"schema", "lattice", "state", "checks", "seed"}, {"grid", "vacuum_scan"})
     if data["schema"] != SCHEMA_VERSION:
         raise ConfigError(f"scenario.schema: expected {SCHEMA_VERSION}, got {data['schema']!r}")
 
     lat = data["lattice"]
-    _require_keys(
-        lat,
-        {"length", "n_max", "hbar", "c", "modes", "gauge_reference"},
-        {"length", "n_max", "modes"},
-        "scenario.lattice",
-    )
+    _require_keys(lat, "scenario.lattice", {"length", "n_max", "modes"}, {"hbar", "c", "gauge_reference"})
     if not isinstance(lat["modes"], list):
         raise ConfigError(f"scenario.lattice.modes: must be a list of modes, got {lat['modes']!r}")
     modes = tuple(
@@ -272,8 +274,7 @@ def parse_scenario(data: dict) -> Scenario:
         path = "scenario.lattice.gauge_reference"
         lattice = replace(lattice, gauge_reference=_check_gauge_reference(lat["gauge_reference"], lattice.modes, path))
 
-    state = data["state"]
-    _check_state(state, lattice)
+    state = _parse_state(data["state"], lattice)
 
     checks = data["checks"]
     if not isinstance(checks, list) or not checks:
@@ -287,12 +288,7 @@ def parse_scenario(data: dict) -> Scenario:
     grid = None
     if "grid" in data:
         g = data["grid"]
-        _require_keys(
-            g,
-            {"t_start", "t_stop", "samples", "r", "kind"},
-            {"t_start", "t_stop", "samples", "r"},
-            "scenario.grid",
-        )
+        _require_keys(g, "scenario.grid", {"t_start", "t_stop", "samples", "r"}, {"kind"})
         kind_name = g.get("kind", "E")
         if kind_name not in ("E", "B", "A"):
             raise ConfigError(f"scenario.grid.kind: must be one of E, B, A, got {kind_name!r}")
@@ -301,13 +297,14 @@ def parse_scenario(data: dict) -> Scenario:
             t_stop=_finite(g["t_stop"], "scenario.grid.t_stop"),
             samples=_positive_int(g["samples"], "scenario.grid.samples"),
             r=_finite_vector(g["r"], "scenario.grid.r"),
-            kind=kind_name,
+            kind=FieldKind(kind_name),
         )
+        grid.arrays()  # finite ends can still overflow between them
 
-    cutoffs = (1, 2, 3, 4)
+    cutoffs = SCAN_CUTOFFS
     if "vacuum_scan" in data:
         vs = data["vacuum_scan"]
-        _require_keys(vs, {"cutoffs"}, {"cutoffs"}, "scenario.vacuum_scan")
+        _require_keys(vs, "scenario.vacuum_scan", {"cutoffs"})
         path = "scenario.vacuum_scan.cutoffs"
         if not isinstance(vs["cutoffs"], list) or not vs["cutoffs"]:
             raise ConfigError(f"{path}: must be a nonempty list of integers")
@@ -321,7 +318,7 @@ def parse_scenario(data: dict) -> Scenario:
 
     return Scenario(
         lattice=lattice,
-        state=state,
+        state=tuple(state.items()),
         checks=tuple(checks),
         seed=seed,
         grid=grid,
@@ -330,24 +327,7 @@ def parse_scenario(data: dict) -> Scenario:
 
 
 def build_state(scenario: Scenario, basis: FockBasis) -> ensembles.FockState:
-    state = scenario.state
-    kind = state["kind"]
-    if kind == "vacuum":
-        return ensembles.vacuum(basis)
-    if kind == "number":
-        return ensembles.number_state(basis, state["occupancies"])
-    if kind == "coherent":
-        mode = _parse_mode_key(state["mode"], "scenario.state.mode")
-        alpha = _parse_complex(state["alpha"], "scenario.state.alpha")
-        profile = ensembles.coherent_profile(alpha, mode, state["cap"])
-        return ensembles.superposition(basis, profile)
-    if kind == "superposition":
-        terms = {
-            tuple(term["occupancies"]): _parse_complex(term["amplitude"], f"scenario.state.terms[{i}].amplitude")
-            for i, term in enumerate(state["terms"])
-        }
-        return ensembles.superposition(basis, terms)
-    raise ConfigError(f"scenario.state.kind: unknown state kind {kind!r}")
+    return ensembles.superposition(basis, dict(scenario.state))
 
 
 # ---------------------------------------------------------------------------
@@ -655,16 +635,15 @@ def check_expectations(ctx: RunContext) -> list[Record]:
     basis = ctx.basis
     scenario = ctx.scenario
     state = build_state(scenario, basis)
-    rng = ctx.rng("expectations")
     if scenario.grid is not None:
-        points = scenario.grid.points()
+        r, t = scenario.grid.arrays()
     else:
-        points = [
-            SpacetimePoint(r=rng.uniform(-1, 1, size=3), t=float(rng.uniform(-1, 1)))
-            for _ in range(8)
-        ]
+        # Row by row, the stream of 8 draws of uniform(size=3) then uniform().
+        draws = ctx.rng("expectations").uniform(-1, 1, size=(8, 4))
+        r, t = draws[:, :3], draws[:, 3]
     worst_two_path = 0.0
-    for pt in points:
+    for row, v in zip(r, t):
+        pt = SpacetimePoint(r=row, t=float(v))
         for kind in (FieldKind.E, FieldKind.B, FieldKind.A):
             closed = ensembles.field_expectation_closed_form(state, kind, pt)
             comps = fields.field(basis, kind, pt)
@@ -681,7 +660,7 @@ def check_expectations(ctx: RunContext) -> list[Record]:
     e2_closed = ensembles.vacuum_field_square(basis)
     vac_residual = abs(e2_matrix - e2_closed) / e2_closed
     return [
-        ctx.record("expectations.two_path", {"points": len(points)}, worst_two_path, 1e-10),
+        ctx.record("expectations.two_path", {"points": len(t)}, worst_two_path, 1e-10),
         ctx.record("expectations.vacuum_square", {"at": "origin"}, vac_residual, 1e-12),
     ]
 
@@ -730,7 +709,7 @@ def run_expect(scenario: Scenario, out_dir: Path) -> int:
     basis = fock.build_basis(scenario.lattice)
     state = build_state(scenario, basis)
     r, t = scenario.grid.arrays()
-    table = ensembles.mean_field_table(state, FieldKind(scenario.grid.kind), r, t)
+    table = ensembles.mean_field_table(state, scenario.grid.kind, r, t)
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / "grid.csv"
     with path.open("w") as stream:
@@ -752,43 +731,35 @@ def run_vacuum_scan(scenario: Scenario, out_dir: Path) -> int:
     return 0
 
 
-def _named_operator(name: str, basis: FockBasis) -> fock.SparseOperator:
-    simple = {
-        "N": lambda: fock.total_number(basis),
-        "H": lambda: fields.observable_H(basis),
-        "Px": lambda: fields.observable_P(basis)[0],
-        "Py": lambda: fields.observable_P(basis)[1],
-        "Pz": lambda: fields.observable_P(basis)[2],
-        "Sx": lambda: fields.observable_S(basis)[0],
-        "Sy": lambda: fields.observable_S(basis)[1],
-        "Sz": lambda: fields.observable_S(basis)[2],
-    }
-    if name in simple:
-        return simple[name]()
-    if "@" in name:
-        head, _, tail = name.partition("@")
-        if head in ("a", "adag", "N"):
-            try:
-                j = int(tail)
-            except ValueError:
-                j = -1
-            if not 0 <= j < basis.n_modes:
-                raise ConfigError(f"operator {name!r}: mode index must be an integer in 0..{basis.n_modes - 1}")
-            mode = basis.modes[j]
-            if head == "a":
-                return fock.annihilation(basis, mode)
-            if head == "adag":
-                return fock.creation(basis, mode)
-            return fock.number_operator(basis, mode)
-        if len(head) == 2 and head[0] in "EBA" and head[1] in "xyz":
-            try:
-                vals = [float(v) for v in tail.split(",")]
-            except ValueError:
-                vals = []
-            if len(vals) != 4 or not np.all(np.isfinite(vals)):
-                raise ConfigError(f"operator {name!r}: expected '<F><c>@rx,ry,rz,t' with 4 finite numbers")
-            x = SpacetimePoint(r=np.array(vals[:3]), t=vals[3])
-            return fields.field_component(basis, FieldKind(head[0]), x, "xyz".index(head[1]))
+def _operator_builder(name: str, lattice: LatticeConfig) -> Callable[[FockBasis], fock.SparseOperator]:
+    """--operator as a builder on the scenario's basis; a bad name is refused before any basis exists."""
+    head, at, tail = name.partition("@")
+    axis = "xyz".find(head[1:]) if len(head) == 2 else -1
+    # Built per call, not at import, so that module functions rebound by a
+    # profiler are the ones called.
+    observables = {"N": fock.total_number, "H": fields.observable_H, "P": fields.observable_P, "S": fields.observable_S}
+    if not at and name in ("N", "H"):
+        return observables[name]
+    if not at and axis >= 0 and head[0] in "PS":
+        return lambda basis: observables[head[0]](basis)[axis]
+    if at and head in ("a", "adag", "N"):
+        try:
+            j = int(tail)
+        except ValueError:
+            j = -1
+        if not 0 <= j < len(lattice.modes):
+            raise ConfigError(f"operator {name!r}: mode index must be an integer in 0..{len(lattice.modes) - 1}")
+        ladder = {"a": fock.annihilation, "adag": fock.creation, "N": fock.number_operator}[head]
+        return lambda basis: ladder(basis, basis.modes[j])
+    if at and axis >= 0 and head[0] in "EBA":
+        try:
+            vals = [float(v) for v in tail.split(",")]
+        except ValueError:
+            vals = []
+        if len(vals) != 4 or not np.all(np.isfinite(vals)):
+            raise ConfigError(f"operator {name!r}: expected '<F><c>@rx,ry,rz,t' with 4 finite numbers")
+        x = SpacetimePoint(r=np.array(vals[:3]), t=vals[3])
+        return lambda basis: fields.field_component(basis, FieldKind(head[0]), x, axis)
     raise ConfigError(
         f"unknown operator {name!r}; use N, H, Px/Py/Pz, Sx/Sy/Sz, a@<mode>, adag@<mode>, "
         f"N@<mode>, or Ex@rx,ry,rz,t (likewise B*, A*)"
@@ -796,8 +767,8 @@ def _named_operator(name: str, basis: FockBasis) -> fock.SparseOperator:
 
 
 def run_dump_operator(scenario: Scenario, out_dir: Path, name: str) -> int:
-    basis = fock.build_basis(scenario.lattice)
-    op = _named_operator(name, basis)
+    build = _operator_builder(name, scenario.lattice)
+    op = build(fock.build_basis(scenario.lattice))
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / "operator.txt"
     with path.open("w") as stream:

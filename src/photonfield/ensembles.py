@@ -40,9 +40,11 @@ class FockState:
         c = np.asarray(self.coefficients, dtype=complex)
         if c.shape != (self.basis.dim,):
             raise ValueError(f"coefficient vector must have length {self.basis.dim}")
-        norm = np.linalg.norm(c)
-        if norm == 0:
-            raise ValueError("state vector must be nonzero")
+        # Squares that overflow make the norm inf, and c / inf the zero vector.
+        with np.errstate(over="ignore"):
+            norm = np.linalg.norm(c)
+        if not 0 < norm < np.inf:
+            raise ValueError(f"state vector must have a finite nonzero norm, got {float(norm)!r}")
         c = np.ascontiguousarray(c / norm)
         c.setflags(write=False)
         object.__setattr__(self, "coefficients", c)
@@ -113,7 +115,8 @@ def superposition(
     c = np.zeros(basis.dim, dtype=complex)
     for occ, amp in coeff_map.items():
         c[basis.index(occ)] = amp
-    deficit = max(0.0, 1.0 - float(np.linalg.norm(c) ** 2))
+    with np.errstate(over="ignore"):
+        deficit = max(0.0, 1.0 - float(np.linalg.norm(c) ** 2))
     return FockState(basis=basis, coefficients=c, norm_deficit=deficit)
 
 

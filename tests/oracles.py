@@ -164,6 +164,15 @@ def random_directions_oracle(rng, count):
     return np.array(out)
 
 
+def expectation_points_oracle(rng, count):
+    """count points drawn one at a time: r = uniform(-1, 1, size=3), then t = uniform(-1, 1)."""
+    r, t = [], []
+    for _ in range(count):
+        r.append(rng.uniform(-1, 1, size=3))
+        t.append(rng.uniform(-1, 1))
+    return np.array(r), np.array(t)
+
+
 def vacuum_scan_oracle(length, hbar, c, cutoff):
     """Vacuum <E^2> summed over |n| <= cutoff by a running total in (nx, ny, nz) order."""
     dp3 = (2.0 * np.pi * hbar / length) ** 3

@@ -161,7 +161,7 @@ def test_expect_grid_equals_pointwise_rows_written_per_value(tmp_path):
     state = cli.build_state(scenario, fock.build_basis(scenario.lattice))
     rows = [
         (pt.t, *pt.r, *ensembles.field_expectation_closed_form(state, FieldKind.E, pt))
-        for pt in scenario.grid.points()
+        for pt in (SpacetimePoint(r=row, t=float(v)) for row, v in zip(*scenario.grid.arrays()))
     ]
     expected = io.StringIO()
     oracles.grid_csv_oracle(rows, expected)
@@ -353,15 +353,25 @@ def _superposition(*amplitudes):
         (("state", "alpha"), [40.0, 0.0], [], "scenario.state.alpha"),
         (("state",), _superposition([1.0, 0.0], [None, 0.0]), [], "scenario.state.terms[1].amplitude[0]"),
         (("state",), _superposition([0.0, 0.0], [0, 0]), [], "scenario.state.terms"),
+        (("state",), _superposition([1e308, 0.0], [1e308, 0.0]), [], "scenario.state.terms"),
+        (("state",), _superposition([1e-200, 0.0]), [], "scenario.state.terms"),
         (("lattice", "gauge_reference"), [0, 1], [], "scenario.lattice.gauge_reference"),
         (("lattice", "gauge_reference"), [0, 0, 1], [], "scenario.lattice.gauge_reference"),
         (("seed",), True, [], "scenario.seed"),
+        (("state",), {"kind": "coherent"}, [], "scenario.state: missing required key 'alpha'"),
+        (
+            ("grid",),
+            {"t_start": -1.7e308, "t_stop": 1.7e308, "samples": 3, "r": [0.0, 0.0, 0.0]},
+            [],
+            "scenario.grid: every sample point must be finite",
+        ),
         ((), None, ["--seed", "-1"], "--seed"),
     ],
     ids=[
         "grid_r_length", "grid_not_object", "vacuum_scan_not_object", "modes_not_list", "t_start_text",
-        "alpha_text", "alpha_underflows", "amplitude_null", "amplitudes_all_zero", "gauge_length",
-        "gauge_parallel", "seed_bool", "seed_flag_negative",
+        "alpha_text", "alpha_underflows", "amplitude_null", "amplitudes_all_zero", "amplitudes_overflow",
+        "amplitudes_underflow", "gauge_length", "gauge_parallel", "seed_bool", "first_missing_key",
+        "grid_span_overflows", "seed_flag_negative",
     ],
 )
 def test_bad_scenario_field_rejected_at_parse(tmp_path, capsys, where, value, flags, path):
@@ -394,6 +404,88 @@ def test_repeated_superposition_term_rejected(tmp_path, capsys):
 def test_bad_operator_argument_rejected(tmp_path, capsys, name):
     assert cli.main(["dump-operator", "--out", str(tmp_path / "o"), "--operator", name]) == 2
     assert repr(name) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "name,message",
+    [
+        ("a@9", "operator 'a@9': mode index must be an integer in 0..3"),
+        (
+            "Q",
+            "unknown operator 'Q'; use N, H, Px/Py/Pz, Sx/Sy/Sz, a@<mode>, adag@<mode>, "
+            "N@<mode>, or Ex@rx,ry,rz,t (likewise B*, A*)",
+        ),
+        ("Ex@0,0,nan,0", "operator 'Ex@0,0,nan,0': expected '<F><c>@rx,ry,rz,t' with 4 finite numbers"),
+    ],
+    ids=["a@9", "Q", "Ex@0,0,nan,0"],
+)
+def test_bad_operator_refused_before_the_basis_is_built(tmp_path, capsys, monkeypatch, name, message):
+    from photonfield import fock
+
+    def build_basis(config):
+        raise AssertionError("basis built before --operator was checked")
+
+    monkeypatch.setattr(fock, "build_basis", build_basis)
+    assert cli.main(["dump-operator", "--out", str(tmp_path / "o"), "--operator", name]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("kind", ["vacuum", "number", "coherent", "superposition"])
+def test_build_state_equals_library_constructors(kind):
+    from photonfield import ensembles, fock
+
+    data = default_data()
+    basis = fock.build_basis(cli.parse_scenario(data).lattice)
+    occupancies = [1, 0, 2, 3]
+    # The coherent mode is the last of the four, and alpha is complex.
+    alpha, mode = complex(0.4, -0.7), (-1, (0, 0, -1))
+    terms = {(0, 0, 0, 0): complex(0.6, 0.1), (1, 0, 0, 0): complex(-0.3, 0.45), (1, 1, 0, 1): complex(0.2, -0.7)}
+    cases = {
+        "vacuum": ({"kind": "vacuum"}, lambda: ensembles.vacuum(basis)),
+        "number": (
+            {"kind": "number", "occupancies": occupancies},
+            lambda: ensembles.number_state(basis, occupancies),
+        ),
+        "coherent": (
+            {"kind": "coherent", "alpha": [alpha.real, alpha.imag], "mode": {"s": -1, "n": [0, 0, -1]}, "cap": 3},
+            lambda: ensembles.superposition(basis, ensembles.coherent_profile(alpha, mode, 3)),
+        ),
+        "superposition": (
+            {
+                "kind": "superposition",
+                "terms": [{"occupancies": list(occ), "amplitude": [a.real, a.imag]} for occ, a in terms.items()],
+            },
+            lambda: ensembles.superposition(basis, terms),
+        ),
+    }
+    data["state"], construct = cases[kind]
+    got = cli.build_state(cli.parse_scenario(data), basis)
+    want = construct()
+    assert got.coefficients.tobytes() == want.coefficients.tobytes()
+    assert got.norm_deficit == want.norm_deficit
+
+
+def test_gridless_expectation_points_draw_the_per_point_stream(monkeypatch):
+    from photonfield import ensembles
+
+    data = default_data()
+    del data["grid"]
+    data["checks"] = ["expectations"]
+    scenario = cli.parse_scenario(data)
+    ctx = cli.RunContext(scenario=scenario, tolerance_scale=1.0, seed=scenario.seed)
+    seen = []
+    closed_form = ensembles.field_expectation_closed_form
+
+    def spy(state, kind, x):
+        if kind is FieldKind.E:
+            seen.append((x.r.copy(), x.t))
+        return closed_form(state, kind, x)
+
+    monkeypatch.setattr(ensembles, "field_expectation_closed_form", spy)
+    cli.check_expectations(ctx)
+    r, t = oracles.expectation_points_oracle(ctx.rng("expectations"), 8)
+    assert np.array_equal([row for row, _ in seen], r)
+    assert [v for _, v in seen] == t.tolist()
 
 
 def test_error_inside_a_check_is_not_reported_as_configuration(tmp_path, monkeypatch):

@@ -146,6 +146,17 @@ def test_empty_superposition_rejected(single_mode_basis):
         pf.superposition(single_mode_basis, {})
 
 
+@pytest.mark.parametrize("value", [1e308, np.inf, np.nan])
+def test_state_with_nonfinite_norm_rejected(single_mode_basis, value):
+    # 1e308 is finite, but its square overflows, so the norm is inf.
+    c = np.zeros(single_mode_basis.dim, dtype=complex)
+    c[:2] = value
+    with pytest.raises(ValueError, match="finite nonzero norm"):
+        pf.FockState(basis=single_mode_basis, coefficients=c)
+    with pytest.raises(ValueError, match="finite nonzero norm"):
+        pf.superposition(single_mode_basis, {(0,): value, (1,): value})
+
+
 # ---------------------------------------------------------------------------
 # closed-form field expectations
 
