@@ -570,59 +570,39 @@ def check_maxwell_suite(ctx: RunContext) -> list[Record]:
 
 def check_commutators(ctx: RunContext) -> list[Record]:
     basis = ctx.basis
-    # Raises CompletenessError (exit 2) when a momentum lacks a helicity.
-    fields.field_commutator_closed_form(
-        basis,
-        FieldKind.E,
-        FieldKind.E,
-        SpacetimePoint(r=np.zeros(3)),
-        SpacetimePoint(r=np.zeros(3)),
-    )
     rng = ctx.rng("commutators")
-    proj = fock.safe_projector(basis, 1)
     length = basis.config.length
-    eye_p = proj @ fock.identity(basis) @ proj
     pairs = 20
-    worst_cross = 0.0
-    worst_closed_eq = 0.0
-    for _ in range(pairs):
-        r1, r2 = rng.uniform(-length / 2, length / 2, size=(2, 3))
-        t1, t2 = rng.uniform(-1.0, 1.0, size=2)
-        x1 = SpacetimePoint(r=r1, t=float(t1))
-        x2 = SpacetimePoint(r=r2, t=float(t2))
-        closed_ee = fields.field_commutator_closed_form(basis, FieldKind.E, FieldKind.E, x1, x2)
-        closed_bb = fields.field_commutator_closed_form(basis, FieldKind.B, FieldKind.B, x1, x2)
-        worst_closed_eq = max(worst_closed_eq, float(np.max(np.abs(closed_ee - closed_bb))))
-        e1 = fields.field(basis, FieldKind.E, x1)
-        e2 = fields.field(basis, FieldKind.E, x2)
-        for i in range(3):
-            for j in range(3):
-                matrix_path = proj @ fock.commutator(e1[i], e2[j]) @ proj
-                target = complex(closed_ee[i, j]) * eye_p
-                worst_cross = max(worst_cross, (matrix_path - target).max_abs())
-    # Equal-time commutators vanish on the safe subspace.
-    worst_equal = 0.0
-    x1 = SpacetimePoint(r=np.array([0.2, 0.4, -0.3]), t=0.5)
-    x2 = SpacetimePoint(r=np.array([-0.1, 0.8, 0.6]), t=0.5)
-    for kind in (FieldKind.E, FieldKind.B):
-        f1 = fields.field(basis, kind, x1)
-        f2 = fields.field(basis, kind, x2)
-        for i in range(3):
-            for j in range(3):
-                worst_equal = max(
-                    worst_equal, (proj @ fock.commutator(f1[i], f2[j]) @ proj).max_abs()
-                )
+    draws = [(rng.uniform(-length / 2, length / 2, size=(2, 3)), rng.uniform(-1.0, 1.0, size=2)) for _ in range(pairs)]
+    # Row `pairs` is an equal-time pair: its commutators vanish on the safe subspace.
+    r = np.stack([d[0] for d in draws] + [np.array([[0.2, 0.4, -0.3], [-0.1, 0.8, 0.6]])])
+    t = np.stack([d[1] for d in draws] + [np.array([0.5, 0.5])])
+    points = [[SpacetimePoint(r=r[p, s], t=float(t[p, s])) for s in (0, 1)] for p in range(pairs)]
+    kinds = ((FieldKind.E, FieldKind.E), (FieldKind.B, FieldKind.B), (FieldKind.E, FieldKind.B))
+    # Raises CompletenessError (exit 2) when a momentum lacks a helicity or its -n.
+    closed = [np.stack([fields.field_commutator_closed_form(basis, *k, *x) for x in points]) for k in kinds]
+    coeffs = [[fields.mode_coefficients(basis, f, r[:, s], t[:, s]) for s, f in enumerate(k)] for k in kinds]
+    w = [fields.commutator_weights(u, v) for u, v in coeffs]
+    # On the margin-1 safe subspace each commutator is the sum of its weights.
+    worst_cross = _worst(*(wk[:pairs].sum(-1) - c for wk, c in zip(w, closed)))
+    worst_equal = _worst(w[0][pairs].sum(-1), w[1][pairs].sum(-1))
+    worst_closed_eq = _worst(closed[0] - closed[1])
+    # Anchor: the first pair's E-E commutators as assembled operators, over the
+    # whole truncated space, against sum_m w_m [a_m, a-dagger_m] (1 below the cap, -n_max at it).
+    d_table = np.where(basis.occupancy_table() < basis.n_max, 1.0, -float(basis.n_max))
+    diagonals = w[0][0] @ d_table.T
+    e1, e2 = (fields.field(basis, FieldKind.E, x) for x in points[0])
+    for i, j in np.ndindex(3, 3):
+        anchor = fock.commutator(e1[i], e2[j]) - fock.diagonal_operator(basis, diagonals[i, j])
+        worst_cross = max(worst_cross, anchor.max_abs())
     # [field, N] equals its sign-flipped closed form everywhere.
     n_op = fock.total_number(basis)
-    worst_number = 0.0
     x = SpacetimePoint(r=np.array([0.7, -0.4, 0.2]), t=0.3)
-    for kind in (FieldKind.E, FieldKind.B, FieldKind.A):
-        comps = fields.field(basis, kind, x)
-        closed = fields.field_number_commutator(basis, kind, x)
-        for i in range(3):
-            worst_number = max(
-                worst_number, (fock.commutator(comps[i], n_op) - closed[i]).max_abs()
-            )
+    worst_number = max(
+        (fock.commutator(op, n_op) - flipped).max_abs()
+        for kind in (FieldKind.E, FieldKind.B, FieldKind.A)
+        for op, flipped in zip(fields.field(basis, kind, x), fields.field_number_commutator(basis, kind, x))
+    )
     return [
         ctx.record("commutators.matrix_vs_closed", {"pairs": pairs, "margin": 1}, worst_cross, 1e-10),
         ctx.record("commutators.equal_time", {"kinds": ["E", "B"]}, worst_equal, 1e-12),

@@ -16,6 +16,11 @@ each is a coefficient array over mode pairs, assembled by fock.ladder_products
 with no quadrature and exact up to floating point and truncation at the
 occupancy cap.  The Maxwell and potential residuals are array expressions over
 the values each field operator stores (fock.ladder_values); none is assembled.
+Ladder operators of different modes commute exactly, even when truncated, so
+two fields with coefficients u, v have the diagonal commutator [F_i, G_j] =
+sum_m (u_mi conj(v_mj) - conj(u_mi) v_mj) [a_m, a-dagger_m] (commutator_weights).
+The closed forms reduce that sum by the helicity completeness relation, so they
+need both helicities of every momentum n, and -n too (else CompletenessError).
 """
 
 from __future__ import annotations
@@ -38,7 +43,7 @@ from .fock import (
 
 
 class CompletenessError(ValueError):
-    """A closed-form result needs both helicities for every lattice momentum."""
+    """A closed-form result needs both helicities of every lattice momentum n, and -n too."""
 
 
 class FieldKind(enum.Enum):
@@ -353,12 +358,28 @@ def check_maxwell(
 # commutator closed forms
 
 
-def _require_completeness(basis: FockBasis) -> None:
-    if not basis.helicities_complete():
+def _require_symmetric(basis: FockBasis) -> None:
+    if not basis.momentum_symmetric():
+        n = next(n for n in basis.momenta() if tuple(-v for v in n) not in basis.momenta())
         raise CompletenessError(
-            "field commutator closed forms need both helicities for every lattice "
-            "momentum (the helicity completeness sum is used in the reduction)"
+            "commutator closed forms need a momentum set closed under n -> -n; "
+            f"-n = {tuple(-v for v in n)} of n = {n} is missing"
         )
+
+
+def commutator_weights(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Per-mode weights w[..., i, j, m] = u_mi conj(v_mj) - conj(u_mi) v_mj, shape (..., 3, 3, n_modes).
+
+    u, v of shape (..., n_modes, 3) are the a-side coefficients of fields F, G.
+    As [a_m, a_l] = [a_m, a-dagger_l] = 0 for l != m hold exactly on the
+    truncated space, [F_i, G_j] = sum_m w_ijm D_m with D_m = [a_m, a-dagger_m]
+    diagonal: 1 below the occupancy cap, -n_max at it.  On the margin-1 safe
+    subspace that is the scalar w.sum(-1); for the (dim, n_modes) table D of
+    the D_m, D @ w[..., i, j, :] is the whole diagonal.
+    """
+    u = np.swapaxes(u, -1, -2)[..., :, None, :]
+    v = np.swapaxes(v, -1, -2)[..., None, :, :]
+    return u * np.conj(v) - np.conj(u) * v
 
 
 def field_commutator_closed_form(
@@ -370,18 +391,23 @@ def field_commutator_closed_form(
 ) -> np.ndarray:
     """Scalar 3x3 commutator kernel [F1_i(x1), F2_j(x2)] for F in {E, B}.
 
-    The helicity sum collapses to the transverse projector, leaving a pure
-    lattice momentum sum.  For momentum sets closed under n -> -n the
-    matrix-path commutator equals this kernel times the identity on the
-    safe subspace.
+    The sum over modes of commutator_weights(F1(x1), F2(x2)), with the
+    helicity sum collapsed to the transverse projector and the n, -n terms
+    paired into a pure lattice momentum sum: every momentum n needs both
+    helicities and -n on the lattice, else CompletenessError.  The matrix
+    path equals this kernel times the identity on the safe subspace.
     """
     kind1, kind2 = FieldKind(kind1), FieldKind(kind2)
     if kind1 is FieldKind.A or kind2 is FieldKind.A:
         raise ValueError("closed-form commutators are provided for the E and B fields only")
-    _require_completeness(basis)
+    if not basis.helicities_complete():
+        raise CompletenessError(
+            "field commutator closed forms need both helicities for every lattice "
+            "momentum (the helicity completeness sum is used in the reduction)"
+        )
+    _require_symmetric(basis)
     hbar = basis.config.hbar
-    rho = x1.r - x2.r
-    tau = x1.t - x2.t
+    rho, tau = x1.r - x2.r, x1.t - x2.t
     dp3 = basis.delta3p
     first = basis.momentum_modes()
     kv = basis.k[first]
@@ -389,15 +415,11 @@ def field_commutator_closed_form(
     phase = np.exp(1j * np.vecdot(basis.p[first], rho) / hbar)[:, None, None]
     if kind1 is kind2:
         proj = np.eye(3) - kv[:, :, None] * kv[:, None, :]
-        terms = (-2j / (2.0 * np.pi * hbar) ** 2) * dp3 * omega * proj * phase * np.sin(
-            omega * tau
-        )
+        terms = (-2j / (2.0 * np.pi * hbar) ** 2) * dp3 * omega * proj * phase * np.sin(omega * tau)
     else:
         eps_k = np.cross(kv[:, None, :], np.eye(3))  # eps_k[m, i, j] = epsilon_ijl k_l
         sign = 1.0 if kind1 is FieldKind.E else -1.0
-        terms = sign * (2.0 / (2.0 * np.pi * hbar) ** 2) * dp3 * omega * eps_k * phase * np.cos(
-            omega * tau
-        )
+        terms = sign * (2.0 / (2.0 * np.pi * hbar) ** 2) * dp3 * omega * eps_k * phase * np.cos(omega * tau)
     return terms.sum(axis=0)
 
 
@@ -406,13 +428,9 @@ def discrete_pauli_jordan(rho: np.ndarray, tau: float, basis: FockBasis) -> floa
 
     D = (-1/(2 pi hbar)^3) sum_n Delta3p exp(i p.rho/hbar) sin(omega tau)/omega,
     summed over distinct lattice momenta.  Real only when the momentum set
-    is closed under n -> -n; asymmetric sets are rejected.
+    is closed under n -> -n; other sets raise CompletenessError.
     """
-    if not basis.momentum_symmetric():
-        raise ValueError(
-            "the commutator kernel needs a momentum set closed under n -> -n; "
-            "an asymmetric set gives a complex (unphysical) value"
-        )
+    _require_symmetric(basis)
     rho = np.asarray(rho, dtype=float)
     hbar = basis.config.hbar
     first = basis.momentum_modes()

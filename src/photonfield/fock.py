@@ -174,8 +174,9 @@ class FockBasis:
         self.eps = np.stack([m.eps for m in self.modes])
         self.k_cross_eps = np.cross(self.k, self.eps)
         self.spin = np.array([m.s * config.hbar for m in self.modes])[:, None] * self.k
+        self._first_modes = np.sort(np.unique(self.n, axis=0, return_index=True)[1])
         for arr in (*self.lowering, self.n, self.omega, self.p, self.k, self.eps,
-                    self.k_cross_eps, self.spin):
+                    self.k_cross_eps, self.spin, self._first_modes):
             arr.setflags(write=False)
 
     # -- index bookkeeping -------------------------------------------------
@@ -208,7 +209,7 @@ class FockBasis:
 
     def momentum_modes(self) -> np.ndarray:
         """Index of the first mode of each distinct lattice momentum, in mode order."""
-        return np.sort(np.unique(self.n, axis=0, return_index=True)[1])
+        return self._first_modes
 
     def momenta(self) -> tuple[IntVec, ...]:
         """Distinct lattice momenta, in first-appearance order."""

@@ -100,6 +100,53 @@ def test_single_helicity_commutator_scenario_exits_2(tmp_path, capsys):
     assert "both helicities" in err
 
 
+def test_asymmetric_momentum_commutator_scenario_exits_2(tmp_path, capsys):
+    data = default_data()
+    data["lattice"]["modes"] = [{"s": s, "n": n} for n in ([0, 0, 1], [1, 0, 0]) for s in (1, -1)]
+    data["lattice"]["n_max"] = 1
+    data["checks"] = ["commutators"]
+    data["state"] = {"kind": "vacuum"}
+    del data["grid"]
+    config = write_scenario(tmp_path, data)
+    assert cli.main(["verify", "--config", config, "--out", str(tmp_path / "o")]) == 2
+    assert "-n = (0, 0, -1) of n = (0, 0, 1) is missing" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_eb_closed_form_sign_error_fails_matrix_vs_closed(tmp_path, monkeypatch):
+    from photonfield import fields
+
+    closed_form = fields.field_commutator_closed_form
+
+    def mixed_sign_flipped(basis, kind1, kind2, x1, x2):
+        value = closed_form(basis, kind1, kind2, x1, x2)
+        return value if kind1 is kind2 else -value
+
+    monkeypatch.setattr(fields, "field_commutator_closed_form", mixed_sign_flipped)
+    out = tmp_path / "o"
+    assert cli.main(["verify", "--out", str(out)]) == 1
+    records = json.loads((out / "report.json").read_text())["records"]
+    assert [r["check"] for r in records if not r["pass"]] == ["commutators.matrix_vs_closed"]
+
+
+def test_commutator_check_assembles_only_the_anchor_and_field_number_fields(monkeypatch):
+    from photonfield import fields
+
+    calls = []
+    field = fields.field
+
+    def counting_field(basis, kind, x):
+        calls.append(kind)
+        return field(basis, kind, x)
+
+    monkeypatch.setattr(fields, "field", counting_field)
+    ctx = cli.RunContext(scenario=cli.parse_scenario(default_data()), tolerance_scale=1.0, seed=1)
+    records = cli.check_commutators(ctx)
+    assert all(r.passed for r in records)
+    # Two E fields for the anchor pair, one field per kind for [field, N].
+    assert len(calls) <= 5
+
+
 def test_unknown_key_rejected(tmp_path, capsys):
     data = default_data()
     data["lattice"]["modees"] = []

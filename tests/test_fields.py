@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import photonfield as pf
-from photonfield.fields import CompletenessError, FieldKind, SpacetimePoint
+from photonfield.fields import CompletenessError, FieldKind, SpacetimePoint, commutator_weights, mode_coefficients
 
 import oracles
 
@@ -22,8 +22,6 @@ def point(rx, ry, rz, t=0.0):
 @pytest.mark.parametrize("dt,dr", [(0, (0, 0, 0)), (1, (0, 0, 0)), (0, (1, 0, 0)), (2, (0, 1, 2))])
 @pytest.mark.parametrize("kind", list(FieldKind))
 def test_stacked_mode_coefficients_equal_pointwise(offaxis_basis, three_mode_basis, kind, dt, dr):
-    from photonfield.fields import mode_coefficients
-
     rng = np.random.default_rng(3)
     r, t = rng.uniform(-4.0, 4.0, size=(25, 3)), rng.uniform(-2.0, 2.0, size=25)
     for basis in (offaxis_basis, three_mode_basis):
@@ -354,6 +352,45 @@ def test_commutator_matrix_path_matches_closed_form(standard_basis):
                     assert (matrix - complex(closed[i, j]) * eye_p).max_abs() < 1e-10
 
 
+@pytest.fixture(scope="module")
+def capped_basis():
+    """Both helicities of +/- z and +/- x momenta, n_max = 1: most states sit at the cap."""
+    modes = tuple((s, n) for n in ((0, 0, 1), (0, 0, -1), (1, 0, 0), (-1, 0, 0)) for s in (1, -1))
+    return pf.build_basis(pf.LatticeConfig(length=2 * np.pi, n_max=1, modes=modes))
+
+
+@pytest.mark.parametrize("fixture", ["standard_basis", "offaxis_basis", "capped_basis"])
+@pytest.mark.parametrize("kinds", ["EE", "BB", "EB", "AE"])
+def test_commutator_weights_give_the_whole_truncated_commutator(request, fixture, kinds):
+    basis = request.getfixturevalue(fixture)
+    kinds = [FieldKind(k) for k in kinds]
+    # [a_m, a-dagger_m] from the Kronecker-product ladder oracle, one column per mode.
+    ladders = [oracles.kron_lowering(basis, m) for m in range(basis.n_modes)]
+    cap = np.stack([(a @ a.conj().T - a.conj().T @ a).diagonal() for a in ladders], axis=1)
+    x1, x2 = point(0.4, -1.1, 0.7, t=0.3), point(-0.9, 0.2, 1.5, t=-0.8)
+    w = commutator_weights(
+        pf.field_mode_coefficients(basis, kinds[0], x1), pf.field_mode_coefficients(basis, kinds[1], x2)
+    )
+    f1, f2 = pf.field(basis, kinds[0], x1), pf.field(basis, kinds[1], x2)
+    for i in range(3):
+        for j in range(3):
+            matrix = pf.commutator(f1[i], f2[j]).to_dense()
+            assert np.max(np.abs(matrix - np.diag(cap @ w[i, j]))) <= 1e-15
+
+
+def test_commutator_weights_sum_to_the_closed_forms(standard_basis, offaxis_basis):
+    rng = np.random.default_rng(11)
+    for basis in (standard_basis, offaxis_basis):
+        r, t = rng.uniform(-3, 3, size=(2, 6, 3)), rng.uniform(-1, 1, size=(2, 6))
+        for k1, k2 in ((FieldKind.E, FieldKind.E), (FieldKind.B, FieldKind.B), (FieldKind.E, FieldKind.B)):
+            sums = commutator_weights(mode_coefficients(basis, k1, r[0], t[0]), mode_coefficients(basis, k2, r[1], t[1]))
+            sums = sums.sum(-1)
+            for p in range(6):
+                x1, x2 = SpacetimePoint(r=r[0, p], t=float(t[0, p])), SpacetimePoint(r=r[1, p], t=float(t[1, p]))
+                closed = pf.field_commutator_closed_form(basis, k1, k2, x1, x2)
+                assert np.max(np.abs(sums[p] - closed)) < 1e-15
+
+
 def test_ee_and_bb_closed_forms_agree(standard_basis):
     x1 = point(1.2, -0.3, 0.4, t=0.6)
     x2 = point(0.1, 0.8, -0.2, t=-0.4)
@@ -378,6 +415,15 @@ def test_closed_form_requires_both_helicities():
     )
     with pytest.raises(CompletenessError):
         pf.field_commutator_closed_form(basis, FieldKind.E, FieldKind.E, ORIGIN, ORIGIN)
+
+
+def test_closed_form_requires_a_momentum_set_closed_under_negation():
+    # Both helicities of +z and +x, no -z and no -x.
+    modes = ((1, (0, 0, 1)), (-1, (0, 0, 1)), (1, (1, 0, 0)), (-1, (1, 0, 0)))
+    basis = pf.build_basis(pf.LatticeConfig(length=2 * np.pi, n_max=1, modes=modes))
+    for kinds in ((FieldKind.E, FieldKind.E), (FieldKind.E, FieldKind.B)):
+        with pytest.raises(CompletenessError, match=r"-n = \(0, 0, -1\) of n = \(0, 0, 1\) is missing"):
+            pf.field_commutator_closed_form(basis, *kinds, ORIGIN, ORIGIN)
 
 
 def test_closed_form_rejects_potential(standard_basis):
