@@ -614,23 +614,31 @@ def check_commutators(ctx: RunContext) -> list[Record]:
 def check_expectations(ctx: RunContext) -> list[Record]:
     basis = ctx.basis
     scenario = ctx.scenario
-    state = build_state(scenario, basis)
+    rng = ctx.rng("expectations")
     if scenario.grid is not None:
         r, t = scenario.grid.arrays()
     else:
         # Row by row, the stream of 8 draws of uniform(size=3) then uniform().
-        draws = ctx.rng("expectations").uniform(-1, 1, size=(8, 4))
+        draws = rng.uniform(-1, 1, size=(8, 4))
         r, t = draws[:, :3], draws[:, 3]
-    worst_two_path = 0.0
-    for row, v in zip(r, t):
-        pt = SpacetimePoint(r=row, t=float(v))
-        for kind in (FieldKind.E, FieldKind.B, FieldKind.A):
-            closed = ensembles.field_expectation_closed_form(state, kind, pt)
-            comps = fields.field(basis, kind, pt)
-            matrix = np.array(
-                [np.real(ensembles.expectation(op, state)) for op in comps]
-            )
-            worst_two_path = max(worst_two_path, float(np.max(np.abs(closed - matrix))))
+    # The scenario state, then a complex random state: its <a_m> != <a-dagger_m>,
+    # so a conjugation error cannot cancel.
+    z = rng.standard_normal((2, basis.dim))
+    states = (build_state(scenario, basis), ensembles.FockState(basis, z[0] + 1j * z[1]))
+    # Matrix side: <a_m> and <a-dagger_m> on assembled ladder operators, summed
+    # over the mode coefficients; closed side: amplitude_profile, mean_field_table.
+    ladders = [(fock.annihilation(basis, m), fock.creation(basis, m)) for m in basis.modes]
+    means = [ensembles.ladder_expectations(s, ladders) for s in states]
+    first = SpacetimePoint(r=r[0], t=float(t[0]))
+    residuals = []
+    for kind in (FieldKind.E, FieldKind.B, FieldKind.A):
+        coeffs = fields.mode_coefficients(basis, kind, r, t)
+        matrix = [ensembles.ladder_mean_field(coeffs, m) for m in means]
+        residuals += [ensembles.mean_field_table(s, kind, r, t)[:, 4:] - m for s, m in zip(states, matrix)]
+        # Anchor: the scenario state's assembled field operators at the first point.
+        assembled = [ensembles.expectation(op, states[0]) for op in fields.field(basis, kind, first)]
+        residuals.append(np.real(assembled) - matrix[0][0])
+    worst_two_path = _worst(*residuals)
     vac = ensembles.vacuum(basis)
     x0 = SpacetimePoint(r=np.zeros(3), t=0.0)
     e_ops = fields.field(basis, FieldKind.E, x0)

@@ -6,10 +6,14 @@ canonical instance shipped here is the Poissonian (coherent) coefficient
 profile C_n = exp(-|alpha|^2/2) alpha^n / sqrt(n!), whose mean field is a
 circularly polarized wave of amplitude set by alpha.
 
-Every closed-form expectation is backed by a matrix path (state vector
-against the operator matrices); the two must agree to 1e-10.  A grid of
-mean fields is one stacked evaluation (mean_field_table) over one amplitude
-profile, and its CSV formats each distinct value of a column once.
+Every closed-form expectation is backed by a matrix path; the two must
+agree to 1e-10.  The matrix path of a mean field takes <a_m> and
+<a-dagger_m> on the assembled per-mode ladder operators
+(ladder_expectations) and sums them over the mode coefficients
+(ladder_mean_field); verify ties that sum to one assembled field operator
+per kind.  A grid of mean fields is one stacked evaluation
+(mean_field_table) over one amplitude profile, and its CSV formats each
+distinct value of a column once.
 """
 
 from __future__ import annotations
@@ -126,6 +130,27 @@ def expectation(op: SparseOperator, state: FockState) -> complex:
         raise BasisMismatchError("operator and state live on different bases")
     c = state.coefficients
     return complex(np.vdot(c, op.matrix @ c))
+
+
+def ladder_expectations(
+    state: FockState, ladders: Sequence[tuple[SparseOperator, SparseOperator]]
+) -> np.ndarray:
+    """(<a_m>, <a-dagger_m>) of every mode, shape (2, n_modes).
+
+    ladders holds the assembled (a_m, a-dagger_m) pair of each mode.  Both
+    expectations are taken on the matrices, so <a-dagger_m> is not assumed
+    to be conj(<a_m>) and neither comes from amplitude_profile.
+    """
+    return np.array([[expectation(op, state) for op in pair] for pair in ladders]).T
+
+
+def ladder_mean_field(coeffs: np.ndarray, means: np.ndarray) -> np.ndarray:
+    """Re sum_m ( coef_m <a_m> + conj(coef_m) <a-dagger_m> ) for coefficients (..., n_modes, 3).
+
+    means is the (2, n_modes) array of ladder_expectations.
+    """
+    coeffs_t = np.swapaxes(coeffs, -1, -2)
+    return np.real(coeffs_t @ means[0] + np.conj(coeffs_t) @ means[1])
 
 
 def amplitude_profile(state: FockState) -> AmplitudeProfile:

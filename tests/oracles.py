@@ -17,6 +17,10 @@ The Maxwell oracle takes every derivative, curl and divergence on
 assembled sparse operators, one component at a time, independent of the
 library's arithmetic on stored ladder values.
 
+The expectations oracle takes each mean field as the expectation of one
+assembled field operator per point and component, independent of the
+library's per-mode ladder expectations.
+
 The writer oracles format every value with its own repr call, one line at
 a time, independent of the library's once-per-distinct-value formatting.
 """
@@ -171,6 +175,15 @@ def expectation_points_oracle(rng, count):
         r.append(rng.uniform(-1, 1, size=3))
         t.append(rng.uniform(-1, 1))
     return np.array(r), np.array(t)
+
+
+def expectations_oracle(state, kind, r, t):
+    """(N, 3) mean fields: Re <psi|F_i(r[n], t[n])|psi> of one assembled field tuple per point."""
+    out = []
+    for row, v in zip(r, t):
+        ops = pf.field(state.basis, kind, SpacetimePoint(r=row, t=float(v)))
+        out.append([np.real(pf.expectation(op, state)) for op in ops])
+    return np.array(out)
 
 
 def vacuum_scan_oracle(length, hbar, c, cutoff):

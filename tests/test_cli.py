@@ -521,18 +521,71 @@ def test_gridless_expectation_points_draw_the_per_point_stream(monkeypatch):
     scenario = cli.parse_scenario(data)
     ctx = cli.RunContext(scenario=scenario, tolerance_scale=1.0, seed=scenario.seed)
     seen = []
-    closed_form = ensembles.field_expectation_closed_form
+    table = ensembles.mean_field_table
 
-    def spy(state, kind, x):
+    def spy(state, kind, r, t):
         if kind is FieldKind.E:
-            seen.append((x.r.copy(), x.t))
-        return closed_form(state, kind, x)
+            seen.append((r.copy(), t.copy()))
+        return table(state, kind, r, t)
 
-    monkeypatch.setattr(ensembles, "field_expectation_closed_form", spy)
+    monkeypatch.setattr(ensembles, "mean_field_table", spy)
     cli.check_expectations(ctx)
     r, t = oracles.expectation_points_oracle(ctx.rng("expectations"), 8)
-    assert np.array_equal([row for row, _ in seen], r)
-    assert [v for _, v in seen] == t.tolist()
+    assert len(seen) == 2
+    for got_r, got_t in seen:
+        assert np.array_equal(got_r, r)
+        assert got_t.tolist() == t.tolist()
+
+
+@pytest.mark.parametrize("mutant", ["amplitude_profile_conj", "mean_field_conj"])
+def test_conjugation_mutant_fails_two_path(tmp_path, monkeypatch, mutant):
+    from photonfield import ensembles
+
+    if mutant == "amplitude_profile_conj":
+        profile = ensembles.amplitude_profile
+
+        def conj_profile(state):
+            return ensembles.AmplitudeProfile(np.conj(profile(state).amplitudes))
+
+        monkeypatch.setattr(ensembles, "amplitude_profile", conj_profile)
+    else:
+        mean_field = ensembles._mean_field
+        monkeypatch.setattr(ensembles, "_mean_field", lambda coeffs, amps: mean_field(coeffs, np.conj(amps)))
+    out = tmp_path / "o"
+    assert cli.main(["verify", "--out", str(out)]) == 1
+    records = json.loads((out / "report.json").read_text())["records"]
+    assert [r["check"] for r in records if not r["pass"]] == ["expectations.two_path"]
+
+
+@pytest.mark.parametrize("grid", [True, False], ids=["grid", "gridless"])
+def test_expectation_check_assembles_ladders_once_and_four_fields(monkeypatch, grid):
+    from photonfield import fields, fock
+
+    calls = {"field": [], "annihilation": [], "creation": []}
+
+    def counting(module, name):
+        original = getattr(module, name)
+
+        def wrapped(basis, *args):
+            calls[name].append(args[0])
+            return original(basis, *args)
+
+        monkeypatch.setattr(module, name, wrapped)
+
+    counting(fields, "field")
+    counting(fock, "annihilation")
+    counting(fock, "creation")
+    data = default_data()
+    if not grid:
+        del data["grid"]
+    scenario = cli.parse_scenario(data)
+    ctx = cli.RunContext(scenario=scenario, tolerance_scale=1.0, seed=scenario.seed)
+    records = cli.check_expectations(ctx)
+    assert all(r.passed for r in records)
+    # One anchor per kind and the vacuum E.
+    assert len(calls["field"]) <= 4
+    assert calls["annihilation"] == list(ctx.basis.modes)
+    assert calls["creation"] == list(ctx.basis.modes)
 
 
 def test_error_inside_a_check_is_not_reported_as_configuration(tmp_path, monkeypatch):

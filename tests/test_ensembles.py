@@ -348,3 +348,22 @@ def test_mean_field_table_rows_equal_pointwise_closed_form(coherent_state):
             pt = SpacetimePoint(r=ri, t=float(ti))
             f = ensembles.field_expectation_closed_form(coherent_state, kind, pt)
             assert tuple(row) == (pt.t, *pt.r, *f)
+
+
+@pytest.mark.parametrize("basis_name", ["standard_basis", "offaxis_basis", "three_mode_basis"])
+def test_ladder_mean_field_matches_per_point_field_oracle(request, basis_name):
+    from photonfield import ensembles, fields
+
+    basis = request.getfixturevalue(basis_name)
+    rng = np.random.default_rng(31)
+    z = rng.standard_normal((2, basis.dim))
+    coherent = pf.superposition(basis, pf.coherent_profile(complex(0.4, -0.7), basis.modes[0], basis.n_max))
+    random_state = pf.FockState(basis=basis, coefficients=z[0] + 1j * z[1])
+    length = basis.config.length
+    r, t = rng.uniform(-length / 2, length / 2, size=(12, 3)), rng.uniform(-1.0, 1.0, size=12)
+    ladders = [(pf.annihilation(basis, m), pf.creation(basis, m)) for m in basis.modes]
+    for state in (coherent, random_state):
+        means = ensembles.ladder_expectations(state, ladders)
+        for kind in FieldKind:
+            matrix = ensembles.ladder_mean_field(fields.mode_coefficients(basis, kind, r, t), means)
+            assert np.max(np.abs(matrix - oracles.expectations_oracle(state, kind, r, t))) <= 1e-15
