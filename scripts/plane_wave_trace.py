@@ -23,7 +23,7 @@ def main() -> None:
     basis = pf.build_basis(pf.LatticeConfig(length=2 * np.pi, n_max=8, modes=(MODE,)))
     profile = pf.coherent_profile(ALPHA, MODE, cap=8)
     coherent = pf.superposition(basis, profile)
-    omega = basis.modes[0].omega
+    omega = basis.omega[0]
 
     points = [
         SpacetimePoint(r=np.zeros(3), t=float(t))

@@ -32,7 +32,6 @@ from .fock import (
     FockBasis,
     LatticeConfig,
     LatticeSizeError,
-    Mode,
     SparseOperator,
     annihilation,
     build_basis,
@@ -67,7 +66,6 @@ from .fields import (
     zero_point,
 )
 from .ensembles import (
-    AmplitudeProfile,
     FockState,
     ModeProfile,
     amplitude_profile,

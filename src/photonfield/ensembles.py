@@ -24,7 +24,7 @@ from typing import IO, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .fock import BasisMismatchError, FockBasis, Mode, ModeKey, SparseOperator, float_reprs
+from .fock import BasisMismatchError, FockBasis, ModeKey, SparseOperator, float_reprs, mode_key
 from .fields import FieldKind, SpacetimePoint, field_mode_coefficients, mode_coefficients
 
 
@@ -63,13 +63,6 @@ class ModeProfile:
     norm_deficit: float = 0.0
 
 
-@dataclass(frozen=True, eq=False)
-class AmplitudeProfile:
-    """Per-mode ladder expectation <a_m> extracted from a state."""
-
-    amplitudes: np.ndarray  # complex, one entry per basis mode
-
-
 def vacuum(basis: FockBasis) -> FockState:
     c = np.zeros(basis.dim, dtype=complex)
     c[0] = 1.0
@@ -82,14 +75,14 @@ def number_state(basis: FockBasis, occupancies: Sequence[int]) -> FockState:
     return FockState(basis=basis, coefficients=c)
 
 
-def coherent_profile(alpha: complex, mode: Mode | ModeKey, cap: int) -> ModeProfile:
+def coherent_profile(alpha: complex, mode: ModeKey, cap: int) -> ModeProfile:
     """Poissonian coefficient profile for one mode, truncated at cap quanta.
 
     The recorded norm_deficit is the Poisson tail beyond the cap.
     """
     if cap < 0:
         raise ValueError("cap must be nonnegative")
-    key = mode.key if isinstance(mode, Mode) else (int(mode[0]), tuple(int(v) for v in mode[1]))
+    key = mode_key(mode)
     alpha = complex(alpha)
     weight = math.exp(-abs(alpha) ** 2 / 2.0)
     amps = tuple(
@@ -125,7 +118,7 @@ def superposition(
 
 
 def expectation(op: SparseOperator, state: FockState) -> complex:
-    """<psi, Op psi>; real up to roundoff when Op is flagged hermitian."""
+    """<psi, Op psi>; real up to roundoff when Op is hermitian."""
     if op.basis is not state.basis:
         raise BasisMismatchError("operator and state live on different bases")
     c = state.coefficients
@@ -153,8 +146,8 @@ def ladder_mean_field(coeffs: np.ndarray, means: np.ndarray) -> np.ndarray:
     return np.real(coeffs_t @ means[0] + np.conj(coeffs_t) @ means[1])
 
 
-def amplitude_profile(state: FockState) -> AmplitudeProfile:
-    """<a_m> for every mode, computed from coefficient ladder sums.
+def amplitude_profile(state: FockState) -> np.ndarray:
+    """<a_m> for every mode, a complex (n_modes,) array in mode order.
 
     <a_m> = sum_src conj(C[dst]) C[src] amp over the basis's lowering table
     (a_m |src> = amp |dst>); this is the coefficient-weighted form and
@@ -162,8 +155,7 @@ def amplitude_profile(state: FockState) -> AmplitudeProfile:
     """
     src, dst, amp = state.basis.lowering
     c = state.coefficients
-    amps = np.sum(np.conj(c[dst]) * c[src] * amp, axis=1)
-    return AmplitudeProfile(amplitudes=amps)
+    return np.sum(np.conj(c[dst]) * c[src] * amp, axis=1)
 
 
 def _mean_field(coeffs: np.ndarray, amps: np.ndarray) -> np.ndarray:
@@ -180,7 +172,7 @@ def field_expectation_closed_form(
     coefficients that define the field operators.
     """
     coeffs = field_mode_coefficients(state.basis, kind, x)
-    return _mean_field(coeffs, amplitude_profile(state).amplitudes)
+    return _mean_field(coeffs, amplitude_profile(state))
 
 
 def mean_field_table(
@@ -193,8 +185,7 @@ def mean_field_table(
     coefficients of all points are computed once each; every row equals
     field_expectation_closed_form at its point.
     """
-    amps = amplitude_profile(state).amplitudes
-    means = _mean_field(mode_coefficients(state.basis, kind, r, t), amps)
+    means = _mean_field(mode_coefficients(state.basis, kind, r, t), amplitude_profile(state))
     return np.column_stack([t, r, means])
 
 

@@ -31,8 +31,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fock import (
-    ANTIHERMITIAN,
-    HERMITIAN,
     FockBasis,
     SparseOperator,
     diagonal_operator,
@@ -151,14 +149,13 @@ def _ladder_weights(coeffs: np.ndarray, sign: float = 1.0) -> np.ndarray:
 def _field_operators(basis: FockBasis, coeffs: np.ndarray, sign: float = 1.0):
     """sum_m ( c_m a_m + sign * conj(c_m) a-dagger_m ) for each column of coeffs."""
     weights = _ladder_weights(coeffs, sign)
-    flag = HERMITIAN if sign > 0 else ANTIHERMITIAN
-    return tuple(ladder_sum(basis, weights[:, i], flag) for i in range(weights.shape[1]))
+    return tuple(ladder_sum(basis, weights[:, i]) for i in range(weights.shape[1]))
 
 
 def linear_functional(basis: FockBasis, coeffs) -> SparseOperator:
     """Hermitian observable sum_m ( f_m a_m + conj(f_m) a-dagger_m ).
 
-    coeffs maps modes (Mode, (s, n) key, or integer position) to complex
+    coeffs maps modes ((s, n) key or integer position) to complex
     amplitudes; unnamed modes get coefficient zero.
     """
     vec = np.zeros((basis.n_modes, 1), dtype=complex)
@@ -252,14 +249,14 @@ def quadratic_H_from_fields(basis: FockBasis, t: float = 0.0) -> SparseOperator:
     u_e = _amplitudes(basis, FieldKind.E, t)
     u_b = _amplitudes(basis, FieldKind.B, t)
     weights = _box_integral(basis, u_e, u_e, False) + _box_integral(basis, u_b, u_b, False)
-    return ladder_products(basis, weights[..., 0] / (8.0 * np.pi), HERMITIAN)
+    return ladder_products(basis, weights[..., 0] / (8.0 * np.pi))
 
 
 def _cross_observable(basis: FockBasis, u: np.ndarray, v: np.ndarray):
     """(1/8 pi c) Integral (F_u x F_v - F_v x F_u) d^3r, one operator per component."""
     weights = _box_integral(basis, u, v, True) - _box_integral(basis, v, u, True)
     weights /= 8.0 * np.pi * basis.config.c
-    return tuple(ladder_products(basis, weights[..., i], HERMITIAN) for i in range(3))
+    return tuple(ladder_products(basis, weights[..., i]) for i in range(3))
 
 
 def quadratic_P_from_fields(

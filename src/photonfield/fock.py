@@ -2,7 +2,12 @@
 
 Continuum momentum integrals are discretized on a periodic box of side L:
 allowed momenta are p = (2 pi hbar / L) n for nonzero integer 3-vectors n,
-and a mode is one (helicity, n) pair.  The dictionary used throughout:
+and a mode is one (helicity, n) pair, a ModeKey of Python ints (mode_key
+refuses float and bool labels).  FockBasis keeps the mode table as stacked
+arrays, row j = mode j: n, p, omega, k, eps, k x eps and spin, computed in
+one pass with row norms sqrt(vecdot(v, v)) (polarization.row_norms, equal
+bit for bit to np.linalg.norm of one row; np.linalg.norm(v, axis=1) is not).
+The dictionary used throughout:
 
     integral d^3p        ->  sum_n Delta3p,   Delta3p = (2 pi hbar / L)^3
     a_s(p)               ->  a_mode / sqrt(Delta3p)
@@ -30,7 +35,7 @@ from typing import IO, Sequence
 import numpy as np
 import scipy.sparse as sp
 
-from .polarization import Direction, PolarizationTriad, make_triad
+from .polarization import row_norms, triads
 
 IntVec = tuple[int, int, int]
 ModeKey = tuple[int, IntVec]  # (helicity, integer momentum)
@@ -40,11 +45,23 @@ NNZ_BUDGET = 200000
 
 
 class LatticeSizeError(ValueError):
-    """Requested basis exceeds the configured size guards."""
+    """Requested basis exceeds a size guard (DIM_GUARD or NNZ_BUDGET)."""
 
 
 class BasisMismatchError(ValueError):
     """Operators or states built on different bases were combined."""
+
+
+def _integer(value) -> int:
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"mode labels must be integers, got {value!r}")
+    return int(value)
+
+
+def mode_key(mode) -> ModeKey:
+    """(helicity, n) as Python ints; a float or bool label is refused, not truncated."""
+    s, n = mode
+    return _integer(s), tuple(_integer(v) for v in n)
 
 
 @dataclass(frozen=True)
@@ -63,63 +80,29 @@ class LatticeConfig:
     hbar: float = 1.0
     c: float = 1.0
     gauge_reference: tuple[float, float, float] | None = None
-    dim_guard: int = DIM_GUARD
-    nnz_budget: int = NNZ_BUDGET
 
     def __post_init__(self) -> None:
         if self.length <= 0 or self.hbar <= 0 or self.c <= 0:
             raise ValueError("length, hbar and c must be positive")
         if self.n_max < 1:
             raise ValueError(f"n_max must be >= 1, got {self.n_max}")
-        norm_modes = []
-        for s, n in self.modes:
-            n = tuple(int(v) for v in n)
+        norm_modes = tuple(mode_key(m) for m in self.modes)
+        for s, n in norm_modes:
             if s not in (1, -1):
                 raise ValueError(f"helicity must be +1 or -1, got {s}")
             if len(n) != 3:
                 raise ValueError(f"lattice momentum must be a 3-vector, got {n}")
             if n == (0, 0, 0):
                 raise ValueError("zero-momentum mode is excluded (omega = 0)")
-            norm_modes.append((int(s), n))
         if len(set(norm_modes)) != len(norm_modes):
             raise ValueError("duplicate modes in lattice configuration")
         if not norm_modes:
             raise ValueError("at least one mode is required")
-        object.__setattr__(self, "modes", tuple(norm_modes))
+        object.__setattr__(self, "modes", norm_modes)
 
     @property
     def delta3p(self) -> float:
         return (2.0 * np.pi * self.hbar / self.length) ** 3
-
-
-@dataclass(frozen=True, eq=False)
-class Mode:
-    """One (helicity, lattice momentum) pair with its derived kinematics."""
-
-    s: int
-    n: IntVec
-    p: np.ndarray
-    omega: float
-    k: Direction
-    triad: PolarizationTriad
-
-    @property
-    def eps(self) -> np.ndarray:
-        return self.triad.eps(self.s)
-
-    @property
-    def key(self) -> ModeKey:
-        return (self.s, self.n)
-
-
-def _derive_mode(key: ModeKey, config: LatticeConfig) -> Mode:
-    s, n = key
-    nv = np.asarray(n, dtype=float)
-    p = (2.0 * np.pi * config.hbar / config.length) * nv
-    k = Direction(k=nv / np.linalg.norm(nv))
-    omega = config.c * np.linalg.norm(p) / config.hbar
-    ref = None if config.gauge_reference is None else np.asarray(config.gauge_reference)
-    return Mode(s=s, n=n, p=p, omega=float(omega), k=k, triad=make_triad(k, reference=ref))
 
 
 class FockBasis:
@@ -133,21 +116,21 @@ class FockBasis:
 
     def __init__(self, config: LatticeConfig):
         self.config = config
-        self.modes: tuple[Mode, ...] = tuple(_derive_mode(m, config) for m in config.modes)
+        self.modes = config.modes
         self.n_max = config.n_max
         self.n_modes = len(self.modes)
         local = config.n_max + 1
         dim = local**self.n_modes
-        if dim > config.dim_guard:
+        if dim > DIM_GUARD:
             raise LatticeSizeError(
                 f"basis dimension {local}^{self.n_modes} = {dim} exceeds the guard "
-                f"{config.dim_guard}; reduce the mode count or n_max, or raise dim_guard"
+                f"{DIM_GUARD}; reduce the mode count or n_max"
             )
         est_nnz = 2 * self.n_modes * dim
-        if est_nnz > config.nnz_budget:
+        if est_nnz > NNZ_BUDGET:
             raise LatticeSizeError(
                 f"estimated field-operator storage {est_nnz} nonzeros exceeds the budget "
-                f"{config.nnz_budget}; reduce the mode count or n_max, or raise nnz_budget"
+                f"{NNZ_BUDGET}; reduce the mode count or n_max"
             )
         self.dim = dim
         # strides[j] = local^(n_modes - 1 - j): index increment for one
@@ -166,14 +149,17 @@ class FockBasis:
             (src - np.asarray(self.strides)[mode]).astype(np.int32).reshape(shape),
             np.sqrt(by_mode[mode, src]).reshape(shape),
         )
-        # Per-mode arrays, row j = mode j.
-        self.n = np.array([m.n for m in self.modes])
-        self.omega = np.array([m.omega for m in self.modes])
-        self.p = np.stack([m.p for m in self.modes])
-        self.k = np.stack([m.k.k for m in self.modes])
-        self.eps = np.stack([m.eps for m in self.modes])
+        # Mode table, row j = mode j.
+        helicity = np.array([s for s, _ in self.modes])
+        self.n = np.array([n for _, n in self.modes])
+        nv = self.n.astype(float)
+        self.p = (2.0 * np.pi * config.hbar / config.length) * nv
+        self.omega = config.c * row_norms(self.p) / config.hbar
+        self.k = nv / row_norms(nv)[:, None]
+        _, _, eps_plus, eps_minus = triads(self.k, reference=config.gauge_reference)
+        self.eps = np.where(helicity[:, None] == 1, eps_plus, eps_minus)
         self.k_cross_eps = np.cross(self.k, self.eps)
-        self.spin = np.array([m.s * config.hbar for m in self.modes])[:, None] * self.k
+        self.spin = (helicity * config.hbar)[:, None] * self.k
         self._first_modes = np.sort(np.unique(self.n, axis=0, return_index=True)[1])
         for arr in (*self.lowering, self.n, self.omega, self.p, self.k, self.eps,
                     self.k_cross_eps, self.spin, self._first_modes):
@@ -196,12 +182,11 @@ class FockBasis:
             raise ValueError(f"occupancies must lie in 0..{self.n_max}, got {occ}")
         return sum(v * s for v, s in zip(occ, self.strides))
 
-    def mode_index(self, mode: Mode | ModeKey) -> int:
-        key = mode.key if isinstance(mode, Mode) else (int(mode[0]), tuple(int(v) for v in mode[1]))
-        for j, m in enumerate(self.modes):
-            if m.key == key:
-                return j
-        raise KeyError(f"mode {key} is not on the lattice")
+    def mode_index(self, mode: ModeKey) -> int:
+        key = mode_key(mode)
+        if key not in self.modes:
+            raise KeyError(f"mode {key} is not on the lattice")
+        return self.modes.index(key)
 
     @property
     def delta3p(self) -> float:
@@ -213,7 +198,7 @@ class FockBasis:
 
     def momenta(self) -> tuple[IntVec, ...]:
         """Distinct lattice momenta, in first-appearance order."""
-        return tuple(self.modes[j].n for j in self.momentum_modes())
+        return tuple(self.modes[j][1] for j in self.momentum_modes())
 
     def helicities_complete(self) -> bool:
         """True when every lattice momentum carries both helicities."""
@@ -225,21 +210,14 @@ class FockBasis:
         return all(tuple(-v for v in n) in ns for n in ns)
 
 
-HERMITIAN = "hermitian"
-ANTIHERMITIAN = "antihermitian"
-
-
 class SparseOperator:
-    """Complex sparse matrix on a FockBasis with an optional symmetry flag."""
+    """Complex sparse matrix on a FockBasis."""
 
-    def __init__(self, matrix: sp.spmatrix, basis: FockBasis, symmetry: str | None = None):
-        if symmetry not in (None, HERMITIAN, ANTIHERMITIAN):
-            raise ValueError(f"unknown symmetry flag {symmetry!r}")
+    def __init__(self, matrix: sp.spmatrix, basis: FockBasis):
         self.matrix = sp.csr_matrix(matrix, dtype=complex)
         if self.matrix.shape != (basis.dim, basis.dim):
             raise ValueError(f"matrix shape {self.matrix.shape} does not match basis dim {basis.dim}")
         self.basis = basis
-        self.symmetry = symmetry
 
     # -- algebra -------------------------------------------------------------
 
@@ -249,29 +227,26 @@ class SparseOperator:
 
     def __add__(self, other: "SparseOperator") -> "SparseOperator":
         self._same_basis(other)
-        sym = self.symmetry if self.symmetry == other.symmetry else None
-        return SparseOperator(self.matrix + other.matrix, self.basis, sym)
+        return SparseOperator(self.matrix + other.matrix, self.basis)
 
     def __sub__(self, other: "SparseOperator") -> "SparseOperator":
         self._same_basis(other)
-        sym = self.symmetry if self.symmetry == other.symmetry else None
-        return SparseOperator(self.matrix - other.matrix, self.basis, sym)
+        return SparseOperator(self.matrix - other.matrix, self.basis)
 
     def __matmul__(self, other: "SparseOperator") -> "SparseOperator":
         self._same_basis(other)
-        return SparseOperator(self.matrix @ other.matrix, self.basis, None)
+        return SparseOperator(self.matrix @ other.matrix, self.basis)
 
     def __mul__(self, scalar: complex) -> "SparseOperator":
-        sym = self.symmetry if (np.imag(scalar) == 0 and np.real(scalar) != 0) else None
-        return SparseOperator(self.matrix * scalar, self.basis, sym)
+        return SparseOperator(self.matrix * scalar, self.basis)
 
     __rmul__ = __mul__
 
     def __neg__(self) -> "SparseOperator":
-        return SparseOperator(-self.matrix, self.basis, self.symmetry)
+        return SparseOperator(-self.matrix, self.basis)
 
     def dagger(self) -> "SparseOperator":
-        return SparseOperator(self.matrix.conj().T.tocsr(), self.basis, self.symmetry)
+        return SparseOperator(self.matrix.conj().T.tocsr(), self.basis)
 
     # -- inspection ------------------------------------------------------------
 
@@ -279,14 +254,6 @@ class SparseOperator:
         if self.matrix.nnz == 0:
             return 0.0
         return float(np.max(np.abs(self.matrix.data)))
-
-    def symmetry_residual(self) -> float:
-        """Deviation from the flagged symmetry (0.0 when no flag is set)."""
-        if self.symmetry is None:
-            return 0.0
-        sign = 1.0 if self.symmetry == HERMITIAN else -1.0
-        diff = self.matrix - sign * self.matrix.conj().T
-        return 0.0 if diff.nnz == 0 else float(np.max(np.abs(diff.data)))
 
     def to_dense(self) -> np.ndarray:
         return self.matrix.toarray()
@@ -296,13 +263,11 @@ class SparseOperator:
 
 
 def identity(basis: FockBasis) -> SparseOperator:
-    return SparseOperator(sp.identity(basis.dim, dtype=complex, format="csr"), basis, HERMITIAN)
+    return SparseOperator(sp.identity(basis.dim, dtype=complex, format="csr"), basis)
 
 
 def diagonal_operator(basis: FockBasis, values: np.ndarray) -> SparseOperator:
-    values = np.asarray(values)
-    sym = HERMITIAN if np.all(np.isreal(values)) else None
-    return SparseOperator(sp.diags(values.astype(complex), format="csr"), basis, sym)
+    return SparseOperator(sp.diags(np.asarray(values).astype(complex), format="csr"), basis)
 
 
 def build_basis(config: LatticeConfig) -> FockBasis:
@@ -315,7 +280,7 @@ def _ladder_moves(basis: FockBasis) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     return np.concatenate([src, dst]), np.concatenate([dst, src]), np.concatenate([amp, amp])
 
 
-def _assemble(basis: FockBasis, rows, cols, data, symmetry: str | None) -> SparseOperator:
+def _assemble(basis: FockBasis, rows, cols, data) -> SparseOperator:
     """One CSR from coordinate entries; duplicates add, zeros are not stored.
 
     Adding 0.0 turns -0.0 parts into 0.0: exports never show the sign of a zero.
@@ -325,10 +290,10 @@ def _assemble(basis: FockBasis, rows, cols, data, symmetry: str | None) -> Spars
         (data[keep] + 0.0, (rows[keep], cols[keep])), shape=(basis.dim, basis.dim)
     )
     matrix.eliminate_zeros()
-    return SparseOperator(matrix, basis, symmetry)
+    return SparseOperator(matrix, basis)
 
 
-def ladder_sum(basis: FockBasis, weights: np.ndarray, symmetry: str | None = None) -> SparseOperator:
+def ladder_sum(basis: FockBasis, weights: np.ndarray) -> SparseOperator:
     """sum_k weights[k] L_k, for weights of shape (2 n_modes,).
 
     L = (a_1..a_n, a-dagger_1..a-dagger_n); weights = (c, d) gives
@@ -337,7 +302,7 @@ def ladder_sum(basis: FockBasis, weights: np.ndarray, symmetry: str | None = Non
     src, dst, amp = _ladder_moves(basis)
     k = np.flatnonzero(weights)
     data = np.asarray(weights)[k, None] * amp[k]
-    return _assemble(basis, dst[k].ravel(), src[k].ravel(), data.ravel(), symmetry)
+    return _assemble(basis, dst[k].ravel(), src[k].ravel(), data.ravel())
 
 
 def ladder_values(basis: FockBasis, coeffs: np.ndarray) -> np.ndarray:
@@ -349,9 +314,7 @@ def ladder_values(basis: FockBasis, coeffs: np.ndarray) -> np.ndarray:
     return np.swapaxes(coeffs, -1, -2)[..., None] * basis.lowering[2]
 
 
-def ladder_products(
-    basis: FockBasis, weights: np.ndarray, symmetry: str | None = None
-) -> SparseOperator:
+def ladder_products(basis: FockBasis, weights: np.ndarray) -> SparseOperator:
     """sum_{k,l} weights[k, l] L_k L_l, for weights of shape (2 n_modes, 2 n_modes).
 
     Built without sparse products: for each stored entry of L_l (source s,
@@ -366,15 +329,15 @@ def ladder_products(
     k, l = np.nonzero(weights)
     mid = dst[l]
     data = weights[k, l][:, None] * (amp_at[k[:, None], mid] * amp[l])
-    return _assemble(basis, dst_at[k[:, None], mid].ravel(), src[l].ravel(), data.ravel(), symmetry)
+    return _assemble(basis, dst_at[k[:, None], mid].ravel(), src[l].ravel(), data.ravel())
 
 
-def annihilation(basis: FockBasis, mode: Mode | ModeKey) -> SparseOperator:
+def annihilation(basis: FockBasis, mode: ModeKey) -> SparseOperator:
     """a for one mode: a|..n..> = sqrt(n)|..n-1..>, a|vacuum> = 0."""
     return ladder_sum(basis, np.eye(2 * basis.n_modes)[basis.mode_index(mode)])
 
 
-def creation(basis: FockBasis, mode: Mode | ModeKey) -> SparseOperator:
+def creation(basis: FockBasis, mode: ModeKey) -> SparseOperator:
     """a-dagger for one mode; annihilates top-occupancy states (truncation)."""
     return ladder_sum(basis, np.eye(2 * basis.n_modes)[basis.n_modes + basis.mode_index(mode)])
 
@@ -383,7 +346,7 @@ def commutator(a: SparseOperator, b: SparseOperator) -> SparseOperator:
     return a @ b - b @ a
 
 
-def number_operator(basis: FockBasis, mode: Mode | ModeKey) -> SparseOperator:
+def number_operator(basis: FockBasis, mode: ModeKey) -> SparseOperator:
     j = basis.mode_index(mode)
     return diagonal_operator(basis, basis.occupancy_table()[:, j].astype(float))
 

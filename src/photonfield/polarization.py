@@ -43,7 +43,7 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _norms(v: np.ndarray) -> np.ndarray:
+def row_norms(v: np.ndarray) -> np.ndarray:
     """Euclidean norm of each row; equal bit for bit to np.linalg.norm of the row."""
     return np.sqrt(np.vecdot(v, v))
 
@@ -57,7 +57,7 @@ def unit_rows(k) -> np.ndarray:
     k = np.asarray(k, dtype=float)
     if k.ndim != 2 or k.shape[1] != 3:
         raise ValueError(f"directions must be stacked as (N, 3), got shape {k.shape}")
-    norms = _norms(k)
+    norms = row_norms(k)
     bad = np.abs(norms - 1.0) > ATOL
     if bad.any():
         row = int(np.argmax(bad))
@@ -130,7 +130,7 @@ def _frames(k: np.ndarray, reference) -> tuple[np.ndarray, np.ndarray]:
         a = np.asarray(reference, dtype=float)
         a = (a / np.linalg.norm(a))[None]
     e = a - np.vecdot(a, k)[:, None] * k
-    norm = _norms(e)
+    norm = row_norms(e)
     if norm.min() < 1e-6:
         raise ValueError("reference axis is (nearly) parallel to k; pick another gauge reference")
     e = e / norm[:, None]

@@ -23,6 +23,11 @@ library's per-mode ladder expectations.
 
 The writer oracles format every value with its own repr call, one line at
 a time, independent of the library's once-per-distinct-value formatting.
+
+The mode-table oracle builds each mode's kinematics and polarization one
+mode at a time (a Direction, make_triad and 1-D norms), independent of the
+basis's stacked mode table.  The adjoint residual reads hermiticity off the
+matrix itself.
 """
 
 import numpy as np
@@ -45,7 +50,7 @@ def _grid(basis):
     length = basis.config.length
     sizes = []
     for axis in range(3):
-        top = max(abs(m.n[axis]) for m in basis.modes)
+        top = max(abs(n[axis]) for _, n in basis.modes)
         sizes.append(2 * top + 1)
     axes = [np.arange(m) * (length / m) for m in sizes]
     weight = length**3 / (sizes[0] * sizes[1] * sizes[2])
@@ -113,6 +118,34 @@ def poisson_tail(alpha, cap):
         kept += term
         term *= lam / (n + 1)
     return 1.0 - kept
+
+
+def mode_table_oracle(config):
+    """The basis's mode arrays (p, omega, k, eps, k_cross_eps, spin), built mode by mode."""
+    reference = None if config.gauge_reference is None else np.asarray(config.gauge_reference)
+    rows = []
+    for s, n in config.modes:
+        nv = np.asarray(n, dtype=float)
+        p = (2.0 * np.pi * config.hbar / config.length) * nv
+        k = pf.Direction(k=nv / np.linalg.norm(nv))
+        omega = float(config.c * np.linalg.norm(p) / config.hbar)
+        rows.append((p, omega, k.k, pf.make_triad(k, reference=reference).eps(s), s * config.hbar))
+    p, omega, k, eps, s_hbar = zip(*rows)
+    k, eps = np.stack(k), np.stack(eps)
+    return {
+        "p": np.stack(p),
+        "omega": np.array(omega),
+        "k": k,
+        "eps": eps,
+        "k_cross_eps": np.cross(k, eps),
+        "spin": np.array(s_hbar)[:, None] * k,
+    }
+
+
+def adjoint_residual(op, sign=1.0):
+    """max |M - sign M^H| of an operator's matrix: 0 for hermitian (sign 1) or antihermitian (-1)."""
+    diff = (op.matrix - sign * op.matrix.conj().T).tocsr()
+    return float(np.max(np.abs(diff.data), initial=0.0))
 
 
 # Per-direction polarization and helicity construction, one 3-vector at a

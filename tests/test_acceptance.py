@@ -118,7 +118,7 @@ def test_criterion_3_quadratic_reductions(standard_basis):
 def test_criterion_4_maxwell(offaxis_basis):
     crit = Criterion(4, budget_seconds=5.0)
     basis = offaxis_basis
-    assert all(abs(m.omega - 1.0) < 1e-12 for m in basis.modes)
+    assert all(abs(omega - 1.0) < 1e-12 for omega in basis.omega)
     x = SpacetimePoint(r=np.array([0.3, -0.2, 0.15]), t=0.1)
     h = 1e-3
     fd = pf.check_maxwell(basis, x, h, method="fd")
@@ -223,7 +223,7 @@ def test_criterion_7_plane_wave_emergence():
     matrix = np.array([np.real(pf.expectation(op, state)) for op in e_ops])
     expected = np.array([0.0, -alpha / (np.sqrt(2.0) * np.pi), 0.0])
     mean_dev = float(np.max(np.abs(matrix - expected)))
-    omega = basis.modes[0].omega
+    omega = basis.omega[0]
     radii = []
     fz_max = 0.0
     for t in np.linspace(0.0, 2.0 * np.pi / omega, 16, endpoint=False):

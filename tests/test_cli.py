@@ -545,7 +545,7 @@ def test_conjugation_mutant_fails_two_path(tmp_path, monkeypatch, mutant):
         profile = ensembles.amplitude_profile
 
         def conj_profile(state):
-            return ensembles.AmplitudeProfile(np.conj(profile(state).amplitudes))
+            return np.conj(profile(state))
 
         monkeypatch.setattr(ensembles, "amplitude_profile", conj_profile)
     else:

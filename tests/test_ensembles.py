@@ -76,7 +76,7 @@ def test_superposition_half_half_amplitude(single_mode_basis):
     state = pf.superposition(
         single_mode_basis, {(0,): 1 / np.sqrt(2), (1,): 1 / np.sqrt(2)}
     )
-    amps = pf.amplitude_profile(state).amplitudes
+    amps = pf.amplitude_profile(state)
     assert abs(amps[0] - 0.5) < 1e-14
     a = pf.annihilation(single_mode_basis, single_mode_basis.modes[0])
     assert abs(pf.expectation(a, state) - 0.5) < 1e-14
@@ -93,7 +93,7 @@ def test_amplitude_profile_matches_matrix_path(standard_basis, three_mode_basis)
     for basis in (standard_basis, three_mode_basis):
         coeff = rng.standard_normal(basis.dim) + 1j * rng.standard_normal(basis.dim)
         state = pf.FockState(basis=basis, coefficients=coeff)
-        amps = pf.amplitude_profile(state).amplitudes
+        amps = pf.amplitude_profile(state)
         for j, mode in enumerate(basis.modes):
             a = pf.annihilation(basis, mode)
             assert abs(amps[j] - pf.expectation(a, state)) < 1e-12
@@ -172,7 +172,7 @@ def test_coherent_mean_field_reference_value(coherent_state):
 
 
 def test_coherent_trace_is_circular(coherent_state):
-    omega = coherent_state.basis.modes[0].omega
+    omega = coherent_state.basis.omega[0]
     period = 2.0 * np.pi / omega
     radii = []
     for t in np.linspace(0.0, period, 16, endpoint=False):
@@ -208,7 +208,7 @@ def test_two_path_agreement_random_states(standard_basis):
 
 def test_coherent_phase_shifts_the_trace_in_time(coherent_basis):
     delta = 0.9
-    omega = coherent_basis.modes[0].omega
+    omega = coherent_basis.omega[0]
     shifted = pf.superposition(
         coherent_basis, pf.coherent_profile(ALPHA * np.exp(1j * delta), MODE_PLUS_Z, cap=8)
     )

@@ -1,9 +1,13 @@
 import io
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import photonfield as pf
+from photonfield import cli
 from photonfield.fields import FieldKind, SpacetimePoint
 from photonfield.fock import BasisMismatchError, LatticeSizeError, float_reprs
 
@@ -35,10 +39,75 @@ def test_four_mode_dimension(standard_basis):
 
 def test_mode_kinematics():
     basis = pf.build_basis(small_config(length=np.pi, modes=((1, (0, 3, 4)),), hbar=2.0, c=3.0))
-    mode = basis.modes[0]
-    assert np.allclose(mode.p, (2 * np.pi * 2.0 / np.pi) * np.array([0, 3, 4]), atol=0)
-    assert abs(mode.omega - 3.0 * np.linalg.norm(mode.p) / 2.0) < 1e-12
-    assert abs(np.dot(mode.eps, mode.k.k)) < 1e-12
+    assert np.allclose(basis.p[0], (2 * np.pi * 2.0 / np.pi) * np.array([0, 3, 4]), atol=0)
+    assert abs(basis.omega[0] - 3.0 * np.linalg.norm(basis.p[0]) / 2.0) < 1e-12
+    assert abs(np.dot(basis.eps[0], basis.k[0])) < 1e-12
+
+
+MODE_TABLE = ("p", "omega", "k", "eps", "k_cross_eps", "spin")
+SCENARIOS = Path(__file__).resolve().parent.parent / "benchmarks" / "scenarios"
+
+
+def assert_mode_table_matches_oracle(basis):
+    expected = oracles.mode_table_oracle(basis.config)
+    for name in MODE_TABLE:
+        got = getattr(basis, name)
+        assert got.dtype == expected[name].dtype and got.shape == expected[name].shape, name
+        assert got.tobytes() == expected[name].tobytes(), name
+
+
+def test_mode_table_is_bit_identical_to_per_mode_oracle(standard_basis, offaxis_basis, three_mode_basis):
+    benchmark_lattices = [
+        cli.load_scenario(path).lattice
+        for path in (None, str(SCENARIOS / "verify-12m.json"), str(SCENARIOS / "emit-8m.json"))
+    ]
+    gauged = pf.LatticeConfig(
+        length=3.0, n_max=1, modes=((1, (1, 2, 2)), (-1, (0, -1, 3))), gauge_reference=(1.0, 2.0, 0.5)
+    )
+    built = [pf.build_basis(config) for config in (*benchmark_lattices, gauged)]
+    for basis in (standard_basis, offaxis_basis, three_mode_basis, *built):
+        assert_mode_table_matches_oracle(basis)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    length=st.floats(0.01, 1e3),
+    hbar=st.floats(1e-3, 1e3),
+    c=st.floats(1e-3, 1e3),
+    modes=st.lists(
+        st.tuples(st.sampled_from([1, -1]), st.tuples(*[st.integers(-4, 4)] * 3)).filter(lambda m: any(m[1])),
+        min_size=1,
+        max_size=4,
+        unique=True,
+    ),
+)
+def test_mode_table_is_bit_identical_on_random_lattices(length, hbar, c, modes):
+    basis = pf.build_basis(pf.LatticeConfig(length=length, n_max=1, modes=tuple(modes), hbar=hbar, c=c))
+    assert basis.modes == tuple(modes)
+    assert_mode_table_matches_oracle(basis)
+
+
+@pytest.mark.parametrize(
+    "bad", [1.7, 1.0, np.float64(1.0), True, np.bool_(True)],
+    ids=["float", "integral_float", "numpy_float", "bool", "numpy_bool"],
+)
+def test_mode_keys_refuse_floats_and_bools(standard_basis, bad):
+    for key in ((1, (0, 0, bad)), (bad, (0, 0, 1))):
+        with pytest.raises(ValueError, match="integers"):
+            small_config(modes=(key,))
+        with pytest.raises(ValueError, match="integers"):
+            standard_basis.mode_index(key)
+        with pytest.raises(ValueError, match="integers"):
+            pf.coherent_profile(0.5, key, cap=2)
+
+
+def test_mode_keys_accept_numpy_integers(standard_basis):
+    key = (np.int64(-1), np.array([0, 0, -1]))
+    assert standard_basis.mode_index(key) == 3
+    assert pf.coherent_profile(0.5, key, cap=2).mode == (-1, (0, 0, -1))
+    config = small_config(modes=(key,))
+    assert config.modes == ((-1, (0, 0, -1)),)
+    assert all(type(v) is int for v in (config.modes[0][0], *config.modes[0][1]))
 
 
 def test_creation_ladder_factor():
@@ -179,7 +248,6 @@ def test_nnz_budget_guard():
     cfg = small_config(
         n_max=3,
         modes=tuple((s, (0, 0, n)) for s in (1, -1) for n in range(1, 5)),
-        nnz_budget=1000,
     )
     with pytest.raises(LatticeSizeError, match="budget"):
         pf.build_basis(cfg)
@@ -287,8 +355,9 @@ def test_export_matches_per_entry_oracle_empty_and_library_operators(standard_ba
 
 
 def test_symmetry_flags(standard_basis):
-    n = pf.total_number(standard_basis)
-    assert n.symmetry == "hermitian"
-    assert n.symmetry_residual() == 0.0
+    """Hermiticity read off the matrices: N and identity are hermitian, a is neither."""
+    assert oracles.adjoint_residual(pf.total_number(standard_basis)) == 0.0
+    assert oracles.adjoint_residual(pf.identity(standard_basis)) == 0.0
     a = pf.annihilation(standard_basis, standard_basis.modes[0])
-    assert a.symmetry is None
+    assert oracles.adjoint_residual(a) == np.sqrt(3.0)
+    assert oracles.adjoint_residual(a, -1.0) == np.sqrt(3.0)
