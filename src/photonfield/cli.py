@@ -731,17 +731,16 @@ def _operator_builder(name: str, lattice: LatticeConfig) -> Callable[[FockBasis]
     if not at and axis >= 0 and head[0] in "PS":
         return lambda basis: observables[head[0]](basis)[axis]
     if at and head in ("a", "adag", "N"):
-        try:
-            j = int(tail)
-        except ValueError:
-            j = -1
+        j = int(tail) if tail.isascii() and tail.isdigit() else -1
         if not 0 <= j < len(lattice.modes):
             raise ConfigError(f"operator {name!r}: mode index must be an integer in 0..{len(lattice.modes) - 1}")
         ladder = {"a": fock.annihilation, "adag": fock.creation, "N": fock.number_operator}[head]
         return lambda basis: ladder(basis, basis.modes[j])
     if at and axis >= 0 and head[0] in "EBA":
+        # float() also reads "0_3", " 1" and non-ASCII digits; such a name is refused.
+        plain = tail.isascii() and not any(ch == "_" or ch.isspace() for ch in tail)
         try:
-            vals = [float(v) for v in tail.split(",")]
+            vals = [float(v) for v in tail.split(",")] if plain else []
         except ValueError:
             vals = []
         if len(vals) != 4 or not np.all(np.isfinite(vals)):

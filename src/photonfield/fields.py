@@ -10,6 +10,9 @@ potential uses weight c/sqrt(omega) and no factor i; each component is one
 fock.ladder_sum.  mode_coefficients evaluates the coefficients at N
 stacked points at once, (N, 3) positions and (N,) times to an
 (N, n_modes, 3) array; field_mode_coefficients is that core on one point.
+A derivative is the coefficients times one per-mode factor, (-i omega) per
+time derivative and (i p_j / hbar) per derivative along axis j, and a linear
+functional is its (n_modes,) coefficient vector (linear_functional).
 The total energy, momentum and spin are box integrals of quadratic
 densities: the box keeps only mode pairs of equal or opposite momentum, so
 each is a coefficient array over mode pairs, assembled by fock.ladder_products
@@ -91,8 +94,8 @@ def _amplitudes(basis: FockBasis, kind: FieldKind, t) -> np.ndarray:
     """Per-mode coefficient 3-vectors at r = 0 (the a-side of each field).
 
     Row m is the coefficient of a_m; the conjugate multiplies a-dagger.
-    The exp(i p.r / hbar) position factor is applied separately.  A scalar
-    t gives shape (n_modes, 3); times of shape (...) give (..., n_modes, 3).
+    The position factor exp(i p.r / hbar) is _phase.  A scalar t gives
+    shape (n_modes, 3); times of shape (...) give (..., n_modes, 3).
     """
     kind = FieldKind(kind)
     hbar, c = basis.config.hbar, basis.config.c
@@ -104,41 +107,32 @@ def _amplitudes(basis: FockBasis, kind: FieldKind, t) -> np.ndarray:
     return scale * 1j * np.sqrt(basis.omega)[:, None] * pol * phase
 
 
-def mode_coefficients(
-    basis: FockBasis,
-    kind: FieldKind,
-    r: np.ndarray,
-    t,
-    dt: int = 0,
-    dr: tuple[int, int, int] = (0, 0, 0),
-) -> np.ndarray:
+def _phase(basis: FockBasis, r) -> np.ndarray:
+    """exp(i p.r / hbar) per mode at stacked positions: r of shape (..., 3) gives (..., n_modes)."""
+    return np.exp(1j * np.vecdot(basis.p, np.asarray(r)[..., None, :]) / basis.config.hbar)
+
+
+def _derivative_factors(basis: FockBasis, phase: np.ndarray, dt: int, dr) -> np.ndarray:
+    """Per-mode factors of d_t^dt d_r^dr: phase (-i omega)^dt prod_j (i p_j / hbar)^dr_j, in that order."""
+    return phase * (-1j * basis.omega) ** dt * np.prod((1j * basis.p / basis.config.hbar) ** np.asarray(dr), axis=1)
+
+
+def mode_coefficients(basis: FockBasis, kind: FieldKind, r: np.ndarray, t) -> np.ndarray:
     """Coefficient of a_m for each field component at stacked spacetime points.
 
     r of shape (N, 3) and t of shape (N,) give an (N, n_modes, 3) array whose
     row i holds the coefficients at (r[i], t[i]); r of shape (3,) and a
     scalar t give the (n_modes, 3) array of one point.  Every element is
     computed by the same operations as for that point alone.  The points
-    are not validated; SpacetimePoint checks one.
-
-    dt and dr request analytic derivatives: each time derivative multiplies
-    mode m by (-i omega_m), each derivative along axis j by (i p_j / hbar).
+    are not validated; SpacetimePoint checks one.  A derivative of the field
+    is these coefficients times one per-mode factor (field_derivative).
     """
-    hbar = basis.config.hbar
-    factor = np.exp(1j * np.vecdot(basis.p, np.asarray(r)[..., None, :]) / hbar)
-    factor *= (-1j * basis.omega) ** dt
-    factor *= np.prod((1j * basis.p / hbar) ** np.asarray(dr), axis=1)
-    return _amplitudes(basis, kind, t) * factor[..., None]
+    return _amplitudes(basis, kind, t) * _phase(basis, r)[..., None]
 
 
-def field_mode_coefficients(
-    basis: FockBasis,
-    kind: FieldKind,
-    x: SpacetimePoint,
-    dt: int = 0,
-    dr: tuple[int, int, int] = (0, 0, 0),
-) -> np.ndarray:
+def field_mode_coefficients(basis: FockBasis, kind: FieldKind, x: SpacetimePoint) -> np.ndarray:
     """Coefficient of a_m for each field component at one spacetime point, (n_modes, 3)."""
-    return mode_coefficients(basis, kind, x.r, x.t, dt=dt, dr=dr)
+    return mode_coefficients(basis, kind, x.r, x.t)
 
 
 def _ladder_weights(coeffs: np.ndarray, sign: float = 1.0) -> np.ndarray:
@@ -155,14 +149,13 @@ def _field_operators(basis: FockBasis, coeffs: np.ndarray, sign: float = 1.0):
 def linear_functional(basis: FockBasis, coeffs) -> SparseOperator:
     """Hermitian observable sum_m ( f_m a_m + conj(f_m) a-dagger_m ).
 
-    coeffs maps modes ((s, n) key or integer position) to complex
-    amplitudes; unnamed modes get coefficient zero.
+    A functional is its coefficient vector: coeffs is the (n_modes,) array
+    of the f_m, in mode order; any other shape is refused.
     """
-    vec = np.zeros((basis.n_modes, 1), dtype=complex)
-    for key, value in coeffs.items():
-        j = key if isinstance(key, (int, np.integer)) else basis.mode_index(key)
-        vec[int(j)] = value
-    return _field_operators(basis, vec)[0]
+    vec = np.asarray(coeffs)
+    if vec.shape != (basis.n_modes,):
+        raise ValueError(f"expected {basis.n_modes} mode coefficients, got shape {vec.shape}")
+    return _field_operators(basis, vec.astype(complex)[:, None])[0]
 
 
 def field(
@@ -178,14 +171,11 @@ def field_component(basis: FockBasis, kind: FieldKind, x: SpacetimePoint, axis: 
 
 
 def field_derivative(
-    basis: FockBasis,
-    kind: FieldKind,
-    x: SpacetimePoint,
-    dt: int = 0,
-    dr: tuple[int, int, int] = (0, 0, 0),
+    basis: FockBasis, kind: FieldKind, x: SpacetimePoint, dt: int = 0, dr: tuple[int, int, int] = (0, 0, 0)
 ) -> tuple[SparseOperator, SparseOperator, SparseOperator]:
-    """Analytic per-mode derivative of a field; exact, no discretization."""
-    return _field_operators(basis, field_mode_coefficients(basis, kind, x, dt=dt, dr=dr))
+    """Exact derivative d_t^dt d_r^dr of a field at x: its coefficients times one per-mode factor."""
+    factors = _derivative_factors(basis, _phase(basis, x.r), dt, dr)
+    return _field_operators(basis, _amplitudes(basis, kind, x.t) * factors[:, None])
 
 
 def field_number_commutator(
@@ -295,8 +285,9 @@ def _derivatives(basis: FockBasis, kind: FieldKind, x: SpacetimePoint, h: float,
     differences over the 8 points x +/- h e_(t, x, y, z).
     """
     if method == "analytic":
-        coeffs = [field_mode_coefficients(basis, kind, x, dt=dt, dr=dr) for dt, *dr in np.eye(4, dtype=int)]
-        return ladder_values(basis, np.stack(coeffs))
+        amplitudes, phase = _amplitudes(basis, kind, x.t), _phase(basis, x.r)
+        factors = [_derivative_factors(basis, phase, dt, dr) for dt, *dr in np.eye(4, dtype=int)]
+        return ladder_values(basis, amplitudes * np.stack(factors)[..., None])
     steps = h * np.eye(4)
     t = np.concatenate([x.t + steps[:, 0], x.t - steps[:, 0]])
     r = np.concatenate([x.r + steps[:, 1:], x.r - steps[:, 1:]])
@@ -355,13 +346,16 @@ def check_maxwell(
 # commutator closed forms
 
 
-def _require_symmetric(basis: FockBasis) -> None:
+def _momentum_sum(basis: FockBasis, rho: np.ndarray):
+    """First mode, omega and exp(i p.rho / hbar) of each momentum; CompletenessError unless -n is there too."""
     if not basis.momentum_symmetric():
         n = next(n for n in basis.momenta() if tuple(-v for v in n) not in basis.momenta())
         raise CompletenessError(
             "commutator closed forms need a momentum set closed under n -> -n; "
             f"-n = {tuple(-v for v in n)} of n = {n} is missing"
         )
+    first = basis.momentum_modes()
+    return first, basis.omega[first], _phase(basis, rho)[first]
 
 
 def commutator_weights(u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -402,14 +396,9 @@ def field_commutator_closed_form(
             "field commutator closed forms need both helicities for every lattice "
             "momentum (the helicity completeness sum is used in the reduction)"
         )
-    _require_symmetric(basis)
-    hbar = basis.config.hbar
-    rho, tau = x1.r - x2.r, x1.t - x2.t
-    dp3 = basis.delta3p
-    first = basis.momentum_modes()
-    kv = basis.k[first]
-    omega = basis.omega[first][:, None, None]
-    phase = np.exp(1j * np.vecdot(basis.p[first], rho) / hbar)[:, None, None]
+    first, omega, phase = _momentum_sum(basis, x1.r - x2.r)
+    hbar, dp3, tau = basis.config.hbar, basis.delta3p, x1.t - x2.t
+    kv, omega, phase = basis.k[first], omega[:, None, None], phase[:, None, None]
     if kind1 is kind2:
         proj = np.eye(3) - kv[:, :, None] * kv[:, None, :]
         terms = (-2j / (2.0 * np.pi * hbar) ** 2) * dp3 * omega * proj * phase * np.sin(omega * tau)
@@ -427,12 +416,8 @@ def discrete_pauli_jordan(rho: np.ndarray, tau: float, basis: FockBasis) -> floa
     summed over distinct lattice momenta.  Real only when the momentum set
     is closed under n -> -n; other sets raise CompletenessError.
     """
-    _require_symmetric(basis)
-    rho = np.asarray(rho, dtype=float)
+    _, omega, phase = _momentum_sum(basis, np.asarray(rho, dtype=float))
     hbar = basis.config.hbar
-    first = basis.momentum_modes()
-    omega = basis.omega[first]
-    phase = np.exp(1j * np.vecdot(basis.p[first], rho) / hbar)
     total = np.sum(basis.delta3p * phase * np.sin(omega * tau) / omega)
     total *= -1.0 / (2.0 * np.pi * hbar) ** 3
     if abs(total.imag) > 1e-12:

@@ -54,7 +54,7 @@ class BasisMismatchError(ValueError):
 
 def _integer(value) -> int:
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"mode labels must be integers, got {value!r}")
+        raise ValueError(f"mode labels and occupancies must be integers, got {value!r}")
     return int(value)
 
 
@@ -175,7 +175,7 @@ class FockBasis:
         return self._occupancies
 
     def index(self, occupancies: Sequence[int]) -> int:
-        occ = tuple(int(v) for v in occupancies)
+        occ = tuple(_integer(v) for v in occupancies)
         if len(occ) != self.n_modes:
             raise ValueError(f"expected {self.n_modes} occupancies, got {len(occ)}")
         if any(v < 0 or v > self.n_max for v in occ):

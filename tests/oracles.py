@@ -13,6 +13,10 @@ The direction oracles build triads, helicity vectors and random directions
 one 3-vector at a time, and the vacuum-scan oracle sums the lattice by a
 running total, independent of the library's stacked (N, 3) and table code.
 
+The derivative-coefficient oracle evaluates each derivative's coefficients
+at one point by the per-point expression, with its own amplitudes, in place
+of the library's coefficients times a per-mode factor.
+
 The Maxwell oracle takes every derivative, curl and divergence on
 assembled sparse operators, one component at a time, independent of the
 library's arithmetic on stored ladder values.
@@ -250,6 +254,28 @@ def grid_csv_oracle(rows, stream):
     stream.write("t,x,y,z,Fx,Fy,Fz\n")
     for row in rows:
         stream.write(",".join(repr(float(v)) for v in row) + "\n")
+
+
+def derivative_coefficients_oracle(basis, kind, x, dt, dr):
+    """Coefficients of the derivative d_t^dt d_r^dr of E, B or A at x, shape (n_modes, 3).
+
+    The whole per-point expression: the amplitude at r = 0 times the product
+    of exp(i p.r / hbar), (-i omega)^dt and prod_j (i p_j / hbar)^dr_j, taken
+    in that order.  The library multiplies in the same order, so the bits
+    agree and every derivative keeps its bytes.
+    """
+    hbar, c = basis.config.hbar, basis.config.c
+    scale = np.sqrt(basis.delta3p) / (2.0 * np.pi * hbar)
+    time_phase = np.exp(-1j * basis.omega * x.t)[:, None]
+    if kind is FieldKind.A:
+        amplitudes = scale * (c / np.sqrt(basis.omega))[:, None] * basis.eps * time_phase
+    else:
+        pol = basis.eps if kind is FieldKind.E else basis.k_cross_eps
+        amplitudes = scale * 1j * np.sqrt(basis.omega)[:, None] * pol * time_phase
+    factor = np.exp(1j * np.vecdot(basis.p, x.r[None, :]) / hbar)
+    factor *= (-1j * basis.omega) ** dt
+    factor *= np.prod((1j * basis.p / hbar) ** np.asarray(dr), axis=1)
+    return amplitudes * factor[:, None]
 
 
 def maxwell_oracle(basis, x, h, method):

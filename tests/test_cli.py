@@ -447,7 +447,7 @@ def test_repeated_superposition_term_rejected(tmp_path, capsys):
     assert "scenario.state.terms[1].occupancies" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("name", ["a@x", "N@1.5", "Ex@0,0,nan,0"])
+@pytest.mark.parametrize("name", ["a@x", "N@1.5", "Ex@0,0,nan,0", "a@0_1", "a@ 1", "Ex@0_3,0,0,0"])
 def test_bad_operator_argument_rejected(tmp_path, capsys, name):
     assert cli.main(["dump-operator", "--out", str(tmp_path / "o"), "--operator", name]) == 2
     assert repr(name) in capsys.readouterr().err

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import photonfield as pf
+from photonfield import fields
 from photonfield.fields import CompletenessError, FieldKind, SpacetimePoint, commutator_weights, mode_coefficients
 
 import oracles
@@ -19,17 +20,36 @@ def point(rx, ry, rz, t=0.0):
 # field assembly
 
 
-@pytest.mark.parametrize("dt,dr", [(0, (0, 0, 0)), (1, (0, 0, 0)), (0, (1, 0, 0)), (2, (0, 1, 2))])
 @pytest.mark.parametrize("kind", list(FieldKind))
-def test_stacked_mode_coefficients_equal_pointwise(offaxis_basis, three_mode_basis, kind, dt, dr):
+def test_stacked_mode_coefficients_equal_pointwise(offaxis_basis, three_mode_basis, kind):
     rng = np.random.default_rng(3)
     r, t = rng.uniform(-4.0, 4.0, size=(25, 3)), rng.uniform(-2.0, 2.0, size=25)
     for basis in (offaxis_basis, three_mode_basis):
-        stacked = mode_coefficients(basis, kind, r, t, dt=dt, dr=dr)
+        stacked = mode_coefficients(basis, kind, r, t)
         assert stacked.shape == (25, basis.n_modes, 3)
         for row, ri, ti in zip(stacked, r, t):
             x = SpacetimePoint(r=ri, t=float(ti))
-            assert (row == pf.field_mode_coefficients(basis, kind, x, dt=dt, dr=dr)).all()
+            assert (row == pf.field_mode_coefficients(basis, kind, x)).all()
+
+
+@pytest.mark.parametrize("dt,dr", [(0, (0, 0, 0)), (1, (0, 0, 0)), (0, (1, 0, 0)), (2, (0, 1, 2)), (3, (2, 0, 1))])
+@pytest.mark.parametrize("kind", list(FieldKind))
+def test_field_derivative_equals_per_point_formula(offaxis_basis, three_mode_basis, kind, dt, dr):
+    # Coefficients times one per-mode factor equal the per-point derivative
+    # formula bit for bit, so every derivative and export keeps its bytes.
+    rng = np.random.default_rng(4)
+    r, t = rng.uniform(-4.0, 4.0, size=(4, 3)), rng.uniform(-2.0, 2.0, size=4)
+    points = [ORIGIN] + [SpacetimePoint(r=ri, t=float(ti)) for ri, ti in zip(r, t)]
+    for basis in (offaxis_basis, three_mode_basis):
+        for x in points:
+            expected = oracles.derivative_coefficients_oracle(basis, kind, x, dt, dr)
+            factors = fields._derivative_factors(basis, fields._phase(basis, x.r), dt, dr)
+            coeffs = fields._amplitudes(basis, kind, x.t) * factors[:, None]
+            assert (coeffs.view(np.int64) == expected.view(np.int64)).all()
+            if dt == 0 and not any(dr):
+                assert (pf.field_mode_coefficients(basis, kind, x).view(np.int64) == expected.view(np.int64)).all()
+            for i, op in enumerate(pf.field_derivative(basis, kind, x, dt=dt, dr=dr)):
+                assert (op - pf.linear_functional(basis, expected[:, i])).max_abs() == 0.0
 
 
 def test_field_components_are_hermitian(standard_basis):
@@ -60,8 +80,8 @@ def test_field_is_box_periodic(standard_basis):
 
 
 def test_linear_functional_zero_and_single(single_mode_basis):
-    assert pf.linear_functional(single_mode_basis, {}).max_abs() == 0.0
-    op = pf.linear_functional(single_mode_basis, {0: 1.0})
+    assert pf.linear_functional(single_mode_basis, np.zeros(1)).max_abs() == 0.0
+    op = pf.linear_functional(single_mode_basis, np.ones(1))
     expected = np.diag(np.sqrt([1.0, 2.0, 3.0]), 1) + np.diag(np.sqrt([1.0, 2.0, 3.0]), -1)
     assert np.max(np.abs(op.to_dense() - expected)) < 1e-15
 
@@ -69,11 +89,15 @@ def test_linear_functional_zero_and_single(single_mode_basis):
 def test_field_factors_through_linear_functional(standard_basis):
     x = point(0.4, 0.1, -0.9, t=0.25)
     coeffs = pf.field_mode_coefficients(standard_basis, FieldKind.E, x)
-    rebuilt = pf.linear_functional(
-        standard_basis, {j: coeffs[j, 0] for j in range(standard_basis.n_modes)}
-    )
+    rebuilt = pf.linear_functional(standard_basis, coeffs[:, 0])
     direct = pf.field(standard_basis, FieldKind.E, x)[0]
     assert (rebuilt - direct).max_abs() == 0.0
+
+
+@pytest.mark.parametrize("coeffs", [np.ones(3), np.ones((4, 1)), {0: 1.0}], ids=["short", "2-D", "mapping"])
+def test_linear_functional_refuses_other_shapes(standard_basis, coeffs):
+    with pytest.raises(ValueError, match="expected 4 mode coefficients"):
+        pf.linear_functional(standard_basis, coeffs)
 
 
 # ---------------------------------------------------------------------------

@@ -33,6 +33,22 @@ def test_two_mode_ordering():
     assert [basis.index(o) for o in [(0, 0), (0, 1), (1, 0), (1, 1)]] == [0, 1, 2, 3]
 
 
+@pytest.mark.parametrize("occupancies", [(1.7, 0, 0, 0), (True, 0, 0, 0), (np.float64(1.0), 0, 0, 0)])
+def test_index_refuses_non_integer_occupancies(standard_basis, occupancies):
+    with pytest.raises(ValueError, match="must be integers"):
+        standard_basis.index(occupancies)
+    assert standard_basis.index(np.array([1, 0, 0, 0])) == standard_basis.index((1, 0, 0, 0))
+
+
+def test_states_refuse_non_integer_occupancies(standard_basis):
+    # Truncated, (1.5, 0, 0, 0) would alias (1, 0, 0, 0) and silently keep
+    # one term, coefficient 1.0 with norm_deficit 0.36.
+    with pytest.raises(ValueError, match="must be integers"):
+        pf.superposition(standard_basis, {(1, 0, 0, 0): 0.6, (1.5, 0, 0, 0): 0.8})
+    with pytest.raises(ValueError, match="must be integers"):
+        pf.number_state(standard_basis, (2.9, 0, 0, 0))
+
+
 def test_four_mode_dimension(standard_basis):
     assert standard_basis.dim == 256
 
