@@ -9,18 +9,26 @@ vectors
 
 are packed into a real antisymmetric 4x4 tensor whose Lorentz boosts
 describe the photon in other frames.  e and b are *not* the space parts of
-four-vectors; only the tensor transforms linearly.  b is taken with the
-row-wise polarization.cross, equal bit for bit to np.cross and far cheaper
-on one 3-vector.
+four-vectors; only the tensor transforms linearly.
+
+Every function here takes one photon, one tensor or one velocity, so the
+work is on a handful of floats and per-call overhead is most of the cost.
+The phase is taken with math.cos and math.sin; b = k x e and the entries
+of the tensor and of the boost matrix are formed from Python floats, each
+by the same products, sums and quotients as the numpy expression it
+stands for (np.exp, np.cross, and np.eye and np.outer blocks for the
+boost), so their bits are those of that expression.  The null invariants
+are plain sums over `f.tolist()`, equal to the np.dot forms up to rounding.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .polarization import Direction, PolarizationTriad, cross, make_triad
+from .polarization import Direction, PolarizationTriad, make_triad
 
 ATOL = 1e-12
 
@@ -38,12 +46,14 @@ class ClassicalPhoton:
     triad: PolarizationTriad = field(init=False)
 
     def __post_init__(self) -> None:
-        if self.omega <= 0:
-            raise ValueError(f"omega must be positive, got {self.omega}")
+        if not (self.omega > 0 and math.isfinite(self.omega)):
+            raise ValueError(f"omega must be positive and finite, got {self.omega}")
         if self.s not in (1, -1):
             raise ValueError(f"helicity must be +1 or -1, got {self.s}")
-        if self.hbar <= 0 or self.c <= 0:
-            raise ValueError("hbar and c must be positive")
+        if not math.isfinite(self.theta):
+            raise ValueError(f"theta must be finite, got {self.theta}")
+        if not (self.hbar > 0 and self.c > 0 and math.isfinite(self.hbar) and math.isfinite(self.c)):
+            raise ValueError(f"hbar and c must be positive and finite, got {self.hbar} and {self.c}")
         object.__setattr__(self, "triad", make_triad(self.k))
 
 
@@ -57,9 +67,13 @@ class PhotonTensor:
         f = np.asarray(self.f, dtype=float)
         if f.shape != (4, 4):
             raise ValueError(f"field tensor must be 4x4, got shape {f.shape}")
-        asym = np.max(np.abs(f + f.T))
-        if asym > ATOL * max(1.0, np.max(np.abs(f))):
-            raise ValueError(f"field tensor must be antisymmetric; |f + f^T| = {asym!r}")
+        asym = float(np.abs(f + f.T).max())
+        # Only a tensor that is not antisymmetric to ATOL pays for its scale.
+        # A NaN or inf entry makes asym NaN or inf, so it lands here and fails.
+        if not asym <= ATOL:
+            scale = float(np.abs(f).max())
+            if not (math.isfinite(scale) and asym <= ATOL * max(1.0, scale)):
+                raise ValueError(f"field tensor must be finite and antisymmetric; |f + f^T| = {asym!r}")
         f = np.ascontiguousarray(f)
         f.setflags(write=False)
         object.__setattr__(self, "f", f)
@@ -67,9 +81,11 @@ class PhotonTensor:
 
 def rotating_vectors(photon: ClassicalPhoton, t: float) -> tuple[np.ndarray, np.ndarray]:
     """The rotating field pair (e_s(t), b_s(t)); both have length omega."""
-    phase = np.exp(-1j * (photon.omega * t + photon.theta))
-    e = np.sqrt(2.0) * photon.omega * np.real(photon.triad.eps(photon.s) * phase)
-    b = cross(photon.k.k, e)
+    x = photon.omega * t + photon.theta
+    phase = complex(math.cos(x), -math.sin(x))  # exp(-i x)
+    e = math.sqrt(2.0) * photon.omega * (photon.triad.eps(photon.s) * phase).real
+    (kx, ky, kz), (ex, ey, ez) = photon.k.k.tolist(), e.tolist()
+    b = np.array([ky * ez - kz * ey, kz * ex - kx * ez, kx * ey - ky * ex])
     return e, b
 
 
@@ -81,11 +97,17 @@ def build_tensor(e: np.ndarray, b: np.ndarray) -> PhotonTensor:
     """
     e = np.asarray(e, dtype=float)
     b = np.asarray(b, dtype=float)
-    f = np.zeros((4, 4))
-    f[0, 1:] = e
-    f[1:, 0] = -e
-    f[1, 2], f[1, 3], f[2, 3] = b[2], -b[1], b[0]
-    f[2, 1], f[3, 1], f[3, 2] = -b[2], b[1], -b[0]
+    if e.shape != (3,) or b.shape != (3,):
+        raise ValueError(f"e and b must be 3-vectors, got shapes {e.shape} and {b.shape}")
+    (ex, ey, ez), (bx, by, bz) = e.tolist(), b.tolist()
+    f = np.array(
+        [
+            [0.0, ex, ey, ez],
+            [-ex, 0.0, bz, -by],
+            [-ey, -bz, 0.0, bx],
+            [-ez, by, -bx, 0.0],
+        ]
+    )
     return PhotonTensor(f=f)
 
 
@@ -99,8 +121,9 @@ def extract_fields(tensor: PhotonTensor) -> tuple[np.ndarray, np.ndarray]:
 
 def null_residuals(tensor: PhotonTensor) -> tuple[float, float]:
     """The two invariant signatures of a radiation field: (e.b, |e|^2 - |b|^2)."""
-    e, b = extract_fields(tensor)
-    return float(np.dot(e, b)), float(np.dot(e, e) - np.dot(b, b))
+    (_, ex, ey, ez), (_, _, bz, minus_by), (_, _, _, bx), _ = tensor.f.tolist()
+    by = -minus_by
+    return ex * bx + ey * by + ez * bz, (ex * ex + ey * ey + ez * ez) - (bx * bx + by * by + bz * bz)
 
 
 def boost_matrix(beta: np.ndarray) -> np.ndarray:
@@ -111,18 +134,29 @@ def boost_matrix(beta: np.ndarray) -> np.ndarray:
     direction redshifts.
     """
     beta = np.asarray(beta, dtype=float)
+    if beta.shape != (3,):
+        raise ValueError(f"boost velocity must be a 3-vector, got shape {beta.shape}")
     b2 = float(np.dot(beta, beta))
-    if b2 >= (1.0 - 1e-9) ** 2:
-        raise ValueError(f"boost speed must satisfy |beta| < 1 - 1e-9, got |beta| = {np.sqrt(b2)!r}")
-    lam = np.eye(4)
+    if not b2 < (1.0 - 1e-9) ** 2:
+        raise ValueError(f"boost speed must satisfy |beta| < 1 - 1e-9, got |beta| = {math.sqrt(b2)!r}")
     if b2 == 0.0:
-        return lam
-    gamma = 1.0 / np.sqrt(1.0 - b2)
-    lam[0, 0] = gamma
-    lam[0, 1:] = -gamma * beta
-    lam[1:, 0] = -gamma * beta
-    lam[1:, 1:] = np.eye(3) + (gamma - 1.0) * np.outer(beta, beta) / b2
-    return lam
+        return np.eye(4)
+    gamma = 1.0 / math.sqrt(1.0 - b2)
+    g = gamma - 1.0
+    bx, by, bz = beta.tolist()
+    # Entry by entry as  lam[0, 1:] = lam[1:, 0] = -gamma beta  and
+    # lam[1:, 1:] = np.eye(3) + (gamma - 1) np.outer(beta, beta) / b2;
+    # the 0.0 + of the off-diagonal keeps eye's sign of zero.
+    tx, ty, tz = -gamma * bx, -gamma * by, -gamma * bz
+    xy, xz, yz = 0.0 + g * (bx * by) / b2, 0.0 + g * (bx * bz) / b2, 0.0 + g * (by * bz) / b2
+    return np.array(
+        [
+            [gamma, tx, ty, tz],
+            [tx, 1.0 + g * (bx * bx) / b2, xy, xz],
+            [ty, xy, 1.0 + g * (by * by) / b2, yz],
+            [tz, xz, yz, 1.0 + g * (bz * bz) / b2],
+        ]
+    )
 
 
 def boost(tensor: PhotonTensor, beta: np.ndarray) -> PhotonTensor:

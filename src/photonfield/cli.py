@@ -731,7 +731,9 @@ def _operator_builder(name: str, lattice: LatticeConfig) -> Callable[[FockBasis]
     if not at and axis >= 0 and head[0] in "PS":
         return lambda basis: observables[head[0]](basis)[axis]
     if at and head in ("a", "adag", "N"):
-        j = int(tail) if tail.isascii() and tail.isdigit() else -1
+        # int() also reads "00" and "01"; a mode index is written without leading zeros.
+        plain = tail.isascii() and tail.isdigit() and (tail == "0" or tail[0] != "0")
+        j = int(tail) if plain else -1
         if not 0 <= j < len(lattice.modes):
             raise ConfigError(f"operator {name!r}: mode index must be an integer in 0..{len(lattice.modes) - 1}")
         ladder = {"a": fock.annihilation, "adag": fock.creation, "N": fock.number_operator}[head]

@@ -18,6 +18,7 @@ expected at the 1e-12 level.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,14 +28,16 @@ ATOL = 1e-12
 # Reference axis used to fix the transverse gauge.  The direction of e_hat
 # in the plane orthogonal to k is a free choice; we project a fixed axis
 # onto that plane, switching axes when k is too close to the primary one.
-_PRIMARY_AXIS = np.array([1.0, 0.0, 0.0])
-_SECONDARY_AXIS = np.array([0.0, 1.0, 0.0])
+# Row 0 is the primary axis, row 1 the secondary one.
+_AXES = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
 _AXIS_SWITCH = 0.9
 
 _SQRT2 = np.sqrt(2.0)
 _HELICITIES = np.array([1.0, -1.0])
-_NEXT = np.array([1, 2, 0])
-_PREV = np.array([2, 0, 1])
+# (a x b)_i = a_next b_prev - a_prev b_next: the first three columns of
+# a[..., _LEFT] * b[..., _RIGHT] minus the last three.
+_LEFT = np.array([1, 2, 0, 2, 0, 1])
+_RIGHT = np.array([2, 0, 1, 1, 2, 0])
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -58,7 +61,7 @@ def unit_rows(k) -> np.ndarray:
     if k.ndim != 2 or k.shape[1] != 3:
         raise ValueError(f"directions must be stacked as (N, 3), got shape {k.shape}")
     norms = row_norms(k)
-    bad = np.abs(norms - 1.0) > ATOL
+    bad = ~(np.abs(norms - 1.0) <= ATOL)
     if bad.any():
         row = int(np.argmax(bad))
         raise ValueError(f"direction must be unit length, row {row} has |k| = {norms[row]!r}")
@@ -75,14 +78,26 @@ class Direction:
         k = np.asarray(self.k, dtype=float)
         if k.shape != (3,):
             raise ValueError(f"direction must be a 3-vector, got shape {k.shape}")
-        if abs(np.linalg.norm(k) - 1.0) > ATOL:
-            raise ValueError(f"direction must be unit length, |k| = {np.linalg.norm(k)!r}")
-        object.__setattr__(self, "k", _readonly(k))
+        k = np.ascontiguousarray(k)
+        # The bits of np.linalg.norm on a 1-D real array, at a third of its cost.
+        norm = math.sqrt(k @ k)
+        if not abs(norm - 1.0) <= ATOL:
+            raise ValueError(f"direction must be unit length, |k| = {norm!r}")
+        k.setflags(write=False)
+        object.__setattr__(self, "k", k)
 
 
 def _circular(e: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(eps_plus, eps_minus) from the real frame vectors, for one row or a stack."""
-    return (e + 1j * b) / _SQRT2, (1j * e + b) / _SQRT2
+    """(eps_plus, eps_minus) from the real frame vectors, for one row or a stack.
+
+    Both come from one complex product, sum and quotient over the stacked
+    pairs (e, b) + i (b, e), read as contiguous slices of (e, b, e); complex
+    sums commute, so the bits are those of (e + 1j b) / sqrt(2) and
+    (1j e + b) / sqrt(2).
+    """
+    ebe = np.array((e, b, e), dtype=complex)
+    eps = (ebe[:2] + 1j * ebe[1:]) / _SQRT2
+    return eps[0], eps[1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -118,22 +133,23 @@ def cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
     Much cheaper than np.cross on a single 3-vector.
     """
-    return a.take(_NEXT, axis=-1) * b.take(_PREV, axis=-1) - a.take(_PREV, axis=-1) * b.take(_NEXT, axis=-1)
+    products = a.take(_LEFT, axis=-1) * b.take(_RIGHT, axis=-1)
+    return products[..., :3] - products[..., 3:]
 
 
 def _frames(k: np.ndarray, reference) -> tuple[np.ndarray, np.ndarray]:
     """(e_hat, b_hat) rows for unit rows k; see `make_triad` for the gauge choice."""
     if reference is None:
-        near_x = np.abs(k[:, 0]) > _AXIS_SWITCH
-        a = np.where(near_x[:, None], _SECONDARY_AXIS, _PRIMARY_AXIS)
+        # The switch as a row index of _AXES: 1, the secondary axis, where |k_x| > 0.9.
+        a = _AXES.take(np.abs(k[:, 0]) > _AXIS_SWITCH, axis=0)
     else:
         a = np.asarray(reference, dtype=float)
         a = (a / np.linalg.norm(a))[None]
-    e = a - np.vecdot(a, k)[:, None] * k
-    norm = row_norms(e)
-    if norm.min() < 1e-6:
-        raise ValueError("reference axis is (nearly) parallel to k; pick another gauge reference")
-    e = e / norm[:, None]
+    e = a - np.vecdot(a, k, keepdims=True) * k
+    norm = np.sqrt(np.vecdot(e, e, keepdims=True))  # row_norms, as a column
+    if not norm.min() >= 1e-6:
+        raise ValueError("reference axis is (nearly) parallel to k or not finite; pick another gauge reference")
+    e = e / norm
     return e, cross(k, e)
 
 

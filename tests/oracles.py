@@ -28,6 +28,10 @@ library's per-mode ladder expectations.
 The writer oracles format every value with its own repr call, one line at
 a time, independent of the library's once-per-distinct-value formatting.
 
+The boost oracle assembles the pure boost from numpy blocks (np.eye and
+np.outer), independent of the library's entry-by-entry assembly from
+Python floats.
+
 The mode-table oracle builds each mode's kinematics and polarization one
 mode at a time (a Direction, make_triad and 1-D norms), independent of the
 basis's stacked mode table.  The adjoint residual reads hermiticity off the
@@ -173,6 +177,21 @@ def triad_oracle(k, reference=None):
     e = e / norm
     b = np.cross(k, e)
     return e, b, (e + 1j * b) / np.sqrt(2.0), (1j * e + b) / np.sqrt(2.0)
+
+
+def boost_matrix_oracle(beta):
+    """The pure boost for velocity beta: gamma, -gamma beta and eye(3) + (gamma - 1) beta beta^T / beta^2."""
+    beta = np.asarray(beta, dtype=float)
+    b2 = float(np.dot(beta, beta))
+    lam = np.eye(4)
+    if b2 == 0.0:
+        return lam
+    gamma = 1.0 / np.sqrt(1.0 - b2)
+    lam[0, 0] = gamma
+    lam[0, 1:] = -gamma * beta
+    lam[1:, 0] = -gamma * beta
+    lam[1:, 1:] = np.eye(3) + (gamma - 1.0) * np.outer(beta, beta) / b2
+    return lam
 
 
 def helicity_oracle(k, cutoff=1e-6):

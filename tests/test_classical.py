@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 import photonfield as pf
 
+import oracles
 from conftest import unit_vectors
 
 Z = pf.Direction(k=np.array([0.0, 0.0, 1.0]))
@@ -79,6 +80,12 @@ def test_tensor_round_trip_property(vals):
     tensor = pf.build_tensor(e, b)
     rebuilt = pf.build_tensor(*pf.extract_fields(tensor))
     assert np.array_equal(tensor.f, rebuilt.f)
+
+
+@pytest.mark.parametrize("e, b", [(1.0, np.ones(3)), (np.ones(2), np.ones(3)), (np.ones(3), np.ones((1, 3)))])
+def test_build_tensor_rejects_non_3_vectors(e, b):
+    with pytest.raises(ValueError, match="3-vectors"):
+        pf.build_tensor(e, b)
 
 
 def test_extract_rejects_non_antisymmetric():
@@ -159,6 +166,71 @@ def test_photon_validation():
         photon(s=0)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("omega", np.nan), ("omega", np.inf), ("theta", np.nan), ("theta", np.inf), ("hbar", np.nan), ("c", np.nan)],
+)
+def test_photon_rejects_non_finite(field, value):
+    with pytest.raises(ValueError, match=field):
+        photon(**{field: value})
+
+
+@pytest.mark.parametrize("where", [(0, 1), (2, 2)])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_tensor_rejects_non_finite(bad, where):
+    f = np.array(pf.build_tensor(np.array([0.3, -1.2, 0.7]), np.array([1.1, 0.4, -0.6])).f)
+    f[where] = bad
+    with pytest.raises(ValueError, match="finite and antisymmetric"):
+        pf.PhotonTensor(f=f)
+    with pytest.raises(ValueError, match="finite and antisymmetric"):
+        pf.PhotonTensor(f=np.full((4, 4), bad))
+
+
+@pytest.mark.parametrize("beta", [[np.nan, 0.0, 0.0], [0.0, np.inf, 0.0], [np.nan] * 3])
+def test_boost_rejects_non_finite_velocity(beta):
+    with pytest.raises(ValueError, match="boost speed"):
+        pf.boost_matrix(np.array(beta))
+
+
+@pytest.mark.parametrize("beta", [[0.5], [0.1, 0.2], [[0.1, 0.2, 0.3]], 0.5, np.zeros(4)])
+def test_boost_rejects_velocity_that_is_not_a_3_vector(beta):
+    with pytest.raises(ValueError, match="3-vector"):
+        pf.boost_matrix(beta)
+
+
+@st.composite
+def velocities(draw):
+    """Boost velocities up to speed 0.9, the sweep's, with exact and signed zero components."""
+    v = np.array([draw(st.floats(-1.0, 1.0)) for _ in range(3)])
+    norm = np.linalg.norm(v)
+    return v if norm == 0.0 else draw(st.floats(0.0, 0.9)) * v / norm
+
+
+METRIC = np.diag([1.0, -1.0, -1.0, -1.0])
+
+
+@given(velocities())
+@settings(max_examples=300)
+def test_boost_matrix_matches_oracle_bit_for_bit(beta):
+    lam = pf.boost_matrix(beta)
+    assert lam.tobytes() == oracles.boost_matrix_oracle(beta).tobytes()
+    assert np.max(np.abs(lam @ METRIC @ lam.T - METRIC)) <= 1e-14
+
+
+@given(unit_vectors(), st.floats(0.5, 3.0), st.sampled_from([1, -1]), st.floats(0.0, 6.0), velocities())
+@settings(max_examples=200)
+def test_null_residuals_match_dot_form(v, omega, s, t, beta):
+    p = pf.ClassicalPhoton(omega=omega, k=pf.Direction(k=v), s=s, theta=0.3)
+    tensor = pf.build_tensor(*pf.rotating_vectors(p, t))
+    for f in (tensor, pf.boost(tensor, beta)):
+        e, b = pf.extract_fields(f)
+        # The frequency in the tensor's frame: |e| = |b| = omega' for a photon.
+        scale = 0.5 * (np.dot(e, e) + np.dot(b, b))
+        want = (float(np.dot(e, b)), float(np.dot(e, e) - np.dot(b, b)))
+        got = pf.null_residuals(f)
+        assert all(abs(g - w) <= 1e-15 * scale for g, w in zip(got, want))
+
+
 def test_rotating_b_is_np_cross_bit_for_bit():
     rng = np.random.default_rng(8)
     for _ in range(300):
@@ -169,5 +241,8 @@ def test_rotating_b_is_np_cross_bit_for_bit():
             s=int(rng.choice([1, -1])),
             theta=float(rng.uniform(0.0, 2.0 * np.pi)),
         )
-        e, b = pf.rotating_vectors(p, float(rng.uniform(0.0, 6.0)))
+        t = float(rng.uniform(0.0, 6.0))
+        e, b = pf.rotating_vectors(p, t)
         assert (b == np.cross(p.k.k, e)).all()
+        phase = np.exp(-1j * (p.omega * t + p.theta))
+        assert e.tobytes() == (np.sqrt(2.0) * p.omega * np.real(p.triad.eps(p.s) * phase)).tobytes()

@@ -337,6 +337,13 @@ def test_dump_ladder_operator_bad_index(tmp_path, capsys):
     assert "mode index" in capsys.readouterr().err
 
 
+def test_dump_ladder_operator_plain_index(tmp_path):
+    for name in ("a@0", "adag@3"):
+        out = tmp_path / name
+        assert cli.main(["dump-operator", "--out", str(out), "--operator", name]) == 0
+        assert (out / "operator.txt").read_text().startswith("256 4 3\n")
+
+
 def test_invalid_json_rejected(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
@@ -447,7 +454,9 @@ def test_repeated_superposition_term_rejected(tmp_path, capsys):
     assert "scenario.state.terms[1].occupancies" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("name", ["a@x", "N@1.5", "Ex@0,0,nan,0", "a@0_1", "a@ 1", "Ex@0_3,0,0,0"])
+@pytest.mark.parametrize(
+    "name", ["a@x", "N@1.5", "Ex@0,0,nan,0", "a@0_1", "a@ 1", "Ex@0_3,0,0,0", "a@00", "adag@01", "N@03"]
+)
 def test_bad_operator_argument_rejected(tmp_path, capsys, name):
     assert cli.main(["dump-operator", "--out", str(tmp_path / "o"), "--operator", name]) == 2
     assert repr(name) in capsys.readouterr().err

@@ -45,6 +45,20 @@ def test_degenerate_gauge_reference_rejected():
         pf.make_triad(k, reference=np.array([0.0, 0.0, 1.0]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_direction_rejected(bad):
+    with pytest.raises(ValueError, match="unit length"):
+        pf.Direction(k=np.array([bad, 0.0, 0.0]))
+    with pytest.raises(ValueError, match="row 1"):
+        polarization.unit_rows(np.array([[0.0, 0.0, 1.0], [bad, 0.0, 0.0], [1.0, 0.0, 0.0]]))
+
+
+def test_non_finite_gauge_reference_rejected():
+    k = pf.Direction(k=np.array([0.0, 0.0, 1.0]))
+    with pytest.raises(ValueError, match="not finite"):
+        pf.make_triad(k, reference=np.array([np.nan, 1.0, 0.0]))
+
+
 def test_phase_shift_identity_and_negation():
     triad = pf.make_triad(direction(0, 0, 1))
     plus, minus = pf.phase_shift(triad, 0.0)
