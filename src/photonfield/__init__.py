@@ -32,6 +32,7 @@ from .fock import (
     FockBasis,
     LatticeConfig,
     LatticeSizeError,
+    ModeTable,
     SparseOperator,
     annihilation,
     build_basis,

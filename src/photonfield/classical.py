@@ -48,7 +48,8 @@ class ClassicalPhoton:
     def __post_init__(self) -> None:
         if not (self.omega > 0 and math.isfinite(self.omega)):
             raise ValueError(f"omega must be positive and finite, got {self.omega}")
-        if self.s not in (1, -1):
+        # A bool or a float equal to 1 would pass `in (1, -1)`; fock.mode_key refuses them too.
+        if isinstance(self.s, bool) or not isinstance(self.s, (int, np.integer)) or self.s not in (1, -1):
             raise ValueError(f"helicity must be +1 or -1, got {self.s}")
         if not math.isfinite(self.theta):
             raise ValueError(f"theta must be finite, got {self.theta}")
@@ -64,7 +65,7 @@ class PhotonTensor:
     f: np.ndarray
 
     def __post_init__(self) -> None:
-        f = np.asarray(self.f, dtype=float)
+        f = np.array(self.f, dtype=float, order="C")  # a copy: the caller's array stays writeable
         if f.shape != (4, 4):
             raise ValueError(f"field tensor must be 4x4, got shape {f.shape}")
         asym = float(np.abs(f + f.T).max())
@@ -74,7 +75,6 @@ class PhotonTensor:
             scale = float(np.abs(f).max())
             if not (math.isfinite(scale) and asym <= ATOL * max(1.0, scale)):
                 raise ValueError(f"field tensor must be finite and antisymmetric; |f + f^T| = {asym!r}")
-        f = np.ascontiguousarray(f)
         f.setflags(write=False)
         object.__setattr__(self, "f", f)
 

@@ -173,17 +173,17 @@ def _parse_complex(data, path: str) -> complex:
     return complex(_finite(data[0], f"{path}[0]"), _finite(data[1], f"{path}[1]"))
 
 
-def _check_gauge_reference(data, modes, path: str) -> tuple[float, float, float]:
-    """A nonzero reference axis that no mode's momentum is (nearly) parallel to."""
+def _check_gauge_reference(data, lattice: LatticeConfig, path: str) -> LatticeConfig:
+    """The lattice with a nonzero reference axis that no mode's momentum is (nearly) parallel to."""
     reference = _finite_vector(data, path)
     if not any(reference):
         raise ConfigError(f"{path}: must be a nonzero vector")
-    n = np.array([n for _, n in modes], dtype=float)
+    lattice = replace(lattice, gauge_reference=reference)
     try:
-        polarization.triads(n / np.linalg.norm(n, axis=1)[:, None], reference=np.array(reference))
+        fock.ModeTable(lattice)
     except ValueError as err:
         raise ConfigError(f"{path}: {err}") from err
-    return reference
+    return lattice
 
 
 def _parse_occupancies(data, lattice: LatticeConfig, path: str) -> tuple[int, ...]:
@@ -271,8 +271,7 @@ def parse_scenario(data: dict) -> Scenario:
     except ValueError as err:
         raise ConfigError(f"scenario.lattice: {err}") from err
     if "gauge_reference" in lat:
-        path = "scenario.lattice.gauge_reference"
-        lattice = replace(lattice, gauge_reference=_check_gauge_reference(lat["gauge_reference"], lattice.modes, path))
+        lattice = _check_gauge_reference(lat["gauge_reference"], lattice, "scenario.lattice.gauge_reference")
 
     state = _parse_state(data["state"], lattice)
 

@@ -24,7 +24,7 @@ from typing import IO, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .fock import BasisMismatchError, FockBasis, ModeKey, SparseOperator, float_reprs, mode_key
+from .fock import BasisMismatchError, FockBasis, ModeKey, ModeTable, SparseOperator, dispersion, float_reprs, mode_key
 from .fields import FieldKind, SpacetimePoint, field_mode_coefficients, mode_coefficients
 
 
@@ -218,7 +218,7 @@ def write_grid_csv(rows, stream: IO[str]) -> None:
         stream.writelines(",".join(texts) + "\n" for texts in zip(*columns))
 
 
-def vacuum_field_square(basis: FockBasis) -> float:
+def vacuum_field_square(basis: ModeTable) -> float:
     """Closed lattice sum for <E^2> in the vacuum over the configured modes.
 
     Each (helicity, momentum) mode contributes Delta3p omega/(2 pi hbar)^2;
@@ -233,23 +233,22 @@ def vacuum_field_square_scan(
 ) -> list[tuple[int, float]]:
     """(cutoff, vacuum <E^2>) for momentum balls |n| <= cutoff, both helicities.
 
-    Pure lattice sum over one table of n^2 for the largest cutoff; no Fock
-    basis is built.  Each row adds its terms in (nx, ny, nz) lexicographic
-    order.
+    A pure lattice sum; no mode table or Fock basis is built.  fock.dispersion
+    gives omega and Delta3p of every n in the largest ball, in (nx, ny, nz)
+    lexicographic order, and each cutoff's value adds 2 Delta3p omega /
+    (2 pi hbar)^2 per momentum of its ball, one term after another.
     """
     if any(cutoff < 1 for cutoff in cutoffs):
         raise ValueError("cutoffs must be >= 1")
     if not cutoffs:
         return []
-    dp3 = (2.0 * np.pi * hbar / length) ** 3
-    # n^2 over the cube of the largest cutoff, flattened in (nx, ny, nz)
-    # lexicographic order; every smaller ball is a subset in the same order.
+    # Every smaller ball is a subset of the largest in the same order.
     top = max(cutoffs)
-    sq = np.arange(-top, top + 1) ** 2
-    n2 = (sq[:, None, None] + sq[None, :, None] + sq[None, None, :]).ravel()
-    terms = 2.0 * dp3 * (c * (2.0 * np.pi / length) * np.sqrt(n2)) / (2.0 * np.pi * hbar) ** 2
+    n = np.indices((2 * top + 1,) * 3, dtype=np.int32).reshape(3, -1).T - top
+    n2 = np.vecdot(n, n)
+    ball = (n2 > 0) & (n2 <= top * top)
+    n, n2 = n[ball], n2[ball]
+    _, omega, delta3p = dispersion(n, length, hbar, c)
+    terms = 2.0 * delta3p * omega / (2.0 * np.pi * hbar) ** 2
     # cumsum adds the terms one after another, as a running total would.
-    return [
-        (cutoff, float(np.cumsum(terms[(n2 > 0) & (n2 <= cutoff * cutoff)])[-1]))
-        for cutoff in cutoffs
-    ]
+    return [(cutoff, float(np.cumsum(terms[n2 <= cutoff * cutoff])[-1])) for cutoff in cutoffs]

@@ -10,6 +10,8 @@ potential uses weight c/sqrt(omega) and no factor i; each component is one
 fock.ladder_sum.  mode_coefficients evaluates the coefficients at N
 stacked points at once, (N, 3) positions and (N,) times to an
 (N, n_modes, 3) array; field_mode_coefficients is that core on one point.
+Coefficients, commutator closed forms and zero-point constants read only
+the mode table (fock.ModeTable, which needs no Fock space).
 A derivative is the coefficients times one per-mode factor, (-i omega) per
 time derivative and (i p_j / hbar) per derivative along axis j, and a linear
 functional is its (n_modes,) coefficient vector (linear_functional).
@@ -35,6 +37,7 @@ import numpy as np
 
 from .fock import (
     FockBasis,
+    ModeTable,
     SparseOperator,
     diagonal_operator,
     ladder_products,
@@ -78,7 +81,7 @@ class ZeroPointConstants:
     S0: np.ndarray
 
 
-def zero_point(basis: FockBasis) -> ZeroPointConstants:
+def zero_point(basis: ModeTable) -> ZeroPointConstants:
     hbar = basis.config.hbar
     e0 = 0.5 * np.sum(hbar * basis.omega)
     p0 = 0.5 * basis.p.sum(axis=0)
@@ -90,7 +93,7 @@ def zero_point(basis: FockBasis) -> ZeroPointConstants:
 # mode coefficients and linear operators
 
 
-def _amplitudes(basis: FockBasis, kind: FieldKind, t) -> np.ndarray:
+def _amplitudes(basis: ModeTable, kind: FieldKind, t) -> np.ndarray:
     """Per-mode coefficient 3-vectors at r = 0 (the a-side of each field).
 
     Row m is the coefficient of a_m; the conjugate multiplies a-dagger.
@@ -107,17 +110,17 @@ def _amplitudes(basis: FockBasis, kind: FieldKind, t) -> np.ndarray:
     return scale * 1j * np.sqrt(basis.omega)[:, None] * pol * phase
 
 
-def _phase(basis: FockBasis, r) -> np.ndarray:
+def _phase(basis: ModeTable, r) -> np.ndarray:
     """exp(i p.r / hbar) per mode at stacked positions: r of shape (..., 3) gives (..., n_modes)."""
     return np.exp(1j * np.vecdot(basis.p, np.asarray(r)[..., None, :]) / basis.config.hbar)
 
 
-def _derivative_factors(basis: FockBasis, phase: np.ndarray, dt: int, dr) -> np.ndarray:
+def _derivative_factors(basis: ModeTable, phase: np.ndarray, dt: int, dr) -> np.ndarray:
     """Per-mode factors of d_t^dt d_r^dr: phase (-i omega)^dt prod_j (i p_j / hbar)^dr_j, in that order."""
     return phase * (-1j * basis.omega) ** dt * np.prod((1j * basis.p / basis.config.hbar) ** np.asarray(dr), axis=1)
 
 
-def mode_coefficients(basis: FockBasis, kind: FieldKind, r: np.ndarray, t) -> np.ndarray:
+def mode_coefficients(basis: ModeTable, kind: FieldKind, r: np.ndarray, t) -> np.ndarray:
     """Coefficient of a_m for each field component at stacked spacetime points.
 
     r of shape (N, 3) and t of shape (N,) give an (N, n_modes, 3) array whose
@@ -130,7 +133,7 @@ def mode_coefficients(basis: FockBasis, kind: FieldKind, r: np.ndarray, t) -> np
     return _amplitudes(basis, kind, t) * _phase(basis, r)[..., None]
 
 
-def field_mode_coefficients(basis: FockBasis, kind: FieldKind, x: SpacetimePoint) -> np.ndarray:
+def field_mode_coefficients(basis: ModeTable, kind: FieldKind, x: SpacetimePoint) -> np.ndarray:
     """Coefficient of a_m for each field component at one spacetime point, (n_modes, 3)."""
     return mode_coefficients(basis, kind, x.r, x.t)
 
@@ -212,7 +215,7 @@ def observable_S(basis: FockBasis) -> tuple[SparseOperator, SparseOperator, Spar
 # quadratic observables via the analytic box integral
 
 
-def _box_integral(basis: FockBasis, u: np.ndarray, v: np.ndarray, cross: bool) -> np.ndarray:
+def _box_integral(basis: ModeTable, u: np.ndarray, v: np.ndarray, cross: bool) -> np.ndarray:
     """Box integral of field_u . field_v (or x) as weights over ladder pairs.
 
     u, v are the per-mode a-side coefficient 3-vectors.  With ladder
@@ -346,7 +349,7 @@ def check_maxwell(
 # commutator closed forms
 
 
-def _momentum_sum(basis: FockBasis, rho: np.ndarray):
+def _momentum_sum(basis: ModeTable, rho: np.ndarray):
     """First mode, omega and exp(i p.rho / hbar) of each momentum; CompletenessError unless -n is there too."""
     if not basis.momentum_symmetric():
         n = next(n for n in basis.momenta() if tuple(-v for v in n) not in basis.momenta())
@@ -374,7 +377,7 @@ def commutator_weights(u: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def field_commutator_closed_form(
-    basis: FockBasis,
+    basis: ModeTable,
     kind1: FieldKind,
     kind2: FieldKind,
     x1: SpacetimePoint,
@@ -409,7 +412,7 @@ def field_commutator_closed_form(
     return terms.sum(axis=0)
 
 
-def discrete_pauli_jordan(rho: np.ndarray, tau: float, basis: FockBasis) -> float:
+def discrete_pauli_jordan(rho: np.ndarray, tau: float, basis: ModeTable) -> float:
     """Lattice analog of the odd commutator kernel D(rho, tau).
 
     D = (-1/(2 pi hbar)^3) sum_n Delta3p exp(i p.rho/hbar) sin(omega tau)/omega,

@@ -100,13 +100,68 @@ class LatticeConfig:
             raise ValueError("at least one mode is required")
         object.__setattr__(self, "modes", norm_modes)
 
-    @property
-    def delta3p(self) -> float:
-        return (2.0 * np.pi * self.hbar / self.length) ** 3
+
+def dispersion(n, length: float, hbar: float, c: float) -> tuple[np.ndarray, np.ndarray, float]:
+    """(p, omega, Delta3p) of integer momenta n, the rows of an (N, 3) array.
+
+    p = (2 pi hbar / L) n and omega = c |p| / hbar per row; Delta3p =
+    (2 pi hbar / L)^3 is the cell of the momentum sum.
+    """
+    step = 2.0 * np.pi * hbar / length
+    p = np.multiply(step, n, dtype=float)
+    return p, c * row_norms(p) / hbar, step**3
 
 
-class FockBasis:
-    """Occupation-number basis over the configured modes.
+class ModeTable:
+    """Kinematics and polarization of the configured modes, row j = mode j.
+
+    Everything a field's coefficient array needs; there is no Fock space,
+    so no size guard.
+    """
+
+    def __init__(self, config: LatticeConfig):
+        self.config = config
+        self.modes = config.modes
+        self.n_modes = len(self.modes)
+        helicity = np.array([s for s, _ in self.modes])
+        self.n = np.array([n for _, n in self.modes])
+        nv = self.n.astype(float)
+        self.p, self.omega, self.delta3p = dispersion(nv, config.length, config.hbar, config.c)
+        self.k = nv / row_norms(nv)[:, None]
+        _, _, eps_plus, eps_minus = triads(self.k, reference=config.gauge_reference)
+        self.eps = np.where(helicity[:, None] == 1, eps_plus, eps_minus)
+        self.k_cross_eps = np.cross(self.k, self.eps)
+        self.spin = (helicity * config.hbar)[:, None] * self.k
+        self._first_modes = np.sort(np.unique(self.n, axis=0, return_index=True)[1])
+        for arr in (self.n, self.omega, self.p, self.k, self.eps, self.k_cross_eps, self.spin, self._first_modes):
+            arr.setflags(write=False)
+
+    def mode_index(self, mode: ModeKey) -> int:
+        key = mode_key(mode)
+        if key not in self.modes:
+            raise KeyError(f"mode {key} is not on the lattice")
+        return self.modes.index(key)
+
+    def momentum_modes(self) -> np.ndarray:
+        """Index of the first mode of each distinct lattice momentum, in mode order."""
+        return self._first_modes
+
+    def momenta(self) -> tuple[IntVec, ...]:
+        """Distinct lattice momenta, in first-appearance order."""
+        return tuple(self.modes[j][1] for j in self.momentum_modes())
+
+    def helicities_complete(self) -> bool:
+        """True when every lattice momentum carries both helicities."""
+        return 2 * len(self.momentum_modes()) == self.n_modes
+
+    def momentum_symmetric(self) -> bool:
+        """True when the momentum set is closed under n -> -n."""
+        ns = set(self.momenta())
+        return all(tuple(-v for v in n) in ns for n in ns)
+
+
+class FockBasis(ModeTable):
+    """Occupation-number basis over the configured modes: a mode table with its Fock space.
 
     Basis states are ordered lexicographically in the occupancy tuple with
     the first mode most significant: for two modes with n_max = 1 the
@@ -115,23 +170,25 @@ class FockBasis:
     """
 
     def __init__(self, config: LatticeConfig):
-        self.config = config
-        self.modes = config.modes
-        self.n_max = config.n_max
-        self.n_modes = len(self.modes)
+        n_modes = len(config.modes)
         local = config.n_max + 1
-        dim = local**self.n_modes
+        dim = local**n_modes
         if dim > DIM_GUARD:
             raise LatticeSizeError(
-                f"basis dimension {local}^{self.n_modes} = {dim} exceeds the guard "
+                f"basis dimension {local}^{n_modes} = {dim} exceeds the guard "
                 f"{DIM_GUARD}; reduce the mode count or n_max"
             )
-        est_nnz = 2 * self.n_modes * dim
-        if est_nnz > NNZ_BUDGET:
+        # ladder_products, which builds every quadratic observable, holds two
+        # by-state tables of exactly 2 n_modes x dim entries; an assembled
+        # field operator stores at most that many nonzeros.
+        table_size = 2 * n_modes * dim
+        if table_size > NNZ_BUDGET:
             raise LatticeSizeError(
-                f"estimated field-operator storage {est_nnz} nonzeros exceeds the budget "
-                f"{NNZ_BUDGET}; reduce the mode count or n_max"
+                f"the ladder tables of 2 x {n_modes} modes x dim {dim} = {table_size} entries "
+                f"exceed the budget {NNZ_BUDGET}; reduce the mode count or n_max"
             )
+        super().__init__(config)
+        self.n_max = config.n_max
         self.dim = dim
         # strides[j] = local^(n_modes - 1 - j): index increment for one
         # quantum in mode j under the lexicographic ordering.
@@ -149,20 +206,7 @@ class FockBasis:
             (src - np.asarray(self.strides)[mode]).astype(np.int32).reshape(shape),
             np.sqrt(by_mode[mode, src]).reshape(shape),
         )
-        # Mode table, row j = mode j.
-        helicity = np.array([s for s, _ in self.modes])
-        self.n = np.array([n for _, n in self.modes])
-        nv = self.n.astype(float)
-        self.p = (2.0 * np.pi * config.hbar / config.length) * nv
-        self.omega = config.c * row_norms(self.p) / config.hbar
-        self.k = nv / row_norms(nv)[:, None]
-        _, _, eps_plus, eps_minus = triads(self.k, reference=config.gauge_reference)
-        self.eps = np.where(helicity[:, None] == 1, eps_plus, eps_minus)
-        self.k_cross_eps = np.cross(self.k, self.eps)
-        self.spin = (helicity * config.hbar)[:, None] * self.k
-        self._first_modes = np.sort(np.unique(self.n, axis=0, return_index=True)[1])
-        for arr in (*self.lowering, self.n, self.omega, self.p, self.k, self.eps,
-                    self.k_cross_eps, self.spin, self._first_modes):
+        for arr in self.lowering:
             arr.setflags(write=False)
 
     # -- index bookkeeping -------------------------------------------------
@@ -181,33 +225,6 @@ class FockBasis:
         if any(v < 0 or v > self.n_max for v in occ):
             raise ValueError(f"occupancies must lie in 0..{self.n_max}, got {occ}")
         return sum(v * s for v, s in zip(occ, self.strides))
-
-    def mode_index(self, mode: ModeKey) -> int:
-        key = mode_key(mode)
-        if key not in self.modes:
-            raise KeyError(f"mode {key} is not on the lattice")
-        return self.modes.index(key)
-
-    @property
-    def delta3p(self) -> float:
-        return self.config.delta3p
-
-    def momentum_modes(self) -> np.ndarray:
-        """Index of the first mode of each distinct lattice momentum, in mode order."""
-        return self._first_modes
-
-    def momenta(self) -> tuple[IntVec, ...]:
-        """Distinct lattice momenta, in first-appearance order."""
-        return tuple(self.modes[j][1] for j in self.momentum_modes())
-
-    def helicities_complete(self) -> bool:
-        """True when every lattice momentum carries both helicities."""
-        return 2 * len(self.momentum_modes()) == self.n_modes
-
-    def momentum_symmetric(self) -> bool:
-        """True when the momentum set is closed under n -> -n."""
-        ns = set(self.momenta())
-        return all(tuple(-v for v in n) in ns for n in ns)
 
 
 class SparseOperator:

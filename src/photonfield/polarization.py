@@ -57,7 +57,7 @@ def unit_rows(k) -> np.ndarray:
     Raises ValueError unless k has shape (N, 3) and every row is unit
     length to ATOL, the rule `Direction` applies to one vector.
     """
-    k = np.asarray(k, dtype=float)
+    k = np.array(k, dtype=float)  # a copy: the caller's array stays writeable
     if k.ndim != 2 or k.shape[1] != 3:
         raise ValueError(f"directions must be stacked as (N, 3), got shape {k.shape}")
     norms = row_norms(k)
@@ -75,10 +75,9 @@ class Direction:
     k: np.ndarray
 
     def __post_init__(self) -> None:
-        k = np.asarray(self.k, dtype=float)
+        k = np.array(self.k, dtype=float, order="C")  # a copy: the caller's array stays writeable
         if k.shape != (3,):
             raise ValueError(f"direction must be a 3-vector, got shape {k.shape}")
-        k = np.ascontiguousarray(k)
         # The bits of np.linalg.norm on a 1-D real array, at a third of its cost.
         norm = math.sqrt(k @ k)
         if not abs(norm - 1.0) <= ATOL:
@@ -111,8 +110,9 @@ class PolarizationTriad:
     eps_minus: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
-        e = _readonly(np.asarray(self.e_hat, dtype=float))
-        b = _readonly(np.asarray(self.b_hat, dtype=float))
+        # Copies, so the caller's arrays stay writeable.
+        e = _readonly(np.array(self.e_hat, dtype=float))
+        b = _readonly(np.array(self.b_hat, dtype=float))
         eps_plus, eps_minus = _circular(e, b)
         object.__setattr__(self, "e_hat", e)
         object.__setattr__(self, "b_hat", b)

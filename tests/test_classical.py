@@ -167,12 +167,33 @@ def test_photon_validation():
 
 
 @pytest.mark.parametrize(
+    "s", [True, np.bool_(True), 1.0, np.float64(1.0), -1.0],
+    ids=["bool", "numpy_bool", "float", "numpy_float", "negative_float"],
+)
+def test_photon_refuses_bool_and_float_helicities(s):
+    with pytest.raises(ValueError, match="helicity"):
+        photon(s=s)
+
+
+def test_photon_accepts_numpy_integer_helicity():
+    assert pf.kinematics(photon(s=np.int64(-1)))[2].tolist() == [0.0, 0.0, -1.0]
+
+
+@pytest.mark.parametrize(
     "field, value",
     [("omega", np.nan), ("omega", np.inf), ("theta", np.nan), ("theta", np.inf), ("hbar", np.nan), ("c", np.nan)],
 )
 def test_photon_rejects_non_finite(field, value):
     with pytest.raises(ValueError, match=field):
         photon(**{field: value})
+
+
+def test_tensor_keeps_the_callers_array_writeable():
+    f = np.array(pf.build_tensor(np.array([0.3, -1.2, 0.7]), np.array([1.1, 0.4, -0.6])).f)
+    tensor = pf.PhotonTensor(f=f)
+    assert f.flags.writeable
+    f *= 2.0
+    assert np.array_equal(tensor.f, 0.5 * f) and not tensor.f.flags.writeable
 
 
 @pytest.mark.parametrize("where", [(0, 1), (2, 2)])

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -425,6 +427,28 @@ def test_commutator_weights_sum_to_the_closed_forms(standard_basis, offaxis_basi
                 x1, x2 = SpacetimePoint(r=r[0, p], t=float(t[0, p])), SpacetimePoint(r=r[1, p], t=float(t[1, p]))
                 closed = pf.field_commutator_closed_form(basis, k1, k2, x1, x2)
                 assert np.max(np.abs(sums[p] - closed)) < 1e-15
+
+
+def test_mode_table_without_a_fock_space():
+    # Both helicities of every n with 0 < |n|^2 <= 4: 32 momenta and 64 modes,
+    # with four distinct omega, far beyond any Fock space the guards admit.
+    shells = [n for n in itertools.product(range(-2, 3), repeat=3) if 0 < np.dot(n, n) <= 4]
+    modes = tuple((s, n) for n in shells for s in (1, -1))
+    config = pf.LatticeConfig(length=5.0, n_max=1, modes=modes, hbar=0.7, c=1.3)
+    with pytest.raises(pf.LatticeSizeError):
+        pf.FockBasis(config)
+    table = pf.ModeTable(config)
+    assert table.n_modes == 64 and len(table.momenta()) == 32
+    rng = np.random.default_rng(12)
+    r, t = rng.uniform(-2.5, 2.5, size=(2, 20, 3)), rng.uniform(-1, 1, size=(2, 20))
+    for k1, k2 in ((FieldKind.E, FieldKind.E), (FieldKind.B, FieldKind.B), (FieldKind.E, FieldKind.B)):
+        sums = commutator_weights(mode_coefficients(table, k1, r[0], t[0]), mode_coefficients(table, k2, r[1], t[1]))
+        for p, w in enumerate(sums.sum(-1)):
+            x1, x2 = SpacetimePoint(r=r[0, p], t=float(t[0, p])), SpacetimePoint(r=r[1, p], t=float(t[1, p]))
+            closed = pf.field_commutator_closed_form(table, k1, k2, x1, x2)
+            assert np.max(np.abs(w - closed)) <= 1e-13 * np.max(np.abs(closed))
+    ((_, scan),) = pf.vacuum_field_square_scan(5.0, 0.7, 1.3, (2,))
+    assert abs(pf.vacuum_field_square(table) - scan) <= 1e-14 * scan
 
 
 def test_ee_and_bb_closed_forms_agree(standard_basis):

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 
 import photonfield as pf
-from photonfield import cli, polarization
+from photonfield import cli, polarization, spin
 
 import oracles
 from conftest import unit_vectors
@@ -183,6 +183,22 @@ def test_batched_triads_validate_rows():
         polarization.triads(k[0])
     with pytest.raises(ValueError):
         polarization.triads(k, reference=k[7])
+
+
+def test_constructors_keep_the_callers_arrays_writeable():
+    k, rows = np.array([0.0, 0.0, 1.0]), mixed_batch()
+    e_hat, b_hat = np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0])
+    direction = pf.Direction(k=k)
+    stored = polarization.unit_rows(rows)
+    triad = pf.PolarizationTriad(k=direction, e_hat=e_hat, b_hat=b_hat)
+    batch = [a.copy() for a in polarization.triads(rows)]
+    spin.helicity_vectors(rows)
+    assert all(a.flags.writeable for a in (k, rows, e_hat, b_hat))
+    for a in (k, rows, e_hat, b_hat):
+        a *= -1.0
+    assert direction.k.tolist() == [0.0, 0.0, 1.0] and np.array_equal(stored, -rows)
+    assert triad.e_hat.tolist() == [1.0, 0.0, 0.0] and triad.b_hat.tolist() == [0.0, 1.0, 0.0]
+    assert all(np.array_equal(a, b) for a, b in zip(batch, polarization.triads(-rows)))
 
 
 def test_relation_residuals_are_per_row():
