@@ -37,11 +37,13 @@ from .fock import (
     annihilation,
     build_basis,
     commutator,
+    commutator_residuals,
     creation,
     export_operator,
     identity,
     number_operator,
     safe_projector,
+    safe_states,
     total_number,
 )
 from .fields import (
@@ -54,6 +56,7 @@ from .fields import (
     discrete_pauli_jordan,
     field,
     field_commutator_closed_form,
+    field_commutator_kernel,
     field_derivative,
     field_mode_coefficients,
     field_number_commutator,
@@ -61,6 +64,7 @@ from .fields import (
     observable_H,
     observable_P,
     observable_S,
+    observable_diagonals,
     quadratic_H_from_fields,
     quadratic_P_from_fields,
     quadratic_S_from_fields,

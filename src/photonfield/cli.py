@@ -456,22 +456,20 @@ def check_helicity(ctx: RunContext) -> list[Record]:
 
 def check_ladder(ctx: RunContext) -> list[Record]:
     basis = ctx.basis
-    proj = fock.safe_projector(basis, 1)
-    eye = fock.identity(basis)
-    worst_canonical = 0.0
-    worst_cross = 0.0
-    worst_adjoint = 0.0
+    n_modes = basis.n_modes
     a_ops = [fock.annihilation(basis, mode) for mode in basis.modes]
     adag_ops = [fock.creation(basis, mode) for mode in basis.modes]
-    for i, (a_i, ad_i) in enumerate(zip(a_ops, adag_ops)):
-        worst_adjoint = max(worst_adjoint, (ad_i - a_i.dagger()).max_abs())
-        canon = proj @ (fock.commutator(a_i, ad_i) - eye) @ proj
-        worst_canonical = max(worst_canonical, canon.max_abs())
-        for j in range(i, basis.n_modes):
-            worst_cross = max(worst_cross, fock.commutator(a_i, a_ops[j]).max_abs())
-            if j != i:
-                worst_cross = max(worst_cross, fock.commutator(a_i, adag_ops[j]).max_abs())
-    n_modes = basis.n_modes
+    worst_adjoint = max((ad - a.dagger()).max_abs() for a, ad in zip(a_ops, adag_ops))
+    # Row i of the table: [a_i, a_j], then [a_i, a-dagger_j] less the identity for j = i;
+    # reduced over every state, then over the margin-1 safe states.
+    diag = np.arange(n_modes)
+    eye = fock.identity(basis)
+    keep = np.stack([np.ones(basis.dim, dtype=bool), fock.safe_states(basis, 1)])
+    table = fock.commutator_residuals(a_ops, a_ops + adag_ops, {(i, n_modes + i): eye for i in diag}, keep)
+    # Cross-mode pairs: [a_i, a_j] for j >= i and [a_i, a-dagger_j] for j > i.
+    upper = np.triu(np.ones((n_modes, n_modes), dtype=bool))
+    worst_cross = table[0][np.concatenate([upper, upper & ~np.eye(n_modes, dtype=bool)], axis=1)].max()
+    worst_canonical = table[1][diag, n_modes + diag].max()
     return [
         ctx.record("ladder.canonical", {"modes": n_modes, "margin": 1}, worst_canonical, 1e-12),
         ctx.record("ladder.cross_mode", {"modes": n_modes}, worst_cross, 1e-13),
@@ -489,34 +487,22 @@ def _quadratic_observables(basis: FockBasis, t: float) -> tuple:
 
 
 def _observable_residuals(basis: FockBasis, h_quad, p_quad, s_quad) -> dict[str, float]:
-    proj = fock.safe_projector(basis, 1)
-    eye = fock.identity(basis)
+    keep = fock.safe_states(basis, 1)
     zp = fields.zero_point(basis)
+    h_diag, p_diag, s_diag = fields.observable_diagonals(basis)
 
     def rel(lhs, target, scale):
-        diff = proj @ (lhs - target) @ proj
-        return diff.max_abs() / scale
+        return (lhs - fock.diagonal_operator(basis, target)).max_abs(keep) / scale
 
     out = {}
-    h_target = fields.observable_H(basis) + zp.E0 * eye
-    scale_h = max(abs(h_target.diagonal()).max(), 1e-300)
-    out["energy"] = rel(h_quad, h_target, scale_h)
-
-    p_diag = fields.observable_P(basis)
-    s_diag = fields.observable_S(basis)
+    h_target = h_diag + zp.E0
+    out["energy"] = rel(h_quad, h_target, max(abs(h_target).max(), 1e-300))
     for name, quad, diag, consts in (
         ("momentum", p_quad, p_diag, zp.P0),
         ("spin", s_quad, s_diag, zp.S0),
     ):
-        scale = max(
-            max(abs(d.diagonal()).max() for d in diag),
-            abs(zp.E0),
-        )
-        worst = 0.0
-        for comp in range(3):
-            target = diag[comp] + float(consts[comp]) * eye
-            worst = max(worst, rel(quad[comp], target, scale))
-        out[name] = worst
+        scale = max(abs(diag).max(), abs(zp.E0))
+        out[name] = max(rel(quad[comp], diag[comp] + float(consts[comp]), scale) for comp in range(3))
     return out
 
 
@@ -576,10 +562,10 @@ def check_commutators(ctx: RunContext) -> list[Record]:
     # Row `pairs` is an equal-time pair: its commutators vanish on the safe subspace.
     r = np.stack([d[0] for d in draws] + [np.array([[0.2, 0.4, -0.3], [-0.1, 0.8, 0.6]])])
     t = np.stack([d[1] for d in draws] + [np.array([0.5, 0.5])])
-    points = [[SpacetimePoint(r=r[p, s], t=float(t[p, s])) for s in (0, 1)] for p in range(pairs)]
     kinds = ((FieldKind.E, FieldKind.E), (FieldKind.B, FieldKind.B), (FieldKind.E, FieldKind.B))
     # Raises CompletenessError (exit 2) when a momentum lacks a helicity or its -n.
-    closed = [np.stack([fields.field_commutator_closed_form(basis, *k, *x) for x in points]) for k in kinds]
+    rho, tau = r[:pairs, 0] - r[:pairs, 1], t[:pairs, 0] - t[:pairs, 1]
+    closed = [fields.field_commutator_kernel(basis, *k, rho, tau) for k in kinds]
     coeffs = [[fields.mode_coefficients(basis, f, r[:, s], t[:, s]) for s, f in enumerate(k)] for k in kinds]
     w = [fields.commutator_weights(u, v) for u, v in coeffs]
     # On the margin-1 safe subspace each commutator is the sum of its weights.
@@ -590,18 +576,16 @@ def check_commutators(ctx: RunContext) -> list[Record]:
     # whole truncated space, against sum_m w_m [a_m, a-dagger_m] (1 below the cap, -n_max at it).
     d_table = np.where(basis.occupancy_table() < basis.n_max, 1.0, -float(basis.n_max))
     diagonals = w[0][0] @ d_table.T
-    e1, e2 = (fields.field(basis, FieldKind.E, x) for x in points[0])
-    for i, j in np.ndindex(3, 3):
-        anchor = fock.commutator(e1[i], e2[j]) - fock.diagonal_operator(basis, diagonals[i, j])
-        worst_cross = max(worst_cross, anchor.max_abs())
+    e1, e2 = (fields.field(basis, FieldKind.E, SpacetimePoint(r=r[0, s], t=float(t[0, s]))) for s in (0, 1))
+    targets = {(i, j): fock.diagonal_operator(basis, diagonals[i, j]) for i, j in np.ndindex(3, 3)}
+    worst_cross = max(worst_cross, fock.commutator_residuals(e1, e2, targets).max())
     # [field, N] equals its sign-flipped closed form everywhere.
-    n_op = fock.total_number(basis)
     x = SpacetimePoint(r=np.array([0.7, -0.4, 0.2]), t=0.3)
-    worst_number = max(
-        (fock.commutator(op, n_op) - flipped).max_abs()
-        for kind in (FieldKind.E, FieldKind.B, FieldKind.A)
-        for op, flipped in zip(fields.field(basis, kind, x), fields.field_number_commutator(basis, kind, x))
-    )
+    all_kinds = (FieldKind.E, FieldKind.B, FieldKind.A)
+    ops = [op for kind in all_kinds for op in fields.field(basis, kind, x)]
+    flipped = [op for kind in all_kinds for op in fields.field_number_commutator(basis, kind, x)]
+    targets = {(k, 0): op for k, op in enumerate(flipped)}
+    worst_number = fock.commutator_residuals(ops, [fock.total_number(basis)], targets).max()
     return [
         ctx.record("commutators.matrix_vs_closed", {"pairs": pairs, "margin": 1}, worst_cross, 1e-10),
         ctx.record("commutators.equal_time", {"kinds": ["E", "B"]}, worst_equal, 1e-12),
@@ -628,12 +612,14 @@ def check_expectations(ctx: RunContext) -> list[Record]:
     # over the mode coefficients; closed side: amplitude_profile, mean_field_table.
     ladders = [(fock.annihilation(basis, m), fock.creation(basis, m)) for m in basis.modes]
     means = [ensembles.ladder_expectations(s, ladders) for s in states]
+    profiles = [ensembles.amplitude_profile(s) for s in states]
     first = SpacetimePoint(r=r[0], t=float(t[0]))
     residuals = []
     for kind in (FieldKind.E, FieldKind.B, FieldKind.A):
         coeffs = fields.mode_coefficients(basis, kind, r, t)
         matrix = [ensembles.ladder_mean_field(coeffs, m) for m in means]
-        residuals += [ensembles.mean_field_table(s, kind, r, t)[:, 4:] - m for s, m in zip(states, matrix)]
+        closed = [ensembles.mean_field_table(s, kind, r, t, amplitudes=a)[:, 4:] for s, a in zip(states, profiles)]
+        residuals += [c - m for c, m in zip(closed, matrix)]
         # Anchor: the scenario state's assembled field operators at the first point.
         assembled = [ensembles.expectation(op, states[0]) for op in fields.field(basis, kind, first)]
         residuals.append(np.real(assembled) - matrix[0][0])

@@ -176,16 +176,20 @@ def field_expectation_closed_form(
 
 
 def mean_field_table(
-    state: FockState, kind: FieldKind, r: np.ndarray, t: np.ndarray
+    state: FockState, kind: FieldKind, r: np.ndarray, t: np.ndarray, amplitudes: np.ndarray | None = None
 ) -> np.ndarray:
     """(N, 7) rows (t, x, y, z, Fx, Fy, Fz) of the closed-form mean field.
 
     r of shape (N, 3) and t of shape (N,) are stacked points, which the
     caller has checked to be finite.  The amplitudes <a_m> and the mode
     coefficients of all points are computed once each; every row equals
-    field_expectation_closed_form at its point.
+    field_expectation_closed_form at its point.  amplitudes, when given, is
+    amplitude_profile(state), computed once by a caller that tabulates
+    several kinds.
     """
-    means = _mean_field(mode_coefficients(state.basis, kind, r, t), amplitude_profile(state))
+    if amplitudes is None:
+        amplitudes = amplitude_profile(state)
+    means = _mean_field(mode_coefficients(state.basis, kind, r, t), amplitudes)
     return np.column_stack([t, r, means])
 
 

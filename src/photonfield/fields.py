@@ -197,18 +197,30 @@ def field_number_commutator(
 # diagonal observables
 
 
+def observable_diagonals(basis: FockBasis) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Diagonals of H, P and S in the occupation basis, shapes (dim,), (3, dim) and (3, dim).
+
+    Each is the occupancy table times a per-mode value: hbar omega, the
+    components of p and the components of the spin.
+    """
+    occ = basis.occupancy_table()
+    return (
+        occ @ (basis.config.hbar * basis.omega),
+        np.stack([occ @ basis.p[:, i] for i in range(3)]),
+        np.stack([occ @ basis.spin[:, i] for i in range(3)]),
+    )
+
+
 def observable_H(basis: FockBasis) -> SparseOperator:
-    return diagonal_operator(basis, basis.occupancy_table() @ (basis.config.hbar * basis.omega))
+    return diagonal_operator(basis, observable_diagonals(basis)[0])
 
 
 def observable_P(basis: FockBasis) -> tuple[SparseOperator, SparseOperator, SparseOperator]:
-    occ = basis.occupancy_table()
-    return tuple(diagonal_operator(basis, occ @ basis.p[:, i]) for i in range(3))
+    return tuple(diagonal_operator(basis, d) for d in observable_diagonals(basis)[1])
 
 
 def observable_S(basis: FockBasis) -> tuple[SparseOperator, SparseOperator, SparseOperator]:
-    occ = basis.occupancy_table()
-    return tuple(diagonal_operator(basis, occ @ basis.spin[:, i]) for i in range(3))
+    return tuple(diagonal_operator(basis, d) for d in observable_diagonals(basis)[2])
 
 
 # ---------------------------------------------------------------------------
@@ -358,7 +370,7 @@ def _momentum_sum(basis: ModeTable, rho: np.ndarray):
             f"-n = {tuple(-v for v in n)} of n = {n} is missing"
         )
     first = basis.momentum_modes()
-    return first, basis.omega[first], _phase(basis, rho)[first]
+    return first, basis.omega[first], _phase(basis, rho)[..., first]
 
 
 def commutator_weights(u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -376,20 +388,19 @@ def commutator_weights(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return u * np.conj(v) - np.conj(u) * v
 
 
-def field_commutator_closed_form(
-    basis: ModeTable,
-    kind1: FieldKind,
-    kind2: FieldKind,
-    x1: SpacetimePoint,
-    x2: SpacetimePoint,
+def field_commutator_kernel(
+    basis: ModeTable, kind1: FieldKind, kind2: FieldKind, rho: np.ndarray, tau
 ) -> np.ndarray:
-    """Scalar 3x3 commutator kernel [F1_i(x1), F2_j(x2)] for F in {E, B}.
+    """Scalar 3x3 commutator kernels [F1_i(x1), F2_j(x2)] for F in {E, B}, at stacked point pairs.
 
-    The sum over modes of commutator_weights(F1(x1), F2(x2)), with the
-    helicity sum collapsed to the transverse projector and the n, -n terms
-    paired into a pure lattice momentum sum: every momentum n needs both
-    helicities and -n on the lattice, else CompletenessError.  The matrix
-    path equals this kernel times the identity on the safe subspace.
+    rho = r1 - r2 of shape (N, 3) and tau = t1 - t2 of shape (N,) give an
+    (N, 3, 3) array; rho of shape (3,) and a scalar tau give one (3, 3)
+    kernel.  Each kernel is the sum over modes of commutator_weights(F1(x1),
+    F2(x2)), with the helicity sum collapsed to the transverse projector and
+    the n, -n terms paired into a pure lattice momentum sum: every momentum
+    n needs both helicities and -n on the lattice, else CompletenessError.
+    Every element is computed by the same operations as for its pair alone.
+    The matrix path equals this kernel times the identity on the safe subspace.
     """
     kind1, kind2 = FieldKind(kind1), FieldKind(kind2)
     if kind1 is FieldKind.A or kind2 is FieldKind.A:
@@ -399,9 +410,9 @@ def field_commutator_closed_form(
             "field commutator closed forms need both helicities for every lattice "
             "momentum (the helicity completeness sum is used in the reduction)"
         )
-    first, omega, phase = _momentum_sum(basis, x1.r - x2.r)
-    hbar, dp3, tau = basis.config.hbar, basis.delta3p, x1.t - x2.t
-    kv, omega, phase = basis.k[first], omega[:, None, None], phase[:, None, None]
+    first, omega, phase = _momentum_sum(basis, rho)
+    hbar, dp3, tau = basis.config.hbar, basis.delta3p, np.asarray(tau)[..., None, None, None]
+    kv, omega, phase = basis.k[first], omega[:, None, None], phase[..., None, None]
     if kind1 is kind2:
         proj = np.eye(3) - kv[:, :, None] * kv[:, None, :]
         terms = (-2j / (2.0 * np.pi * hbar) ** 2) * dp3 * omega * proj * phase * np.sin(omega * tau)
@@ -409,7 +420,18 @@ def field_commutator_closed_form(
         eps_k = np.cross(kv[:, None, :], np.eye(3))  # eps_k[m, i, j] = epsilon_ijl k_l
         sign = 1.0 if kind1 is FieldKind.E else -1.0
         terms = sign * (2.0 / (2.0 * np.pi * hbar) ** 2) * dp3 * omega * eps_k * phase * np.cos(omega * tau)
-    return terms.sum(axis=0)
+    return terms.sum(axis=-3)
+
+
+def field_commutator_closed_form(
+    basis: ModeTable,
+    kind1: FieldKind,
+    kind2: FieldKind,
+    x1: SpacetimePoint,
+    x2: SpacetimePoint,
+) -> np.ndarray:
+    """Scalar 3x3 commutator kernel [F1_i(x1), F2_j(x2)] of one point pair (field_commutator_kernel)."""
+    return field_commutator_kernel(basis, kind1, kind2, x1.r - x2.r, x1.t - x2.t)
 
 
 def discrete_pauli_jordan(rho: np.ndarray, tau: float, basis: ModeTable) -> float:

@@ -23,6 +23,17 @@ quadratic forms sum_kl w_kl L_k L_l (ladder_products), each assembled in one
 pass from the basis's lowering table, the one place that says how a_j acts:
 a_j |s> = sqrt(occ_j) |s - strides[j]> for every state s with occ_j >= 1.
 
+SparseOperator keeps the complex CSR matrix it is given, and
+diagonal_operator (identity, the number operators, safe_projector) writes
+its CSR arrays directly, with the zero entries not stored.  Commutator
+residuals are read from a table (commutator_residuals): every [L_k, R_l]
+of two lists of small operators comes from two scipy products of stacked
+operators, vstack(L) @ hstack(R) and vstack(R) @ hstack(L), whose blocks
+are the products L_k R_l and R_l L_k entry by entry; large operators are
+multiplied pair by pair.  A safe subspace enters a residual as a mask of
+basis states (safe_states), not as a projector product: P X P for the 0/1
+diagonal P keeps exactly the X_ij with i and j both kept.
+
 Text exports use float_reprs: shortest round-trip reprs, computed once per
 distinct bit pattern of a column.
 """
@@ -42,6 +53,9 @@ ModeKey = tuple[int, IntVec]  # (helicity, integer momentum)
 
 DIM_GUARD = 65536
 NNZ_BUDGET = 200000
+# commutator_residuals stacks operators whose products hold at most this
+# many entries (estimated as nnz(L) nnz(R) / dim).
+STACK_LIMIT = 1 << 14
 
 
 class LatticeSizeError(ValueError):
@@ -231,7 +245,10 @@ class SparseOperator:
     """Complex sparse matrix on a FockBasis."""
 
     def __init__(self, matrix: sp.spmatrix, basis: FockBasis):
-        self.matrix = sp.csr_matrix(matrix, dtype=complex)
+        # Kept as given, not copied: every sum and product already is a complex CSR.
+        if not (isinstance(matrix, sp.csr_matrix) and matrix.dtype == complex):
+            matrix = sp.csr_matrix(matrix, dtype=complex)
+        self.matrix = matrix
         if self.matrix.shape != (basis.dim, basis.dim):
             raise ValueError(f"matrix shape {self.matrix.shape} does not match basis dim {basis.dim}")
         self.basis = basis
@@ -267,7 +284,15 @@ class SparseOperator:
 
     # -- inspection ------------------------------------------------------------
 
-    def max_abs(self) -> float:
+    def max_abs(self, keep: np.ndarray | None = None) -> float:
+        """Largest |X_ij| over the stored entries, 0.0 for none.
+
+        keep, a (dim,) bool mask of basis states, restricts it to the
+        entries with keep[i] and keep[j]: the max_abs of P X P for the
+        projector P onto the kept states.
+        """
+        if keep is not None:
+            return float(_block_maxima(self.matrix, self.basis.dim, (1, 1), keep)[0, 0])
         if self.matrix.nnz == 0:
             return 0.0
         return float(np.max(np.abs(self.matrix.data)))
@@ -280,11 +305,19 @@ class SparseOperator:
 
 
 def identity(basis: FockBasis) -> SparseOperator:
-    return SparseOperator(sp.identity(basis.dim, dtype=complex, format="csr"), basis)
+    return diagonal_operator(basis, np.ones(basis.dim))
 
 
 def diagonal_operator(basis: FockBasis, values: np.ndarray) -> SparseOperator:
-    return SparseOperator(sp.diags(np.asarray(values).astype(complex), format="csr"), basis)
+    """diag(values) as a complex CSR; zero values are not stored, as in sp.diags(values).tocsr()."""
+    values = np.asarray(values).astype(complex)
+    if values.shape != (basis.dim,):
+        raise ValueError(f"expected {basis.dim} diagonal values, got shape {values.shape}")
+    stored = values != 0
+    indices = np.flatnonzero(stored).astype(np.int32)
+    indptr = np.zeros(basis.dim + 1, dtype=np.int32)
+    np.cumsum(stored, out=indptr[1:])
+    return SparseOperator(sp.csr_matrix((values[indices], indices, indptr), shape=(basis.dim, basis.dim)), basis)
 
 
 def build_basis(config: LatticeConfig) -> FockBasis:
@@ -363,6 +396,109 @@ def commutator(a: SparseOperator, b: SparseOperator) -> SparseOperator:
     return a @ b - b @ a
 
 
+def _row_indices(matrix: sp.csr_matrix) -> np.ndarray:
+    """Row index of every stored entry of a CSR matrix, in storage order."""
+    return np.repeat(np.arange(matrix.shape[0]), np.diff(matrix.indptr))
+
+
+def _block_maxima(matrix: sp.csr_matrix, dim: int, blocks: tuple[int, int], keep) -> np.ndarray:
+    """max |X_ij| in each dim x dim block of a CSR matrix over entries with keep[i] and keep[j], 0.0 for none.
+
+    i and j are the row and column inside the block.  keep of shape (..., dim)
+    gives maxima of shape (..., *blocks); None keeps every state.
+    """
+    block = np.repeat(np.arange(blocks[0]) * blocks[1], np.diff(matrix.indptr[::dim])) + matrix.indices // dim
+    magnitude = np.abs(matrix.data)
+    if keep is None:
+        out = np.zeros(blocks[0] * blocks[1])
+        np.maximum.at(out, block, magnitude)
+        return out.reshape(blocks)
+    keep = np.asarray(keep, dtype=bool)
+    if keep.shape[-1:] != (dim,):
+        raise ValueError(f"keep must hold one flag per basis state ({dim}), got shape {keep.shape}")
+    masks = keep.reshape(-1, dim)
+    i = _row_indices(matrix) % dim
+    j = matrix.indices % dim
+    out = np.zeros((len(masks), blocks[0] * blocks[1]))
+    for mask, row in zip(masks, out):
+        inside = mask[i] & mask[j]
+        np.maximum.at(row, block[inside], magnitude[inside])
+    return out.reshape(keep.shape[:-1] + blocks)
+
+
+def _stack(matrices: list[sp.csr_matrix], stack) -> sp.csr_matrix:
+    """The one matrix itself, or stack(matrices) as CSR (sp.vstack or sp.hstack)."""
+    return matrices[0] if len(matrices) == 1 else stack(matrices, format="csr")
+
+
+def _placed(blocks: dict[tuple[int, int], SparseOperator], shape: tuple[int, int], dim: int) -> sp.csr_matrix:
+    """One CSR matrix of the given shape with blocks[k, l] in dim x dim block (k, l), zero elsewhere."""
+    if shape == (dim, dim):
+        return blocks[0, 0].matrix
+    parts = [(k * dim + _row_indices(op.matrix), l * dim + op.matrix.indices, op.matrix.data)
+             for (k, l), op in blocks.items()]
+    rows, cols, data = (np.concatenate(part) for part in zip(*parts))
+    return sp.csr_matrix((data, (rows, cols)), shape=shape)
+
+
+def _stacked_residuals(left, right, targets, dim: int, keep) -> np.ndarray:
+    """commutator_residuals of all pairs at once, from two products of stacked operators."""
+    left, right = [op.matrix for op in left], [op.matrix for op in right]
+    shape = (len(left) * dim, len(right) * dim)
+    forward = _stack(left, sp.vstack) @ _stack(right, sp.hstack)
+    backward = _stack(right, sp.vstack) @ _stack(left, sp.hstack)
+    if len(left) * len(right) > 1:
+        # Block (l, k) of backward is R_l L_k: entry (l dim + i, k dim + j) moves to (k dim + i, l dim + j).
+        rows, cols = _row_indices(backward), backward.indices
+        moved = (cols // dim * dim + rows % dim, rows // dim * dim + cols % dim)
+        backward = sp.csr_matrix((backward.data, moved), shape=shape)
+    table = forward - backward
+    if targets:
+        table = table - _placed(targets, shape, dim)
+    return _block_maxima(table, dim, (len(left), len(right)), keep)
+
+
+def commutator_residuals(
+    left: Sequence[SparseOperator],
+    right: Sequence[SparseOperator],
+    targets: dict[tuple[int, int], SparseOperator] | None = None,
+    keep: np.ndarray | None = None,
+) -> np.ndarray:
+    """max |[L_k, R_l] - T_kl| for every k, l: shape (len(left), len(right)).
+
+    targets maps (k, l) to T_kl; a pair without one is compared with 0.
+    keep, a bool array of shape (..., dim), restricts each maximum to the
+    entries X_ij with keep[i] and keep[j] (the residual of P X P for the
+    projector P onto the kept states); each (dim,) row gives one table, so
+    the result has shape (..., len(left), len(right)).
+
+    Small operators are stacked, and the whole table comes from two scipy
+    products: vstack(L) @ hstack(R) holds L_k R_l in block (k, l), and
+    vstack(R) @ hstack(L) holds R_l L_k in block (l, k), which is moved to
+    block (k, l) by coordinate arithmetic.  Operators with a product of
+    more than STACK_LIMIT estimated entries are multiplied pair by pair:
+    there stacking saves no call overhead and only adds passes over the
+    data.  scipy forms each entry of a block as the same sum of products,
+    in the same order, as the product of the two operators alone, and the
+    differences are taken as in commutator, so every residual equals
+    (commutator(L_k, R_l) - T_kl).max_abs(keep) bit for bit.
+    """
+    targets = targets or {}
+    ops = [*left, *right, *targets.values()]
+    for op in ops[1:]:
+        ops[0]._same_basis(op)
+    dim = ops[0].basis.dim
+    shape = (len(left), len(right))
+    largest = max(op.matrix.nnz for op in left) * max(op.matrix.nnz for op in right) / dim
+    if largest <= STACK_LIMIT:
+        return _stacked_residuals(left, right, targets, dim, keep)
+    out = np.zeros((() if keep is None else np.shape(keep)[:-1]) + shape)
+    for k, l in np.ndindex(shape):
+        pair = {(0, 0): targets[k, l]} if (k, l) in targets else {}
+        out[..., k, l] = _stacked_residuals(left[k : k + 1], right[l : l + 1], pair, dim, keep)[..., 0, 0]
+    return out
+
+
 def number_operator(basis: FockBasis, mode: ModeKey) -> SparseOperator:
     j = basis.mode_index(mode)
     return diagonal_operator(basis, basis.occupancy_table()[:, j].astype(float))
@@ -372,8 +508,8 @@ def total_number(basis: FockBasis) -> SparseOperator:
     return diagonal_operator(basis, basis.occupancy_table().sum(axis=1).astype(float))
 
 
-def safe_projector(basis: FockBasis, margin: int) -> SparseOperator:
-    """Projector onto states with every occupancy <= n_max - margin.
+def safe_states(basis: FockBasis, margin: int) -> np.ndarray:
+    """(dim,) bool mask of the states with every occupancy <= n_max - margin.
 
     On the margin-1 subspace the ladder algebra is exact:
     [a, a-dagger] = 1 there, while deviations from truncation live only on
@@ -381,8 +517,12 @@ def safe_projector(basis: FockBasis, margin: int) -> SparseOperator:
     """
     if margin < 0 or margin > basis.n_max:
         raise ValueError(f"margin must lie in 0..{basis.n_max}, got {margin}")
-    keep = (basis.occupancy_table() <= basis.n_max - margin).all(axis=1)
-    return diagonal_operator(basis, keep.astype(float))
+    return (basis.occupancy_table() <= basis.n_max - margin).all(axis=1)
+
+
+def safe_projector(basis: FockBasis, margin: int) -> SparseOperator:
+    """Projector onto the safe_states of the given margin."""
+    return diagonal_operator(basis, safe_states(basis, margin).astype(float))
 
 
 def float_reprs(values) -> list[str]:

@@ -243,16 +243,21 @@ def expectations_oracle(state, kind, r, t):
 
 
 def vacuum_scan_oracle(length, hbar, c, cutoff):
-    """Vacuum <E^2> summed over |n| <= cutoff by a running total in (nx, ny, nz) order."""
-    dp3 = (2.0 * np.pi * hbar / length) ** 3
+    """Vacuum <E^2> summed over |n| <= cutoff by a running total in (nx, ny, nz) order.
+
+    Each momentum is p = (2 pi hbar / L) n with omega = c |p| / hbar, the
+    norm taken by np.linalg.norm of that one p; the ball is |n|^2 <= cutoff^2
+    on integers.
+    """
+    step = 2.0 * np.pi * hbar / length
+    dp3 = step**3
     total = 0.0
     rng = range(-cutoff, cutoff + 1)
     for nx in rng:
         for ny in rng:
             for nz in rng:
-                norm = np.sqrt(nx * nx + ny * ny + nz * nz)
-                if 0 < norm <= cutoff:
-                    omega = c * (2.0 * np.pi / length) * norm
+                if 0 < nx * nx + ny * ny + nz * nz <= cutoff * cutoff:
+                    omega = c * np.linalg.norm(step * np.array([nx, ny, nz], dtype=float)) / hbar
                     total += 2.0 * dp3 * omega / (2.0 * np.pi * hbar) ** 2
     return total
 

@@ -290,10 +290,20 @@ def test_scan_rejects_bad_cutoff():
         pf.vacuum_field_square_scan(length=1.0, hbar=1.0, c=1.0, cutoffs=(0,))
 
 
-@pytest.mark.parametrize("length,hbar,c", [(2 * np.pi, 1.0, 1.0), (1.7, 0.3, 2.5)])
+# On the non-unit lattices the cutoffs include those where omega = c (2 pi / L) |n|
+# rounds differently from c |p| / hbar: 20 and 21, and 1, 2, 6, 10, 11 and 12.
+SCAN_CUTOFFS = {
+    (2 * np.pi, 1.0, 1.0): (1, 2, 3, 5, 8),
+    (1.7, 0.3, 2.5): (1, 2, 3, 5, 8, 20, 21),
+    (5.0, 0.7, 1.3): (1, 2, 3, 5, 6, 8, 10, 11, 12),
+}
+
+
+@pytest.mark.parametrize("length,hbar,c", list(SCAN_CUTOFFS))
 def test_vacuum_scan_matches_running_total_oracle(length, hbar, c):
-    rows = pf.vacuum_field_square_scan(length=length, hbar=hbar, c=c, cutoffs=(1, 2, 3, 5, 8))
-    assert [cutoff for cutoff, _ in rows] == [1, 2, 3, 5, 8]
+    cutoffs = SCAN_CUTOFFS[length, hbar, c]
+    rows = pf.vacuum_field_square_scan(length=length, hbar=hbar, c=c, cutoffs=cutoffs)
+    assert [cutoff for cutoff, _ in rows] == list(cutoffs)
     for cutoff, value in rows:
         assert value == oracles.vacuum_scan_oracle(length, hbar, c, cutoff)
 

@@ -451,6 +451,27 @@ def test_mode_table_without_a_fock_space():
     assert abs(pf.vacuum_field_square(table) - scan) <= 1e-14 * scan
 
 
+def _shell_table():
+    """Mode table of both helicities of every n with 0 < |n|^2 <= 4 (32 momenta), L = 5, hbar = 0.7, c = 1.3."""
+    shells = [n for n in itertools.product(range(-2, 3), repeat=3) if 0 < np.dot(n, n) <= 4]
+    modes = tuple((s, n) for n in shells for s in (1, -1))
+    return pf.ModeTable(pf.LatticeConfig(length=5.0, n_max=1, modes=modes, hbar=0.7, c=1.3))
+
+
+@pytest.mark.parametrize("kinds", ["EE", "BB", "EB", "BE"])
+def test_stacked_commutator_kernel_equals_per_pair(standard_basis, offaxis_basis, kinds):
+    rng = np.random.default_rng(21)
+    r, t = rng.uniform(-3.0, 3.0, size=(2, 15, 3)), rng.uniform(-1.0, 1.0, size=(2, 15))
+    k1, k2 = FieldKind(kinds[0]), FieldKind(kinds[1])
+    for table in (standard_basis, offaxis_basis, _shell_table()):
+        stacked = pf.field_commutator_kernel(table, k1, k2, r[0] - r[1], t[0] - t[1])
+        assert stacked.shape == (15, 3, 3)
+        for p in range(15):
+            x1, x2 = SpacetimePoint(r=r[0, p], t=float(t[0, p])), SpacetimePoint(r=r[1, p], t=float(t[1, p]))
+            pair = pf.field_commutator_closed_form(table, k1, k2, x1, x2)
+            assert stacked[p].tobytes() == pair.tobytes()
+
+
 def test_ee_and_bb_closed_forms_agree(standard_basis):
     x1 = point(1.2, -0.3, 0.4, t=0.6)
     x2 = point(0.1, 0.8, -0.2, t=-0.4)

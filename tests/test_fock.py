@@ -3,11 +3,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import photonfield as pf
-from photonfield import cli
+from photonfield import cli, fock
 from photonfield.fields import FieldKind, SpacetimePoint
 from photonfield.fock import BasisMismatchError, LatticeSizeError, float_reprs
 
@@ -231,6 +232,113 @@ def test_safe_projector_cases():
         assert (p @ p - p).max_abs() == 0.0
     with pytest.raises(ValueError):
         pf.safe_projector(basis, 4)
+
+
+def test_safe_states_mask_the_projector():
+    basis = pf.build_basis(small_config(n_max=2, modes=((1, (0, 0, 1)), (-1, (0, 0, 1)))))
+    for margin in (0, 1, 2):
+        keep = pf.safe_states(basis, margin)
+        assert keep.dtype == bool and keep.shape == (basis.dim,)
+        assert np.array_equal(np.real(pf.safe_projector(basis, margin).diagonal()), keep.astype(float))
+    # P X P keeps exactly the entries X_ij with i and j both kept.
+    x = pf.creation(basis, basis.modes[0]) @ pf.annihilation(basis, basis.modes[1]) + pf.total_number(basis)
+    proj, keep = pf.safe_projector(basis, 1), pf.safe_states(basis, 1)
+    assert x.max_abs(keep) == (proj @ x @ proj).max_abs() < x.max_abs()
+    assert x.max_abs(np.zeros(basis.dim, dtype=bool)) == 0.0
+
+
+@pytest.mark.parametrize("values", [[0.0, 2.5, -0.0, 1.0 - 2.0j], [3.0, 0.0, 0.0, 1e-300], [0.0] * 4])
+def test_diagonal_operator_is_the_csr_of_sp_diags(values):
+    basis = pf.build_basis(small_config())
+    got = fock.diagonal_operator(basis, np.array(values)).matrix
+    want = sp.diags(np.array(values, dtype=complex)).tocsr()
+    for name in ("indptr", "indices", "data"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+    assert fock.identity(basis).matrix.nnz == basis.dim
+    with pytest.raises(ValueError, match="diagonal values"):
+        fock.diagonal_operator(basis, np.ones(basis.dim + 1))
+
+
+def test_sparse_operator_keeps_a_complex_csr():
+    basis = pf.build_basis(small_config())
+    matrix = sp.identity(basis.dim, dtype=complex, format="csr")
+    assert pf.SparseOperator(matrix, basis).matrix is matrix
+    converted = pf.SparseOperator(sp.identity(basis.dim, format="coo"), basis).matrix
+    assert isinstance(converted, sp.csr_matrix) and converted.dtype == complex
+
+
+@pytest.fixture(scope="module")
+def twelve_mode_basis():
+    """Both helicities of +/- x, y and z, n_max = 1, dimension 4096."""
+    axes = ((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1))
+    modes = tuple((s, n) for n in axes for s in (1, -1))
+    return pf.build_basis(pf.LatticeConfig(length=2 * np.pi, n_max=1, modes=modes))
+
+
+def _commutator_tables(basis):
+    """(left, right, targets) of verify's three tables: ladders, two E fields, fields against N."""
+    a = [pf.annihilation(basis, m) for m in basis.modes]
+    adag = [pf.creation(basis, m) for m in basis.modes]
+    n = basis.n_modes
+    ladder = (a, a + adag, {(i, n + i): pf.identity(basis) for i in range(n)})
+    e1 = pf.field(basis, FieldKind.E, SpacetimePoint(r=np.array([0.3, -1.1, 0.4]), t=0.2))
+    e2 = pf.field(basis, FieldKind.E, SpacetimePoint(r=np.array([-0.7, 0.5, 1.9]), t=-0.6))
+    rng = np.random.default_rng(8)
+    diagonals = {(i, j): fock.diagonal_operator(basis, rng.standard_normal(basis.dim)) for i, j in np.ndindex(3, 3)}
+    x = SpacetimePoint(r=np.array([0.7, -0.4, 0.2]), t=0.3)
+    kinds = (FieldKind.E, FieldKind.B, FieldKind.A)
+    ops = [op for kind in kinds for op in pf.field(basis, kind, x)]
+    flipped = [op for kind in kinds for op in pf.field_number_commutator(basis, kind, x)]
+    number = (ops, [pf.total_number(basis)], {(k, 0): op for k, op in enumerate(flipped)})
+    return ladder, (e1, e2, diagonals), number
+
+
+@pytest.mark.parametrize("limit", [0, np.inf], ids=["pair_by_pair", "stacked"])
+@pytest.mark.parametrize("fixture", ["standard_basis", "twelve_mode_basis"])
+def test_commutator_residuals_equal_per_pair_commutators(request, monkeypatch, fixture, limit):
+    basis = request.getfixturevalue(fixture)
+    monkeypatch.setattr(fock, "STACK_LIMIT", limit)
+    proj, safe = pf.safe_projector(basis, 1), pf.safe_states(basis, 1)
+    keep = np.stack([np.ones(basis.dim, dtype=bool), safe])
+    zero = pf.SparseOperator(sp.csr_matrix((basis.dim, basis.dim), dtype=complex), basis)
+    for left, right, targets in _commutator_tables(basis):
+        table = pf.commutator_residuals(left, right, targets)
+        masked = pf.commutator_residuals(left, right, targets, keep)
+        assert table.shape == (len(left), len(right)) and masked.shape == (2, len(left), len(right))
+        for k, l in np.ndindex(table.shape):
+            residual = pf.commutator(left[k], right[l]) - targets.get((k, l), zero)
+            assert table[k, l] == masked[0, k, l] == residual.max_abs()
+            assert masked[1, k, l] == (proj @ residual @ proj).max_abs() == residual.max_abs(safe)
+
+
+@pytest.mark.parametrize("limit", [0, np.inf], ids=["pair_by_pair", "stacked"])
+def test_commutator_residuals_localize_a_perturbed_operator(standard_basis, monkeypatch, limit):
+    monkeypatch.setattr(fock, "STACK_LIMIT", limit)
+    basis = standard_basis
+    a = [pf.annihilation(basis, m) for m in basis.modes]
+    adag = [pf.creation(basis, m) for m in basis.modes]
+    n = basis.n_modes
+    # Exact targets: every residual of the clean table is zero.
+    targets = {(i, n + i): pf.commutator(a[i], adag[i]) for i in range(n)}
+    assert not pf.commutator_residuals(a, a + adag, targets).any()
+    matrix = a[2].matrix.copy()
+    matrix.data[0] *= 1.5
+    a[2] = pf.SparseOperator(matrix, basis)
+    table = pf.commutator_residuals(a, a + adag, targets)
+    nonzero = table != 0
+    assert nonzero[2].any() and nonzero[:, 2].any()
+    nonzero[2], nonzero[:, 2] = False, False
+    assert not nonzero.any()
+
+
+def test_commutator_residuals_refuse_mixed_bases(standard_basis, three_mode_basis):
+    a = pf.annihilation(standard_basis, standard_basis.modes[0])
+    b = pf.annihilation(three_mode_basis, three_mode_basis.modes[0])
+    with pytest.raises(BasisMismatchError):
+        pf.commutator_residuals([a], [b])
+    with pytest.raises(ValueError, match="one flag per basis state"):
+        pf.commutator_residuals([a], [a], keep=np.ones(3, dtype=bool))
 
 
 def test_zero_momentum_mode_rejected():
