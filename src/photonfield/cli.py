@@ -77,6 +77,12 @@ class GridSpec:
 
 
 SCAN_CUTOFFS = (1, 2, 3, 4)
+# Bounds on the scenario's size fields, refused at parse time.  At the bound,
+# expect on a 12-mode lattice (the most modes NNZ_BUDGET admits) took 0.54 s
+# and 88 MiB (tracemalloc peak), and the scan over cutoffs 1..64 took 0.24 s
+# and 77 MiB; the scan's memory grows as the cube of its largest cutoff.
+GRID_SAMPLES_MAX = 1 << 16
+SCAN_CUTOFF_MAX = 64
 
 
 @dataclass(frozen=True)
@@ -147,9 +153,11 @@ def _parse_mode_key(data, path: str) -> tuple[int, tuple[int, int, int]]:
     return int(s), (n[0], n[1], n[2])
 
 
-def _positive_int(value, path: str) -> int:
+def _positive_int(value, path: str, top: int | None = None) -> int:
     if not _is_int(value) or value < 1:
         raise ConfigError(f"{path}: must be an integer >= 1, got {value!r}")
+    if top is not None and value > top:
+        raise ConfigError(f"{path}: must be at most {top}, got {value!r}")
     return value
 
 
@@ -294,7 +302,7 @@ def parse_scenario(data: dict) -> Scenario:
         grid = GridSpec(
             t_start=_finite(g["t_start"], "scenario.grid.t_start"),
             t_stop=_finite(g["t_stop"], "scenario.grid.t_stop"),
-            samples=_positive_int(g["samples"], "scenario.grid.samples"),
+            samples=_positive_int(g["samples"], "scenario.grid.samples", GRID_SAMPLES_MAX),
             r=_finite_vector(g["r"], "scenario.grid.r"),
             kind=FieldKind(kind_name),
         )
@@ -307,7 +315,7 @@ def parse_scenario(data: dict) -> Scenario:
         path = "scenario.vacuum_scan.cutoffs"
         if not isinstance(vs["cutoffs"], list) or not vs["cutoffs"]:
             raise ConfigError(f"{path}: must be a nonempty list of integers")
-        cutoffs = tuple(_positive_int(v, f"{path}[{i}]") for i, v in enumerate(vs["cutoffs"]))
+        cutoffs = tuple(_positive_int(v, f"{path}[{i}]", SCAN_CUTOFF_MAX) for i, v in enumerate(vs["cutoffs"]))
         if any(b <= a for a, b in zip(cutoffs, cutoffs[1:])):
             raise ConfigError(f"{path}: must be strictly increasing, got {list(cutoffs)}")
 
@@ -777,8 +785,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(cmd)
         p.add_argument("--config", default=None, help="scenario JSON (default: built-in scenario)")
         p.add_argument("--out", default="out", help="output directory")
-        p.add_argument("--tolerance-scale", type=float, default=1.0)
-        p.add_argument("--seed", type=int, default=None, help="override the scenario seed")
+        if cmd == "verify":
+            p.add_argument("--tolerance-scale", type=float, default=1.0)
+            p.add_argument("--seed", type=int, default=None, help="override the scenario seed")
         if cmd == "dump-operator":
             p.add_argument("--operator", required=True, help="operator name, e.g. H or a@0")
     return parser
@@ -787,15 +796,15 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if not (np.isfinite(args.tolerance_scale) and args.tolerance_scale >= 0):
-            raise ConfigError(f"--tolerance-scale: must be finite and >= 0, got {args.tolerance_scale!r}")
-        if args.seed is not None and args.seed < 0:
-            raise ConfigError(f"--seed: must be a nonnegative integer, got {args.seed}")
+        if args.command == "verify":
+            if not (np.isfinite(args.tolerance_scale) and args.tolerance_scale >= 0):
+                raise ConfigError(f"--tolerance-scale: must be finite and >= 0, got {args.tolerance_scale!r}")
+            if args.seed is not None and args.seed < 0:
+                raise ConfigError(f"--seed: must be a nonnegative integer, got {args.seed}")
         scenario = load_scenario(args.config)
-        seed = scenario.seed if args.seed is None else args.seed
         out_dir = Path(args.out)
         if args.command == "verify":
-            return run_verify(scenario, out_dir, args.tolerance_scale, seed)
+            return run_verify(scenario, out_dir, args.tolerance_scale, scenario.seed if args.seed is None else args.seed)
         if args.command == "expect":
             return run_expect(scenario, out_dir)
         if args.command == "vacuum-scan":

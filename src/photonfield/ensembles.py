@@ -149,13 +149,16 @@ def ladder_mean_field(coeffs: np.ndarray, means: np.ndarray) -> np.ndarray:
 def amplitude_profile(state: FockState) -> np.ndarray:
     """<a_m> for every mode, a complex (n_modes,) array in mode order.
 
-    <a_m> = sum_src conj(C[dst]) C[src] amp over the basis's lowering table
-    (a_m |src> = amp |dst>); this is the coefficient-weighted form and
-    agrees with the matrix expectation.
+    <a_m> = sum_s conj(C[target]) C[s] amplitude over the live entries of
+    row m of the basis's ladder table (a_m |s> = amplitude |target>,
+    amplitude > 0); this is the coefficient-weighted form and agrees with
+    the matrix expectation.
     """
-    src, dst, amp = state.basis.lowering
-    c = state.coefficients
-    return np.sum(np.conj(c[dst]) * c[src] * amp, axis=1)
+    basis, c = state.basis, state.coefficients
+    amplitude = basis.amplitude[: basis.n_modes]
+    live = amplitude > 0
+    terms = np.conj(c[basis.target[: basis.n_modes][live]]) * c[np.nonzero(live)[1]] * amplitude[live]
+    return np.sum(terms.reshape(basis.n_modes, -1), axis=1)
 
 
 def _mean_field(coeffs: np.ndarray, amps: np.ndarray) -> np.ndarray:

@@ -20,12 +20,20 @@ subspaces whose occupancies stay below the cap.
 Operators are coefficient arrays over the ladder operators L = (a_1..a_n,
 a-dagger_1..a-dagger_n): linear forms sum_k w_k L_k (ladder_sum) and
 quadratic forms sum_kl w_kl L_k L_l (ladder_products), each assembled in one
-pass from the basis's lowering table, the one place that says how a_j acts:
-a_j |s> = sqrt(occ_j) |s - strides[j]> for every state s with occ_j >= 1.
+pass from the basis's ladder table, the one place that says how they act:
+L_k |s> = amplitude[k, s] |target[k, s]>, so a_j |s> = sqrt(occ_j)
+|s - strides[j]> and a-dagger_j |s> = sqrt(occ_j + 1) |s + strides[j]>,
+with amplitude 0 and target s where L_k annihilates s.  ladder_products,
+ladder_values and ensembles.amplitude_profile read only the live entries
+(amplitude > 0, the same count in every row), in state order.
 
-SparseOperator keeps the complex CSR matrix it is given, and
-diagonal_operator (identity, the number operators, safe_projector) writes
-its CSR arrays directly, with the zero entries not stored.  Commutator
+SparseOperator keeps the complex CSR matrix it is given.  Linear forms and
+diagonal_operator (identity, the number operators, safe_projector) write
+their CSR arrays directly, with the zero entries not stored: row t of L_k
+is row t of the table row of its transpose (a_j and a-dagger_j are
+transposes of each other), and in the order a-dagger_1..a-dagger_n,
+a_n..a_1 the columns of every row increase.  Only quadratic forms, whose
+entries really add up, go through a coordinate list.  Commutator
 residuals are read from a table (commutator_residuals): every [L_k, R_l]
 of two lists of small operators comes from two scipy products of stacked
 operators, vstack(L) @ hstack(R) and vstack(R) @ hstack(L), whose blocks
@@ -100,6 +108,14 @@ class LatticeConfig:
             raise ValueError("length, hbar and c must be positive")
         if self.n_max < 1:
             raise ValueError(f"n_max must be >= 1, got {self.n_max}")
+        # Every field coefficient carries sqrt(Delta3p); a cell that underflows
+        # (or overflows) would make each field 0 (or inf), and checks vacuous.
+        try:
+            delta3p = dispersion(np.zeros((0, 3)), self.length, self.hbar, self.c)[2]
+        except OverflowError:
+            delta3p = np.inf
+        if not np.finfo(float).tiny <= delta3p < np.inf:
+            raise ValueError(f"the momentum cell (2 pi hbar / L)^3 = {delta3p!r} is not a positive normal float")
         norm_modes = tuple(mode_key(m) for m in self.modes)
         for s, n in norm_modes:
             if s not in (1, -1):
@@ -192,13 +208,13 @@ class FockBasis(ModeTable):
                 f"basis dimension {local}^{n_modes} = {dim} exceeds the guard "
                 f"{DIM_GUARD}; reduce the mode count or n_max"
             )
-        # ladder_products, which builds every quadratic observable, holds two
-        # by-state tables of exactly 2 n_modes x dim entries; an assembled
-        # field operator stores at most that many nonzeros.
+        # The basis holds the ladder table, two arrays (target, amplitude) of
+        # exactly 2 n_modes x dim entries; an assembled field operator stores
+        # at most that many nonzeros.
         table_size = 2 * n_modes * dim
         if table_size > NNZ_BUDGET:
             raise LatticeSizeError(
-                f"the ladder tables of 2 x {n_modes} modes x dim {dim} = {table_size} entries "
+                f"the ladder table of 2 x {n_modes} modes x dim {dim} = {table_size} entries "
                 f"exceed the budget {NNZ_BUDGET}; reduce the mode count or n_max"
             )
         super().__init__(config)
@@ -209,19 +225,16 @@ class FockBasis(ModeTable):
         self.strides = tuple(local ** (self.n_modes - 1 - j) for j in range(self.n_modes))
         occ = np.unravel_index(np.arange(dim), (local,) * self.n_modes)
         self._occupancies = np.stack(occ, axis=1)  # shape (dim, n_modes)
-        # Lowering table (src, dst, amp), row j = mode j: a_j |src> = amp |dst>
-        # for each state src with occ_j >= 1, in increasing order; a-dagger_j
-        # is the transpose.  Shape (n_modes, dim n_max / (n_max + 1)) each.
-        by_mode = self._occupancies.T
-        mode, src = np.nonzero(by_mode)
-        shape = (self.n_modes, -1)
-        self.lowering = (
-            src.astype(np.int32).reshape(shape),
-            (src - np.asarray(self.strides)[mode]).astype(np.int32).reshape(shape),
-            np.sqrt(by_mode[mode, src]).reshape(shape),
-        )
-        for arr in self.lowering:
-            arr.setflags(write=False)
+        # Ladder table, row k = L_k in the order a_1..a_n, a-dagger_1..a-dagger_n:
+        # L_k |s> = amplitude[k, s] |target[k, s]>, amplitude 0 and target s
+        # where L_k annihilates s.  Shape (2 n_modes, dim) each.
+        by_mode, states = np.stack(occ).astype(np.int32), np.arange(dim, dtype=np.int32)
+        step = np.asarray(self.strides, dtype=np.int32)[:, None]
+        up = by_mode < self.n_max
+        self.target = np.concatenate([states - step * (by_mode > 0), states + step * up])
+        self.amplitude = np.sqrt(np.concatenate([by_mode, (by_mode + 1) * up]), dtype=float)
+        self.target.setflags(write=False)
+        self.amplitude.setflags(write=False)
 
     # -- index bookkeeping -------------------------------------------------
 
@@ -313,21 +326,24 @@ def diagonal_operator(basis: FockBasis, values: np.ndarray) -> SparseOperator:
     values = np.asarray(values).astype(complex)
     if values.shape != (basis.dim,):
         raise ValueError(f"expected {basis.dim} diagonal values, got shape {values.shape}")
+    return _csr_rows(basis, values[:, None], np.arange(basis.dim, dtype=np.int32)[:, None])
+
+
+def _csr_rows(basis: FockBasis, values: np.ndarray, columns: np.ndarray) -> SparseOperator:
+    """The CSR matrix with values[t, i] in row t, column columns[t, i]; zero values are not stored.
+
+    values (complex) and columns (int32) have shape (dim, K), and the
+    columns of each row increase with i.
+    """
     stored = values != 0
-    indices = np.flatnonzero(stored).astype(np.int32)
     indptr = np.zeros(basis.dim + 1, dtype=np.int32)
-    np.cumsum(stored, out=indptr[1:])
-    return SparseOperator(sp.csr_matrix((values[indices], indices, indptr), shape=(basis.dim, basis.dim)), basis)
+    np.cumsum(stored.sum(axis=1), out=indptr[1:])
+    shape = (basis.dim, basis.dim)
+    return SparseOperator(sp.csr_matrix((values[stored], columns[stored], indptr), shape=shape), basis)
 
 
 def build_basis(config: LatticeConfig) -> FockBasis:
     return FockBasis(config)
-
-
-def _ladder_moves(basis: FockBasis) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(source, target, amplitude) rows of L_k: a_k for k < n_modes, then a-dagger."""
-    src, dst, amp = basis.lowering
-    return np.concatenate([src, dst]), np.concatenate([dst, src]), np.concatenate([amp, amp])
 
 
 def _assemble(basis: FockBasis, rows, cols, data) -> SparseOperator:
@@ -347,39 +363,43 @@ def ladder_sum(basis: FockBasis, weights: np.ndarray) -> SparseOperator:
     """sum_k weights[k] L_k, for weights of shape (2 n_modes,).
 
     L = (a_1..a_n, a-dagger_1..a-dagger_n); weights = (c, d) gives
-    sum_j (c_j a_j + d_j a-dagger_j).
+    sum_j (c_j a_j + d_j a-dagger_j).  Row t of L_k holds amplitude[k', t]
+    in column target[k', t], for k' the table row of L_k's transpose.  As
+    in _assemble, adding 0.0 turns -0.0 parts into 0.0.
     """
-    src, dst, amp = _ladder_moves(basis)
-    k = np.flatnonzero(weights)
-    data = np.asarray(weights)[k, None] * amp[k]
-    return _assemble(basis, dst[k].ravel(), src[k].ravel(), data.ravel())
+    n = basis.n_modes
+    weights = np.asarray(weights, dtype=complex)
+    order = np.r_[n : 2 * n, n - 1 : -1 : -1]
+    order = order[weights[order] != 0]
+    rows = (order + n) % (2 * n)
+    values = weights[order, None] * basis.amplitude[rows] + 0.0
+    return _csr_rows(basis, values.T, basis.target[rows].T)
 
 
 def ladder_values(basis: FockBasis, coeffs: np.ndarray) -> np.ndarray:
     """Stored a-side values of sum_m (c_m a_m + h.c.) for each column of coeffs.
 
-    coeffs (..., n_modes, C) give (..., C, n_modes, entries): c_m times each amplitude of
-    lowering-table row m, as ladder_sum stores them; the a-dagger side holds their conjugates.
+    coeffs (..., n_modes, C) give (..., C, n_modes, entries): c_m times each live amplitude of
+    a_m (amplitude > 0, in state order), as ladder_sum stores them; the a-dagger side holds
+    their conjugates.
     """
-    return np.swapaxes(coeffs, -1, -2)[..., None] * basis.lowering[2]
+    amplitude = basis.amplitude[: basis.n_modes]
+    return np.swapaxes(coeffs, -1, -2)[..., None] * amplitude[amplitude > 0].reshape(basis.n_modes, -1)
 
 
 def ladder_products(basis: FockBasis, weights: np.ndarray) -> SparseOperator:
     """sum_{k,l} weights[k, l] L_k L_l, for weights of shape (2 n_modes, 2 n_modes).
 
-    Built without sparse products: for each stored entry of L_l (source s,
-    target t), the amplitude and target of L_k at t are read from by-state
-    copies of the table.
+    Built without sparse products: for every state s that L_l does not
+    annihilate (amplitude > 0, the same count in every row), L_l takes s to
+    m = target[l, s], and L_k takes m on to target[k, m], both read from
+    the ladder table.
     """
-    src, dst, amp = _ladder_moves(basis)
-    amp_at = np.zeros((len(src), basis.dim))
-    dst_at = np.zeros((len(src), basis.dim), dtype=dst.dtype)
-    np.put_along_axis(amp_at, src, amp, axis=1)
-    np.put_along_axis(dst_at, src, dst, axis=1)
     k, l = np.nonzero(weights)
-    mid = dst[l]
-    data = weights[k, l][:, None] * (amp_at[k[:, None], mid] * amp[l])
-    return _assemble(basis, dst_at[k[:, None], mid].ravel(), src[l].ravel(), data.ravel())
+    src = np.nonzero(basis.amplitude > 0)[1].reshape(2 * basis.n_modes, -1)[l]
+    mid = basis.target[l[:, None], src]
+    data = weights[k, l][:, None] * (basis.amplitude[k[:, None], mid] * basis.amplitude[l[:, None], src])
+    return _assemble(basis, basis.target[k[:, None], mid].ravel(), src.ravel(), data.ravel())
 
 
 def annihilation(basis: FockBasis, mode: ModeKey) -> SparseOperator:

@@ -51,7 +51,9 @@ def kron_lowering(basis, j):
     single = sp.diags(np.sqrt(np.arange(1, local)), offsets=1, format="csr", dtype=complex)
     left = sp.identity(local**j, format="csr", dtype=complex)
     right = sp.identity(local ** (basis.n_modes - 1 - j), format="csr", dtype=complex)
-    return sp.kron(sp.kron(left, single), right).tocsr()
+    matrix = sp.kron(sp.kron(left, single), right).tocsr()
+    matrix.eliminate_zeros()  # with a 2x2 right factor sp.kron builds a BSR whose dense blocks store zeros
+    return matrix
 
 
 def _grid(basis):

@@ -404,12 +404,17 @@ def _superposition(*amplitudes):
             "scenario.grid: every sample point must be finite",
         ),
         ((), None, ["--seed", "-1"], "--seed"),
+        (("grid", "samples"), cli.GRID_SAMPLES_MAX + 1, [], "scenario.grid.samples: must be at most"),
+        (("grid", "samples"), 10**15, [], "scenario.grid.samples: must be at most"),
+        (("vacuum_scan",), {"cutoffs": [1, cli.SCAN_CUTOFF_MAX + 1]}, [], "scenario.vacuum_scan.cutoffs[1]"),
+        (("vacuum_scan",), {"cutoffs": [1, 1000000]}, [], "scenario.vacuum_scan.cutoffs[1]"),
     ],
     ids=[
         "grid_r_length", "grid_not_object", "vacuum_scan_not_object", "modes_not_list", "t_start_text",
         "alpha_text", "alpha_underflows", "amplitude_null", "amplitudes_all_zero", "amplitudes_overflow",
         "amplitudes_underflow", "gauge_length", "gauge_parallel", "seed_bool", "first_missing_key",
-        "grid_span_overflows", "seed_flag_negative",
+        "grid_span_overflows", "seed_flag_negative", "samples_above_bound", "samples_huge",
+        "cutoff_above_bound", "cutoff_huge",
     ],
 )
 def test_bad_scenario_field_rejected_at_parse(tmp_path, capsys, where, value, flags, path):
@@ -426,6 +431,42 @@ def test_bad_scenario_field_rejected_at_parse(tmp_path, capsys, where, value, fl
     assert cli.main(["verify", "--config", config, "--out", str(out), *flags]) == 2
     assert path in capsys.readouterr().err
     assert not (out / "report.json").exists()
+
+
+def test_size_fields_at_their_bounds_parse():
+    data = default_data()
+    data["grid"]["samples"] = cli.GRID_SAMPLES_MAX
+    data["vacuum_scan"] = {"cutoffs": [1, cli.SCAN_CUTOFF_MAX]}
+    scenario = cli.parse_scenario(data)
+    assert scenario.grid.samples == cli.GRID_SAMPLES_MAX and scenario.scan_cutoffs == (1, cli.SCAN_CUTOFF_MAX)
+
+
+@pytest.mark.parametrize("checks", [["commutators"], list(cli.CHECK_NAMES)], ids=["commutators", "all"])
+@pytest.mark.parametrize("command", ["verify", "expect", "vacuum-scan"])
+def test_underflowing_momentum_cell_rejected_whatever_checks(tmp_path, capsys, checks, command):
+    # (2 pi hbar / L)^3 rounds to 0.0: every field coefficient would be 0 and
+    # the commutator residuals exactly 0.0, a vacuous pass.
+    data = default_data()
+    data["lattice"]["hbar"] = 1e-120
+    data["checks"] = checks
+    config = write_scenario(tmp_path, data)
+    out = tmp_path / "o"
+    assert cli.main([command, "--config", config, "--out", str(out)]) == 2
+    assert "scenario.lattice: the momentum cell" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", [["--seed", "1"], ["--tolerance-scale", "2"]], ids=["seed", "tolerance_scale"])
+@pytest.mark.parametrize(
+    "command", [["expect"], ["vacuum-scan"], ["dump-operator", "--operator", "N"]], ids=["expect", "vacuum_scan", "dump_operator"]
+)
+def test_verify_options_refused_by_other_commands(tmp_path, capsys, command, flag):
+    out = tmp_path / "o"
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*command, "--out", str(out), *flag])
+    assert exc.value.code == 2
+    assert flag[0] in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_repeated_superposition_term_rejected(tmp_path, capsys):

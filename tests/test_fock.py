@@ -163,6 +163,76 @@ def test_ladder_operators_match_kron_oracle(three_mode_basis):
         assert a.nnz == ref.nnz == adag.nnz
 
 
+LADDER_CONFIGS = [
+    small_config(n_max=1, modes=((1, (0, 0, 1)), (-1, (1, 0, 0)), (1, (0, -1, 1)))),
+    small_config(n_max=2, modes=((1, (0, 0, 1)), (-1, (1, 0, 0)), (1, (0, -1, 1)))),
+    small_config(n_max=3, modes=((1, (0, 0, 1)), (-1, (0, 0, 1)), (1, (0, 0, -1)))),
+]
+
+
+@pytest.mark.parametrize("config", LADDER_CONFIGS, ids=["n_max1", "n_max2", "n_max3"])
+def test_ladder_table_matches_kron_oracle(config):
+    basis = pf.build_basis(config)
+    n = basis.n_modes
+    assert basis.target.shape == basis.amplitude.shape == (2 * n, basis.dim)
+    assert basis.target.dtype == np.int32 and basis.amplitude.dtype == np.float64
+    lowering = [oracles.kron_lowering(basis, j) for j in range(n)]
+    for k, ref in enumerate(lowering + [op.conj().T for op in lowering]):
+        ref = ref.tocsc()
+        for s in range(basis.dim):
+            rows = ref.indices[ref.indptr[s] : ref.indptr[s + 1]]
+            values = ref.data[ref.indptr[s] : ref.indptr[s + 1]]
+            if len(rows) == 0:
+                assert (basis.amplitude[k, s], basis.target[k, s]) == (0.0, s), (k, s)
+            else:
+                assert len(rows) == 1 and values[0].imag == 0.0
+                assert (basis.amplitude[k, s], basis.target[k, s]) == (values[0].real, rows[0]), (k, s)
+
+
+def _coo_ladder_sum(basis, weights):
+    """sum_k weights[k] L_k through a coordinate list summed into CSR, with L_k from the kron oracle."""
+    lowering = [oracles.kron_lowering(basis, j).tocoo() for j in range(basis.n_modes)]
+    moves = [(m.row, m.col, m.data.real) for m in lowering] + [(m.col, m.row, m.data.real) for m in lowering]
+    k = np.flatnonzero(weights)
+    rows, cols = (np.concatenate([moves[i][axis] for i in k] + [np.zeros(0, int)]) for axis in (0, 1))
+    data = np.concatenate([weights[i] * moves[i][2] for i in k] + [np.zeros(0)])
+    keep = data != 0
+    matrix = sp.csr_matrix((data[keep] + 0.0, (rows[keep], cols[keep])), shape=(basis.dim, basis.dim))
+    matrix.eliminate_zeros()
+    return pf.SparseOperator(matrix, basis).matrix
+
+
+def _ladder_weights(n):
+    rng = np.random.default_rng(5)
+    complex_weights = rng.standard_normal(2 * n) + 1j * rng.standard_normal(2 * n)
+    complex_weights[[1, n]] = 0.0
+    # Products of these with a positive amplitude have -0.0 real or imaginary parts.
+    signed_zeros = np.array([complex(-0.0, 1.0), complex(-1.5, -0.0), -0.0, 0j] + [complex(-0.0, -2.0)] * (2 * n - 4))
+    return {
+        **{f"unit{k}": np.eye(2 * n)[k] for k in range(2 * n)},
+        "ones": np.ones(2 * n),
+        "complex_with_zeros": complex_weights,
+        "signed_zeros": signed_zeros,
+        "all_zero": np.zeros(2 * n, dtype=complex),
+    }
+
+
+@pytest.mark.parametrize("config", LADDER_CONFIGS, ids=["n_max1", "n_max2", "n_max3"])
+def test_ladder_sum_writes_the_csr_of_the_coordinate_recipe(config):
+    basis = pf.build_basis(config)
+    for name, weights in _ladder_weights(basis.n_modes).items():
+        got = fock.ladder_sum(basis, weights).matrix
+        want = _coo_ladder_sum(basis, weights)
+        for field in ("indptr", "indices", "data"):
+            a, b = getattr(got, field), getattr(want, field)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (name, field)
+        assert got.has_canonical_format and want.has_canonical_format, name
+    # The signed-zero case is not vacuous: before 0.0 is added, its products carry -0.0 parts.
+    raw = _ladder_weights(basis.n_modes)["signed_zeros"][:, None] * basis.amplitude
+    parts = np.concatenate([raw.real[basis.amplitude > 0], raw.imag[basis.amplitude > 0]])
+    assert np.any((parts == 0) & np.signbit(parts))
+
+
 def test_canonical_commutator_on_safe_subspace(standard_basis):
     proj = pf.safe_projector(standard_basis, 1)
     eye = pf.identity(standard_basis)
@@ -339,6 +409,15 @@ def test_commutator_residuals_refuse_mixed_bases(standard_basis, three_mode_basi
         pf.commutator_residuals([a], [b])
     with pytest.raises(ValueError, match="one flag per basis state"):
         pf.commutator_residuals([a], [a], keep=np.ones(3, dtype=bool))
+
+
+@pytest.mark.parametrize("hbar", [1e-120, 4e-104, 1e200], ids=["zero", "subnormal", "infinite"])
+def test_momentum_cell_must_be_a_normal_float(hbar):
+    # (2 pi * 4e-104 / 2 pi)^3 = 6.4e-311 is subnormal.
+    with pytest.raises(ValueError, match="momentum cell"):
+        small_config(hbar=hbar)
+    smallest = (np.finfo(float).tiny ** (1 / 3)) * 1.0001
+    assert small_config(hbar=smallest).hbar == smallest
 
 
 def test_zero_momentum_mode_rejected():

@@ -14,13 +14,12 @@ from photonfield import cli, fields, fock
 
 
 def n_for_sqrt_n(monkeypatch):
-    """The lowering table stores n where a_j |n> carries sqrt(n)."""
+    """The ladder table stores n where a_j |n> carries sqrt(n) (and n + 1 for sqrt(n + 1))."""
     build_basis = fock.build_basis
 
     def mutated(config):
         basis = build_basis(config)
-        src, dst, amp = basis.lowering
-        basis.lowering = (src, dst, amp**2)
+        basis.amplitude = basis.amplitude**2
         return basis
 
     monkeypatch.setattr(fock, "build_basis", mutated)
