@@ -204,17 +204,23 @@ def _parse_occupancies(data, lattice: LatticeConfig, path: str) -> tuple[int, ..
 
 
 def _parse_state(state, lattice: LatticeConfig) -> dict[tuple[int, ...], complex]:
-    """scenario.state as the {occupancies: amplitude} terms ensembles.superposition takes."""
+    """scenario.state as the {occupancies: amplitude} terms ensembles.superposition takes.
+
+    FockState divides by the norm of the terms, so every kind's norm must be
+    finite and nonzero: squares that underflow make it 0, squares that
+    overflow make it inf.
+    """
     if not isinstance(state, dict) or "kind" not in state:
         raise ConfigError("scenario.state: must be an object with a 'kind'")
     kind = state["kind"]
+    path = "scenario.state"
     if kind == "vacuum":
         _require_keys(state, "scenario.state", {"kind"})
-        return {(0,) * len(lattice.modes): 1.0}
-    if kind == "number":
+        terms = {(0,) * len(lattice.modes): 1.0}
+    elif kind == "number":
         _require_keys(state, "scenario.state", {"kind", "occupancies"})
-        return {_parse_occupancies(state["occupancies"], lattice, "scenario.state.occupancies"): 1.0}
-    if kind == "coherent":
+        terms = {_parse_occupancies(state["occupancies"], lattice, "scenario.state.occupancies"): 1.0}
+    elif kind == "coherent":
         _require_keys(state, "scenario.state", {"kind", "alpha", "mode", "cap"})
         mode = _parse_mode_key(state["mode"], "scenario.state.mode")
         if mode not in lattice.modes:
@@ -227,30 +233,28 @@ def _parse_state(state, lattice: LatticeConfig) -> dict[tuple[int, ...], complex
             amplitudes = ensembles.coherent_profile(alpha, mode, cap).amplitudes
         except OverflowError:
             amplitudes = ()
-        if not any(amplitudes):
-            raise ConfigError(f"scenario.state.alpha: the coherent profile up to cap {cap} is zero in floating point")
         j = lattice.modes.index(mode)
-        return {tuple(n if i == j else 0 for i in range(len(lattice.modes))): a for n, a in enumerate(amplitudes)}
-    if kind != "superposition":
+        terms = {tuple(n if i == j else 0 for i in range(len(lattice.modes))): a for n, a in enumerate(amplitudes)}
+        path = "scenario.state.alpha"
+    elif kind == "superposition":
+        _require_keys(state, "scenario.state", {"kind", "terms"})
+        if not isinstance(state["terms"], list) or not state["terms"]:
+            raise ConfigError("scenario.state.terms: must be a nonempty list")
+        terms = {}
+        for i, term in enumerate(state["terms"]):
+            term_path = f"scenario.state.terms[{i}]"
+            _require_keys(term, term_path, {"occupancies", "amplitude"})
+            occupancies = _parse_occupancies(term["occupancies"], lattice, f"{term_path}.occupancies")
+            if occupancies in terms:
+                raise ConfigError(f"{term_path}.occupancies: repeats an earlier term's occupancies")
+            terms[occupancies] = _parse_complex(term["amplitude"], f"{term_path}.amplitude")
+        path = "scenario.state.terms"
+    else:
         raise ConfigError(f"scenario.state.kind: unknown state kind {kind!r}")
-    _require_keys(state, "scenario.state", {"kind", "terms"})
-    if not isinstance(state["terms"], list) or not state["terms"]:
-        raise ConfigError("scenario.state.terms: must be a nonempty list")
-    terms = {}
-    for i, term in enumerate(state["terms"]):
-        path = f"scenario.state.terms[{i}]"
-        _require_keys(term, path, {"occupancies", "amplitude"})
-        occupancies = _parse_occupancies(term["occupancies"], lattice, f"{path}.occupancies")
-        if occupancies in terms:
-            raise ConfigError(f"{path}.occupancies: repeats an earlier term's occupancies")
-        terms[occupancies] = _parse_complex(term["amplitude"], f"{path}.amplitude")
-    if not any(terms.values()):
-        raise ConfigError("scenario.state.terms: the amplitudes must not all be zero")
-    # FockState divides by this norm; overflowing squares make it inf and the state zero.
     with np.errstate(over="ignore"):
         norm = float(np.linalg.norm(np.array(list(terms.values()))))
     if not 0 < norm < np.inf:
-        raise ConfigError(f"scenario.state.terms: the amplitude norm must be finite and nonzero, got {norm!r}")
+        raise ConfigError(f"{path}: the amplitude norm must be finite and nonzero, got {norm!r}")
     return terms
 
 

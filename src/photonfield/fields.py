@@ -20,7 +20,8 @@ densities: the box keeps only mode pairs of equal or opposite momentum, so
 each is a coefficient array over mode pairs, assembled by fock.ladder_products
 with no quadrature and exact up to floating point and truncation at the
 occupancy cap.  The Maxwell and potential residuals are array expressions over
-the values each field operator stores (fock.ladder_values); none is assembled.
+the distinct values each field operator stores, c_m sqrt(k) for k = 1..n_max
+(_stored_values); none is assembled, and a ModeTable is enough.
 Ladder operators of different modes commute exactly, even when truncated, so
 two fields with coefficients u, v have the diagonal commutator [F_i, G_j] =
 sum_m (u_mi conj(v_mj) - conj(u_mi) v_mj) [a_m, a-dagger_m] (commutator_weights).
@@ -42,7 +43,6 @@ from .fock import (
     diagonal_operator,
     ladder_products,
     ladder_sum,
-    ladder_values,
 )
 
 
@@ -293,8 +293,20 @@ def _check_step(h: float, method: str) -> None:
         raise ValueError(f"method must be 'fd' or 'analytic', got {method!r}")
 
 
-def _derivatives(basis: FockBasis, kind: FieldKind, x: SpacetimePoint, h: float, method: str) -> np.ndarray:
-    """Values of d_t F_i, d_x F_i, d_y F_i, d_z F_i at x, shape (4, 3, n_modes, entries).
+def _stored_values(basis: ModeTable, coeffs: np.ndarray) -> np.ndarray:
+    """Distinct a-side values of sum_m (c_m a_m + h.c.) for each column of coeffs.
+
+    coeffs (..., n_modes, C) give (..., C, n_modes, n_max): c_m sqrt(k) for
+    k = 1..n_max.  Each entry of a_m that an operator on a FockBasis stores
+    has the magnitude of one of these, bit for bit, and every k occurs (the
+    ladder table holds sqrt(k) at occupancy k); the a-dagger side holds their
+    conjugates.  So a maximum over them is the maximum over the stored entries.
+    """
+    return np.swapaxes(coeffs, -1, -2)[..., None] * np.sqrt(np.arange(1, basis.config.n_max + 1), dtype=float)
+
+
+def _derivatives(basis: ModeTable, kind: FieldKind, x: SpacetimePoint, h: float, method: str) -> np.ndarray:
+    """Values of d_t F_i, d_x F_i, d_y F_i, d_z F_i at x, shape (4, 3, n_modes, n_max).
 
     "analytic" differentiates each mode exactly; "fd" takes O(h^2) central
     differences over the 8 points x +/- h e_(t, x, y, z).
@@ -302,13 +314,13 @@ def _derivatives(basis: FockBasis, kind: FieldKind, x: SpacetimePoint, h: float,
     if method == "analytic":
         amplitudes, phase = _amplitudes(basis, kind, x.t), _phase(basis, x.r)
         factors = [_derivative_factors(basis, phase, dt, dr) for dt, *dr in np.eye(4, dtype=int)]
-        return ladder_values(basis, amplitudes * np.stack(factors)[..., None])
+        return _stored_values(basis, amplitudes * np.stack(factors)[..., None])
     steps = h * np.eye(4)
     t = np.concatenate([x.t + steps[:, 0], x.t - steps[:, 0]])
     r = np.concatenate([x.r + steps[:, 1:], x.r - steps[:, 1:]])
     if not (np.all(np.isfinite(r)) and np.all(np.isfinite(t))):
         raise ValueError("stencil points must be finite")
-    values = ladder_values(basis, mode_coefficients(basis, kind, r, t))
+    values = _stored_values(basis, mode_coefficients(basis, kind, r, t))
     return (values[:4] - values[4:]) * (0.5 / h)
 
 
@@ -322,18 +334,20 @@ def _max_abs(values: np.ndarray) -> float:
 
 
 def check_derivative_relations(
-    basis: FockBasis, x: SpacetimePoint, h: float, method: str = "fd"
+    basis: ModeTable, x: SpacetimePoint, h: float, method: str = "fd"
 ) -> dict[str, float]:
     """Residuals of E = -(1/c) dA/dt and B = curl A.
 
     method "fd" uses central differences with step h (O(h^2) accurate);
     method "analytic" uses exact per-mode differentiation and serves as
-    the oracle for the finite-difference path.
+    the oracle for the finite-difference path.  Each residual is a maximum
+    over the distinct values the operators store (_stored_values), so a
+    ModeTable is enough.
     """
     _check_step(h, method)
     c = basis.config.c
     coeffs = [field_mode_coefficients(basis, kind, x) for kind in (FieldKind.E, FieldKind.B)]
-    e, b = ladder_values(basis, np.stack(coeffs))
+    e, b = _stored_values(basis, np.stack(coeffs))
     d_a = _derivatives(basis, FieldKind.A, x, h, method)
     return {
         "potential_time": _max_abs(e + d_a[0] * (1.0 / c)),
@@ -342,9 +356,13 @@ def check_derivative_relations(
 
 
 def check_maxwell(
-    basis: FockBasis, x: SpacetimePoint, h: float, method: str = "fd"
+    basis: ModeTable, x: SpacetimePoint, h: float, method: str = "fd"
 ) -> dict[str, float]:
-    """Residuals of the four source-free Maxwell equations at x."""
+    """Residuals of the four source-free Maxwell equations at x.
+
+    Each is a maximum over the distinct values the operators store
+    (_stored_values), as in check_derivative_relations; a ModeTable is enough.
+    """
     _check_step(h, method)
     c = basis.config.c
     d_e = _derivatives(basis, FieldKind.E, x, h, method)

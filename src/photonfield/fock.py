@@ -23,9 +23,11 @@ quadratic forms sum_kl w_kl L_k L_l (ladder_products), each assembled in one
 pass from the basis's ladder table, the one place that says how they act:
 L_k |s> = amplitude[k, s] |target[k, s]>, so a_j |s> = sqrt(occ_j)
 |s - strides[j]> and a-dagger_j |s> = sqrt(occ_j + 1) |s + strides[j]>,
-with amplitude 0 and target s where L_k annihilates s.  ladder_products,
-ladder_values and ensembles.amplitude_profile read only the live entries
-(amplitude > 0, the same count in every row), in state order.
+with amplitude 0 and target s where L_k annihilates s.  Both writers read
+whole table rows: an annihilated state gives a zero entry, which is not
+stored.  Only ensembles.amplitude_profile selects the live entries (those of
+positive amplitude, the same count in every row), since zeros in its sums
+would change how numpy groups them.
 
 SparseOperator keeps the complex CSR matrix it is given.  Linear forms and
 diagonal_operator (identity, the number operators, safe_projector) write
@@ -128,6 +130,17 @@ class LatticeConfig:
             raise ValueError("duplicate modes in lattice configuration")
         if not norm_modes:
             raise ValueError("at least one mode is required")
+        # Delta3p omega / (2 pi hbar)^2 is a mode's vacuum <E^2> term and the
+        # square of its E-field scale; where it underflows, the fields are 0.
+        with np.errstate(all="ignore"):
+            omega = dispersion(np.array([n for _, n in norm_modes]), self.length, self.hbar, self.c)[1]
+            terms = delta3p * omega / np.square(2.0 * np.pi * self.hbar)
+        bad = np.flatnonzero(~((np.finfo(float).tiny <= terms) & (terms < np.inf)))
+        if len(bad):
+            raise ValueError(
+                f"the vacuum <E^2> term Delta3p omega / (2 pi hbar)^2 = {float(terms[bad[0]])!r} "
+                f"of mode {norm_modes[bad[0]]} is not a positive normal float"
+            )
         object.__setattr__(self, "modes", norm_modes)
 
 
@@ -376,30 +389,19 @@ def ladder_sum(basis: FockBasis, weights: np.ndarray) -> SparseOperator:
     return _csr_rows(basis, values.T, basis.target[rows].T)
 
 
-def ladder_values(basis: FockBasis, coeffs: np.ndarray) -> np.ndarray:
-    """Stored a-side values of sum_m (c_m a_m + h.c.) for each column of coeffs.
-
-    coeffs (..., n_modes, C) give (..., C, n_modes, entries): c_m times each live amplitude of
-    a_m (amplitude > 0, in state order), as ladder_sum stores them; the a-dagger side holds
-    their conjugates.
-    """
-    amplitude = basis.amplitude[: basis.n_modes]
-    return np.swapaxes(coeffs, -1, -2)[..., None] * amplitude[amplitude > 0].reshape(basis.n_modes, -1)
-
-
 def ladder_products(basis: FockBasis, weights: np.ndarray) -> SparseOperator:
     """sum_{k,l} weights[k, l] L_k L_l, for weights of shape (2 n_modes, 2 n_modes).
 
-    Built without sparse products: for every state s that L_l does not
-    annihilate (amplitude > 0, the same count in every row), L_l takes s to
+    Built without sparse products: for every state s, L_l takes s to
     m = target[l, s], and L_k takes m on to target[k, m], both read from
-    the ladder table.
+    whole rows of the ladder table.  Where L_l or L_k annihilates, the
+    product of the two amplitudes is 0.0, and _assemble does not store it.
     """
     k, l = np.nonzero(weights)
-    src = np.nonzero(basis.amplitude > 0)[1].reshape(2 * basis.n_modes, -1)[l]
-    mid = basis.target[l[:, None], src]
-    data = weights[k, l][:, None] * (basis.amplitude[k[:, None], mid] * basis.amplitude[l[:, None], src])
-    return _assemble(basis, basis.target[k[:, None], mid].ravel(), src.ravel(), data.ravel())
+    mid = basis.target[l]
+    data = weights[k, l][:, None] * (basis.amplitude[k[:, None], mid] * basis.amplitude[l])
+    src = np.tile(np.arange(basis.dim), len(l))
+    return _assemble(basis, basis.target[k[:, None], mid].ravel(), src, data.ravel())
 
 
 def annihilation(basis: FockBasis, mode: ModeKey) -> SparseOperator:

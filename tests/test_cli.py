@@ -456,6 +456,40 @@ def test_underflowing_momentum_cell_rejected_whatever_checks(tmp_path, capsys, c
     assert not out.exists()
 
 
+@pytest.mark.parametrize("checks", [["polarization"], list(cli.CHECK_NAMES)], ids=["polarization", "all"])
+@pytest.mark.parametrize("command", ["verify", "expect", "vacuum-scan"])
+def test_underflowing_field_scale_rejected_whatever_checks(tmp_path, capsys, checks, command):
+    # The cell (2 pi / L)^3 = 2.5e-298 is a normal float, but each mode's vacuum
+    # <E^2> term Delta3p omega / (2 pi hbar)^2, the square of its E-field scale,
+    # rounds to 0.0: verify would divide by it, and the scan would write zeros.
+    data = default_data()
+    data["lattice"]["length"] = 1e100
+    data["checks"] = checks
+    config = write_scenario(tmp_path, data)
+    out = tmp_path / "o"
+    assert cli.main([command, "--config", config, "--out", str(out)]) == 2
+    assert "scenario.lattice: the vacuum <E^2> term" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command,checks",
+    [("verify", ["polarization"]), ("verify", list(cli.CHECK_NAMES)), ("expect", list(cli.CHECK_NAMES))],
+    ids=["verify_polarization", "verify_all", "expect"],
+)
+def test_coherent_state_with_underflowing_norm_rejected(tmp_path, capsys, command, checks):
+    # Its largest amplitude, about 4e-192, is not zero, but every square
+    # underflows: the norm FockState divides by is 0.0.
+    data = default_data()
+    data["state"]["alpha"] = [30.0, 0.0]
+    data["checks"] = checks
+    config = write_scenario(tmp_path, data)
+    out = tmp_path / "o"
+    assert cli.main([command, "--config", config, "--out", str(out)]) == 2
+    assert "scenario.state.alpha: the amplitude norm must be finite and nonzero" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flag", [["--seed", "1"], ["--tolerance-scale", "2"]], ids=["seed", "tolerance_scale"])
 @pytest.mark.parametrize(
     "command", [["expect"], ["vacuum-scan"], ["dump-operator", "--operator", "N"]], ids=["expect", "vacuum_scan", "dump_operator"]

@@ -326,9 +326,11 @@ def test_divergence_vanishes_for_transverse_mode(single_mode_basis):
 
 
 @pytest.mark.parametrize("method,h", [("analytic", 1e-3), ("analytic", 5e-4), ("fd", 1e-3), ("fd", 5e-4)])
-def test_maxwell_residuals_equal_operator_oracle(standard_basis, offaxis_basis, three_mode_basis, method, h):
+def test_maxwell_residuals_equal_operator_oracle(
+    standard_basis, offaxis_basis, three_mode_basis, capped_basis, method, h
+):
     points = (point(0.3, -0.2, 0.15, t=0.1), point(-2.1, 0.7, 1.3, t=-0.8), point(4.0, -3.5, 0.02, t=1.9))
-    for basis in (standard_basis, offaxis_basis, three_mode_basis):
+    for basis in (standard_basis, offaxis_basis, three_mode_basis, capped_basis):
         for x in points:
             got = pf.check_maxwell(basis, x, h, method=method)
             got.update(pf.check_derivative_relations(basis, x, h, method=method))
@@ -451,11 +453,29 @@ def test_mode_table_without_a_fock_space():
     assert abs(pf.vacuum_field_square(table) - scan) <= 1e-14 * scan
 
 
-def _shell_table():
+def _shell_table(n_max=1):
     """Mode table of both helicities of every n with 0 < |n|^2 <= 4 (32 momenta), L = 5, hbar = 0.7, c = 1.3."""
     shells = [n for n in itertools.product(range(-2, 3), repeat=3) if 0 < np.dot(n, n) <= 4]
     modes = tuple((s, n) for n in shells for s in (1, -1))
-    return pf.ModeTable(pf.LatticeConfig(length=5.0, n_max=1, modes=modes, hbar=0.7, c=1.3))
+    return pf.ModeTable(pf.LatticeConfig(length=5.0, n_max=n_max, modes=modes, hbar=0.7, c=1.3))
+
+
+def test_maxwell_on_a_mode_table_without_a_fock_space():
+    # The residuals read only the mode table and n_max: 64 modes, no Fock space.
+    table = _shell_table(n_max=2)
+    with pytest.raises(pf.LatticeSizeError):
+        pf.FockBasis(table.config)
+    x = point(0.3, -0.2, 0.15, t=0.1)
+    analytic, fd, fd_half = (
+        {**pf.check_maxwell(table, x, h, method=method), **pf.check_derivative_relations(table, x, h, method=method)}
+        for method, h in (("analytic", 1e-3), ("fd", 1e-3), ("fd", 5e-4))
+    )
+    assert len(analytic) == 6 and max(analytic.values()) < 1e-12
+    for name in ("faraday", "ampere", "potential_time", "potential_curl"):
+        assert 3.2 < fd[name] / fd_half[name] < 4.8, name
+    # Every n here lies on an axis or has entries in {-1, 0, 1}, so with n . eps = 0
+    # each divergence's stencil error, a sum of n_j^3 eps_j terms, vanishes: only roundoff is left.
+    assert max(fd["div_e"], fd["div_b"], fd_half["div_e"], fd_half["div_b"]) < 1e-12
 
 
 @pytest.mark.parametrize("kinds", ["EE", "BB", "EB", "BE"])

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import photonfield as pf
-from photonfield import cli, fock
+from photonfield import cli, fields, fock
 from photonfield.fields import FieldKind, SpacetimePoint
 from photonfield.fock import BasisMismatchError, LatticeSizeError, float_reprs
 
@@ -231,6 +231,43 @@ def test_ladder_sum_writes_the_csr_of_the_coordinate_recipe(config):
     raw = _ladder_weights(basis.n_modes)["signed_zeros"][:, None] * basis.amplitude
     parts = np.concatenate([raw.real[basis.amplitude > 0], raw.imag[basis.amplitude > 0]])
     assert np.any((parts == 0) & np.signbit(parts))
+
+
+def _live_ladder_products(basis, weights):
+    """sum_kl weights[k, l] L_k L_l from the coordinate list of the states L_l does not annihilate."""
+    k, l = np.nonzero(weights)
+    src = np.nonzero(basis.amplitude > 0)[1].reshape(2 * basis.n_modes, -1)[l]
+    mid = basis.target[l[:, None], src]
+    data = weights[k, l][:, None] * (basis.amplitude[k[:, None], mid] * basis.amplitude[l[:, None], src])
+    rows, cols, data = basis.target[k[:, None], mid].ravel(), src.ravel(), data.ravel()
+    keep = data != 0
+    matrix = sp.csr_matrix((data[keep] + 0.0, (rows[keep], cols[keep])), shape=(basis.dim, basis.dim))
+    matrix.eliminate_zeros()
+    return matrix
+
+
+@pytest.mark.parametrize("config", LADDER_CONFIGS, ids=["n_max1", "n_max2", "n_max3"])
+def test_ladder_products_write_the_csr_of_the_live_entry_recipe(config, monkeypatch):
+    basis = pf.build_basis(config)
+    # The box-integral weights of H, P and S, as the quadratic forms pass them.
+    weights, products = [], fields.ladder_products
+    monkeypatch.setattr(fields, "ladder_products", lambda b, w: weights.append(w) or products(b, w))
+    for t in (0.0, 0.37):
+        fields.quadratic_H_from_fields(basis, t)
+        fields.quadratic_P_from_fields(basis, t)
+        fields.quadratic_S_from_fields(basis, t)
+    assert len(weights) == 14
+    rng = np.random.default_rng(8)
+    size = (2 * basis.n_modes,) * 2
+    for _ in range(3):
+        random = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+        random[rng.random(size) < 0.4] = 0.0
+        weights.append(random)
+    for i, w in enumerate(weights):
+        got, want = fock.ladder_products(basis, w).matrix, _live_ladder_products(basis, w)
+        for field in ("indptr", "indices", "data"):
+            a, b = getattr(got, field), getattr(want, field)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (i, field)
 
 
 def test_canonical_commutator_on_safe_subspace(standard_basis):
