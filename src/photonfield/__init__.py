@@ -13,7 +13,6 @@ from .polarization import (
     check_relations,
     completeness_matrix,
     make_triad,
-    phase_shift,
 )
 from .classical import (
     ClassicalPhoton,
@@ -21,12 +20,11 @@ from .classical import (
     boost,
     boost_matrix,
     build_tensor,
-    extract_fields,
     kinematics,
     null_residuals,
     rotating_vectors,
 )
-from .spin import HelicityPair, SpinMatrices, helicity_states, momentum_wavefunction, spin_matrices
+from .spin import HelicityPair, SpinMatrices, helicity_states, spin_matrices
 from .fock import (
     BasisMismatchError,
     FockBasis,
@@ -53,14 +51,13 @@ from .fields import (
     ZeroPointConstants,
     check_derivative_relations,
     check_maxwell,
-    discrete_pauli_jordan,
     field,
     field_commutator_closed_form,
     field_commutator_kernel,
     field_derivative,
     field_mode_coefficients,
     field_number_commutator,
-    linear_functional,
+    linear_forms,
     observable_H,
     observable_P,
     observable_S,

@@ -111,14 +111,6 @@ def build_tensor(e: np.ndarray, b: np.ndarray) -> PhotonTensor:
     return PhotonTensor(f=f)
 
 
-def extract_fields(tensor: PhotonTensor) -> tuple[np.ndarray, np.ndarray]:
-    """Inverse of build_tensor: recover (e, b) from the tensor components."""
-    f = tensor.f
-    e = f[0, 1:].copy()
-    b = np.array([f[2, 3], -f[1, 3], f[1, 2]])
-    return e, b
-
-
 def null_residuals(tensor: PhotonTensor) -> tuple[float, float]:
     """The two invariant signatures of a radiation field: (e.b, |e|^2 - |b|^2)."""
     (_, ex, ey, ez), (_, _, bz, minus_by), (_, _, _, bx), _ = tensor.f.tolist()
@@ -162,8 +154,8 @@ def boost_matrix(beta: np.ndarray) -> np.ndarray:
 def boost(tensor: PhotonTensor, beta: np.ndarray) -> PhotonTensor:
     """Boost the tensor:  f' = Lambda f Lambda^T.
 
-    Antisymmetry and the null-field invariants are preserved; the extracted
-    (e', b') are reported in the new frame without re-fixing any gauge.
+    Antisymmetry and the null-field invariants are preserved; the (e', b')
+    the boosted tensor holds are those of the new frame, with no gauge re-fixed.
     """
     lam = boost_matrix(beta)
     return PhotonTensor(f=lam @ tensor.f @ lam.T)

@@ -322,6 +322,18 @@ def parse_scenario(data: dict) -> Scenario:
         cutoffs = tuple(_positive_int(v, f"{path}[{i}]", SCAN_CUTOFF_MAX) for i, v in enumerate(vs["cutoffs"]))
         if any(b <= a for a, b in zip(cutoffs, cutoffs[1:])):
             raise ConfigError(f"{path}: must be strictly increasing, got {list(cutoffs)}")
+    # The scan to cutoff top adds fewer than (2 top + 1)^3 terms, none above the
+    # term 2 Delta3p omega / (2 pi hbar)^2 of |n| = top; refuse a total that can overflow.
+    top = cutoffs[-1]
+    with np.errstate(over="ignore"):
+        _, omega, delta3p = fock.dispersion([[top, 0, 0]], lattice.length, lattice.hbar, lattice.c)
+        term = 2.0 * delta3p * omega[0] / np.square(2.0 * np.pi * lattice.hbar)
+        bound = (2 * top + 1) ** 3 * term
+    if not bound < np.inf:
+        raise ConfigError(
+            f"scenario.vacuum_scan: the sum to cutoff {top} can overflow: "
+            f"(2 * {top} + 1)^3 terms of up to {float(term)!r} exceed the float range"
+        )
 
     seed = data["seed"]
     if not _is_int(seed) or seed < 0:
@@ -498,10 +510,10 @@ def _quadratic_observables(basis: FockBasis, t: float) -> tuple:
     )
 
 
-def _observable_residuals(basis: FockBasis, h_quad, p_quad, s_quad) -> dict[str, float]:
+def _observable_residuals(basis: FockBasis, diagonals, h_quad, p_quad, s_quad) -> dict[str, float]:
     keep = fock.safe_states(basis, 1)
     zp = fields.zero_point(basis)
-    h_diag, p_diag, s_diag = fields.observable_diagonals(basis)
+    h_diag, p_diag, s_diag = diagonals
 
     def rel(lhs, target, scale):
         return (lhs - fock.diagonal_operator(basis, target)).max_abs(keep) / scale
@@ -520,15 +532,16 @@ def _observable_residuals(basis: FockBasis, h_quad, p_quad, s_quad) -> dict[str,
 
 def check_observables(ctx: RunContext) -> list[Record]:
     basis = ctx.basis
+    diagonals = fields.observable_diagonals(basis)
     early = _quadratic_observables(basis, 0.0)
-    res0 = _observable_residuals(basis, *early)
+    res0 = _observable_residuals(basis, diagonals, *early)
     records = [
         ctx.record(f"observables.{name}", {"margin": 1, "t": 0.0}, res0[name], 1e-10)
         for name in ("energy", "momentum", "spin")
     ]
     # Conservation: the quadratic observables do not depend on the field
     # evaluation time.
-    scale = max(abs(fields.observable_H(basis).diagonal()).max(), 1.0)
+    scale = max(abs(diagonals[0]).max(), 1.0)
     late = _quadratic_observables(basis, 0.37)
     drift = (early[0] - late[0]).max_abs()
     for ops_early, ops_late in zip(early[1:], late[1:]):
@@ -744,8 +757,8 @@ def _operator_builder(name: str, lattice: LatticeConfig) -> Callable[[FockBasis]
             vals = []
         if len(vals) != 4 or not np.all(np.isfinite(vals)):
             raise ConfigError(f"operator {name!r}: expected '<F><c>@rx,ry,rz,t' with 4 finite numbers")
-        x = SpacetimePoint(r=np.array(vals[:3]), t=vals[3])
-        return lambda basis: fields.field_component(basis, FieldKind(head[0]), x, axis)
+        x, kind = SpacetimePoint(r=np.array(vals[:3]), t=vals[3]), FieldKind(head[0])
+        return lambda basis: fields.linear_forms(basis, fields.field_mode_coefficients(basis, kind, x)[:, [axis]])[0]
     raise ConfigError(
         f"unknown operator {name!r}; use N, H, Px/Py/Pz, Sx/Sy/Sz, a@<mode>, adag@<mode>, "
         f"N@<mode>, or Ex@rx,ry,rz,t (likewise B*, A*)"

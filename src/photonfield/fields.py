@@ -13,8 +13,9 @@ stacked points at once, (N, 3) positions and (N,) times to an
 Coefficients, commutator closed forms and zero-point constants read only
 the mode table (fock.ModeTable, which needs no Fock space).
 A derivative is the coefficients times one per-mode factor, (-i omega) per
-time derivative and (i p_j / hbar) per derivative along axis j, and a linear
-functional is its (n_modes,) coefficient vector (linear_functional).
+time derivative and (i p_j / hbar) per derivative along axis j.  Every linear
+operator is built by one function, linear_forms, from an (n_modes, C)
+coefficient array: one operator per column.
 The total energy, momentum and spin are box integrals of quadratic
 densities: the box keeps only mode pairs of equal or opposite momentum, so
 each is a coefficient array over mode pairs, assembled by fock.ladder_products
@@ -143,34 +144,25 @@ def _ladder_weights(coeffs: np.ndarray, sign: float = 1.0) -> np.ndarray:
     return np.concatenate([coeffs, sign * np.conj(coeffs)])
 
 
-def _field_operators(basis: FockBasis, coeffs: np.ndarray, sign: float = 1.0):
-    """sum_m ( c_m a_m + sign * conj(c_m) a-dagger_m ) for each column of coeffs."""
+def linear_forms(basis: FockBasis, coeffs, sign: float = 1.0) -> tuple[SparseOperator, ...]:
+    """sum_m ( c_m a_m + sign * conj(c_m) a-dagger_m ), one operator per column c of coeffs.
+
+    A linear form is its coefficient vector: coeffs is an (n_modes, C)
+    array, row m the coefficients of a_m; any other shape is refused.
+    sign = 1 gives hermitian observables, sign = -1 antihermitian ones.
+    """
+    coeffs = np.asarray(coeffs)
+    if coeffs.ndim != 2 or coeffs.shape[0] != basis.n_modes:
+        raise ValueError(f"expected {basis.n_modes} mode coefficients, got shape {coeffs.shape}")
     weights = _ladder_weights(coeffs, sign)
     return tuple(ladder_sum(basis, weights[:, i]) for i in range(weights.shape[1]))
-
-
-def linear_functional(basis: FockBasis, coeffs) -> SparseOperator:
-    """Hermitian observable sum_m ( f_m a_m + conj(f_m) a-dagger_m ).
-
-    A functional is its coefficient vector: coeffs is the (n_modes,) array
-    of the f_m, in mode order; any other shape is refused.
-    """
-    vec = np.asarray(coeffs)
-    if vec.shape != (basis.n_modes,):
-        raise ValueError(f"expected {basis.n_modes} mode coefficients, got shape {vec.shape}")
-    return _field_operators(basis, vec.astype(complex)[:, None])[0]
 
 
 def field(
     basis: FockBasis, kind: FieldKind, x: SpacetimePoint
 ) -> tuple[SparseOperator, SparseOperator, SparseOperator]:
     """The three cartesian component operators of E, B or A at x."""
-    return _field_operators(basis, field_mode_coefficients(basis, kind, x))
-
-
-def field_component(basis: FockBasis, kind: FieldKind, x: SpacetimePoint, axis: int) -> SparseOperator:
-    """One cartesian component (axis 0, 1 or 2) of E, B or A at x; the others are not built."""
-    return _field_operators(basis, field_mode_coefficients(basis, kind, x)[:, [axis]])[0]
+    return linear_forms(basis, field_mode_coefficients(basis, kind, x))
 
 
 def field_derivative(
@@ -178,7 +170,7 @@ def field_derivative(
 ) -> tuple[SparseOperator, SparseOperator, SparseOperator]:
     """Exact derivative d_t^dt d_r^dr of a field at x: its coefficients times one per-mode factor."""
     factors = _derivative_factors(basis, _phase(basis, x.r), dt, dr)
-    return _field_operators(basis, _amplitudes(basis, kind, x.t) * factors[:, None])
+    return linear_forms(basis, _amplitudes(basis, kind, x.t) * factors[:, None])
 
 
 def field_number_commutator(
@@ -190,7 +182,7 @@ def field_number_commutator(
     truncated space, so the matrix commutator equals this antihermitian
     operator everywhere, not just on a safe subspace.
     """
-    return _field_operators(basis, field_mode_coefficients(basis, kind, x), -1.0)
+    return linear_forms(basis, field_mode_coefficients(basis, kind, x), -1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -450,19 +442,3 @@ def field_commutator_closed_form(
 ) -> np.ndarray:
     """Scalar 3x3 commutator kernel [F1_i(x1), F2_j(x2)] of one point pair (field_commutator_kernel)."""
     return field_commutator_kernel(basis, kind1, kind2, x1.r - x2.r, x1.t - x2.t)
-
-
-def discrete_pauli_jordan(rho: np.ndarray, tau: float, basis: ModeTable) -> float:
-    """Lattice analog of the odd commutator kernel D(rho, tau).
-
-    D = (-1/(2 pi hbar)^3) sum_n Delta3p exp(i p.rho/hbar) sin(omega tau)/omega,
-    summed over distinct lattice momenta.  Real only when the momentum set
-    is closed under n -> -n; other sets raise CompletenessError.
-    """
-    _, omega, phase = _momentum_sum(basis, np.asarray(rho, dtype=float))
-    hbar = basis.config.hbar
-    total = np.sum(basis.delta3p * phase * np.sin(omega * tau) / omega)
-    total *= -1.0 / (2.0 * np.pi * hbar) ** 3
-    if abs(total.imag) > 1e-12:
-        raise ValueError(f"kernel acquired an imaginary part {total.imag!r}")
-    return float(total.real)

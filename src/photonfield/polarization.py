@@ -178,12 +178,6 @@ def make_triad(k: Direction, reference: np.ndarray | None = None) -> Polarizatio
     return PolarizationTriad(k=k, e_hat=e[0], b_hat=b[0])
 
 
-def phase_shift(triad: PolarizationTriad, theta: float) -> tuple[np.ndarray, np.ndarray]:
-    """Rotate the initial position of the field frame: eps_s -> exp(-i theta) eps_s."""
-    w = np.exp(-1j * theta)
-    return w * triad.eps_plus, w * triad.eps_minus
-
-
 def relation_residuals(k, eps_plus, eps_minus) -> dict[str, np.ndarray]:
     """Per-row residual of every algebraic relation the circular vectors satisfy.
 

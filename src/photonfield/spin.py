@@ -1,4 +1,4 @@
-"""Spin-1 matrices, helicity eigenvectors, and plane-wave momentum states.
+"""Spin-1 matrices and helicity eigenvectors.
 
 The helicity eigenvectors of S.k are computed for N directions at once,
 stacked as the rows of an (N, 3) array (`helicity_vectors`), with the
@@ -119,10 +119,3 @@ def helicity_states(k: Direction) -> HelicityPair:
     """Helicity eigenvectors for propagation direction k (one row of `helicity_vectors`)."""
     chi = _helicity_rows(k.k[None])[0]
     return HelicityPair(chi_plus=chi[0], chi_minus=chi[1])
-
-
-def momentum_wavefunction(p: np.ndarray, r: np.ndarray, hbar: float = 1.0) -> complex:
-    """Plane-wave momentum eigenfunction (2 pi hbar)^(-3/2) exp(i p.r / hbar)."""
-    p = np.asarray(p, dtype=float)
-    r = np.asarray(r, dtype=float)
-    return (2.0 * np.pi * hbar) ** -1.5 * np.exp(1j * np.dot(p, r) / hbar)

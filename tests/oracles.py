@@ -32,6 +32,9 @@ The boost oracle assembles the pure boost from numpy blocks (np.eye and
 np.outer), independent of the library's entry-by-entry assembly from
 Python floats.
 
+extract_fields reads (e, b) back out of a classical photon tensor; it is
+test tooling, the inverse of build_tensor.
+
 The mode-table oracle builds each mode's kinematics and polarization one
 mode at a time (a Direction, make_triad and 1-D norms), independent of the
 basis's stacked mode table.  The adjoint residual reads hermiticity off the
@@ -339,3 +342,11 @@ def maxwell_oracle(basis, x, h, method):
         "potential_time": max_over(e + da * (1.0 / c) for e, da in zip(e_ops, da_dt)),
         "potential_curl": max_over(b - ca for b, ca in zip(b_ops, curl(grad(FieldKind.A)))),
     }
+
+
+def extract_fields(tensor: pf.PhotonTensor) -> tuple[np.ndarray, np.ndarray]:
+    """Inverse of build_tensor: recover (e, b) from the tensor components."""
+    f = tensor.f
+    e = f[0, 1:].copy()
+    b = np.array([f[2, 3], -f[1, 3], f[1, 2]])
+    return e, b

@@ -63,14 +63,14 @@ def test_tensor_layout():
 def test_zero_tensor():
     f = pf.build_tensor(np.zeros(3), np.zeros(3))
     assert np.max(np.abs(f.f)) == 0.0
-    e, b = pf.extract_fields(f)
+    e, b = oracles.extract_fields(f)
     assert np.max(np.abs(e)) == 0.0 and np.max(np.abs(b)) == 0.0
 
 
 def test_round_trip_is_exact():
     e = np.array([0.3, -1.2, 0.7])
     b = np.array([1.1, 0.4, -0.6])
-    e2, b2 = pf.extract_fields(pf.build_tensor(e, b))
+    e2, b2 = oracles.extract_fields(pf.build_tensor(e, b))
     assert np.array_equal(e, e2) and np.array_equal(b, b2)
 
 
@@ -78,7 +78,7 @@ def test_round_trip_is_exact():
 def test_tensor_round_trip_property(vals):
     e, b = np.array(vals[:3]), np.array(vals[3:])
     tensor = pf.build_tensor(e, b)
-    rebuilt = pf.build_tensor(*pf.extract_fields(tensor))
+    rebuilt = pf.build_tensor(*oracles.extract_fields(tensor))
     assert np.array_equal(tensor.f, rebuilt.f)
 
 
@@ -110,7 +110,7 @@ def test_parallel_boost_doppler_factor():
     p = photon(omega=1.0)
     e, b = pf.rotating_vectors(p, 0.0)
     boosted = pf.boost(pf.build_tensor(e, b), np.array([0.0, 0.0, 0.6]))
-    e2, b2 = pf.extract_fields(boosted)
+    e2, b2 = oracles.extract_fields(boosted)
     gamma = 1.0 / np.sqrt(1.0 - 0.36)
     assert abs(np.linalg.norm(e2) - gamma * (1.0 - 0.6)) < 1e-10
     assert abs(np.linalg.norm(e2) - 0.5) < 1e-10
@@ -244,7 +244,7 @@ def test_null_residuals_match_dot_form(v, omega, s, t, beta):
     p = pf.ClassicalPhoton(omega=omega, k=pf.Direction(k=v), s=s, theta=0.3)
     tensor = pf.build_tensor(*pf.rotating_vectors(p, t))
     for f in (tensor, pf.boost(tensor, beta)):
-        e, b = pf.extract_fields(f)
+        e, b = oracles.extract_fields(f)
         # The frequency in the tensor's frame: |e| = |b| = omega' for a photon.
         scale = 0.5 * (np.dot(e, e) + np.dot(b, b))
         want = (float(np.dot(e, b)), float(np.dot(e, e) - np.dot(b, b)))

@@ -472,6 +472,30 @@ def test_underflowing_field_scale_rejected_whatever_checks(tmp_path, capsys, che
     assert not out.exists()
 
 
+@pytest.mark.parametrize("c", [1e308, 4e307])
+@pytest.mark.parametrize("command", ["verify", "expect", "vacuum-scan"])
+def test_vacuum_scan_that_can_overflow_rejected_whatever_command(tmp_path, capsys, command, c):
+    # Every lattice term is finite, but the scan's sum is not: at c = 1e308
+    # every cutoff wrote inf; at c = 4e307 cutoffs 3 and 4 did.
+    data = default_data()
+    data["lattice"]["c"] = c
+    data["checks"] = ["polarization"]
+    config = write_scenario(tmp_path, data)
+    out = tmp_path / "o"
+    assert cli.main([command, "--config", config, "--out", str(out)]) == 2
+    assert "scenario.vacuum_scan: the sum to cutoff 4 can overflow" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_vacuum_scan_below_the_overflow_bound_runs(tmp_path):
+    data = default_data()
+    data["lattice"]["c"] = 1e305
+    out = tmp_path / "o"
+    assert cli.main(["vacuum-scan", "--config", write_scenario(tmp_path, data), "--out", str(out)]) == 0
+    values = [float(line.split(",")[1]) for line in (out / "vacuum_scan.csv").read_text().splitlines()[1:]]
+    assert len(values) == 4 and all(0.0 < v < np.inf for v in values)
+
+
 @pytest.mark.parametrize(
     "command,checks",
     [("verify", ["polarization"]), ("verify", list(cli.CHECK_NAMES)), ("expect", list(cli.CHECK_NAMES))],

@@ -51,7 +51,7 @@ def test_field_derivative_equals_per_point_formula(offaxis_basis, three_mode_bas
             if dt == 0 and not any(dr):
                 assert (pf.field_mode_coefficients(basis, kind, x).view(np.int64) == expected.view(np.int64)).all()
             for i, op in enumerate(pf.field_derivative(basis, kind, x, dt=dt, dr=dr)):
-                assert (op - pf.linear_functional(basis, expected[:, i])).max_abs() == 0.0
+                assert (op - pf.linear_forms(basis, expected[:, [i]])[0]).max_abs() == 0.0
 
 
 def test_field_components_are_hermitian(standard_basis):
@@ -81,25 +81,36 @@ def test_field_is_box_periodic(standard_basis):
             assert (a - b).max_abs() < 1e-14
 
 
-def test_linear_functional_zero_and_single(single_mode_basis):
-    assert pf.linear_functional(single_mode_basis, np.zeros(1)).max_abs() == 0.0
-    op = pf.linear_functional(single_mode_basis, np.ones(1))
+def test_linear_forms_zero_and_single(single_mode_basis):
+    assert pf.linear_forms(single_mode_basis, np.zeros((1, 1)))[0].max_abs() == 0.0
+    (op,) = pf.linear_forms(single_mode_basis, np.ones((1, 1)))
     expected = np.diag(np.sqrt([1.0, 2.0, 3.0]), 1) + np.diag(np.sqrt([1.0, 2.0, 3.0]), -1)
     assert np.max(np.abs(op.to_dense() - expected)) < 1e-15
 
 
-def test_field_factors_through_linear_functional(standard_basis):
+def test_field_factors_through_linear_forms(standard_basis):
     x = point(0.4, 0.1, -0.9, t=0.25)
     coeffs = pf.field_mode_coefficients(standard_basis, FieldKind.E, x)
-    rebuilt = pf.linear_functional(standard_basis, coeffs[:, 0])
+    rebuilt = pf.linear_forms(standard_basis, coeffs[:, [0]])[0]
     direct = pf.field(standard_basis, FieldKind.E, x)[0]
     assert (rebuilt - direct).max_abs() == 0.0
 
 
-@pytest.mark.parametrize("coeffs", [np.ones(3), np.ones((4, 1)), {0: 1.0}], ids=["short", "2-D", "mapping"])
-def test_linear_functional_refuses_other_shapes(standard_basis, coeffs):
+def test_negative_sign_linear_forms_are_the_field_number_commutator(standard_basis):
+    x = point(0.4, 0.1, -0.9, t=0.25)
+    for kind in FieldKind:
+        coeffs = pf.field_mode_coefficients(standard_basis, kind, x)
+        closed = pf.field_number_commutator(standard_basis, kind, x)
+        for rebuilt, op in zip(pf.linear_forms(standard_basis, coeffs, sign=-1.0), closed, strict=True):
+            assert (rebuilt - op).max_abs() == 0.0
+
+
+@pytest.mark.parametrize(
+    "coeffs", [np.ones((3, 1)), np.ones(4), np.ones((4, 1, 1)), {0: 1.0}], ids=["short", "1-D", "3-D", "mapping"]
+)
+def test_linear_forms_refuses_other_shapes(standard_basis, coeffs):
     with pytest.raises(ValueError, match="expected 4 mode coefficients"):
-        pf.linear_functional(standard_basis, coeffs)
+        pf.linear_forms(standard_basis, coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -530,34 +541,6 @@ def test_closed_form_requires_a_momentum_set_closed_under_negation():
 def test_closed_form_rejects_potential(standard_basis):
     with pytest.raises(ValueError):
         pf.field_commutator_closed_form(standard_basis, FieldKind.E, FieldKind.A, ORIGIN, ORIGIN)
-
-
-# ---------------------------------------------------------------------------
-# commutator kernel (lattice sum)
-
-
-def test_kernel_zero_at_equal_times(standard_basis):
-    assert pf.discrete_pauli_jordan(np.array([0.3, 0.1, -0.4]), 0.0, standard_basis) == 0.0
-
-
-def test_kernel_is_odd_in_time(standard_basis):
-    rho = np.array([0.7, -0.1, 0.2])
-    d_plus = pf.discrete_pauli_jordan(rho, 0.9, standard_basis)
-    d_minus = pf.discrete_pauli_jordan(rho, -0.9, standard_basis)
-    assert abs(d_plus + d_minus) < 1e-15
-
-
-def test_kernel_two_term_hand_sum(standard_basis):
-    value = pf.discrete_pauli_jordan(np.zeros(3), np.pi / 2, standard_basis)
-    assert abs(value - (-2.0 / (2.0 * np.pi) ** 3)) < 1e-15
-
-
-def test_kernel_rejects_asymmetric_momenta():
-    basis = pf.build_basis(
-        pf.LatticeConfig(length=2 * np.pi, n_max=1, modes=((1, (0, 0, 1)), (-1, (0, 0, 1))))
-    )
-    with pytest.raises(ValueError):
-        pf.discrete_pauli_jordan(np.zeros(3), 0.5, basis)
 
 
 # ---------------------------------------------------------------------------

@@ -59,24 +59,6 @@ def test_non_finite_gauge_reference_rejected():
         pf.make_triad(k, reference=np.array([np.nan, 1.0, 0.0]))
 
 
-def test_phase_shift_identity_and_negation():
-    triad = pf.make_triad(direction(0, 0, 1))
-    plus, minus = pf.phase_shift(triad, 0.0)
-    assert np.allclose(plus, triad.eps_plus, atol=0)
-    assert np.allclose(minus, triad.eps_minus, atol=0)
-    plus, minus = pf.phase_shift(triad, np.pi)
-    assert np.allclose(plus, -triad.eps_plus, atol=1e-15)
-    assert np.allclose(minus, -triad.eps_minus, atol=1e-15)
-
-
-def test_phase_shift_quarter_turn():
-    triad = pf.make_triad(direction(0, 0, 1))
-    plus, _ = pf.phase_shift(triad, np.pi / 4)
-    expected = np.exp(-1j * np.pi / 4) * np.array([1.0, 1.0j, 0.0]) / SQRT2
-    assert np.allclose(plus, expected, atol=1e-15)
-    assert np.allclose(np.abs(plus), np.abs(triad.eps_plus), atol=1e-15)
-
-
 def test_cross_product_of_opposite_helicities():
     triad = pf.make_triad(direction(0, 0, 1))
     got = np.cross(triad.eps_plus, triad.eps_minus)

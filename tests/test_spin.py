@@ -112,27 +112,6 @@ def test_branch_continuity_near_singular_set():
             assert abs(abs(np.vdot(chi, oracle)) - 1.0) < 1e-6
 
 
-def test_momentum_wavefunction_values():
-    val = pf.momentum_wavefunction(np.zeros(3), np.array([0.4, -0.2, 1.0]))
-    assert abs(val - 0.06349363593424097) < 1e-15
-    val = pf.momentum_wavefunction(np.array([1.0, 0, 0]), np.array([np.pi, 0, 0]))
-    assert abs(val + 0.06349363593424097) < 1e-15
-
-
-@given(unit_vectors())
-@settings(max_examples=50)
-def test_momentum_wavefunction_modulus_constant(v):
-    p = 3.7 * v
-    for r in (np.zeros(3), np.array([1.0, 2.0, -0.5]), 100.0 * v):
-        assert abs(abs(pf.momentum_wavefunction(p, r)) - (2 * np.pi) ** -1.5) < 1e-15
-
-
-def test_momentum_wavefunction_hbar_scaling():
-    hbar = 2.0
-    val = pf.momentum_wavefunction(np.zeros(3), np.zeros(3), hbar=hbar)
-    assert abs(val - (2 * np.pi * hbar) ** -1.5) < 1e-15
-
-
 def test_batched_helicity_vectors_match_oracle_row_by_row():
     k = mixed_batch()
     denom = np.sqrt(np.maximum(1.0 - k[:, 0] * k[:, 1] - k[:, 1] * k[:, 2] - k[:, 2] * k[:, 0], 0.0))
