@@ -13,8 +13,10 @@ parses nothing.  --operator is parsed into a builder before any basis is built.
 
 Exit codes: 0 all checks pass, 1 at least one residual exceeded its
 tolerance, 2 configuration or precondition error (ConfigError,
-CompletenessError, LatticeSizeError); any other exception is a defect and
-propagates.  Outputs are byte-stable across runs: all sampling is seeded
+LatticeSizeError); any other exception is a defect and propagates.  The
+commutators check's precondition (fields.closed_form_gap) is a ConfigError
+of run_verify before its first check, so fields.CompletenessError is a
+defect here.  Outputs are byte-stable across runs: all sampling is seeded
 and the seed is recorded in the report.
 """
 
@@ -295,6 +297,9 @@ def parse_scenario(data: dict) -> Scenario:
             raise ConfigError(
                 f"scenario.checks: unknown check {name!r}; registered checks: {', '.join(CHECK_NAMES)}"
             )
+    repeated = next((name for i, name in enumerate(checks) if name in checks[:i]), None)
+    if repeated is not None:
+        raise ConfigError(f"scenario.checks: check {repeated!r} is listed more than once")
 
     grid = None
     if "grid" in data:
@@ -588,7 +593,6 @@ def check_commutators(ctx: RunContext) -> list[Record]:
     r = np.stack([d[0] for d in draws] + [np.array([[0.2, 0.4, -0.3], [-0.1, 0.8, 0.6]])])
     t = np.stack([d[1] for d in draws] + [np.array([0.5, 0.5])])
     kinds = ((FieldKind.E, FieldKind.E), (FieldKind.B, FieldKind.B), (FieldKind.E, FieldKind.B))
-    # Raises CompletenessError (exit 2) when a momentum lacks a helicity or its -n.
     rho, tau = r[:pairs, 0] - r[:pairs, 1], t[:pairs, 0] - t[:pairs, 1]
     closed = [fields.field_commutator_kernel(basis, *k, rho, tau) for k in kinds]
     coeffs = [[fields.mode_coefficients(basis, f, r[:, s], t[:, s]) for s, f in enumerate(k)] for k in kinds]
@@ -679,6 +683,11 @@ CHECK_RUNNERS = {
 
 
 def run_verify(scenario: Scenario, out_dir: Path, tolerance_scale: float, seed: int) -> int:
+    # Refused before any check runs; the other commands ignore scenario.checks.
+    if "commutators" in scenario.checks:
+        gap = fields.closed_form_gap(fock.ModeTable(scenario.lattice))
+        if gap is not None:
+            raise ConfigError(f"scenario.lattice.modes: {gap} (needed by the commutators check)")
     ctx = RunContext(scenario=scenario, tolerance_scale=tolerance_scale, seed=seed)
     records: list[Record] = []
     for name in scenario.checks:
@@ -827,7 +836,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "vacuum-scan":
             return run_vacuum_scan(scenario, out_dir)
         return run_dump_operator(scenario, out_dir, args.operator)
-    except (ConfigError, fields.CompletenessError, fock.LatticeSizeError) as err:
+    except (ConfigError, fock.LatticeSizeError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

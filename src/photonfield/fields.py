@@ -27,7 +27,8 @@ Ladder operators of different modes commute exactly, even when truncated, so
 two fields with coefficients u, v have the diagonal commutator [F_i, G_j] =
 sum_m (u_mi conj(v_mj) - conj(u_mi) v_mj) [a_m, a-dagger_m] (commutator_weights).
 The closed forms reduce that sum by the helicity completeness relation, so they
-need both helicities of every momentum n, and -n too (else CompletenessError).
+need both helicities of every momentum n, and -n too (closed_form_gap; else
+CompletenessError).
 """
 
 from __future__ import annotations
@@ -371,14 +372,27 @@ def check_maxwell(
 # commutator closed forms
 
 
-def _momentum_sum(basis: ModeTable, rho: np.ndarray):
-    """First mode, omega and exp(i p.rho / hbar) of each momentum; CompletenessError unless -n is there too."""
+def closed_form_gap(basis: ModeTable) -> str | None:
+    """Why the commutator closed forms do not hold on this mode table, or None when they do.
+
+    They need both helicities of every lattice momentum n, and -n too.
+    """
+    if not basis.helicities_complete():
+        return (
+            "field commutator closed forms need both helicities for every lattice "
+            "momentum (the helicity completeness sum is used in the reduction)"
+        )
     if not basis.momentum_symmetric():
         n = next(n for n in basis.momenta() if tuple(-v for v in n) not in basis.momenta())
-        raise CompletenessError(
+        return (
             "commutator closed forms need a momentum set closed under n -> -n; "
             f"-n = {tuple(-v for v in n)} of n = {n} is missing"
         )
+    return None
+
+
+def _momentum_sum(basis: ModeTable, rho: np.ndarray):
+    """First mode, omega and exp(i p.rho / hbar) of each momentum."""
     first = basis.momentum_modes()
     return first, basis.omega[first], _phase(basis, rho)[..., first]
 
@@ -415,11 +429,9 @@ def field_commutator_kernel(
     kind1, kind2 = FieldKind(kind1), FieldKind(kind2)
     if kind1 is FieldKind.A or kind2 is FieldKind.A:
         raise ValueError("closed-form commutators are provided for the E and B fields only")
-    if not basis.helicities_complete():
-        raise CompletenessError(
-            "field commutator closed forms need both helicities for every lattice "
-            "momentum (the helicity completeness sum is used in the reduction)"
-        )
+    gap = closed_form_gap(basis)
+    if gap is not None:
+        raise CompletenessError(gap)
     first, omega, phase = _momentum_sum(basis, rho)
     hbar, dp3, tau = basis.config.hbar, basis.delta3p, np.asarray(tau)[..., None, None, None]
     kv, omega, phase = basis.k[first], omega[:, None, None], phase[..., None, None]

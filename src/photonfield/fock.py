@@ -46,17 +46,24 @@ diagonal P keeps exactly the X_ij with i and j both kept.
 
 Text exports use float_reprs: shortest round-trip reprs, computed once per
 distinct bit pattern of a column.
+
+scipy is imported only where an operator is built or combined
+(SparseOperator, _csr_rows, _assemble, _placed, _stacked_residuals), so
+importing this module, the mode table and the Fock basis never load it:
+expect and vacuum-scan, which build no operator, run without scipy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import IO, Sequence
+from typing import IO, TYPE_CHECKING, Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
 from .polarization import row_norms, triads
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 IntVec = tuple[int, int, int]
 ModeKey = tuple[int, IntVec]  # (helicity, integer momentum)
@@ -271,6 +278,8 @@ class SparseOperator:
     """Complex sparse matrix on a FockBasis."""
 
     def __init__(self, matrix: sp.spmatrix, basis: FockBasis):
+        import scipy.sparse as sp
+
         # Kept as given, not copied: every sum and product already is a complex CSR.
         if not (isinstance(matrix, sp.csr_matrix) and matrix.dtype == complex):
             matrix = sp.csr_matrix(matrix, dtype=complex)
@@ -348,6 +357,8 @@ def _csr_rows(basis: FockBasis, values: np.ndarray, columns: np.ndarray) -> Spar
     values (complex) and columns (int32) have shape (dim, K), and the
     columns of each row increase with i.
     """
+    import scipy.sparse as sp
+
     stored = values != 0
     indptr = np.zeros(basis.dim + 1, dtype=np.int32)
     np.cumsum(stored.sum(axis=1), out=indptr[1:])
@@ -364,6 +375,8 @@ def _assemble(basis: FockBasis, rows, cols, data) -> SparseOperator:
 
     Adding 0.0 turns -0.0 parts into 0.0: exports never show the sign of a zero.
     """
+    import scipy.sparse as sp
+
     keep = data != 0
     matrix = sp.csr_matrix(
         (data[keep] + 0.0, (rows[keep], cols[keep])), shape=(basis.dim, basis.dim)
@@ -455,6 +468,8 @@ def _stack(matrices: list[sp.csr_matrix], stack) -> sp.csr_matrix:
 
 def _placed(blocks: dict[tuple[int, int], SparseOperator], shape: tuple[int, int], dim: int) -> sp.csr_matrix:
     """One CSR matrix of the given shape with blocks[k, l] in dim x dim block (k, l), zero elsewhere."""
+    import scipy.sparse as sp
+
     if shape == (dim, dim):
         return blocks[0, 0].matrix
     parts = [(k * dim + _row_indices(op.matrix), l * dim + op.matrix.indices, op.matrix.data)
@@ -465,6 +480,8 @@ def _placed(blocks: dict[tuple[int, int], SparseOperator], shape: tuple[int, int
 
 def _stacked_residuals(left, right, targets, dim: int, keep) -> np.ndarray:
     """commutator_residuals of all pairs at once, from two products of stacked operators."""
+    import scipy.sparse as sp
+
     left, right = [op.matrix for op in left], [op.matrix for op in right]
     shape = (len(left) * dim, len(right) * dim)
     forward = _stack(left, sp.vstack) @ _stack(right, sp.hstack)

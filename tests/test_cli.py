@@ -113,6 +113,39 @@ def test_asymmetric_momentum_commutator_scenario_exits_2(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize(
+    "modes, wording",
+    [
+        ([{"s": 1, "n": [0, 0, 1]}, {"s": 1, "n": [0, 0, -1]}], "both helicities"),
+        ([{"s": s, "n": [0, 0, 1]} for s in (1, -1)], "-n = (0, 0, -1) of n = (0, 0, 1) is missing"),
+    ],
+    ids=["one_helicity", "no_minus_n"],
+)
+def test_commutator_precondition_refused_before_any_check_runs(tmp_path, capsys, modes, wording):
+    data = default_data()
+    data["lattice"]["modes"] = modes
+    data["checks"] = ["polarization", "commutators"]
+    data["state"] = {"kind": "vacuum"}
+    del data["grid"]
+    config = write_scenario(tmp_path, data)
+    assert cli.main(["verify", "--config", config, "--out", str(tmp_path / "o")]) == 2
+    captured = capsys.readouterr()
+    assert "scenario.lattice.modes" in captured.err and wording in captured.err
+    assert captured.out == ""
+    assert not (tmp_path / "o").exists()
+
+
+def test_repeated_check_name_rejected(tmp_path, capsys):
+    data = default_data()
+    data["checks"] = ["ladder", "helicity", "ladder"]
+    config = write_scenario(tmp_path, data)
+    assert cli.main(["verify", "--config", config, "--out", str(tmp_path / "o")]) == 2
+    captured = capsys.readouterr()
+    assert "scenario.checks" in captured.err and "'ladder'" in captured.err
+    assert captured.out == ""
+    assert not (tmp_path / "o").exists()
+
+
 def test_commutator_check_assembles_only_the_anchor_and_field_number_fields(monkeypatch):
     from photonfield import fields
 
