@@ -327,18 +327,10 @@ def parse_scenario(data: dict) -> Scenario:
         cutoffs = tuple(_positive_int(v, f"{path}[{i}]", SCAN_CUTOFF_MAX) for i, v in enumerate(vs["cutoffs"]))
         if any(b <= a for a, b in zip(cutoffs, cutoffs[1:])):
             raise ConfigError(f"{path}: must be strictly increasing, got {list(cutoffs)}")
-    # The scan to cutoff top adds fewer than (2 top + 1)^3 terms, none above the
-    # term 2 Delta3p omega / (2 pi hbar)^2 of |n| = top; refuse a total that can overflow.
-    top = cutoffs[-1]
-    with np.errstate(over="ignore"):
-        _, omega, delta3p = fock.dispersion([[top, 0, 0]], lattice.length, lattice.hbar, lattice.c)
-        term = 2.0 * delta3p * omega[0] / np.square(2.0 * np.pi * lattice.hbar)
-        bound = (2 * top + 1) ** 3 * term
-    if not bound < np.inf:
-        raise ConfigError(
-            f"scenario.vacuum_scan: the sum to cutoff {top} can overflow: "
-            f"(2 * {top} + 1)^3 terms of up to {float(term)!r} exceed the float range"
-        )
+    try:
+        ensembles.check_vacuum_scan(lattice.length, lattice.hbar, lattice.c, cutoffs)
+    except ValueError as err:
+        raise ConfigError(f"scenario.vacuum_scan: {err}") from err
 
     seed = data["seed"]
     if not _is_int(seed) or seed < 0:
@@ -641,13 +633,12 @@ def check_expectations(ctx: RunContext) -> list[Record]:
     # over the mode coefficients; closed side: amplitude_profile, mean_field_table.
     ladders = [(fock.annihilation(basis, m), fock.creation(basis, m)) for m in basis.modes]
     means = [ensembles.ladder_expectations(s, ladders) for s in states]
-    profiles = [ensembles.amplitude_profile(s) for s in states]
     first = SpacetimePoint(r=r[0], t=float(t[0]))
     residuals = []
     for kind in (FieldKind.E, FieldKind.B, FieldKind.A):
         coeffs = fields.mode_coefficients(basis, kind, r, t)
         matrix = [ensembles.ladder_mean_field(coeffs, m) for m in means]
-        closed = [ensembles.mean_field_table(s, kind, r, t, amplitudes=a)[:, 4:] for s, a in zip(states, profiles)]
+        closed = [ensembles.mean_field_table(s, kind, r, t)[:, 4:] for s in states]
         residuals += [c - m for c, m in zip(closed, matrix)]
         # Anchor: the scenario state's assembled field operators at the first point.
         assembled = [ensembles.expectation(op, states[0]) for op in fields.field(basis, kind, first)]

@@ -14,6 +14,10 @@ agree to 1e-10.  The matrix path of a mean field takes <a_m> and
 per kind.  A grid of mean fields is one stacked evaluation
 (mean_field_table) over one amplitude profile, and its CSV formats each
 distinct value of a column once.
+
+The vacuum <E^2> is a sum of the per-mode terms fock.dispersion gives: over
+the mode table (vacuum_field_square) or over momentum balls
+(vacuum_field_square_scan), whose totals check_vacuum_scan bounds.
 """
 
 from __future__ import annotations
@@ -78,16 +82,17 @@ def number_state(basis: FockBasis, occupancies: Sequence[int]) -> FockState:
 def coherent_profile(alpha: complex, mode: ModeKey, cap: int) -> ModeProfile:
     """Poissonian coefficient profile for one mode, truncated at cap quanta.
 
-    The recorded norm_deficit is the Poisson tail beyond the cap.
+    The recorded norm_deficit is the Poisson tail beyond the cap.  The
+    coefficients follow C_n = C_(n-1) alpha / sqrt(n), which never forms n!.
     """
     if cap < 0:
         raise ValueError("cap must be nonnegative")
     key = mode_key(mode)
     alpha = complex(alpha)
-    weight = math.exp(-abs(alpha) ** 2 / 2.0)
-    amps = tuple(
-        weight * alpha**n / math.sqrt(math.factorial(n)) for n in range(cap + 1)
-    )
+    amps = [complex(math.exp(-abs(alpha) ** 2 / 2.0))]
+    for n in range(1, cap + 1):
+        amps.append(amps[-1] * alpha / math.sqrt(n))
+    amps = tuple(amps)
     kept = sum(abs(a) ** 2 for a in amps)
     return ModeProfile(mode=key, amplitudes=amps, norm_deficit=max(0.0, 1.0 - kept))
 
@@ -178,21 +183,15 @@ def field_expectation_closed_form(
     return _mean_field(coeffs, amplitude_profile(state))
 
 
-def mean_field_table(
-    state: FockState, kind: FieldKind, r: np.ndarray, t: np.ndarray, amplitudes: np.ndarray | None = None
-) -> np.ndarray:
+def mean_field_table(state: FockState, kind: FieldKind, r: np.ndarray, t: np.ndarray) -> np.ndarray:
     """(N, 7) rows (t, x, y, z, Fx, Fy, Fz) of the closed-form mean field.
 
     r of shape (N, 3) and t of shape (N,) are stacked points, which the
     caller has checked to be finite.  The amplitudes <a_m> and the mode
     coefficients of all points are computed once each; every row equals
-    field_expectation_closed_form at its point.  amplitudes, when given, is
-    amplitude_profile(state), computed once by a caller that tabulates
-    several kinds.
+    field_expectation_closed_form at its point.
     """
-    if amplitudes is None:
-        amplitudes = amplitude_profile(state)
-    means = _mean_field(mode_coefficients(state.basis, kind, r, t), amplitudes)
+    means = _mean_field(mode_coefficients(state.basis, kind, r, t), amplitude_profile(state))
     return np.column_stack([t, r, means])
 
 
@@ -228,11 +227,11 @@ def write_grid_csv(rows, stream: IO[str]) -> None:
 def vacuum_field_square(basis: ModeTable) -> float:
     """Closed lattice sum for <E^2> in the vacuum over the configured modes.
 
-    Each (helicity, momentum) mode contributes Delta3p omega/(2 pi hbar)^2;
+    Each (helicity, momentum) mode contributes its term basis.vacuum_e2;
     growing the momentum cutoff grows the sum without bound, which is the
     lattice rendering of the divergent point fluctuation.
     """
-    return float(np.sum(basis.delta3p * basis.omega / (2.0 * np.pi * basis.config.hbar) ** 2))
+    return float(np.sum(basis.vacuum_e2))
 
 
 def vacuum_field_square_scan(
@@ -241,9 +240,9 @@ def vacuum_field_square_scan(
     """(cutoff, vacuum <E^2>) for momentum balls |n| <= cutoff, both helicities.
 
     A pure lattice sum; no mode table or Fock basis is built.  fock.dispersion
-    gives omega and Delta3p of every n in the largest ball, in (nx, ny, nz)
-    lexicographic order, and each cutoff's value adds 2 Delta3p omega /
-    (2 pi hbar)^2 per momentum of its ball, one term after another.
+    gives the vacuum <E^2> term of every n in the largest ball, in (nx, ny,
+    nz) lexicographic order, and each cutoff's value adds twice that term
+    (two helicities) per momentum of its ball, one term after another.
     """
     if any(cutoff < 1 for cutoff in cutoffs):
         raise ValueError("cutoffs must be >= 1")
@@ -255,7 +254,19 @@ def vacuum_field_square_scan(
     n2 = np.vecdot(n, n)
     ball = (n2 > 0) & (n2 <= top * top)
     n, n2 = n[ball], n2[ball]
-    _, omega, delta3p = dispersion(n, length, hbar, c)
-    terms = 2.0 * delta3p * omega / (2.0 * np.pi * hbar) ** 2
+    terms = 2.0 * dispersion(n, length, hbar, c)[3]
     # cumsum adds the terms one after another, as a running total would.
     return [(cutoff, float(np.cumsum(terms[n2 <= cutoff * cutoff])[-1])) for cutoff in cutoffs]
+
+
+def check_vacuum_scan(length: float, hbar: float, c: float, cutoffs: Sequence[int]) -> None:
+    """ValueError if the scan to top = max(cutoffs) can overflow: < (2 top + 1)^3 terms, none above |n| = top's."""
+    top = max(cutoffs)
+    with np.errstate(over="ignore"):
+        term = 2.0 * dispersion([[top, 0, 0]], length, hbar, c)[3][0]
+        bound = (2 * top + 1) ** 3 * term
+    if not bound < np.inf:
+        raise ValueError(
+            f"the sum to cutoff {top} can overflow: "
+            f"(2 * {top} + 1)^3 terms of up to {float(term)!r} exceed the float range"
+        )

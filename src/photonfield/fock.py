@@ -4,14 +4,19 @@ Continuum momentum integrals are discretized on a periodic box of side L:
 allowed momenta are p = (2 pi hbar / L) n for nonzero integer 3-vectors n,
 and a mode is one (helicity, n) pair, a ModeKey of Python ints (mode_key
 refuses float and bool labels).  FockBasis keeps the mode table as stacked
-arrays, row j = mode j: n, p, omega, k, eps, k x eps and spin, computed in
-one pass with row norms sqrt(vecdot(v, v)) (polarization.row_norms, equal
-bit for bit to np.linalg.norm of one row; np.linalg.norm(v, axis=1) is not).
-The dictionary used throughout:
+arrays, row j = mode j: n, p, omega, k, eps, k x eps, spin and the vacuum
+<E^2> term, computed in one pass with row norms sqrt(vecdot(v, v))
+(polarization.row_norms, equal bit for bit to np.linalg.norm of one row;
+np.linalg.norm(v, axis=1) is not).  The dictionary used throughout:
 
     integral d^3p        ->  sum_n Delta3p,   Delta3p = (2 pi hbar / L)^3
     a_s(p)               ->  a_mode / sqrt(Delta3p)
     delta^3(p - p')      ->  delta_{n,n'} / Delta3p
+
+dispersion says the lattice kinematics once: p, omega, Delta3p and each
+momentum's vacuum <E^2> term Delta3p omega / (2 pi hbar)^2.  fields._amplitudes
+and the commutator closed forms keep their own factors: verify compares the
+two, and a shared scale would hide a wrong dictionary.
 
 Each mode carries at most n_max quanta; the creation operator annihilates
 top-occupancy states, so operator identities are stated on "safe"
@@ -117,14 +122,6 @@ class LatticeConfig:
             raise ValueError("length, hbar and c must be positive")
         if self.n_max < 1:
             raise ValueError(f"n_max must be >= 1, got {self.n_max}")
-        # Every field coefficient carries sqrt(Delta3p); a cell that underflows
-        # (or overflows) would make each field 0 (or inf), and checks vacuous.
-        try:
-            delta3p = dispersion(np.zeros((0, 3)), self.length, self.hbar, self.c)[2]
-        except OverflowError:
-            delta3p = np.inf
-        if not np.finfo(float).tiny <= delta3p < np.inf:
-            raise ValueError(f"the momentum cell (2 pi hbar / L)^3 = {delta3p!r} is not a positive normal float")
         norm_modes = tuple(mode_key(m) for m in self.modes)
         for s, n in norm_modes:
             if s not in (1, -1):
@@ -137,11 +134,16 @@ class LatticeConfig:
             raise ValueError("duplicate modes in lattice configuration")
         if not norm_modes:
             raise ValueError("at least one mode is required")
-        # Delta3p omega / (2 pi hbar)^2 is a mode's vacuum <E^2> term and the
-        # square of its E-field scale; where it underflows, the fields are 0.
+        # Every field coefficient carries sqrt(Delta3p), and a mode's vacuum
+        # <E^2> term is the square of its E-field scale: where either
+        # underflows (or overflows), the fields are 0 (or inf), and checks vacuous.
         with np.errstate(all="ignore"):
-            omega = dispersion(np.array([n for _, n in norm_modes]), self.length, self.hbar, self.c)[1]
-            terms = delta3p * omega / np.square(2.0 * np.pi * self.hbar)
+            try:
+                _, _, delta3p, terms = dispersion(np.array([n for _, n in norm_modes]), self.length, self.hbar, self.c)
+            except OverflowError:
+                delta3p = np.inf
+        if not np.finfo(float).tiny <= delta3p < np.inf:
+            raise ValueError(f"the momentum cell (2 pi hbar / L)^3 = {delta3p!r} is not a positive normal float")
         bad = np.flatnonzero(~((np.finfo(float).tiny <= terms) & (terms < np.inf)))
         if len(bad):
             raise ValueError(
@@ -151,22 +153,25 @@ class LatticeConfig:
         object.__setattr__(self, "modes", norm_modes)
 
 
-def dispersion(n, length: float, hbar: float, c: float) -> tuple[np.ndarray, np.ndarray, float]:
-    """(p, omega, Delta3p) of integer momenta n, the rows of an (N, 3) array.
+def dispersion(n, length: float, hbar: float, c: float) -> tuple[np.ndarray, np.ndarray, float, np.ndarray]:
+    """(p, omega, Delta3p, E2) of integer momenta n, the rows of an (N, 3) array.
 
     p = (2 pi hbar / L) n and omega = c |p| / hbar per row; Delta3p =
-    (2 pi hbar / L)^3 is the cell of the momentum sum.
+    (2 pi hbar / L)^3 is the cell of the momentum sum, and E2 = Delta3p
+    omega / (2 pi hbar)^2 is each row's term of the vacuum <E^2>.
     """
     step = 2.0 * np.pi * hbar / length
     p = np.multiply(step, n, dtype=float)
-    return p, c * row_norms(p) / hbar, step**3
+    omega, delta3p = c * row_norms(p) / hbar, step**3
+    # Dividing first keeps a term finite wherever its value is.
+    return p, omega, delta3p, delta3p * (omega / np.square(2.0 * np.pi * hbar))
 
 
 class ModeTable:
     """Kinematics and polarization of the configured modes, row j = mode j.
 
-    Everything a field's coefficient array needs; there is no Fock space,
-    so no size guard.
+    Everything a field's coefficient array needs, and each mode's vacuum
+    <E^2> term (vacuum_e2); there is no Fock space, so no size guard.
     """
 
     def __init__(self, config: LatticeConfig):
@@ -176,14 +181,15 @@ class ModeTable:
         helicity = np.array([s for s, _ in self.modes])
         self.n = np.array([n for _, n in self.modes])
         nv = self.n.astype(float)
-        self.p, self.omega, self.delta3p = dispersion(nv, config.length, config.hbar, config.c)
+        self.p, self.omega, self.delta3p, self.vacuum_e2 = dispersion(nv, config.length, config.hbar, config.c)
         self.k = nv / row_norms(nv)[:, None]
         _, _, eps_plus, eps_minus = triads(self.k, reference=config.gauge_reference)
         self.eps = np.where(helicity[:, None] == 1, eps_plus, eps_minus)
         self.k_cross_eps = np.cross(self.k, self.eps)
         self.spin = (helicity * config.hbar)[:, None] * self.k
         self._first_modes = np.sort(np.unique(self.n, axis=0, return_index=True)[1])
-        for arr in (self.n, self.omega, self.p, self.k, self.eps, self.k_cross_eps, self.spin, self._first_modes):
+        arrays = (self.n, self.omega, self.vacuum_e2, self.p, self.k, self.eps, self.k_cross_eps, self.spin)
+        for arr in (*arrays, self._first_modes):
             arr.setflags(write=False)
 
     def mode_index(self, mode: ModeKey) -> int:

@@ -41,6 +41,8 @@ basis's stacked mode table.  The adjoint residual reads hermiticity off the
 matrix itself.
 """
 
+import math
+
 import numpy as np
 import scipy.sparse as sp
 
@@ -134,7 +136,7 @@ def poisson_tail(alpha, cap):
 
 
 def mode_table_oracle(config):
-    """The basis's mode arrays (p, omega, k, eps, k_cross_eps, spin), built mode by mode."""
+    """The basis's mode arrays (p, omega, k, eps, k_cross_eps, spin, vacuum_e2), built mode by mode."""
     reference = None if config.gauge_reference is None else np.asarray(config.gauge_reference)
     rows = []
     for s, n in config.modes:
@@ -152,6 +154,12 @@ def mode_table_oracle(config):
         "eps": eps,
         "k_cross_eps": np.cross(k, eps),
         "spin": np.array(s_hbar)[:, None] * k,
+        # x * x is the correctly rounded square; Python's x ** 2 (C pow) is not always.
+        "vacuum_e2": np.array([
+            (2.0 * np.pi * config.hbar / config.length) ** 3
+            * (w / ((2.0 * np.pi * config.hbar) * (2.0 * np.pi * config.hbar)))
+            for w in omega
+        ]),
     }
 
 
@@ -247,6 +255,11 @@ def expectations_oracle(state, kind, r, t):
     return np.array(out)
 
 
+def coherent_amplitude_oracle(alpha, n):
+    """exp(-|alpha|^2 / 2) alpha^n / sqrt(n!) from logarithms, for a real alpha > 0."""
+    return math.exp(-alpha * alpha / 2.0 + n * math.log(alpha) - math.lgamma(n + 1) / 2.0)
+
+
 def vacuum_scan_oracle(length, hbar, c, cutoff):
     """Vacuum <E^2> summed over |n| <= cutoff by a running total in (nx, ny, nz) order.
 
@@ -263,7 +276,7 @@ def vacuum_scan_oracle(length, hbar, c, cutoff):
             for nz in rng:
                 if 0 < nx * nx + ny * ny + nz * nz <= cutoff * cutoff:
                     omega = c * np.linalg.norm(step * np.array([nx, ny, nz], dtype=float)) / hbar
-                    total += 2.0 * dp3 * omega / (2.0 * np.pi * hbar) ** 2
+                    total += 2.0 * dp3 * (omega / (2.0 * np.pi * hbar) ** 2)
     return total
 
 

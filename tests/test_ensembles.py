@@ -72,6 +72,17 @@ def test_coherent_profile_tail(coherent_basis):
     assert abs(profile.amplitudes[2] - np.exp(-0.125) * 0.25 / np.sqrt(2.0)) < 1e-15
 
 
+def test_coherent_profile_above_170_quanta():
+    # sqrt(n!) overflows for n >= 171; the recursion C_n = C_(n-1) alpha / sqrt(n) does not.
+    profile = pf.coherent_profile(10.0, MODE_PLUS_Z, cap=200)
+    assert len(profile.amplitudes) == 201 and profile.norm_deficit < 1e-12
+    for n, amp in enumerate(profile.amplitudes):
+        want = oracles.coherent_amplitude_oracle(10.0, n)
+        assert amp.imag == 0.0 and abs(amp.real - want) <= 1e-12 * want
+    basis = pf.build_basis(pf.LatticeConfig(length=2 * np.pi, n_max=200, modes=(MODE_PLUS_Z,)))
+    assert abs(pf.amplitude_profile(pf.superposition(basis, profile))[0] - 10.0) < 1e-12
+
+
 def test_superposition_half_half_amplitude(single_mode_basis):
     state = pf.superposition(
         single_mode_basis, {(0,): 1 / np.sqrt(2), (1,): 1 / np.sqrt(2)}
@@ -124,6 +135,7 @@ def test_vacuum_field_square_reference(helicity_pair_basis):
     e_ops = pf.field(helicity_pair_basis, FieldKind.E, ORIGIN)
     matrix = sum(np.real(pf.expectation(op @ op, vac)) for op in e_ops)
     closed = pf.vacuum_field_square(helicity_pair_basis)
+    assert closed == float(np.sum(helicity_pair_basis.vacuum_e2))
     assert abs(matrix - closed) < 1e-12 * closed
     assert abs(closed - 1.0 / (2.0 * np.pi**2)) < 1e-15
 
@@ -283,6 +295,14 @@ def test_vacuum_scan_consistent_with_basis_sum():
     basis = pf.build_basis(pf.LatticeConfig(length=2 * np.pi, n_max=1, modes=tuple(modes)))
     scan = pf.vacuum_field_square_scan(length=2 * np.pi, hbar=1.0, c=1.0, cutoffs=(1,))
     assert abs(pf.vacuum_field_square(basis) - scan[0][1]) < 1e-15
+
+
+def test_scan_term_divides_before_it_multiplies():
+    # At c = 1e308 the cutoff-1 terms 2 Delta3p omega / (2 pi)^2 are 5.1e306, but
+    # 2 Delta3p omega alone overflows.
+    ((_, value),) = pf.vacuum_field_square_scan(2 * np.pi, 1.0, 1e308, (1,))
+    assert value == oracles.vacuum_scan_oracle(2 * np.pi, 1.0, 1e308, 1)
+    assert value == 6 * 2.0 * (1e308 / (2.0 * np.pi) ** 2)
 
 
 def test_scan_rejects_bad_cutoff():

@@ -61,7 +61,7 @@ def test_mode_kinematics():
     assert abs(np.dot(basis.eps[0], basis.k[0])) < 1e-12
 
 
-MODE_TABLE = ("p", "omega", "k", "eps", "k_cross_eps", "spin")
+MODE_TABLE = ("p", "omega", "k", "eps", "k_cross_eps", "spin", "vacuum_e2")
 SCENARIOS = Path(__file__).resolve().parent.parent / "benchmarks" / "scenarios"
 
 
@@ -71,6 +71,7 @@ def assert_mode_table_matches_oracle(basis):
         got = getattr(basis, name)
         assert got.dtype == expected[name].dtype and got.shape == expected[name].shape, name
         assert got.tobytes() == expected[name].tobytes(), name
+        assert not got.flags.writeable, name
 
 
 def test_mode_table_is_bit_identical_to_per_mode_oracle(standard_basis, offaxis_basis, three_mode_basis):

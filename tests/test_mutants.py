@@ -1,46 +1,162 @@
-"""Mutants of the verify matrix path, each applied by monkeypatch.
+"""Mutants of the library, each applied by monkeypatch.
 
 Each mutant is a deliberately wrong copy of one library function.  verify
 on the built-in scenario must exit 1, and exactly the records named here
 must fail: a check that still passes with the mutant in place would not
-be testing what it claims.
+be testing what it claims.  The built-in lattice has L = 2 pi and hbar =
+c = 1, so a wrong power of those constants cancels there; such mutants are
+run on tests/scenarios/nonunit.json (L = 5, hbar = 0.7, c = 1.3, otherwise
+the built-in scenario).
 """
 
 import json
+from dataclasses import replace
+from pathlib import Path
 
+import numpy as np
 import pytest
 
-from photonfield import cli, fields, fock
+from photonfield import cli, ensembles, fields, fock
+from photonfield.fields import FieldKind
+
+NONUNIT = Path(__file__).resolve().parent / "scenarios" / "nonunit.json"
+
+
+def wrap(monkeypatch, module, name, make):
+    """Replace module.<name> by make(original)."""
+    monkeypatch.setattr(module, name, make(getattr(module, name)))
+
+
+def mutate_basis(monkeypatch, name, change):
+    """Every basis verify builds carries change(basis.<name>) in place of its own array."""
+
+    def make(build_basis):
+        def mutated(config):
+            basis = build_basis(config)
+            setattr(basis, name, change(getattr(basis, name)))
+            return basis
+
+        return mutated
+
+    wrap(monkeypatch, fock, "build_basis", make)
+
+
+def scale_zero_point_energy(monkeypatch, factor):
+    """E0 times factor(basis)."""
+
+    def make(zero_point):
+        def mutated(basis):
+            constants = zero_point(basis)
+            return replace(constants, E0=constants.E0 * factor(basis))
+
+        return mutated
+
+    wrap(monkeypatch, fields, "zero_point", make)
 
 
 def n_for_sqrt_n(monkeypatch):
     """The ladder table stores n where a_j |n> carries sqrt(n) (and n + 1 for sqrt(n + 1))."""
-    build_basis = fock.build_basis
-
-    def mutated(config):
-        basis = build_basis(config)
-        basis.amplitude = basis.amplitude**2
-        return basis
-
-    monkeypatch.setattr(fock, "build_basis", mutated)
+    mutate_basis(monkeypatch, "amplitude", np.square)
 
 
 def eb_closed_form_sign(monkeypatch):
     """The E-B and B-E commutator kernels carry the wrong sign."""
-    kernel = fields.field_commutator_kernel
 
-    def mutated(basis, kind1, kind2, rho, tau):
-        value = kernel(basis, kind1, kind2, rho, tau)
-        return value if kind1 is kind2 else -value
+    def make(kernel):
+        def mutated(basis, kind1, kind2, rho, tau):
+            value = kernel(basis, kind1, kind2, rho, tau)
+            return value if kind1 is kind2 else -value
 
-    monkeypatch.setattr(fields, "field_commutator_kernel", mutated)
+        return mutated
+
+    wrap(monkeypatch, fields, "field_commutator_kernel", make)
 
 
 def field_number_negated(monkeypatch):
     """The closed form of [field, N] is negated."""
-    closed = fields.field_number_commutator
-    monkeypatch.setattr(fields, "field_number_commutator", lambda basis, kind, x: tuple(-op for op in closed(basis, kind, x)))
+    wrap(monkeypatch, fields, "field_number_commutator", lambda f: lambda basis, kind, x: tuple(
+        -op for op in f(basis, kind, x)
+    ))
 
+
+def time_phase_sign(monkeypatch):
+    """The mode coefficients run backwards in time: exp(+i omega t)."""
+    wrap(monkeypatch, fields, "_amplitudes", lambda f: lambda basis, kind, t: f(basis, kind, -np.asarray(t)))
+
+
+def space_phase_sign(monkeypatch):
+    """The position factor is exp(-i p.r / hbar)."""
+    wrap(monkeypatch, fields, "_phase", lambda f: lambda basis, r: f(basis, -np.asarray(r)))
+
+
+def amplitude_profile_conj(monkeypatch):
+    """<a_m> of the closed path is conjugated."""
+    wrap(monkeypatch, ensembles, "amplitude_profile", lambda f: lambda state: np.conj(f(state)))
+
+
+def mean_field_conj(monkeypatch):
+    """The closed mean field sums coef_m conj(<a_m>) + c.c."""
+    wrap(monkeypatch, ensembles, "_mean_field", lambda f: lambda coeffs, amps: f(coeffs, np.conj(amps)))
+
+
+def box_volume_squared(monkeypatch):
+    """The box integrals carry L^2 for the volume L^3."""
+    wrap(monkeypatch, fields, "_box_integral", lambda f: lambda basis, *args: f(basis, *args) / basis.config.length)
+
+
+def zero_point_energy_halved(monkeypatch):
+    """E0 is a quarter quantum per mode."""
+    scale_zero_point_energy(monkeypatch, lambda basis: 0.5)
+
+
+def k_cross_eps_negated(monkeypatch):
+    """B is built from -k x eps."""
+    mutate_basis(monkeypatch, "k_cross_eps", np.negative)
+
+
+def omega_off(monkeypatch):
+    """omega is off by 1e-7 relative in the fields, not in the stored vacuum <E^2> terms."""
+    mutate_basis(monkeypatch, "omega", lambda omega: omega * (1.0 + 1e-7))
+
+
+def vacuum_term_off(monkeypatch):
+    """fock.dispersion, the one source of the vacuum <E^2> terms, makes them 1e-9 too large."""
+
+    def make(dispersion):
+        def mutated(*args):
+            p, omega, delta3p, vacuum_e2 = dispersion(*args)
+            return p, omega, delta3p, vacuum_e2 * (1.0 + 1e-9)
+
+        return mutated
+
+    wrap(monkeypatch, fock, "dispersion", make)
+
+
+def phase_without_hbar(monkeypatch):
+    """The position factor is exp(i p.r), without 1/hbar."""
+    monkeypatch.setattr(fields, "_phase", lambda basis, r: np.exp(1j * np.vecdot(basis.p, np.asarray(r)[..., None, :])))
+
+
+def zero_point_energy_without_hbar(monkeypatch):
+    """E0 is (1/2) sum omega, without hbar."""
+    scale_zero_point_energy(monkeypatch, lambda basis: 1.0 / basis.config.hbar)
+
+
+def cross_observables_without_c(monkeypatch):
+    """The P and S box integrals lack their 1/c."""
+    wrap(monkeypatch, fields, "_cross_observable", lambda f: lambda basis, u, v: tuple(
+        op * basis.config.c for op in f(basis, u, v)
+    ))
+
+
+def potential_without_c(monkeypatch):
+    """The A coefficients carry 1/sqrt(omega) for c/sqrt(omega)."""
+    wrap(monkeypatch, fields, "_amplitudes", lambda f: lambda basis, kind, t: (
+        f(basis, kind, t) / basis.config.c if FieldKind(kind) is FieldKind.A else f(basis, kind, t)
+    ))
+
+
+MAXWELL = ["maxwell.analytic", "maxwell.fd", "maxwell.richardson"]
 
 MUTANTS = {
     "n_for_sqrt_n": (
@@ -55,14 +171,51 @@ MUTANTS = {
     ),
     "eb_closed_form_sign": (eb_closed_form_sign, ["commutators.matrix_vs_closed"]),
     "field_number_negated": (field_number_negated, ["commutators.field_number"]),
+    "time_phase_sign": (time_phase_sign, ["commutators.matrix_vs_closed", "maxwell.fd", "maxwell.richardson"]),
+    "space_phase_sign": (space_phase_sign, ["maxwell.fd", "maxwell.richardson"]),
+    "amplitude_profile_conj": (amplitude_profile_conj, ["expectations.two_path"]),
+    "mean_field_conj": (mean_field_conj, ["expectations.two_path"]),
+    "box_volume_squared": (box_volume_squared, ["observables.energy", "observables.momentum", "observables.spin"]),
+    "zero_point_energy_halved": (zero_point_energy_halved, ["observables.energy"]),
+    "k_cross_eps_negated": (k_cross_eps_negated, ["commutators.matrix_vs_closed", *MAXWELL, "observables.momentum"]),
+    # The stored vacuum terms keep the true omega, so vacuum_square sees the mismatch too.
+    "omega_off": (
+        omega_off,
+        ["expectations.vacuum_square", "maxwell.analytic", "maxwell.richardson", "observables.momentum"],
+    ),
+    "vacuum_term_off": (vacuum_term_off, ["expectations.vacuum_square"]),
 }
+
+# Mutants that pass on the built-in scenario, where L = 2 pi and hbar = c = 1.
+NONUNIT_MUTANTS = {
+    "phase_without_hbar": (phase_without_hbar, ["maxwell.fd", "maxwell.richardson"]),
+    "zero_point_energy_without_hbar": (zero_point_energy_without_hbar, ["observables.energy"]),
+    "cross_observables_without_c": (cross_observables_without_c, ["observables.momentum", "observables.spin"]),
+    "potential_without_c": (potential_without_c, [*MAXWELL, "observables.spin"]),
+}
+
+
+def failing_records(tmp_path, *config):
+    """verify's exit code and the checks of its failed records, in report order."""
+    out = tmp_path / "o"
+    code = cli.main(["verify", *config, "--out", str(out)])
+    records = json.loads((out / "report.json").read_text())["records"]
+    return code, [r["check"] for r in records if not r["pass"]]
 
 
 @pytest.mark.parametrize("mutant", list(MUTANTS))
 def test_mutant_fails_verify(tmp_path, monkeypatch, mutant):
     apply, failing = MUTANTS[mutant]
     apply(monkeypatch)
-    out = tmp_path / "o"
-    assert cli.main(["verify", "--out", str(out)]) == 1
-    records = json.loads((out / "report.json").read_text())["records"]
-    assert [r["check"] for r in records if not r["pass"]] == failing
+    assert failing_records(tmp_path) == (1, failing)
+
+
+def test_nonunit_scenario_passes(tmp_path):
+    assert failing_records(tmp_path, "--config", str(NONUNIT)) == (0, [])
+
+
+@pytest.mark.parametrize("mutant", list(NONUNIT_MUTANTS))
+def test_mutant_fails_verify_on_nonunit_scenario(tmp_path, monkeypatch, mutant):
+    apply, failing = NONUNIT_MUTANTS[mutant]
+    apply(monkeypatch)
+    assert failing_records(tmp_path, "--config", str(NONUNIT)) == (1, failing)
