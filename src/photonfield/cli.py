@@ -100,10 +100,10 @@ class Scenario:
 DEFAULT_SCENARIO = {
     "schema": SCHEMA_VERSION,
     "lattice": {
-        "length": 2.0 * np.pi,
+        "length": 5.0,
         "n_max": 3,
-        "hbar": 1.0,
-        "c": 1.0,
+        "hbar": 0.7,
+        "c": 1.3,
         "modes": [
             {"s": 1, "n": [0, 0, 1]},
             {"s": -1, "n": [0, 0, 1]},
@@ -490,7 +490,9 @@ def check_ladder(ctx: RunContext) -> list[Record]:
     # Cross-mode pairs: [a_i, a_j] for j >= i and [a_i, a-dagger_j] for j > i.
     upper = np.triu(np.ones((n_modes, n_modes), dtype=bool))
     worst_cross = table[0][np.concatenate([upper, upper & ~np.eye(n_modes, dtype=bool)], axis=1)].max()
-    worst_canonical = table[1][diag, n_modes + diag].max()
+    # [a, a-dagger] = (n + 1) - n carries the rounding of a a-dagger, whose largest
+    # entry on the margin-1 states is n_max: the residual is relative to it.
+    worst_canonical = table[1][diag, n_modes + diag].max() / basis.n_max
     return [
         ctx.record("ladder.canonical", {"modes": n_modes, "margin": 1}, worst_canonical, 1e-12),
         ctx.record("ladder.cross_mode", {"modes": n_modes}, worst_cross, 1e-13),

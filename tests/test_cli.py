@@ -202,6 +202,16 @@ def test_dimension_guard_message(tmp_path, capsys):
     assert "dimension" in err and "guard" in err
 
 
+def test_canonical_commutator_passes_at_high_occupancy(tmp_path):
+    # [a, a-dagger] - 1 = ((n + 1) - n) - 1 rounds like n + 1: about 7e-12 at n = 20000.
+    data = default_data()
+    data["lattice"].update(n_max=20000, modes=[{"s": 1, "n": [0, 0, 1]}])
+    data["state"] = {"kind": "vacuum"}
+    data["checks"] = ["ladder"]
+    del data["grid"]
+    assert cli.main(["verify", "--config", write_scenario(tmp_path, data), "--out", str(tmp_path / "o")]) == 0
+
+
 def test_expect_emits_circular_trace(tmp_path):
     out = tmp_path / "out"
     assert cli.main(["expect", "--out", str(out)]) == 0
@@ -283,8 +293,9 @@ def test_vacuum_scan_custom_cutoffs(tmp_path):
 
 
 def test_dump_operator_golden(tmp_path):
+    # A test of the export format: with hbar omega = 1, the entries of H are the occupancies.
     data = default_data()
-    data["lattice"]["modes"] = [{"s": 1, "n": [0, 0, 1]}]
+    data["lattice"].update(length=2.0 * np.pi, hbar=1.0, c=1.0, modes=[{"s": 1, "n": [0, 0, 1]}])
     data["state"] = {"kind": "vacuum"}
     del data["grid"]
     config = write_scenario(tmp_path, data)
@@ -544,8 +555,12 @@ def test_coherent_state_above_170_quanta_runs(tmp_path):
     out = tmp_path / "o"
     assert cli.main(["expect", "--config", write_scenario(tmp_path, data), "--out", str(out)]) == 0
     rows = np.loadtxt(out / "grid.csv", delimiter=",", skiprows=1)
-    # <E> = 2 Re(coefficient alpha): amplitude 2 |alpha| / (2 pi sqrt(2)) per transverse component.
-    assert np.allclose(np.hypot(rows[:, 4], rows[:, 5]), 20.0 / (2.0 * np.pi * np.sqrt(2.0)), rtol=1e-12)
+    # <E> = 2 Re(coefficient alpha): amplitude 2 |alpha| sqrt(Delta3p omega) / (2 pi hbar sqrt(2))
+    # per transverse component, with Delta3p = (2 pi hbar / L)^3 and omega = c 2 pi / L for |n| = 1.
+    length, hbar, c = (data["lattice"][key] for key in ("length", "hbar", "c"))
+    delta3p, omega = (2.0 * np.pi * hbar / length) ** 3, c * 2.0 * np.pi / length
+    expected = 20.0 * np.sqrt(delta3p * omega) / (2.0 * np.pi * hbar * np.sqrt(2.0))
+    assert np.allclose(np.hypot(rows[:, 4], rows[:, 5]), expected, rtol=1e-12)
 
 
 def test_vacuum_scan_below_the_overflow_bound_runs(tmp_path):

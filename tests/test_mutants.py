@@ -3,23 +3,19 @@
 Each mutant is a deliberately wrong copy of one library function.  verify
 on the built-in scenario must exit 1, and exactly the records named here
 must fail: a check that still passes with the mutant in place would not
-be testing what it claims.  The built-in lattice has L = 2 pi and hbar =
-c = 1, so a wrong power of those constants cancels there; such mutants are
-run on tests/scenarios/nonunit.json (L = 5, hbar = 0.7, c = 1.3, otherwise
-the built-in scenario).
+be testing what it claims.  The built-in lattice has L = 5, hbar = 0.7 and
+c = 1.3, so a wrong power of any of those constants shows there, where
+with L = 2 pi and hbar = c = 1 it would cancel.
 """
 
 import json
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 import pytest
 
 from photonfield import cli, ensembles, fields, fock
 from photonfield.fields import FieldKind
-
-NONUNIT = Path(__file__).resolve().parent / "scenarios" / "nonunit.json"
 
 
 def wrap(monkeypatch, module, name, make):
@@ -28,12 +24,12 @@ def wrap(monkeypatch, module, name, make):
 
 
 def mutate_basis(monkeypatch, name, change):
-    """Every basis verify builds carries change(basis.<name>) in place of its own array."""
+    """Every basis verify builds carries change(basis) in place of its own array basis.<name>."""
 
     def make(build_basis):
         def mutated(config):
             basis = build_basis(config)
-            setattr(basis, name, change(getattr(basis, name)))
+            setattr(basis, name, change(basis))
             return basis
 
         return mutated
@@ -54,9 +50,22 @@ def scale_zero_point_energy(monkeypatch, factor):
     wrap(monkeypatch, fields, "zero_point", make)
 
 
+def scale_amplitudes(monkeypatch, factor, kinds=tuple(FieldKind)):
+    """The a-side coefficients of the fields in kinds times factor(basis)."""
+
+    def make(amplitudes):
+        def mutated(basis, kind, t):
+            value = amplitudes(basis, kind, t)
+            return value * factor(basis) if FieldKind(kind) in kinds else value
+
+        return mutated
+
+    wrap(monkeypatch, fields, "_amplitudes", make)
+
+
 def n_for_sqrt_n(monkeypatch):
     """The ladder table stores n where a_j |n> carries sqrt(n) (and n + 1 for sqrt(n + 1))."""
-    mutate_basis(monkeypatch, "amplitude", np.square)
+    mutate_basis(monkeypatch, "amplitude", lambda basis: np.square(basis.amplitude))
 
 
 def eb_closed_form_sign(monkeypatch):
@@ -111,12 +120,12 @@ def zero_point_energy_halved(monkeypatch):
 
 def k_cross_eps_negated(monkeypatch):
     """B is built from -k x eps."""
-    mutate_basis(monkeypatch, "k_cross_eps", np.negative)
+    mutate_basis(monkeypatch, "k_cross_eps", lambda basis: -basis.k_cross_eps)
 
 
 def omega_off(monkeypatch):
     """omega is off by 1e-7 relative in the fields, not in the stored vacuum <E^2> terms."""
-    mutate_basis(monkeypatch, "omega", lambda omega: omega * (1.0 + 1e-7))
+    mutate_basis(monkeypatch, "omega", lambda basis: basis.omega * (1.0 + 1e-7))
 
 
 def vacuum_term_off(monkeypatch):
@@ -151,9 +160,55 @@ def cross_observables_without_c(monkeypatch):
 
 def potential_without_c(monkeypatch):
     """The A coefficients carry 1/sqrt(omega) for c/sqrt(omega)."""
-    wrap(monkeypatch, fields, "_amplitudes", lambda f: lambda basis, kind, t: (
-        f(basis, kind, t) / basis.config.c if FieldKind(kind) is FieldKind.A else f(basis, kind, t)
-    ))
+    scale_amplitudes(monkeypatch, lambda basis: 1.0 / basis.config.c, [FieldKind.A])
+
+
+def potential_over_omega(monkeypatch):
+    """The A coefficients carry c/omega for c/sqrt(omega)."""
+    scale_amplitudes(monkeypatch, lambda basis: 1.0 / np.sqrt(basis.omega)[:, None], [FieldKind.A])
+
+
+def delta3p_for_its_root(monkeypatch):
+    """Every field coefficient carries Delta3p for sqrt(Delta3p)."""
+    scale_amplitudes(monkeypatch, lambda basis: np.sqrt(basis.delta3p))
+
+
+def spin_without_hbar(monkeypatch):
+    """The spin of a mode is s k, without hbar."""
+    mutate_basis(monkeypatch, "spin", lambda basis: basis.spin / basis.config.hbar)
+
+
+def spin_without_helicity(monkeypatch):
+    """The spin of a mode is hbar k, without the helicity s."""
+    mutate_basis(monkeypatch, "spin", lambda basis: basis.config.hbar * basis.k)
+
+
+def ee_kernel_delta3p_squared(monkeypatch):
+    """The E-E commutator kernel carries Delta3p^2 for Delta3p."""
+
+    def make(kernel):
+        def mutated(basis, kind1, kind2, rho, tau):
+            value = kernel(basis, kind1, kind2, rho, tau)
+            return value * basis.delta3p if FieldKind(kind1) is FieldKind(kind2) is FieldKind.E else value
+
+        return mutated
+
+    wrap(monkeypatch, fields, "field_commutator_kernel", make)
+
+
+def potential_time_without_c(monkeypatch):
+    """E = -dA/dt without 1/c: the time derivative of A comes out c times too large."""
+
+    def make(derivatives):
+        def mutated(basis, kind, *args):
+            values = derivatives(basis, kind, *args)
+            if FieldKind(kind) is FieldKind.A:
+                values = np.concatenate([values[:1] * basis.config.c, values[1:]])
+            return values
+
+        return mutated
+
+    wrap(monkeypatch, fields, "_derivatives", make)
 
 
 MAXWELL = ["maxwell.analytic", "maxwell.fd", "maxwell.richardson"]
@@ -184,21 +239,36 @@ MUTANTS = {
         ["expectations.vacuum_square", "maxwell.analytic", "maxwell.richardson", "observables.momentum"],
     ),
     "vacuum_term_off": (vacuum_term_off, ["expectations.vacuum_square"]),
-}
-
-# Mutants that pass on the built-in scenario, where L = 2 pi and hbar = c = 1.
-NONUNIT_MUTANTS = {
+    "spin_without_helicity": (spin_without_helicity, ["observables.spin"]),
+    # The nine below exit 0 on the same lattice with L = 2 pi and hbar = c = 1.
     "phase_without_hbar": (phase_without_hbar, ["maxwell.fd", "maxwell.richardson"]),
     "zero_point_energy_without_hbar": (zero_point_energy_without_hbar, ["observables.energy"]),
     "cross_observables_without_c": (cross_observables_without_c, ["observables.momentum", "observables.spin"]),
     "potential_without_c": (potential_without_c, [*MAXWELL, "observables.spin"]),
+    "potential_over_omega": (potential_over_omega, [*MAXWELL, "observables.spin"]),
+    "delta3p_for_its_root": (
+        delta3p_for_its_root,
+        [
+            "commutators.matrix_vs_closed",
+            "expectations.vacuum_square",
+            "observables.energy",
+            "observables.momentum",
+            "observables.spin",
+        ],
+    ),
+    "spin_without_hbar": (spin_without_hbar, ["observables.spin"]),
+    "ee_kernel_delta3p_squared": (
+        ee_kernel_delta3p_squared,
+        ["commutators.ee_equals_bb", "commutators.matrix_vs_closed"],
+    ),
+    "potential_time_without_c": (potential_time_without_c, MAXWELL),
 }
 
 
-def failing_records(tmp_path, *config):
+def failing_records(tmp_path):
     """verify's exit code and the checks of its failed records, in report order."""
     out = tmp_path / "o"
-    code = cli.main(["verify", *config, "--out", str(out)])
+    code = cli.main(["verify", "--out", str(out)])
     records = json.loads((out / "report.json").read_text())["records"]
     return code, [r["check"] for r in records if not r["pass"]]
 
@@ -208,14 +278,3 @@ def test_mutant_fails_verify(tmp_path, monkeypatch, mutant):
     apply, failing = MUTANTS[mutant]
     apply(monkeypatch)
     assert failing_records(tmp_path) == (1, failing)
-
-
-def test_nonunit_scenario_passes(tmp_path):
-    assert failing_records(tmp_path, "--config", str(NONUNIT)) == (0, [])
-
-
-@pytest.mark.parametrize("mutant", list(NONUNIT_MUTANTS))
-def test_mutant_fails_verify_on_nonunit_scenario(tmp_path, monkeypatch, mutant):
-    apply, failing = NONUNIT_MUTANTS[mutant]
-    apply(monkeypatch)
-    assert failing_records(tmp_path, "--config", str(NONUNIT)) == (1, failing)
