@@ -196,6 +196,26 @@ def ee_kernel_delta3p_squared(monkeypatch):
     wrap(monkeypatch, fields, "field_commutator_kernel", make)
 
 
+def ee_kernel_without_projector(monkeypatch):
+    """The E-E and B-B commutator kernels sum the identity for the transverse projector 1 - k k."""
+
+    def make(kernel):
+        def mutated(basis, kind1, kind2, rho, tau):
+            value = kernel(basis, kind1, kind2, rho, tau)
+            if FieldKind(kind1) is not FieldKind(kind2):
+                return value
+            first, omega, phase = fields._momentum_sum(basis, rho)
+            kv, omega, phase = basis.k[first], omega[:, None, None], phase[..., None, None]
+            tau = np.asarray(tau)[..., None, None, None]
+            kk = kv[:, :, None] * kv[:, None, :]
+            prefactor = -2j / (2.0 * np.pi * basis.config.hbar) ** 2
+            return value + (prefactor * basis.delta3p * omega * kk * phase * np.sin(omega * tau)).sum(axis=-3)
+
+        return mutated
+
+    wrap(monkeypatch, fields, "field_commutator_kernel", make)
+
+
 def potential_time_without_c(monkeypatch):
     """E = -dA/dt without 1/c: the time derivative of A comes out c times too large."""
 
@@ -240,6 +260,8 @@ MUTANTS = {
     ),
     "vacuum_term_off": (vacuum_term_off, ["expectations.vacuum_square"]),
     "spin_without_helicity": (spin_without_helicity, ["observables.spin"]),
+    # E-E and B-B lose the projector alike, so ee_equals_bb still passes.
+    "ee_kernel_without_projector": (ee_kernel_without_projector, ["commutators.matrix_vs_closed"]),
     # The nine below exit 0 on the same lattice with L = 2 pi and hbar = c = 1.
     "phase_without_hbar": (phase_without_hbar, ["maxwell.fd", "maxwell.richardson"]),
     "zero_point_energy_without_hbar": (zero_point_energy_without_hbar, ["observables.energy"]),
