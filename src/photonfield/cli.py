@@ -11,8 +11,13 @@ parse_scenario checks every field before any work and returns the state as
 the (occupancies, amplitude) terms of ensembles.superposition, so build_state
 parses nothing.  --operator is parsed into a builder before any basis is built.
 
+Each check runner hands its residual arrays to RunContext.record, the one
+place where they are reduced to a verdict: the worst absolute value, with
+NaN propagated, passes only when finite and within the record's fixed
+tolerance.  report.json writes a non-finite worst value as null.
+
 Exit codes: 0 all checks pass, 1 at least one residual exceeded its
-tolerance, 2 configuration or precondition error (ConfigError,
+tolerance or was not finite, 2 configuration or precondition error (ConfigError,
 LatticeSizeError); any other exception is a defect and propagates.  The
 commutators check's precondition (fields.closed_form_gap) is a ConfigError
 of run_verify before its first check, so fields.CompletenessError is a
@@ -366,7 +371,7 @@ class Record:
         return {
             "check": self.check,
             "params": self.params,
-            "residual": self.residual,
+            "residual": self.residual if np.isfinite(self.residual) else None,
             "tolerance": self.tolerance,
             "pass": self.passed,
         }
@@ -386,13 +391,22 @@ class RunContext:
     def rng(self, check: str) -> np.random.Generator:
         return np.random.default_rng([self.scenario.seed, _CHECK_STREAMS[check]])
 
-    def record(self, check: str, params: dict, residual: float, tolerance: float) -> Record:
+    def record(self, check: str, params: dict, residuals, tolerance: float) -> Record:
+        """The verdict on residuals: an array, or a sequence of arrays or floats.
+
+        The worst value is the largest np.abs over them all, reduced by numpy
+        so that a NaN anywhere is the worst value.  The record passes only
+        when that value is finite and within tolerance; with no value at all
+        it is -inf, and the record fails.
+        """
+        arrays = residuals if isinstance(residuals, (list, tuple)) else [residuals]
+        worst = float(np.max([np.max(np.abs(a), initial=-np.inf) for a in arrays], initial=-np.inf))
         return Record(
             check=check,
             params=params,
-            residual=float(residual),
+            residual=worst,
             tolerance=float(tolerance),
-            passed=bool(residual <= tolerance),
+            passed=bool(np.isfinite(worst) and worst <= tolerance),
         )
 
 
@@ -419,25 +433,21 @@ def _near_singular_directions(count: int) -> np.ndarray:
     return v / np.sqrt(np.vecdot(v, v))[:, None]
 
 
-def _worst(*arrays: np.ndarray) -> float:
-    return max(float(np.max(np.abs(a))) for a in arrays)
-
-
 def check_polarization(ctx: RunContext) -> list[Record]:
     rng = ctx.rng("polarization")
     count = 1000
     axes = np.array([[1.0, 0, 0], [0, 1.0, 0], [0, 0, 1.0], [0, 0, -1.0]])
     k = np.concatenate([axes, _random_directions(rng, count - len(axes))])
     _, _, eps_plus, eps_minus = polarization.triads(k)
-    worst_rel = _worst(*polarization.relation_residuals(k, eps_plus, eps_minus).values())
+    relations = list(polarization.relation_residuals(k, eps_plus, eps_minus).values())
     m = polarization.completeness_matrices(eps_plus, eps_minus)
-    worst_proj = _worst(m @ m - m, m @ k[:, :, None])
     _, _, again_plus, again_minus = polarization.triads(k.copy())
-    worst_det = _worst(again_plus - eps_plus, again_minus - eps_minus)
     return [
-        ctx.record("polarization.relations", {"directions": count}, worst_rel, 1e-12),
-        ctx.record("polarization.projector", {"directions": count}, worst_proj, 1e-12),
-        ctx.record("polarization.determinism", {"directions": count}, worst_det, 0.0),
+        ctx.record("polarization.relations", {"directions": count}, relations, 1e-12),
+        ctx.record("polarization.projector", {"directions": count}, [m @ m - m, m @ k[:, :, None]], 1e-12),
+        ctx.record(
+            "polarization.determinism", {"directions": count}, [again_plus - eps_plus, again_minus - eps_minus], 0.0
+        ),
     ]
 
 
@@ -450,12 +460,14 @@ def check_helicity(ctx: RunContext) -> list[Record]:
     k = np.concatenate([_random_directions(rng, generic), _near_singular_directions(near), singular])
     chi = np.stack(spin.helicity_vectors(k), axis=1)  # (direction, helicity, component)
     signs = np.array([1.0, -1.0])[:, None]
-    # S.k for every row; same sums as SpinMatrices.dotted on one direction.
-    sk = spin.spin_matrices(hbar=1.0).dotted(k.T[:, :, None, None])
-    # The eigenvalue relation is insensitive to the overall scale and is
-    # asserted for every direction; the norm-sensitive checks run on the
-    # generic population, where the closed form is well conditioned.
-    worst_eig = _worst(sk[:, None] @ chi[..., None] - (signs * chi)[..., None])
+    hbar = ctx.scenario.lattice.hbar
+    # S.k for every row with the scenario's hbar; same sums as SpinMatrices.dotted on one direction.
+    sk = spin.spin_matrices(hbar).dotted(k.T[:, :, None, None])
+    # S.k chi_s = s hbar chi_s, relative to hbar.  The eigenvalue relation is
+    # insensitive to the overall scale of chi and is asserted for every
+    # direction; the norm-sensitive checks run on the generic population,
+    # where the closed form is well conditioned.
+    eigen = (sk[:, None] @ chi[..., None] - hbar * (signs * chi)[..., None]) / hbar
     chi = chi[:generic]
     _, _, eps_plus, eps_minus = polarization.triads(k[:generic])
     norms = np.sqrt(np.vecdot(chi.real, chi.real) + np.vecdot(chi.imag, chi.imag))
@@ -465,10 +477,10 @@ def check_helicity(ctx: RunContext) -> list[Record]:
     # array may round differently.
     orth, overlap = np.hypot(orth.real, orth.imag), np.hypot(overlap.real, overlap.imag)
     return [
-        ctx.record("helicity.eigenvalue", {"directions": count, "near_singular": near}, worst_eig, 1e-10),
-        ctx.record("helicity.unit_norm", {"directions": generic}, _worst(norms - 1.0), 1e-10),
-        ctx.record("helicity.orthogonality", {"directions": generic}, _worst(orth), 1e-10),
-        ctx.record("helicity.polarization_overlap", {"directions": generic}, _worst(overlap - 1.0), 1e-10),
+        ctx.record("helicity.eigenvalue", {"directions": count, "near_singular": near}, eigen, 1e-10),
+        ctx.record("helicity.unit_norm", {"directions": generic}, norms - 1.0, 1e-10),
+        ctx.record("helicity.orthogonality", {"directions": generic}, orth, 1e-10),
+        ctx.record("helicity.polarization_overlap", {"directions": generic}, overlap - 1.0, 1e-10),
     ]
 
 
@@ -477,7 +489,7 @@ def check_ladder(ctx: RunContext) -> list[Record]:
     n_modes = basis.n_modes
     a_ops = [fock.annihilation(basis, mode) for mode in basis.modes]
     adag_ops = [fock.creation(basis, mode) for mode in basis.modes]
-    worst_adjoint = max((ad - a.dagger()).max_abs() for a, ad in zip(a_ops, adag_ops))
+    adjoint = [(ad - a.dagger()).max_abs() for a, ad in zip(a_ops, adag_ops)]
     # Row i of the table: [a_i, a_j], then [a_i, a-dagger_j] less the identity for j = i;
     # reduced over every state, then over the margin-1 safe states.
     diag = np.arange(n_modes)
@@ -486,14 +498,14 @@ def check_ladder(ctx: RunContext) -> list[Record]:
     table = fock.commutator_residuals(a_ops, a_ops + adag_ops, {(i, n_modes + i): eye for i in diag}, keep)
     # Cross-mode pairs: [a_i, a_j] for j >= i and [a_i, a-dagger_j] for j > i.
     upper = np.triu(np.ones((n_modes, n_modes), dtype=bool))
-    worst_cross = table[0][np.concatenate([upper, upper & ~np.eye(n_modes, dtype=bool)], axis=1)].max()
+    cross = table[0][np.concatenate([upper, upper & ~np.eye(n_modes, dtype=bool)], axis=1)]
     # [a, a-dagger] = (n + 1) - n carries the rounding of a a-dagger, whose largest
     # entry on the margin-1 states is n_max: the residual is relative to it.
-    worst_canonical = table[1][diag, n_modes + diag].max() / basis.n_max
+    canonical = table[1][diag, n_modes + diag] / basis.n_max
     return [
-        ctx.record("ladder.canonical", {"modes": n_modes, "margin": 1}, worst_canonical, 1e-12),
-        ctx.record("ladder.cross_mode", {"modes": n_modes}, worst_cross, 1e-13),
-        ctx.record("ladder.adjoint", {"modes": n_modes}, worst_adjoint, 0.0),
+        ctx.record("ladder.canonical", {"modes": n_modes, "margin": 1}, canonical, 1e-12),
+        ctx.record("ladder.cross_mode", {"modes": n_modes}, cross, 1e-13),
+        ctx.record("ladder.adjoint", {"modes": n_modes}, adjoint, 0.0),
     ]
 
 
@@ -506,7 +518,7 @@ def _quadratic_observables(basis: FockBasis, t: float) -> tuple:
     )
 
 
-def _observable_residuals(basis: FockBasis, diagonals, h_quad, p_quad, s_quad) -> dict[str, float]:
+def _observable_residuals(basis: FockBasis, diagonals, h_quad, p_quad, s_quad) -> dict[str, list[float]]:
     keep = fock.safe_states(basis, 1)
     zp = fields.zero_point(basis)
     h_diag, p_diag, s_diag = diagonals
@@ -516,13 +528,13 @@ def _observable_residuals(basis: FockBasis, diagonals, h_quad, p_quad, s_quad) -
 
     out = {}
     h_target = h_diag + zp.E0
-    out["energy"] = rel(h_quad, h_target, max(abs(h_target).max(), 1e-300))
+    out["energy"] = [rel(h_quad, h_target, np.maximum(abs(h_target).max(), 1e-300))]
     for name, quad, diag, consts in (
         ("momentum", p_quad, p_diag, zp.P0),
         ("spin", s_quad, s_diag, zp.S0),
     ):
-        scale = max(abs(diag).max(), abs(zp.E0))
-        out[name] = max(rel(quad[comp], diag[comp] + float(consts[comp]), scale) for comp in range(3))
+        scale = np.maximum(abs(diag).max(), abs(zp.E0))
+        out[name] = [rel(quad[comp], diag[comp] + float(consts[comp]), scale) for comp in range(3)]
     return out
 
 
@@ -537,14 +549,11 @@ def check_observables(ctx: RunContext) -> list[Record]:
     ]
     # Conservation: the quadratic observables do not depend on the field
     # evaluation time.
-    scale = max(abs(diagonals[0]).max(), 1.0)
+    scale = np.maximum(abs(diagonals[0]).max(), 1.0)
     late = _quadratic_observables(basis, 0.37)
-    drift = (early[0] - late[0]).max_abs()
-    for ops_early, ops_late in zip(early[1:], late[1:]):
-        drift = max(drift, max((a - b).max_abs() for a, b in zip(ops_early, ops_late)))
-    records.append(
-        ctx.record("observables.conservation", {"t_other": 0.37}, drift / scale, 1e-10)
-    )
+    pairs = [(early[0], late[0]), *zip(early[1], late[1]), *zip(early[2], late[2])]
+    drift = [(a - b).max_abs() / scale for a, b in pairs]
+    records.append(ctx.record("observables.conservation", {"t_other": 0.37}, drift, 1e-10))
     return records
 
 
@@ -562,13 +571,13 @@ def check_maxwell_suite(ctx: RunContext) -> list[Record]:
     # Residuals already at the roundoff floor (possible when stencil errors
     # cancel between the two sides of an equation) carry no ratio signal.
     # With no such ratio the order is not shown: the record fails, with the
-    # deviation 3.0 of a residual that did not shrink at all (ratio 1).
-    ratios = [fd[name] / fd_half[name] for name in fd_half if fd_half[name] > 1e-12]
-    ratio_dev = max(abs(r - 4.0) for r in ratios) if ratios else 3.0
+    # deviation 3.0 of a residual that did not shrink at all (ratio 1).  A NaN
+    # residual is not at the floor, so its ratio is kept.
+    ratios = [fd[name] / fd_half[name] for name in fd_half if not fd_half[name] <= 1e-12]
     return [
-        ctx.record("maxwell.analytic", {"h": h}, max(analytic.values()), 1e-12),
-        ctx.record("maxwell.fd", {"h": h}, max(fd.values()), 1e-6),
-        ctx.record("maxwell.richardson", {"h": h}, ratio_dev, 0.8),
+        ctx.record("maxwell.analytic", {"h": h}, list(analytic.values()), 1e-12),
+        ctx.record("maxwell.fd", {"h": h}, list(fd.values()), 1e-6),
+        ctx.record("maxwell.richardson", {"h": h}, np.subtract(ratios, 4.0) if ratios else 3.0, 0.8),
     ]
 
 
@@ -587,28 +596,26 @@ def check_commutators(ctx: RunContext) -> list[Record]:
     coeffs = [[fields.mode_coefficients(basis, f, r[:, s], t[:, s]) for s, f in enumerate(k)] for k in kinds]
     w = [fields.commutator_weights(u, v) for u, v in coeffs]
     # On the margin-1 safe subspace each commutator is the sum of its weights.
-    worst_cross = _worst(*(wk[:pairs].sum(-1) - c for wk, c in zip(w, closed)))
-    worst_equal = _worst(w[0][pairs].sum(-1), w[1][pairs].sum(-1))
-    worst_closed_eq = _worst(closed[0] - closed[1])
+    cross = [wk[:pairs].sum(-1) - c for wk, c in zip(w, closed)]
     # Anchor: the first pair's E-E commutators as assembled operators, over the
     # whole truncated space, against sum_m w_m [a_m, a-dagger_m] (1 below the cap, -n_max at it).
     d_table = np.where(basis.occupancy_table() < basis.n_max, 1.0, -float(basis.n_max))
     diagonals = w[0][0] @ d_table.T
     e1, e2 = (fields.field(basis, FieldKind.E, SpacetimePoint(r=r[0, s], t=float(t[0, s]))) for s in (0, 1))
     targets = {(i, j): fock.diagonal_operator(basis, diagonals[i, j]) for i, j in np.ndindex(3, 3)}
-    worst_cross = max(worst_cross, fock.commutator_residuals(e1, e2, targets).max())
+    cross.append(fock.commutator_residuals(e1, e2, targets))
     # [field, N] equals its sign-flipped closed form everywhere.
     x = SpacetimePoint(r=np.array([0.7, -0.4, 0.2]), t=0.3)
     all_kinds = (FieldKind.E, FieldKind.B, FieldKind.A)
     ops = [op for kind in all_kinds for op in fields.field(basis, kind, x)]
     flipped = [op for kind in all_kinds for op in fields.field_number_commutator(basis, kind, x)]
     targets = {(k, 0): op for k, op in enumerate(flipped)}
-    worst_number = fock.commutator_residuals(ops, [fock.total_number(basis)], targets).max()
+    number = fock.commutator_residuals(ops, [fock.total_number(basis)], targets)
     return [
-        ctx.record("commutators.matrix_vs_closed", {"pairs": pairs, "margin": 1}, worst_cross, 1e-10),
-        ctx.record("commutators.equal_time", {"kinds": ["E", "B"]}, worst_equal, 1e-12),
-        ctx.record("commutators.ee_equals_bb", {"pairs": pairs}, worst_closed_eq, 1e-12),
-        ctx.record("commutators.field_number", {"kinds": ["E", "B", "A"]}, worst_number, 1e-12),
+        ctx.record("commutators.matrix_vs_closed", {"pairs": pairs, "margin": 1}, cross, 1e-10),
+        ctx.record("commutators.equal_time", {"kinds": ["E", "B"]}, [w[0][pairs].sum(-1), w[1][pairs].sum(-1)], 1e-12),
+        ctx.record("commutators.ee_equals_bb", {"pairs": pairs}, closed[0] - closed[1], 1e-12),
+        ctx.record("commutators.field_number", {"kinds": ["E", "B", "A"]}, number, 1e-12),
     ]
 
 
@@ -640,7 +647,6 @@ def check_expectations(ctx: RunContext) -> list[Record]:
         # Anchor: the scenario state's assembled field operators at the first point.
         assembled = [ensembles.expectation(op, states[0]) for op in fields.field(basis, kind, first)]
         residuals.append(np.real(assembled) - matrix[0][0])
-    worst_two_path = _worst(*residuals)
     vac = ensembles.vacuum(basis)
     x0 = SpacetimePoint(r=np.zeros(3), t=0.0)
     e_ops = fields.field(basis, FieldKind.E, x0)
@@ -648,10 +654,9 @@ def check_expectations(ctx: RunContext) -> list[Record]:
         np.real(ensembles.expectation(op @ op, vac)) for op in e_ops
     )
     e2_closed = ensembles.vacuum_field_square(basis)
-    vac_residual = abs(e2_matrix - e2_closed) / e2_closed
     return [
-        ctx.record("expectations.two_path", {"points": len(t)}, worst_two_path, 1e-10),
-        ctx.record("expectations.vacuum_square", {"at": "origin"}, vac_residual, 1e-12),
+        ctx.record("expectations.two_path", {"points": len(t)}, residuals, 1e-10),
+        ctx.record("expectations.vacuum_square", {"at": "origin"}, (e2_matrix - e2_closed) / e2_closed, 1e-12),
     ]
 
 

@@ -1,6 +1,10 @@
 import copy
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -348,6 +352,44 @@ def test_richardson_without_ratio_signal_fails_with_finite_residual(tmp_path, mo
     assert richardson["pass"] is False
     assert np.isfinite(richardson["residual"])
     assert richardson["params"] == {"h": 1e-3}
+
+
+@pytest.mark.parametrize(
+    "residuals, tolerance, passed, written",
+    [
+        ([], 1e-12, False, None),
+        ([np.zeros(3), np.full(2, 1e-14), np.array([1e-14, np.nan])], 1e-12, False, None),
+        (np.inf, 1e-12, False, None),
+        (np.array([[3 + 4j], [-1j]]), 5.0, True, 5.0),
+        (np.array([-0.5, 0.25]), 0.5, True, 0.5),
+        ([0.25, np.array([-0.125])], 0.5, True, 0.25),
+        (np.array([0.25, -0.75]), 0.5, False, 0.75),
+    ],
+    ids=["empty", "nan-in-last-of-three", "inf", "complex", "at", "below", "above"],
+)
+def test_record_judges_the_worst_absolute_residual(residuals, tolerance, passed, written):
+    record = cli.RunContext(cli.parse_scenario(default_data())).record("c", {}, residuals, tolerance)
+    assert record.passed is passed
+    assert record.as_json()["residual"] == written
+    json.dumps(record.as_json(), allow_nan=False)
+    if written is not None:
+        assert passed is (written <= tolerance)
+
+
+def test_nonfinite_residual_is_written_as_null_and_fails(tmp_path):
+    # With c = 1e300 the analytic Maxwell residuals overflow to NaN.  A fresh
+    # process: in this one the overflow warning would be raised as an error.
+    data = default_data()
+    data["lattice"]["c"] = 1e300
+    config = write_scenario(tmp_path, data)
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    command = [sys.executable, "-m", "photonfield.cli", "verify", "--config", config, "--out", "o"]
+    done = subprocess.run(command, cwd=tmp_path, env=env, capture_output=True, text=True)
+    assert done.returncode == 1, done.stderr
+    report = json.loads((tmp_path / "o" / "report.json").read_text(), parse_constant=pytest.fail)
+    analytic = next(r for r in report["records"] if r["check"] == "maxwell.analytic")
+    assert (analytic["residual"], analytic["pass"]) == (None, False)
+    assert "FAIL maxwell.analytic residual=nan " in done.stdout
 
 
 def test_dump_operator_unknown_name(tmp_path, capsys):

@@ -6,6 +6,9 @@ must fail: a check that still passes with the mutant in place would not
 be testing what it claims.  The built-in lattice has L = 5, hbar = 0.7 and
 c = 1.3, so a wrong power of any of those constants shows there, where
 with L = 2 pi and hbar = c = 1 it would cancel.
+
+The NaN mutants each put a NaN into a residual that is not the first one
+of its record, where a reduction by Python's max would drop it.
 """
 
 import json
@@ -14,7 +17,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from photonfield import cli, ensembles, fields, fock
+from photonfield import cli, ensembles, fields, fock, polarization, spin
 from photonfield.fields import FieldKind
 
 
@@ -231,6 +234,109 @@ def potential_time_without_c(monkeypatch):
     wrap(monkeypatch, fields, "_derivatives", make)
 
 
+def spin_matrices_without_hbar(monkeypatch):
+    """The spin matrices are those of hbar = 1 whatever hbar is asked for."""
+    wrap(monkeypatch, spin, "spin_matrices", lambda f: lambda hbar=1.0: f(1.0))
+
+
+def with_nan(values):
+    """A copy of values with its last entry set to NaN."""
+    values = np.array(values)
+    values.flat[-1] = np.nan
+    return values
+
+
+def polarization_nan(monkeypatch):
+    """The completeness relation, the last of the eight, reads NaN on every direction."""
+
+    def make(relation_residuals):
+        def mutated(k, eps_plus, eps_minus):
+            res = relation_residuals(k, eps_plus, eps_minus)
+            return {**res, "completeness": np.full_like(res["completeness"], np.nan)}
+
+        return mutated
+
+    wrap(monkeypatch, polarization, "relation_residuals", make)
+
+
+def helicity_nan(monkeypatch):
+    """chi_minus of the last direction (a singular one) carries a NaN."""
+
+    def make(helicity_vectors):
+        def mutated(k):
+            chi_plus, chi_minus = helicity_vectors(k)
+            return chi_plus, with_nan(chi_minus)
+
+        return mutated
+
+    wrap(monkeypatch, spin, "helicity_vectors", make)
+
+
+def nan_entry(op):
+    """A copy of op whose last stored entry is NaN."""
+    matrix = op.matrix.copy()
+    matrix.data[-1] = np.nan
+    return fock.SparseOperator(matrix, op.basis)
+
+
+def ladder_nan(monkeypatch):
+    """Every adjoint after the first carries a NaN: ladder.adjoint is finite only for mode 0."""
+    dagger = fock.SparseOperator.dagger
+    calls = []
+
+    def mutated(op):
+        calls.append(op)
+        return dagger(op) if len(calls) == 1 else nan_entry(dagger(op))
+
+    monkeypatch.setattr(fock.SparseOperator, "dagger", mutated)
+
+
+def observables_nan(monkeypatch):
+    """The box integral of S_z at any t but 0 carries a NaN: only the conservation drift sees it."""
+
+    def make(quadratic_s):
+        def mutated(basis, t):
+            sx, sy, sz = quadratic_s(basis, t=t)
+            return (sx, sy, sz) if t == 0.0 else (sx, sy, nan_entry(sz))
+
+        return mutated
+
+    wrap(monkeypatch, fields, "quadratic_S_from_fields", make)
+
+
+def maxwell_nan(monkeypatch):
+    """div B, the last Maxwell residual, is NaN at every step."""
+    wrap(monkeypatch, fields, "check_maxwell", lambda f: lambda *args, **kwargs: {
+        **f(*args, **kwargs), "div_b": float("nan")
+    })
+
+
+def commutators_nan(monkeypatch):
+    """The E-B commutator kernel, the last of the three kinds, carries a NaN at its last pair."""
+
+    def make(kernel):
+        def mutated(basis, kind1, kind2, rho, tau):
+            value = kernel(basis, kind1, kind2, rho, tau)
+            return value if kind1 is kind2 else with_nan(value)
+
+        return mutated
+
+    wrap(monkeypatch, fields, "field_commutator_kernel", make)
+
+
+def expectations_nan(monkeypatch):
+    """The closed mean field of A carries a NaN at its last point."""
+
+    def make(table):
+        def mutated(state, kind, r, t):
+            value = table(state, kind, r, t)
+            return with_nan(value) if FieldKind(kind) is FieldKind.A else value
+
+        return mutated
+
+    wrap(monkeypatch, ensembles, "mean_field_table", make)
+
+
 MAXWELL = ["maxwell.analytic", "maxwell.fd", "maxwell.richardson"]
 
 MUTANTS = {
@@ -284,6 +390,14 @@ MUTANTS = {
         ["commutators.ee_equals_bb", "commutators.matrix_vs_closed"],
     ),
     "potential_time_without_c": (potential_time_without_c, MAXWELL),
+    "spin_matrices_without_hbar": (spin_matrices_without_hbar, ["helicity.eigenvalue"]),
+    "polarization_nan": (polarization_nan, ["polarization.relations"]),
+    "helicity_nan": (helicity_nan, ["helicity.eigenvalue"]),
+    "ladder_nan": (ladder_nan, ["ladder.adjoint"]),
+    "observables_nan": (observables_nan, ["observables.conservation"]),
+    "maxwell_nan": (maxwell_nan, MAXWELL),
+    "commutators_nan": (commutators_nan, ["commutators.matrix_vs_closed"]),
+    "expectations_nan": (expectations_nan, ["expectations.two_path"]),
 }
 
 
