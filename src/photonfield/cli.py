@@ -237,11 +237,9 @@ def _parse_state(state, lattice: LatticeConfig) -> dict[tuple[int, ...], complex
         if not _is_int(cap) or not 0 <= cap <= lattice.n_max:
             raise ConfigError(f"scenario.state.cap: must be an integer in 0..{lattice.n_max} (n_max), got {cap!r}")
         try:
-            amplitudes = ensembles.coherent_profile(alpha, mode, cap).amplitudes
+            terms = ensembles.coherent_profile(alpha, mode, cap).terms(lattice.modes)
         except OverflowError:
-            amplitudes = ()
-        j = lattice.modes.index(mode)
-        terms = {tuple(n if i == j else 0 for i in range(len(lattice.modes))): a for n, a in enumerate(amplitudes)}
+            terms = {}
         path = "scenario.state.alpha"
     elif kind == "superposition":
         _require_keys(state, "scenario.state", {"kind", "terms"})

@@ -4,7 +4,10 @@ Exact photon-number states have vanishing mean fields; superpositions of
 different photon numbers develop a classical plane-wave expectation.  The
 canonical instance shipped here is the Poissonian (coherent) coefficient
 profile C_n = exp(-|alpha|^2/2) alpha^n / sqrt(n!), whose mean field is a
-circularly polarized wave of amplitude set by alpha.
+circularly polarized wave of amplitude set by alpha.  Every state vector
+is built by superposition from {occupancies: amplitude} terms; a profile
+gives its terms once (ModeProfile.terms), for superposition and for the
+CLI's scenario parser alike.
 
 Every closed-form expectation is backed by a matrix path; the two must
 agree to 1e-10.  The matrix path of a mean field takes <a_m> and
@@ -66,17 +69,18 @@ class ModeProfile:
     amplitudes: tuple[complex, ...]
     norm_deficit: float = 0.0
 
+    def terms(self, modes: Sequence[ModeKey]) -> dict[tuple[int, ...], complex]:
+        """{occupancies: C_n} over the given modes: n quanta in this mode, none in the others."""
+        j = modes.index(self.mode)
+        return {tuple(n if i == j else 0 for i in range(len(modes))): a for n, a in enumerate(self.amplitudes)}
+
 
 def vacuum(basis: FockBasis) -> FockState:
-    c = np.zeros(basis.dim, dtype=complex)
-    c[0] = 1.0
-    return FockState(basis=basis, coefficients=c)
+    return superposition(basis, {(0,) * basis.n_modes: 1.0})
 
 
 def number_state(basis: FockBasis, occupancies: Sequence[int]) -> FockState:
-    c = np.zeros(basis.dim, dtype=complex)
-    c[basis.index(occupancies)] = 1.0
-    return FockState(basis=basis, coefficients=c)
+    return superposition(basis, {tuple(occupancies): 1.0})
 
 
 def coherent_profile(alpha: complex, mode: ModeKey, cap: int) -> ModeProfile:
@@ -101,19 +105,18 @@ def superposition(
     basis: FockBasis,
     coeff_map: Mapping[tuple[int, ...], complex] | ModeProfile,
 ) -> FockState:
-    """State from occupancy-tuple coefficients or a single-mode profile."""
+    """State from occupancy-tuple coefficients or a single-mode profile.
+
+    The one builder of a state vector: vacuum and number_state are single
+    terms of weight 1.0.
+    """
     if isinstance(coeff_map, ModeProfile):
         if len(coeff_map.amplitudes) - 1 > basis.n_max:
             raise ValueError(
                 f"profile cap {len(coeff_map.amplitudes) - 1} exceeds n_max = {basis.n_max}"
             )
-        j = basis.mode_index(coeff_map.mode)
-        expanded: dict[tuple[int, ...], complex] = {}
-        for n, amp in enumerate(coeff_map.amplitudes):
-            occ = [0] * basis.n_modes
-            occ[j] = n
-            expanded[tuple(occ)] = amp
-        coeff_map = expanded
+        basis.mode_index(coeff_map.mode)  # KeyError for a mode off the lattice
+        coeff_map = coeff_map.terms(basis.modes)
     c = np.zeros(basis.dim, dtype=complex)
     for occ, amp in coeff_map.items():
         c[basis.index(occ)] = amp

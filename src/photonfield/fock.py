@@ -47,7 +47,11 @@ operators, vstack(L) @ hstack(R) and vstack(R) @ hstack(L), whose blocks
 are the products L_k R_l and R_l L_k entry by entry; large operators are
 multiplied pair by pair.  A safe subspace enters a residual as a mask of
 basis states (safe_states), not as a projector product: P X P for the 0/1
-diagonal P keeps exactly the X_ij with i and j both kept.
+diagonal P keeps exactly the X_ij with i and j both kept.  One function,
+_block_maxima, turns a sparse residual into maxima, for the residual
+table and for SparseOperator.max_abs alike: an operator with no stored
+entry reads 0.0, and a NaN entry makes its maximum NaN, which verify
+fails.
 
 Text exports use float_reprs: shortest round-trip reprs, computed once per
 distinct bit pattern of a column.
@@ -90,7 +94,7 @@ class BasisMismatchError(ValueError):
 
 def _integer(value) -> int:
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"mode labels and occupancies must be integers, got {value!r}")
+        raise ValueError(f"mode labels, occupancies and n_max must be integers, got {value!r}")
     return int(value)
 
 
@@ -120,8 +124,9 @@ class LatticeConfig:
     def __post_init__(self) -> None:
         if self.length <= 0 or self.hbar <= 0 or self.c <= 0:
             raise ValueError("length, hbar and c must be positive")
-        if self.n_max < 1:
-            raise ValueError(f"n_max must be >= 1, got {self.n_max}")
+        n_max = _integer(self.n_max)
+        if n_max < 1:
+            raise ValueError(f"n_max must be >= 1, got {n_max}")
         norm_modes = tuple(mode_key(m) for m in self.modes)
         for s, n in norm_modes:
             if s not in (1, -1):
@@ -150,6 +155,7 @@ class LatticeConfig:
                 f"the vacuum <E^2> term Delta3p omega / (2 pi hbar)^2 = {float(terms[bad[0]])!r} "
                 f"of mode {norm_modes[bad[0]]} is not a positive normal float"
             )
+        object.__setattr__(self, "n_max", n_max)
         object.__setattr__(self, "modes", norm_modes)
 
 
@@ -264,9 +270,6 @@ class FockBasis(ModeTable):
 
     # -- index bookkeeping -------------------------------------------------
 
-    def occupancies(self, index: int) -> tuple[int, ...]:
-        return tuple(int(v) for v in self._occupancies[index])
-
     def occupancy_table(self) -> np.ndarray:
         """(dim, n_modes) array of occupancies, row i = basis state i."""
         return self._occupancies
@@ -317,32 +320,19 @@ class SparseOperator:
 
     __rmul__ = __mul__
 
-    def __neg__(self) -> "SparseOperator":
-        return SparseOperator(-self.matrix, self.basis)
-
     def dagger(self) -> "SparseOperator":
         return SparseOperator(self.matrix.conj().T.tocsr(), self.basis)
 
     # -- inspection ------------------------------------------------------------
 
     def max_abs(self, keep: np.ndarray | None = None) -> float:
-        """Largest |X_ij| over the stored entries, 0.0 for none.
+        """Largest |X_ij| over the stored entries, 0.0 for none, NaN if one is NaN.
 
         keep, a (dim,) bool mask of basis states, restricts it to the
         entries with keep[i] and keep[j]: the max_abs of P X P for the
         projector P onto the kept states.
         """
-        if keep is not None:
-            return float(_block_maxima(self.matrix, self.basis.dim, (1, 1), keep)[0, 0])
-        if self.matrix.nnz == 0:
-            return 0.0
-        return float(np.max(np.abs(self.matrix.data)))
-
-    def to_dense(self) -> np.ndarray:
-        return self.matrix.toarray()
-
-    def diagonal(self) -> np.ndarray:
-        return self.matrix.diagonal()
+        return float(_block_maxima(self.matrix, self.basis.dim, (1, 1), keep)[0, 0])
 
 
 def identity(basis: FockBasis) -> SparseOperator:
@@ -446,24 +436,22 @@ def _block_maxima(matrix: sp.csr_matrix, dim: int, blocks: tuple[int, int], keep
     """max |X_ij| in each dim x dim block of a CSR matrix over entries with keep[i] and keep[j], 0.0 for none.
 
     i and j are the row and column inside the block.  keep of shape (..., dim)
-    gives maxima of shape (..., *blocks); None keeps every state.
+    gives maxima of shape (..., *blocks); None keeps every state.  A NaN
+    entry makes its block's maximum NaN, without a warning.
     """
-    block = np.repeat(np.arange(blocks[0]) * blocks[1], np.diff(matrix.indptr[::dim])) + matrix.indices // dim
-    magnitude = np.abs(matrix.data)
-    if keep is None:
-        out = np.zeros(blocks[0] * blocks[1])
-        np.maximum.at(out, block, magnitude)
-        return out.reshape(blocks)
-    keep = np.asarray(keep, dtype=bool)
+    keep = np.ones(dim, dtype=bool) if keep is None else np.asarray(keep, dtype=bool)
     if keep.shape[-1:] != (dim,):
         raise ValueError(f"keep must hold one flag per basis state ({dim}), got shape {keep.shape}")
-    masks = keep.reshape(-1, dim)
+    block = np.repeat(np.arange(blocks[0]) * blocks[1], np.diff(matrix.indptr[::dim])) + matrix.indices // dim
+    magnitude = np.abs(matrix.data)
     i = _row_indices(matrix) % dim
     j = matrix.indices % dim
+    masks = keep.reshape(-1, dim)
     out = np.zeros((len(masks), blocks[0] * blocks[1]))
-    for mask, row in zip(masks, out):
-        inside = mask[i] & mask[j]
-        np.maximum.at(row, block[inside], magnitude[inside])
+    with np.errstate(invalid="ignore"):
+        for mask, row in zip(masks, out):
+            inside = mask[i] & mask[j]
+            np.maximum.at(row, block[inside], magnitude[inside])
     return out.reshape(keep.shape[:-1] + blocks)
 
 

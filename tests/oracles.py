@@ -88,7 +88,7 @@ def quadrature_energy(basis, t=0.0):
                 e_ops = pf.field(basis, FieldKind.E, x)
                 b_ops = pf.field(basis, FieldKind.B, x)
                 for op in (*e_ops, *b_ops):
-                    acc += weight * (op @ op).to_dense()
+                    acc += weight * (op @ op).matrix.toarray()
     return acc / (8.0 * np.pi)
 
 
@@ -104,7 +104,7 @@ def quadrature_momentum(basis, t=0.0):
                 b_ops = pf.field(basis, FieldKind.B, x)
                 for comp in range(3):
                     term = _cross_sum(e_ops, b_ops, comp) - _cross_sum(b_ops, e_ops, comp)
-                    acc[comp] += weight * term.to_dense()
+                    acc[comp] += weight * term.matrix.toarray()
     return [a / (8.0 * np.pi * basis.config.c) for a in acc]
 
 
@@ -120,7 +120,7 @@ def quadrature_spin(basis, t=0.0):
                 a_ops = pf.field(basis, FieldKind.A, x)
                 for comp in range(3):
                     term = _cross_sum(e_ops, a_ops, comp) - _cross_sum(a_ops, e_ops, comp)
-                    acc[comp] += weight * term.to_dense()
+                    acc[comp] += weight * term.matrix.toarray()
     return [a / (8.0 * np.pi * basis.config.c) for a in acc]
 
 

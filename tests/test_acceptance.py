@@ -91,7 +91,7 @@ def test_criterion_3_quadratic_reductions(standard_basis):
     eye = pf.identity(basis)
     zp = pf.zero_point(basis)
     assert np.max(np.abs(zp.P0)) == 0.0 and np.max(np.abs(zp.S0)) == 0.0
-    scale = float(np.max(np.abs(pf.observable_H(basis).diagonal()))) + zp.E0
+    scale = float(np.max(np.abs(pf.observable_H(basis).matrix.diagonal()))) + zp.E0
 
     def residuals(t):
         worst = (

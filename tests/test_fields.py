@@ -64,7 +64,7 @@ def test_field_components_are_hermitian(standard_basis):
 def test_single_mode_vacuum_column(single_mode_basis):
     # Only |0> <-> |1> amplitudes, magnitude 1/(2 pi sqrt 2).
     ey = pf.field(single_mode_basis, FieldKind.E, ORIGIN)[1]
-    column = ey.to_dense()[:, 0]
+    column = ey.matrix.toarray()[:, 0]
     assert np.sum(np.abs(column) > 0) == 1
     assert abs(abs(column[1]) - 1.0 / (2.0 * np.pi * np.sqrt(2.0))) < 1e-15
 
@@ -85,7 +85,7 @@ def test_linear_forms_zero_and_single(single_mode_basis):
     assert pf.linear_forms(single_mode_basis, np.zeros((1, 1)))[0].max_abs() == 0.0
     (op,) = pf.linear_forms(single_mode_basis, np.ones((1, 1)))
     expected = np.diag(np.sqrt([1.0, 2.0, 3.0]), 1) + np.diag(np.sqrt([1.0, 2.0, 3.0]), -1)
-    assert np.max(np.abs(op.to_dense() - expected)) < 1e-15
+    assert np.max(np.abs(op.matrix.toarray() - expected)) < 1e-15
 
 
 def test_field_factors_through_linear_forms(standard_basis):
@@ -120,13 +120,13 @@ def test_linear_forms_refuses_other_shapes(standard_basis, coeffs):
 def test_observable_examples(single_mode_basis, helicity_pair_basis):
     h = pf.observable_H(single_mode_basis)
     assert oracles.adjoint_residual(h) < 1e-12
-    assert np.max(np.abs(np.imag(h.diagonal()))) == 0.0
-    assert np.allclose(np.real(h.diagonal()), [0.0, 1.0, 2.0, 3.0], atol=0)
+    assert np.max(np.abs(np.imag(h.matrix.diagonal()))) == 0.0
+    assert np.allclose(np.real(h.matrix.diagonal()), [0.0, 1.0, 2.0, 3.0], atol=0)
     pz = pf.observable_P(single_mode_basis)[2]
-    assert np.allclose(np.real(pz.diagonal()), [0.0, 1.0, 2.0, 3.0], atol=1e-15)
+    assert np.allclose(np.real(pz.matrix.diagonal()), [0.0, 1.0, 2.0, 3.0], atol=1e-15)
     sz = pf.observable_S(helicity_pair_basis)[2]
     occ = helicity_pair_basis.occupancy_table()
-    assert np.allclose(np.real(sz.diagonal()), occ[:, 0] - occ[:, 1], atol=1e-15)
+    assert np.allclose(np.real(sz.matrix.diagonal()), occ[:, 0] - occ[:, 1], atol=1e-15)
 
 
 def test_zero_point_constants(standard_basis, single_mode_basis, helicity_pair_basis):
@@ -151,7 +151,7 @@ def test_zero_point_constants(standard_basis, single_mode_basis, helicity_pair_b
 def test_single_mode_quadratic_energy(single_mode_basis):
     quad = pf.quadratic_H_from_fields(single_mode_basis)
     proj = pf.safe_projector(single_mode_basis, 1)
-    projected = (proj @ quad @ proj).to_dense()
+    projected = (proj @ quad @ proj).matrix.toarray()
     assert np.allclose(np.diag(projected)[:3], [0.5, 1.5, 2.5], atol=1e-12)
     offdiag = projected - np.diag(np.diag(projected))
     assert np.max(np.abs(offdiag)) < 1e-14
@@ -160,28 +160,28 @@ def test_single_mode_quadratic_energy(single_mode_basis):
 def test_quadratic_energy_matches_quadrature_oracle(standard_basis):
     quad = pf.quadratic_H_from_fields(standard_basis, t=0.0)
     oracle = oracles.quadrature_energy(standard_basis, t=0.0)
-    assert np.max(np.abs(quad.to_dense() - oracle)) < 1e-12
+    assert np.max(np.abs(quad.matrix.toarray() - oracle)) < 1e-12
 
 
 def test_quadratic_momentum_matches_quadrature_oracle(standard_basis):
     quad = pf.quadratic_P_from_fields(standard_basis, t=0.2)
     oracle = oracles.quadrature_momentum(standard_basis, t=0.2)
     for comp in range(3):
-        assert np.max(np.abs(quad[comp].to_dense() - oracle[comp])) < 1e-12
+        assert np.max(np.abs(quad[comp].matrix.toarray() - oracle[comp])) < 1e-12
 
 
 def test_quadratic_spin_matches_quadrature_oracle(standard_basis):
     quad = pf.quadratic_S_from_fields(standard_basis, t=0.0)
     oracle = oracles.quadrature_spin(standard_basis, t=0.0)
     for comp in range(3):
-        assert np.max(np.abs(quad[comp].to_dense() - oracle[comp])) < 1e-12
+        assert np.max(np.abs(quad[comp].matrix.toarray() - oracle[comp])) < 1e-12
 
 
 def assert_identity(basis, tol=1e-10):
     proj = pf.safe_projector(basis, 1)
     eye = pf.identity(basis)
     zp = pf.zero_point(basis)
-    scale = max(np.max(np.abs(pf.observable_H(basis).diagonal())) + abs(zp.E0), 1.0)
+    scale = max(np.max(np.abs(pf.observable_H(basis).matrix.diagonal())) + abs(zp.E0), 1.0)
 
     residual = (proj @ (pf.quadratic_H_from_fields(basis) - pf.observable_H(basis) - zp.E0 * eye) @ proj).max_abs()
     assert residual < tol * scale
@@ -274,15 +274,15 @@ def test_quadratic_observables_are_gauge_independent():
     rotated = pf.build_basis(
         pf.LatticeConfig(length=2 * np.pi, n_max=3, modes=modes, gauge_reference=(0.0, 1.0, 0.3))
     )
-    h_d = pf.quadratic_H_from_fields(default).to_dense()
-    h_r = pf.quadratic_H_from_fields(rotated).to_dense()
+    h_d = pf.quadratic_H_from_fields(default).matrix.toarray()
+    h_r = pf.quadratic_H_from_fields(rotated).matrix.toarray()
     assert np.max(np.abs(h_d - h_r)) < 1e-10
     for comp in range(3):
-        p_d = pf.quadratic_P_from_fields(default)[comp].to_dense()
-        p_r = pf.quadratic_P_from_fields(rotated)[comp].to_dense()
+        p_d = pf.quadratic_P_from_fields(default)[comp].matrix.toarray()
+        p_r = pf.quadratic_P_from_fields(rotated)[comp].matrix.toarray()
         assert np.max(np.abs(p_d - p_r)) < 1e-10
-        s_d = pf.quadratic_S_from_fields(default)[comp].to_dense()
-        s_r = pf.quadratic_S_from_fields(rotated)[comp].to_dense()
+        s_d = pf.quadratic_S_from_fields(default)[comp].matrix.toarray()
+        s_r = pf.quadratic_S_from_fields(rotated)[comp].matrix.toarray()
         assert np.max(np.abs(s_d - s_r)) < 1e-10
 
 
@@ -425,7 +425,7 @@ def test_commutator_weights_give_the_whole_truncated_commutator(request, fixture
     f1, f2 = pf.field(basis, kinds[0], x1), pf.field(basis, kinds[1], x2)
     for i in range(3):
         for j in range(3):
-            matrix = pf.commutator(f1[i], f2[j]).to_dense()
+            matrix = pf.commutator(f1[i], f2[j]).matrix.toarray()
             assert np.max(np.abs(matrix - np.diag(cap @ w[i, j]))) <= 1e-15
 
 
@@ -568,12 +568,12 @@ def test_field_number_commutator_keeps_lowering_sign(single_mode_basis):
     # <0|[E_x, N]|1> keeps the annihilation amplitude of <0|E_x|1>.
     e_x = pf.field(single_mode_basis, FieldKind.E, ORIGIN)[0]
     closed = pf.field_number_commutator(single_mode_basis, FieldKind.E, ORIGIN)[0]
-    assert abs(closed.to_dense()[0, 1] - e_x.to_dense()[0, 1]) < 1e-15
+    assert abs(closed.matrix.toarray()[0, 1] - e_x.matrix.toarray()[0, 1]) < 1e-15
 
 
 def test_potential_number_commutator_lacks_the_phase_factor(single_mode_basis):
     # At the origin the E-side amplitude is pure imaginary, the A-side real.
-    e_entry = pf.field_number_commutator(single_mode_basis, FieldKind.E, ORIGIN)[0].to_dense()[0, 1]
-    a_entry = pf.field_number_commutator(single_mode_basis, FieldKind.A, ORIGIN)[0].to_dense()[0, 1]
+    e_entry = pf.field_number_commutator(single_mode_basis, FieldKind.E, ORIGIN)[0].matrix.toarray()[0, 1]
+    a_entry = pf.field_number_commutator(single_mode_basis, FieldKind.A, ORIGIN)[0].matrix.toarray()[0, 1]
     assert abs(e_entry.real) < 1e-15 and abs(e_entry.imag) > 1e-3
     assert abs(a_entry.imag) < 1e-15 and abs(a_entry.real) > 1e-3

@@ -1,4 +1,5 @@
 import io
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -24,13 +25,13 @@ def small_config(**kwargs):
 def test_single_mode_dimension():
     basis = pf.build_basis(small_config())
     assert basis.dim == 4
-    assert [basis.occupancies(i) for i in range(4)] == [(0,), (1,), (2,), (3,)]
+    assert basis.occupancy_table().tolist() == [[0], [1], [2], [3]]
 
 
 def test_two_mode_ordering():
     basis = pf.build_basis(small_config(n_max=1, modes=((1, (0, 0, 1)), (-1, (0, 0, 1)))))
     assert basis.dim == 4
-    assert [basis.occupancies(i) for i in range(4)] == [(0, 0), (0, 1), (1, 0), (1, 1)]
+    assert basis.occupancy_table().tolist() == [[0, 0], [0, 1], [1, 0], [1, 1]]
     assert [basis.index(o) for o in [(0, 0), (0, 1), (1, 0), (1, 1)]] == [0, 1, 2, 3]
 
 
@@ -284,7 +285,7 @@ def test_canonical_commutator_on_safe_subspace(standard_basis):
 def test_truncation_deviation_confined_to_top_states():
     basis = pf.build_basis(small_config())
     a = pf.annihilation(basis, basis.modes[0])
-    deviation = (pf.commutator(a, a.dagger()) - pf.identity(basis)).to_dense()
+    deviation = (pf.commutator(a, a.dagger()) - pf.identity(basis)).matrix.toarray()
     nonzero = np.argwhere(np.abs(deviation) > 1e-14)
     assert nonzero.tolist() == [[3, 3]]
     assert abs(deviation[3, 3] + 4.0) < 1e-14  # 1 - (n_max + 1)
@@ -308,13 +309,13 @@ def test_adjoint_is_exact(standard_basis):
 def test_number_operator_values():
     basis = pf.build_basis(small_config())
     n = pf.number_operator(basis, basis.modes[0])
-    assert np.allclose(n.to_dense(), np.diag([0.0, 1.0, 2.0, 3.0]), atol=0)
+    assert np.allclose(n.matrix.toarray(), np.diag([0.0, 1.0, 2.0, 3.0]), atol=0)
 
 
 def test_total_number_two_modes():
     basis = pf.build_basis(small_config(n_max=1, modes=((1, (0, 0, 1)), (-1, (0, 0, 1)))))
     total = pf.total_number(basis)
-    assert np.allclose(np.real(total.diagonal()), [0.0, 1.0, 1.0, 2.0], atol=0)
+    assert np.allclose(np.real(total.matrix.diagonal()), [0.0, 1.0, 1.0, 2.0], atol=0)
 
 
 def test_number_operators_commute(standard_basis):
@@ -334,7 +335,7 @@ def test_safe_projector_cases():
     basis = pf.build_basis(small_config())
     assert (pf.safe_projector(basis, 0) - pf.identity(basis)).max_abs() == 0.0
     p1 = pf.safe_projector(basis, 1)
-    assert np.allclose(np.real(p1.diagonal()), [1.0, 1.0, 1.0, 0.0], atol=0)
+    assert np.allclose(np.real(p1.matrix.diagonal()), [1.0, 1.0, 1.0, 0.0], atol=0)
     for margin in (0, 1, 2, 3):
         p = pf.safe_projector(basis, margin)
         assert (p @ p - p).max_abs() == 0.0
@@ -347,7 +348,7 @@ def test_safe_states_mask_the_projector():
     for margin in (0, 1, 2):
         keep = pf.safe_states(basis, margin)
         assert keep.dtype == bool and keep.shape == (basis.dim,)
-        assert np.array_equal(np.real(pf.safe_projector(basis, margin).diagonal()), keep.astype(float))
+        assert np.array_equal(np.real(pf.safe_projector(basis, margin).matrix.diagonal()), keep.astype(float))
     # P X P keeps exactly the entries X_ij with i and j both kept.
     x = pf.creation(basis, basis.modes[0]) @ pf.annihilation(basis, basis.modes[1]) + pf.total_number(basis)
     proj, keep = pf.safe_projector(basis, 1), pf.safe_states(basis, 1)
@@ -374,6 +375,35 @@ def test_sparse_operator_keeps_a_complex_csr():
     assert pf.SparseOperator(matrix, basis).matrix is matrix
     converted = pf.SparseOperator(sp.identity(basis.dim, format="coo"), basis).matrix
     assert isinstance(converted, sp.csr_matrix) and converted.dtype == complex
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_every_maximum_is_one_block_reduction(standard_basis, seed):
+    """max_abs, masked or not, and the residual table give the plain maximum, 0.0 for no entry, and NaN for a NaN."""
+    dim = standard_basis.dim
+    rng = np.random.default_rng(seed)
+    stored = rng.random((dim, dim)) < 0.05
+    dense = np.where(stored, rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)), 0)
+    op = pf.SparseOperator(sp.csr_matrix(dense), standard_basis)
+    assert op.max_abs() == float(np.max(np.abs(op.matrix.data)))
+    assert pf.SparseOperator(sp.csr_matrix((dim, dim), dtype=complex), standard_basis).max_abs() == 0.0
+
+    i, j = np.argwhere(stored)[rng.integers(stored.sum())]
+    dense[i, j] = np.nan
+    bad = pf.SparseOperator(sp.csr_matrix(dense), standard_basis)
+    everything, without_i = np.ones(dim, dtype=bool), np.arange(dim) != i
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.isnan(bad.max_abs()) and np.isnan(bad.max_abs(everything))
+        assert bad.max_abs(without_i) == op.max_abs(without_i)
+        one = pf.identity(standard_basis)
+        tables = [
+            pf.commutator_residuals([one, one], [one], {(0, 0): op, (1, 0): bad}, keep)
+            for keep in (None, everything, np.stack([everything, without_i]))
+        ]
+    for table in (tables[0], tables[1], tables[2][0]):
+        assert table[0, 0] == op.max_abs() and np.isnan(table[1, 0])
+    assert tables[2][1, 0, 0] == tables[2][1, 1, 0] == op.max_abs(without_i)
 
 
 @pytest.fixture(scope="module")
@@ -471,6 +501,14 @@ def test_empty_mode_list_rejected():
 def test_duplicate_mode_rejected():
     with pytest.raises(ValueError):
         small_config(modes=((1, (0, 0, 1)), (1, (0, 0, 1))))
+
+
+@pytest.mark.parametrize("bad", [2.0, 2.5, np.float64(2.0), True, "2"])
+def test_n_max_must_be_an_integer(bad):
+    with pytest.raises(ValueError, match="integers"):
+        small_config(n_max=bad)
+    config = small_config(n_max=np.int64(2))
+    assert type(config.n_max) is int and pf.build_basis(config).dim == 3
 
 
 def test_bad_helicity_rejected():

@@ -87,7 +87,7 @@ def eb_closed_form_sign(monkeypatch):
 def field_number_negated(monkeypatch):
     """The closed form of [field, N] is negated."""
     wrap(monkeypatch, fields, "field_number_commutator", lambda f: lambda basis, kind, x: tuple(
-        -op for op in f(basis, kind, x)
+        (-1) * op for op in f(basis, kind, x)
     ))
 
 
@@ -324,6 +324,32 @@ def commutators_nan(monkeypatch):
     wrap(monkeypatch, fields, "field_commutator_kernel", make)
 
 
+def zero_point_nan(monkeypatch):
+    """The z component of the spin zero-point constant S0 is NaN: the masked spin residual sees it."""
+
+    def make(zero_point):
+        def mutated(basis):
+            constants = zero_point(basis)
+            return replace(constants, S0=with_nan(constants.S0))
+
+        return mutated
+
+    wrap(monkeypatch, fields, "zero_point", make)
+
+
+def field_number_nan(monkeypatch):
+    """The closed form of [A_x, N] carries a NaN (A_z stores no entry on the +-z lattice)."""
+
+    def make(field_number_commutator):
+        def mutated(basis, kind, x):
+            ops = field_number_commutator(basis, kind, x)
+            return (nan_entry(ops[0]), *ops[1:]) if FieldKind(kind) is FieldKind.A else ops
+
+        return mutated
+
+    wrap(monkeypatch, fields, "field_number_commutator", make)
+
+
 def expectations_nan(monkeypatch):
     """The closed mean field of A carries a NaN at its last point."""
 
@@ -398,6 +424,9 @@ MUTANTS = {
     "maxwell_nan": (maxwell_nan, MAXWELL),
     "commutators_nan": (commutators_nan, ["commutators.matrix_vs_closed"]),
     "expectations_nan": (expectations_nan, ["expectations.two_path"]),
+    # These two reach a residual through fock._block_maxima: masked, and unmasked in the residual table.
+    "zero_point_nan": (zero_point_nan, ["observables.spin"]),
+    "field_number_nan": (field_number_nan, ["commutators.field_number"]),
 }
 
 
