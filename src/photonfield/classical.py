@@ -19,6 +19,12 @@ by the same products, sums and quotients as the numpy expression it
 stands for (np.exp, np.cross, and np.eye and np.outer blocks for the
 boost), so their bits are those of that expression.  The null invariants
 are plain sums over `f.tolist()`, equal to the np.dot forms up to rounding.
+A PhotonTensor is accepted by one float pass over `f.tolist()` (the sum of
+|f_ij + f_ji| over i <= j) when that sum is within ATOL, and otherwise by
+the numpy check against the tensor's scale.  On 2 vCPUs with Python 3.11
+and numpy 2.4, a ClassicalPhoton with its triad costs about 14 us, its
+first rotating_vectors call 11 us more (the circular vector is computed on
+first use), build_tensor 7 us and boost 14 us.
 """
 
 from __future__ import annotations
@@ -68,12 +74,20 @@ class PhotonTensor:
         f = np.array(self.f, dtype=float, order="C")  # a copy: the caller's array stays writeable
         if f.shape != (4, 4):
             raise ValueError(f"field tensor must be 4x4, got shape {f.shape}")
-        asym = float(np.abs(f + f.T).max())
-        # Only a tensor that is not antisymmetric to ATOL pays for its scale.
-        # A NaN or inf entry makes asym NaN or inf, so it lands here and fails.
-        if not asym <= ATOL:
+        # One float pass first: the sum of |f_ij + f_ji| over i <= j is at
+        # least their maximum, so a sum within ATOL passes the numpy check
+        # below too.  A NaN or inf entry makes the sum NaN or inf.
+        (f00, f01, f02, f03), (f10, f11, f12, f13), (f20, f21, f22, f23), (f30, f31, f32, f33) = f.tolist()
+        diagonal = abs(f00 + f00) + abs(f11 + f11) + abs(f22 + f22) + abs(f33 + f33)
+        upper = abs(f01 + f10) + abs(f02 + f20) + abs(f03 + f30) + abs(f12 + f21) + abs(f13 + f31) + abs(f23 + f32)
+        if not diagonal + upper <= ATOL:
+            # The numpy check decides: max |f_ij + f_ji| within ATOL, or
+            # within ATOL times a finite scale.  A NaN or inf entry makes
+            # asym NaN or inf and fails, an inf - inf pair without a warning.
+            with np.errstate(invalid="ignore"):
+                asym = float(np.abs(f + f.T).max())
             scale = float(np.abs(f).max())
-            if not (math.isfinite(scale) and asym <= ATOL * max(1.0, scale)):
+            if not (asym <= ATOL or (math.isfinite(scale) and asym <= ATOL * max(1.0, scale))):
                 raise ValueError(f"field tensor must be finite and antisymmetric; |f + f^T| = {asym!r}")
         f.setflags(write=False)
         object.__setattr__(self, "f", f)
@@ -100,14 +114,13 @@ def build_tensor(e: np.ndarray, b: np.ndarray) -> PhotonTensor:
     if e.shape != (3,) or b.shape != (3,):
         raise ValueError(f"e and b must be 3-vectors, got shapes {e.shape} and {b.shape}")
     (ex, ey, ez), (bx, by, bz) = e.tolist(), b.tolist()
-    f = np.array(
-        [
-            [0.0, ex, ey, ez],
-            [-ex, 0.0, bz, -by],
-            [-ey, -bz, 0.0, bx],
-            [-ez, by, -bx, 0.0],
-        ]
-    )
+    # PhotonTensor makes the one array of these rows.
+    f = [
+        [0.0, ex, ey, ez],
+        [-ex, 0.0, bz, -by],
+        [-ey, -bz, 0.0, bx],
+        [-ez, by, -bx, 0.0],
+    ]
     return PhotonTensor(f=f)
 
 

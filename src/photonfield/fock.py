@@ -54,7 +54,12 @@ entry reads 0.0, and a NaN entry makes its maximum NaN, which verify
 fails.
 
 Text exports use float_reprs: shortest round-trip reprs, computed once per
-distinct bit pattern of a column.
+distinct bit pattern of a column.  export_operator reads a CSR in canonical
+format (increasing columns in each row, no repeats) in its own storage
+order, which is row-major; any other matrix is sorted from its coordinate
+list.  Row and column labels come from one str table per call, and lines
+are joined and written EXPORT_CHUNK at a time, so no whole-file string is
+held.
 
 scipy is imported only where an operator is built or combined
 (SparseOperator, _csr_rows, _assemble, _placed, _stacked_residuals), so
@@ -82,6 +87,8 @@ NNZ_BUDGET = 200000
 # commutator_residuals stacks operators whose products hold at most this
 # many entries (estimated as nnz(L) nnz(R) / dim).
 STACK_LIMIT = 1 << 14
+# export_operator joins and writes this many lines at a time.
+EXPORT_CHUNK = 4096
 
 
 class LatticeSizeError(ValueError):
@@ -265,6 +272,11 @@ class FockBasis(ModeTable):
         up = by_mode < self.n_max
         self.target = np.concatenate([states - step * (by_mode > 0), states + step * up])
         self.amplitude = np.sqrt(np.concatenate([by_mode, (by_mode + 1) * up]), dtype=float)
+        # The operators hand these targets to scipy as CSR indices, which
+        # it does not check: an index outside the basis would crash it.  A
+        # bad one is a bug here, not a bad scenario, so it is no ValueError.
+        if not (self.target.min() >= 0 and self.target.max() < dim):
+            raise RuntimeError(f"ladder targets must lie in 0..{dim - 1}; the basis index arithmetic is wrong")
         self.target.setflags(write=False)
         self.amplitude.setflags(write=False)
 
@@ -565,8 +577,8 @@ def float_reprs(values) -> list[str]:
     own text.
     """
     values = np.ascontiguousarray(values, dtype=float)
-    _, first, inverse = np.unique(values.view(np.int64), return_index=True, return_inverse=True)
-    texts = np.array([repr(v) for v in values[first].tolist()], dtype=object)
+    distinct, inverse = np.unique(values.view(np.int64), return_inverse=True)
+    texts = np.array([repr(v) for v in distinct.view(float).tolist()], dtype=object)
     return texts[inverse].tolist()
 
 
@@ -577,12 +589,17 @@ def export_operator(op: SparseOperator, stream: IO[str]) -> None:
     stored nonzero, sorted row-major.  Floats use shortest round-trip
     decimal formatting, so the output is bit-exact across runs.
     """
-    basis = op.basis
-    coo = op.matrix.tocoo()
-    order = np.lexsort((coo.col, coo.row))
-    data = coo.data[order]
-    entries = zip(
-        coo.row[order].tolist(), coo.col[order].tolist(), float_reprs(data.real), float_reprs(data.imag)
-    )
+    basis, matrix = op.basis, op.matrix
+    if matrix.has_canonical_format:
+        # Increasing columns in every row: the storage order is row-major.
+        rows, cols, data = _row_indices(matrix), matrix.indices, matrix.data
+    else:
+        coo = matrix.tocoo()
+        order = np.lexsort((coo.col, coo.row))
+        rows, cols, data = coo.row[order], coo.col[order], coo.data[order]
+    labels = np.array(list(map(str, range(basis.dim))), dtype=object)
+    columns = (labels[rows].tolist(), labels[cols].tolist(), float_reprs(data.real), float_reprs(data.imag))
     stream.write(f"{basis.dim} {basis.n_modes} {basis.n_max}\n")
-    stream.writelines(f"{row} {col} {re} {im}\n" for row, col, re, im in entries)
+    for start in range(0, len(data), EXPORT_CHUNK):
+        chunk = (column[start : start + EXPORT_CHUNK] for column in columns)
+        stream.write("\n".join(map(" ".join, zip(*chunk))) + "\n")

@@ -267,3 +267,53 @@ def test_rotating_b_is_np_cross_bit_for_bit():
         assert (b == np.cross(p.k.k, e)).all()
         phase = np.exp(-1j * (p.omega * t + p.theta))
         assert e.tobytes() == (np.sqrt(2.0) * p.omega * np.real(p.triad.eps(p.s) * phase)).tobytes()
+
+
+def numpy_rule(f):
+    """The tensor check as one numpy expression: max |f + f^T| within ATOL, or within ATOL times a finite scale."""
+    with np.errstate(invalid="ignore"):
+        asym, scale = np.max(np.abs(f + f.T)), np.max(np.abs(f))
+    return bool(asym <= 1e-12 or (np.isfinite(scale) and asym <= 1e-12 * max(1.0, scale)))
+
+
+def accepted(f):
+    try:
+        pf.PhotonTensor(f=f)
+    except ValueError:
+        return False
+    return True
+
+
+def test_tensor_check_accepts_exactly_what_the_numpy_rule_accepts():
+    base = pf.build_tensor(np.array([0.3, -1.2, 0.7]), np.array([1.1, 0.4, -0.6])).f
+    cases = []
+    for bad in (np.nan, np.inf, -np.inf):
+        f = np.array(base)
+        f[1, 3] = bad
+        cases.append((f, False))
+    for sign in (1.0, -1.0):
+        f = np.array(base)
+        f[0, 2], f[2, 0] = sign * np.inf, -sign * np.inf  # an antisymmetric inf pair: inf - inf is NaN
+        cases.append((f, False))
+    f = np.array(base)
+    f[1, 2] += 2e-12  # at unit scale
+    cases.append((f, False))
+    f = 1e4 * base
+    f[1, 2] += 1e-9  # within 1e-12 of entries of size 1e4
+    cases.append((f, True))
+    f = np.array(base)
+    upper = np.triu_indices(4, 1)
+    f[upper] += 0.9e-12  # six terms each within ATOL, their sum past it
+    cases.append((f, True))
+    for f, want in cases:
+        assert numpy_rule(f) is want
+        assert accepted(f) is want
+    rng, seen = np.random.default_rng(31), set()
+    for _ in range(2000):
+        f = rng.standard_normal((4, 4)) * 10.0 ** rng.integers(-3, 6)
+        f = f - f.T + rng.standard_normal((4, 4)) * 10.0 ** rng.integers(-16, -8)
+        want = numpy_rule(f)
+        assert accepted(f) is want
+        seen.add((want, bool(np.abs(np.triu(f + f.T)).sum() <= 1e-12)))
+    # Accepted within the one-pass sum, accepted past it, and refused.
+    assert seen == {(True, True), (True, False), (False, False)}

@@ -1,4 +1,8 @@
 import io
+import os
+import shutil
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -479,6 +483,26 @@ def test_commutator_residuals_refuse_mixed_bases(standard_basis, three_mode_basi
         pf.commutator_residuals([a], [a], keep=np.ones(3, dtype=bool))
 
 
+def test_a_wrong_stride_is_an_internal_error_not_a_crash(tmp_path):
+    # One quantum in mode j moves local^(n_modes - j) states instead of
+    # local^(n_modes - 1 - j): the ladder targets leave the basis, and without
+    # the bounds check verify on the built-in scenario ends in SIGSEGV inside
+    # scipy.  A fresh process on a mutated copy of the package.
+    src = tmp_path / "src"
+    shutil.copytree(Path(pf.__file__).parent, src / "photonfield", ignore=shutil.ignore_patterns("__pycache__"))
+    module = src / "photonfield" / "fock.py"
+    text = module.read_text()
+    assert text.count("local ** (self.n_modes - 1 - j)") == 1
+    module.write_text(text.replace("local ** (self.n_modes - 1 - j)", "local ** (self.n_modes - j)"))
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    command = [sys.executable, "-m", "photonfield.cli", "verify", "--out", "o"]
+    done = subprocess.run(command, cwd=tmp_path, env=env, capture_output=True, text=True)
+    assert done.returncode == 1, (done.returncode, done.stderr)
+    assert done.stderr.splitlines()[-1] == (
+        "RuntimeError: ladder targets must lie in 0..255; the basis index arithmetic is wrong"
+    )
+
+
 @pytest.mark.parametrize("hbar", [1e-120, 4e-104, 1e200], ids=["zero", "subnormal", "infinite"])
 def test_momentum_cell_must_be_a_normal_float(hbar):
     # (2 pi * 4e-104 / 2 pi)^3 = 6.4e-311 is subnormal.
@@ -631,6 +655,41 @@ def test_export_matches_per_entry_oracle_empty_and_library_operators(standard_ba
     x = SpacetimePoint(r=np.array([0.3, -0.2, 0.15]), t=0.1)
     for op in (*pf.field(standard_basis, FieldKind.E, x), pf.quadratic_H_from_fields(standard_basis)):
         assert _export_text(op, pf.export_operator) == _export_text(op, oracles.export_operator_oracle)
+
+
+def test_export_reads_a_non_canonical_csr_like_the_oracle(standard_basis):
+    # Written from (data, indices, indptr) as given: unsorted columns,
+    # repeated coordinates and explicit +0.0 and -0.0 entries stay stored.
+    dim, rng = standard_basis.dim, np.random.default_rng(12)
+    counts = rng.integers(0, 7, size=dim)
+    indices = rng.integers(0, 12, size=counts.sum()).astype(np.int32)
+    parts = np.array([0.0, -0.0, 0.5, -1.25, 1.0 / 3.0])
+    data = rng.choice(parts, counts.sum()) + 1j * rng.choice(parts, counts.sum())
+    indptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int32)
+    op = pf.SparseOperator(sp.csr_matrix((data, indices, indptr), shape=(dim, dim)), standard_basis)
+    assert np.array_equal(op.matrix.indices, indices) and op.matrix.nnz == counts.sum()
+    rows = np.repeat(np.arange(dim), counts)
+    coords = rows * dim + indices
+    assert len(np.unique(coords)) < len(coords)  # repeated coordinates
+    assert np.any((np.diff(indices) < 0) & (np.diff(rows) == 0))  # unsorted columns
+    assert np.any(np.signbit(data.real) & (data.real == 0)) and np.any(data == 0)
+    assert not op.matrix.has_canonical_format
+    text = _export_text(op, pf.export_operator)
+    assert len(text.splitlines()) == 1 + counts.sum()
+    assert text == _export_text(op, oracles.export_operator_oracle)
+
+
+@pytest.mark.parametrize("chunk", [None, 1, 4000, "nnz"])
+def test_export_spans_write_chunks_like_the_oracle(standard_basis, monkeypatch, chunk):
+    count = 3 * fock.EXPORT_CHUNK - 5  # three chunks at the default size
+    index = np.random.default_rng(13).choice(standard_basis.dim**2, size=count, replace=False)
+    rows, cols = np.divmod(index, standard_basis.dim)
+    data = np.exp(1j * np.arange(count)) * np.arange(1, count + 1)
+    op = _coordinate_operator(standard_basis, rows, cols, data)
+    assert op.matrix.nnz == count and op.matrix.has_canonical_format
+    if chunk is not None:
+        monkeypatch.setattr(fock, "EXPORT_CHUNK", count if chunk == "nnz" else chunk)
+    assert _export_text(op, pf.export_operator) == _export_text(op, oracles.export_operator_oracle)
 
 
 def test_symmetry_flags(standard_basis):

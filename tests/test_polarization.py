@@ -207,3 +207,43 @@ def test_cross_matches_np_cross_bit_for_bit():
     c = a + 1j * rng.standard_normal((20000, 3))
     assert (polarization.cross(c, b) == np.cross(c, b)).all()
     assert (polarization.cross(a[0], b[0]) == np.cross(a[0], b[0])).all()
+
+
+def switch_neighbourhood(steps=16):
+    """Unit rows with |k_x| within `steps` ulps of 0.9 on either side, both signs, at several azimuths."""
+    rows = []
+    for start in (0.9, -0.9):
+        kx = [start]
+        for toward in (2.0, -2.0):
+            x = start
+            for _ in range(steps):
+                x = np.nextafter(x, toward)
+                kx.append(x)
+        for x in kx:
+            r = np.sqrt(1.0 - x * x)
+            for phi in np.linspace(0.0, 2.0 * np.pi, 5, endpoint=False):
+                rows.append([x, r * np.cos(phi), r * np.sin(phi)])
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("reference", [None, np.array([0.3, -0.5, 0.8])])
+def test_make_triad_is_the_row_of_triads_bit_for_bit(reference):
+    v = np.random.default_rng(23).standard_normal((20000, 3))
+    k = np.concatenate([v / np.linalg.norm(v, axis=1, keepdims=True), switch_neighbourhood()])
+    assert np.any(np.abs(k[:, 0]) > 0.9) and np.any(np.abs(k[:, 0]) == 0.9)
+    one = [pf.make_triad(pf.Direction(k=row), reference=reference) for row in k]
+    rows = [np.array([getattr(t, name) for t in one]) for name in ("e_hat", "b_hat", "eps_plus", "eps_minus")]
+    for got, want in zip(rows, polarization.triads(k, reference=reference)):
+        assert got.tobytes() == want.tobytes()
+
+
+def test_circular_vectors_are_kept_and_read_only():
+    triad = pf.make_triad(direction(0.3, -0.9, 0.8))
+    for name in ("eps_plus", "eps_minus"):
+        first = getattr(triad, name)
+        assert getattr(triad, name) is first and not first.flags.writeable
+        with pytest.raises(ValueError):
+            first[0] = 0.0
+        with pytest.raises(AttributeError):
+            setattr(triad, name, first.copy())
+    assert triad.eps(1) is triad.eps_plus and triad.eps(-1) is triad.eps_minus
