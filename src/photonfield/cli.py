@@ -28,6 +28,7 @@ and the seed is recorded in the report.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass, replace
@@ -771,7 +772,7 @@ def run_dump_operator(scenario: Scenario, out_dir: Path, name: str) -> int:
     path = out_dir / "operator.txt"
     with path.open("w") as stream:
         fock.export_operator(op, stream)
-    print(f"operator {name} ({op.matrix.nnz} nonzeros) -> {path}")
+    print(f"operator {name} ({op.nnz} nonzeros) -> {path}")
     return 0
 
 
@@ -791,7 +792,9 @@ def load_scenario(path: str | None) -> Scenario:
     return parse_scenario(data)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process; parse_args does not change it."""
     parser = argparse.ArgumentParser(
         prog="photonfield",
         description="Verification suites and data emission for lattice photon-field models",

@@ -34,13 +34,17 @@ stored.  Only ensembles.amplitude_profile selects the live entries (those of
 positive amplitude, the same count in every row), since zeros in its sums
 would change how numpy groups them.
 
-SparseOperator keeps the complex CSR matrix it is given.  Linear forms and
-diagonal_operator (identity, the number operators, safe_projector) write
-their CSR arrays directly, with the zero entries not stored: row t of L_k
-is row t of the table row of its transpose (a_j and a-dagger_j are
-transposes of each other), and in the order a-dagger_1..a-dagger_n,
-a_n..a_1 the columns of every row increase.  Only quadratic forms, whose
-entries really add up, go through a coordinate list.  Commutator
+SparseOperator holds the three arrays (data, indices, indptr) of a complex
+CSR matrix, and its scipy matrix over those same arrays.  One it is given
+is kept as it is.  Linear forms and diagonal_operator (identity, the number
+operators, safe_projector) write their CSR arrays directly (_csr_rows), and
+the scipy matrix is built over them, without a copy, only when .matrix is
+first read: by sums, products, max_abs and expectations, never by an
+export.  Zero entries are not stored: row t of L_k is row t of the table
+row of its transpose (a_j and a-dagger_j are transposes of each other),
+and in the order a-dagger_1..a-dagger_n, a_n..a_1 the columns of every row
+increase.  Only quadratic forms, whose entries really add up, go through a
+coordinate list and scipy's COO conversion.  Commutator
 residuals are read from a table (commutator_residuals): every [L_k, R_l]
 of two lists of small operators comes from two scipy products of stacked
 operators, vstack(L) @ hstack(R) and vstack(R) @ hstack(L), whose blocks
@@ -54,17 +58,20 @@ entry reads 0.0, and a NaN entry makes its maximum NaN, which verify
 fails.
 
 Text exports use float_reprs: shortest round-trip reprs, computed once per
-distinct bit pattern of a column.  export_operator reads a CSR in canonical
-format (increasing columns in each row, no repeats) in its own storage
-order, which is row-major; any other matrix is sorted from its coordinate
-list.  Row and column labels come from one str table per call, and lines
-are joined and written EXPORT_CHUNK at a time, so no whole-file string is
-held.
+distinct bit pattern of a column.  export_operator reads the CSR arrays:
+in canonical format (strictly increasing columns in each row, which it
+checks in numpy) their storage order is row-major; any other operator is
+sorted from its coordinate list.  Row and column labels come from one str
+table per call, and lines are joined and written EXPORT_CHUNK at a time,
+so no whole-file string is held.
 
-scipy is imported only where an operator is built or combined
-(SparseOperator, _csr_rows, _assemble, _placed, _stacked_residuals), so
-importing this module, the mode table and the Fock basis never load it:
-expect and vacuum-scan, which build no operator, run without scipy.
+scipy is imported only where a scipy matrix is built or combined
+(SparseOperator.__init__, SparseOperator.matrix, _assemble, _placed,
+_stacked_residuals), so importing this module, the mode table and the Fock
+basis never load it.  expect, vacuum-scan and dump-operator run without
+scipy: the first two build no operator, and every operator dump-operator
+names is written by _csr_rows and exported from its arrays.  verify,
+which multiplies operators, is the one command that loads scipy.
 """
 
 from __future__ import annotations
@@ -296,7 +303,12 @@ class FockBasis(ModeTable):
 
 
 class SparseOperator:
-    """Complex sparse matrix on a FockBasis."""
+    """Complex sparse matrix on a FockBasis, held as its CSR arrays data, indices and indptr.
+
+    The arrays are not changed after construction.  matrix is the scipy
+    CSR over those same arrays: the one given to the constructor, or for
+    an operator written from rows (_csr_rows) one built on first read.
+    """
 
     def __init__(self, matrix: sp.spmatrix, basis: FockBasis):
         import scipy.sparse as sp
@@ -304,10 +316,33 @@ class SparseOperator:
         # Kept as given, not copied: every sum and product already is a complex CSR.
         if not (isinstance(matrix, sp.csr_matrix) and matrix.dtype == complex):
             matrix = sp.csr_matrix(matrix, dtype=complex)
-        self.matrix = matrix
-        if self.matrix.shape != (basis.dim, basis.dim):
-            raise ValueError(f"matrix shape {self.matrix.shape} does not match basis dim {basis.dim}")
-        self.basis = basis
+        if matrix.shape != (basis.dim, basis.dim):
+            raise ValueError(f"matrix shape {matrix.shape} does not match basis dim {basis.dim}")
+        self.data, self.indices, self.indptr = matrix.data, matrix.indices, matrix.indptr
+        self.basis, self._matrix = basis, matrix
+
+    @classmethod
+    def _from_csr(cls, data: np.ndarray, indices: np.ndarray, indptr: np.ndarray, basis: FockBasis) -> SparseOperator:
+        """The operator with these CSR arrays (complex data, int32 indices), without loading scipy."""
+        op = cls.__new__(cls)
+        op.data, op.indices, op.indptr = data, indices, indptr
+        op.basis, op._matrix = basis, None
+        return op
+
+    @property
+    def matrix(self) -> sp.csr_matrix:
+        """The scipy CSR matrix over data, indices and indptr, which it shares without a copy."""
+        if self._matrix is None:
+            import scipy.sparse as sp
+
+            shape = (self.basis.dim, self.basis.dim)
+            self._matrix = sp.csr_matrix((self.data, self.indices, self.indptr), shape=shape, copy=False)
+        return self._matrix
+
+    @property
+    def nnz(self) -> int:
+        """Number of stored entries."""
+        return int(self.indptr[-1])
 
     # -- algebra -------------------------------------------------------------
 
@@ -365,13 +400,10 @@ def _csr_rows(basis: FockBasis, values: np.ndarray, columns: np.ndarray) -> Spar
     values (complex) and columns (int32) have shape (dim, K), and the
     columns of each row increase with i.
     """
-    import scipy.sparse as sp
-
     stored = values != 0
     indptr = np.zeros(basis.dim + 1, dtype=np.int32)
     np.cumsum(stored.sum(axis=1), out=indptr[1:])
-    shape = (basis.dim, basis.dim)
-    return SparseOperator(sp.csr_matrix((values[stored], columns[stored], indptr), shape=shape), basis)
+    return SparseOperator._from_csr(values[stored], columns[stored], indptr, basis)
 
 
 def build_basis(config: LatticeConfig) -> FockBasis:
@@ -439,9 +471,9 @@ def commutator(a: SparseOperator, b: SparseOperator) -> SparseOperator:
     return a @ b - b @ a
 
 
-def _row_indices(matrix: sp.csr_matrix) -> np.ndarray:
-    """Row index of every stored entry of a CSR matrix, in storage order."""
-    return np.repeat(np.arange(matrix.shape[0]), np.diff(matrix.indptr))
+def _row_indices(indptr: np.ndarray) -> np.ndarray:
+    """Row index of every stored entry of a CSR matrix with this indptr, in storage order."""
+    return np.repeat(np.arange(len(indptr) - 1), np.diff(indptr))
 
 
 def _block_maxima(matrix: sp.csr_matrix, dim: int, blocks: tuple[int, int], keep) -> np.ndarray:
@@ -456,7 +488,7 @@ def _block_maxima(matrix: sp.csr_matrix, dim: int, blocks: tuple[int, int], keep
         raise ValueError(f"keep must hold one flag per basis state ({dim}), got shape {keep.shape}")
     block = np.repeat(np.arange(blocks[0]) * blocks[1], np.diff(matrix.indptr[::dim])) + matrix.indices // dim
     magnitude = np.abs(matrix.data)
-    i = _row_indices(matrix) % dim
+    i = _row_indices(matrix.indptr) % dim
     j = matrix.indices % dim
     masks = keep.reshape(-1, dim)
     out = np.zeros((len(masks), blocks[0] * blocks[1]))
@@ -478,7 +510,7 @@ def _placed(blocks: dict[tuple[int, int], SparseOperator], shape: tuple[int, int
 
     if shape == (dim, dim):
         return blocks[0, 0].matrix
-    parts = [(k * dim + _row_indices(op.matrix), l * dim + op.matrix.indices, op.matrix.data)
+    parts = [(k * dim + _row_indices(op.indptr), l * dim + op.indices, op.data)
              for (k, l), op in blocks.items()]
     rows, cols, data = (np.concatenate(part) for part in zip(*parts))
     return sp.csr_matrix((data, (rows, cols)), shape=shape)
@@ -494,7 +526,7 @@ def _stacked_residuals(left, right, targets, dim: int, keep) -> np.ndarray:
     backward = _stack(right, sp.vstack) @ _stack(left, sp.hstack)
     if len(left) * len(right) > 1:
         # Block (l, k) of backward is R_l L_k: entry (l dim + i, k dim + j) moves to (k dim + i, l dim + j).
-        rows, cols = _row_indices(backward), backward.indices
+        rows, cols = _row_indices(backward.indptr), backward.indices
         moved = (cols // dim * dim + rows % dim, rows // dim * dim + cols % dim)
         backward = sp.csr_matrix((backward.data, moved), shape=shape)
     table = forward - backward
@@ -534,7 +566,7 @@ def commutator_residuals(
         ops[0]._same_basis(op)
     dim = ops[0].basis.dim
     shape = (len(left), len(right))
-    largest = max(op.matrix.nnz for op in left) * max(op.matrix.nnz for op in right) / dim
+    largest = max(op.nnz for op in left) * max(op.nnz for op in right) / dim
     if largest <= STACK_LIMIT:
         return _stacked_residuals(left, right, targets, dim, keep)
     out = np.zeros((() if keep is None else np.shape(keep)[:-1]) + shape)
@@ -589,14 +621,13 @@ def export_operator(op: SparseOperator, stream: IO[str]) -> None:
     stored nonzero, sorted row-major.  Floats use shortest round-trip
     decimal formatting, so the output is bit-exact across runs.
     """
-    basis, matrix = op.basis, op.matrix
-    if matrix.has_canonical_format:
-        # Increasing columns in every row: the storage order is row-major.
-        rows, cols, data = _row_indices(matrix), matrix.indices, matrix.data
-    else:
-        coo = matrix.tocoo()
-        order = np.lexsort((coo.col, coo.row))
-        rows, cols, data = coo.row[order], coo.col[order], coo.data[order]
+    basis = op.basis
+    rows, cols, data = _row_indices(op.indptr), op.indices, op.data
+    if np.any(np.diff(rows * basis.dim + cols) <= 0):
+        # Not canonical (a row's columns do not strictly increase): sort the
+        # coordinate list, keeping repeated coordinates in storage order.
+        order = np.lexsort((cols, rows))
+        rows, cols, data = rows[order], cols[order], data[order]
     labels = np.array(list(map(str, range(basis.dim))), dtype=object)
     columns = (labels[rows].tolist(), labels[cols].tolist(), float_reprs(data.real), float_reprs(data.imag))
     stream.write(f"{basis.dim} {basis.n_modes} {basis.n_max}\n")

@@ -392,6 +392,33 @@ def test_nonfinite_residual_is_written_as_null_and_fails(tmp_path):
     assert "FAIL maxwell.analytic residual=nan " in done.stdout
 
 
+def test_one_process_runs_commands_like_fresh_processes(tmp_path, capsys):
+    # main parses every argv with the one parser of the process, and a
+    # refused argv leaves it as it was for the next call.
+    assert cli._build_parser() is cli._build_parser()
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    runs = [
+        (["verify"], 0, "report.json"),
+        (["verify", "--tolerance-scale", "1"], 2, None),
+        (["dump-operator", "--operator", "Ex@0.3,-0.2,0.15,0.1"], 0, "operator.txt"),
+    ]
+    for i, (argv, code, written) in enumerate(runs):
+        here, fresh = tmp_path / f"here{i}", tmp_path / f"fresh{i}"
+        try:
+            got = cli.main([*argv, "--out", str(here)])
+        except SystemExit as exc:
+            got = exc.code
+        err = capsys.readouterr().err
+        command = [sys.executable, "-m", "photonfield.cli", *argv, "--out", str(fresh)]
+        done = subprocess.run(command, cwd=tmp_path, env=env, capture_output=True, text=True)
+        assert got == done.returncode == code, done.stderr
+        assert err == done.stderr
+        if written is None:
+            assert not here.exists() and not fresh.exists()
+        else:
+            assert (here / written).read_bytes() == (fresh / written).read_bytes()
+
+
 def test_dump_operator_unknown_name(tmp_path, capsys):
     assert cli.main(["dump-operator", "--out", str(tmp_path / "o"), "--operator", "Q"]) == 2
     assert "unknown operator" in capsys.readouterr().err

@@ -1,5 +1,6 @@
-"""Commands that build no operator leave scipy unimported, each in a fresh interpreter."""
+"""Every command but verify leaves scipy unimported, each in a fresh interpreter."""
 
+import ast
 import json
 import os
 import subprocess
@@ -10,6 +11,9 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
+# One operator name per family that dump-operator can export.
+DUMP_OPERATORS = ("N", "H", "Px", "Sz", "a@0", "adag@1", "N@0", "Ex@0.3,-0.2,0.15,0.1", "By@0,0,0,0", "Az@1,2,3,0.5")
+
 # Each snippet runs in a new process and ends by printing the scipy modules it loaded.
 SNIPPETS = {
     "import": "import photonfield.cli",
@@ -19,12 +23,29 @@ SNIPPETS = {
 }
 
 
-@pytest.mark.parametrize("name", SNIPPETS)
-def test_command_without_an_operator_does_not_import_scipy(tmp_path, name):
+def _scipy_modules(tmp_path, snippet) -> list[str]:
     bad = {"schema": 1, "lattice": {}, "state": {}, "checks": [], "seed": 0}
     (tmp_path / "bad.json").write_text(json.dumps(bad))
-    code = SNIPPETS[name] + "\nimport sys\nprint(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    code = snippet + "\nimport sys\nprint(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     done = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env, capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines()[-1] == "[]"
+    return ast.literal_eval(done.stdout.splitlines()[-1])
+
+
+@pytest.mark.parametrize("name", SNIPPETS)
+def test_command_without_an_operator_does_not_import_scipy(tmp_path, name):
+    assert _scipy_modules(tmp_path, SNIPPETS[name]) == []
+
+
+@pytest.mark.parametrize("name", DUMP_OPERATORS)
+def test_dump_operator_does_not_import_scipy(tmp_path, name):
+    # Each operator is written as CSR rows and exported from its arrays.
+    snippet = f"from photonfield import cli\nassert cli.main(['dump-operator', '--out', 'out', '--operator', {name!r}]) == 0"
+    assert _scipy_modules(tmp_path, snippet) == []
+
+
+def test_verify_imports_scipy(tmp_path):
+    # The positive control: the probe sees scipy where a command does load it.
+    modules = _scipy_modules(tmp_path, "from photonfield import cli\nassert cli.main(['verify', '--out', 'out']) == 0")
+    assert "scipy.sparse" in modules

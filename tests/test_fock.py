@@ -603,6 +603,10 @@ def test_export_is_bit_stable(standard_basis):
     assert coords == sorted(coords)
 
 
+# One dump-operator name per family, each with stored entries on the standard lattice.
+ROW_BUILT_OPERATORS = ("N", "H", "Pz", "Sz", "a@0", "adag@1", "N@0", "Ex@0.3,-0.2,0.15,0.1", "By@0,0,0,0", "Ax@1,2,3,0.5")
+
+
 def _export_text(op, writer):
     out = io.StringIO()
     writer(op, out)
@@ -655,6 +659,18 @@ def test_export_matches_per_entry_oracle_empty_and_library_operators(standard_ba
     x = SpacetimePoint(r=np.array([0.3, -0.2, 0.15]), t=0.1)
     for op in (*pf.field(standard_basis, FieldKind.E, x), pf.quadratic_H_from_fields(standard_basis)):
         assert _export_text(op, pf.export_operator) == _export_text(op, oracles.export_operator_oracle)
+    # Every family dump-operator names is written as CSR rows and exported
+    # from its arrays, before its scipy matrix exists or after it is built.
+    for name in ROW_BUILT_OPERATORS:
+        build = cli._operator_builder(name, standard_basis.config)
+        fresh, read = build(standard_basis), build(standard_basis)
+        matrix = read.matrix
+        assert read.nnz > 0, name  # empty arrays share no memory
+        for field in ("data", "indices", "indptr"):
+            assert np.shares_memory(getattr(matrix, field), getattr(read, field)), (name, field)
+        text = _export_text(fresh, pf.export_operator)
+        assert text == _export_text(read, pf.export_operator) == _export_text(read, oracles.export_operator_oracle)
+        assert len(text.splitlines()) == 1 + read.nnz == 1 + matrix.nnz, name
 
 
 def test_export_reads_a_non_canonical_csr_like_the_oracle(standard_basis):
