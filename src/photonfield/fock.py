@@ -35,16 +35,17 @@ positive amplitude, the same count in every row), since zeros in its sums
 would change how numpy groups them.
 
 SparseOperator holds the three arrays (data, indices, indptr) of a complex
-CSR matrix, and its scipy matrix over those same arrays.  One it is given
-is kept as it is.  Linear forms and diagonal_operator (identity, the number
-operators, safe_projector) write their CSR arrays directly (_csr_rows), and
-the scipy matrix is built over them, without a copy, only when .matrix is
-first read: by sums, products, max_abs and expectations, never by an
-export.  Zero entries are not stored: row t of L_k is row t of the table
-row of its transpose (a_j and a-dagger_j are transposes of each other),
-and in the order a-dagger_1..a-dagger_n, a_n..a_1 the columns of every row
-increase.  Only quadratic forms, whose entries really add up, go through a
-coordinate list and scipy's COO conversion.  Commutator
+CSR matrix, and its scipy matrix over those same arrays.  Its constructor
+takes either a scipy matrix, kept as it is, or the three arrays.  Linear
+forms and diagonal_operator (identity, the number operators,
+safe_projector) write their CSR arrays directly (_csr_rows) and hand them
+to it, and the scipy matrix is built over them, without a copy, only when
+.matrix is first read: by sums, products, max_abs and expectations, never
+by an export.  Zero entries are not stored: row t of L_k is row t of the
+table row of its transpose (a_j and a-dagger_j are transposes of each
+other), and in the order a-dagger_1..a-dagger_n, a_n..a_1 the columns of
+every row increase.  Only quadratic forms, whose entries really add up, go
+through a coordinate list and scipy's COO conversion.  Commutator
 residuals are read from a table (commutator_residuals): every [L_k, R_l]
 of two lists of small operators comes from two scipy products of stacked
 operators, vstack(L) @ hstack(R) and vstack(R) @ hstack(L), whose blocks
@@ -307,10 +308,18 @@ class SparseOperator:
 
     The arrays are not changed after construction.  matrix is the scipy
     CSR over those same arrays: the one given to the constructor, or for
-    an operator written from rows (_csr_rows) one built on first read.
+    an operator given as its arrays (as _csr_rows writes them) one built
+    on first read.
     """
 
-    def __init__(self, matrix: sp.spmatrix, basis: FockBasis):
+    def __init__(self, matrix: sp.spmatrix | tuple[np.ndarray, np.ndarray, np.ndarray], basis: FockBasis):
+        if isinstance(matrix, tuple):
+            # (data, indices, indptr) of a complex CSR with int32 indices, kept without loading scipy.
+            self.data, self.indices, self.indptr = matrix
+            if len(self.indptr) != basis.dim + 1:
+                raise ValueError(f"indptr of length {len(self.indptr)} does not match basis dim {basis.dim}")
+            self.basis, self._matrix = basis, None
+            return
         import scipy.sparse as sp
 
         # Kept as given, not copied: every sum and product already is a complex CSR.
@@ -320,14 +329,6 @@ class SparseOperator:
             raise ValueError(f"matrix shape {matrix.shape} does not match basis dim {basis.dim}")
         self.data, self.indices, self.indptr = matrix.data, matrix.indices, matrix.indptr
         self.basis, self._matrix = basis, matrix
-
-    @classmethod
-    def _from_csr(cls, data: np.ndarray, indices: np.ndarray, indptr: np.ndarray, basis: FockBasis) -> SparseOperator:
-        """The operator with these CSR arrays (complex data, int32 indices), without loading scipy."""
-        op = cls.__new__(cls)
-        op.data, op.indices, op.indptr = data, indices, indptr
-        op.basis, op._matrix = basis, None
-        return op
 
     @property
     def matrix(self) -> sp.csr_matrix:
@@ -403,7 +404,7 @@ def _csr_rows(basis: FockBasis, values: np.ndarray, columns: np.ndarray) -> Spar
     stored = values != 0
     indptr = np.zeros(basis.dim + 1, dtype=np.int32)
     np.cumsum(stored.sum(axis=1), out=indptr[1:])
-    return SparseOperator._from_csr(values[stored], columns[stored], indptr, basis)
+    return SparseOperator((values[stored], columns[stored], indptr), basis)
 
 
 def build_basis(config: LatticeConfig) -> FockBasis:

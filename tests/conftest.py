@@ -28,6 +28,9 @@ STANDARD_MODES = (
     (-1, (0, 0, -1)),
 )
 
+# One dump-operator name per operator family, each with stored entries on the standard lattice.
+DUMP_OPERATORS = ("N", "H", "Pz", "Sz", "a@0", "adag@1", "N@0", "Ex@0.3,-0.2,0.15,0.1", "By@0,0,0,0", "Ax@1,2,3,0.5")
+
 
 @pytest.fixture(scope="session")
 def standard_basis():

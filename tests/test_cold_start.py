@@ -9,10 +9,9 @@ from pathlib import Path
 
 import pytest
 
-ROOT = Path(__file__).resolve().parent.parent
+from conftest import DUMP_OPERATORS
 
-# One operator name per family that dump-operator can export.
-DUMP_OPERATORS = ("N", "H", "Px", "Sz", "a@0", "adag@1", "N@0", "Ex@0.3,-0.2,0.15,0.1", "By@0,0,0,0", "Az@1,2,3,0.5")
+ROOT = Path(__file__).resolve().parent.parent
 
 # Each snippet runs in a new process and ends by printing the scipy modules it loaded.
 SNIPPETS = {

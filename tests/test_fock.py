@@ -18,6 +18,7 @@ from photonfield.fields import FieldKind, SpacetimePoint
 from photonfield.fock import BasisMismatchError, LatticeSizeError, float_reprs
 
 import oracles
+from conftest import DUMP_OPERATORS
 
 
 def small_config(**kwargs):
@@ -379,6 +380,8 @@ def test_sparse_operator_keeps_a_complex_csr():
     assert pf.SparseOperator(matrix, basis).matrix is matrix
     converted = pf.SparseOperator(sp.identity(basis.dim, format="coo"), basis).matrix
     assert isinstance(converted, sp.csr_matrix) and converted.dtype == complex
+    with pytest.raises(ValueError, match="basis dim"):
+        pf.SparseOperator((matrix.data, matrix.indices, matrix.indptr[:-1]), basis)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -603,10 +606,6 @@ def test_export_is_bit_stable(standard_basis):
     assert coords == sorted(coords)
 
 
-# One dump-operator name per family, each with stored entries on the standard lattice.
-ROW_BUILT_OPERATORS = ("N", "H", "Pz", "Sz", "a@0", "adag@1", "N@0", "Ex@0.3,-0.2,0.15,0.1", "By@0,0,0,0", "Ax@1,2,3,0.5")
-
-
 def _export_text(op, writer):
     out = io.StringIO()
     writer(op, out)
@@ -661,7 +660,7 @@ def test_export_matches_per_entry_oracle_empty_and_library_operators(standard_ba
         assert _export_text(op, pf.export_operator) == _export_text(op, oracles.export_operator_oracle)
     # Every family dump-operator names is written as CSR rows and exported
     # from its arrays, before its scipy matrix exists or after it is built.
-    for name in ROW_BUILT_OPERATORS:
+    for name in DUMP_OPERATORS:
         build = cli._operator_builder(name, standard_basis.config)
         fresh, read = build(standard_basis), build(standard_basis)
         matrix = read.matrix
