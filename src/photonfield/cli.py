@@ -488,7 +488,7 @@ def check_ladder(ctx: RunContext) -> list[Record]:
     n_modes = basis.n_modes
     a_ops = [fock.annihilation(basis, mode) for mode in basis.modes]
     adag_ops = [fock.creation(basis, mode) for mode in basis.modes]
-    adjoint = [(ad - a.dagger()).max_abs() for a, ad in zip(a_ops, adag_ops)]
+    adjoint = fock.difference_residuals(adag_ops, [a.dagger() for a in a_ops])
     # Row i of the table: [a_i, a_j], then [a_i, a-dagger_j] less the identity for j = i;
     # reduced over every state, then over the margin-1 safe states.
     diag = np.arange(n_modes)
@@ -508,50 +508,36 @@ def check_ladder(ctx: RunContext) -> list[Record]:
     ]
 
 
-def _quadratic_observables(basis: FockBasis, t: float) -> tuple:
-    """(H, (Px, Py, Pz), (Sx, Sy, Sz)) as box integrals of the fields at time t."""
-    return (
+def _quadratic_observables(basis: FockBasis, t: float) -> list[fock.SparseOperator]:
+    """[H, Px, Py, Pz, Sx, Sy, Sz] as box integrals of the fields at time t."""
+    return [
         fields.quadratic_H_from_fields(basis, t=t),
-        fields.quadratic_P_from_fields(basis, t=t),
-        fields.quadratic_S_from_fields(basis, t=t),
-    )
-
-
-def _observable_residuals(basis: FockBasis, diagonals, h_quad, p_quad, s_quad) -> dict[str, list[float]]:
-    keep = fock.safe_states(basis, 1)
-    zp = fields.zero_point(basis)
-    h_diag, p_diag, s_diag = diagonals
-
-    def rel(lhs, target, scale):
-        return (lhs - fock.diagonal_operator(basis, target)).max_abs(keep) / scale
-
-    out = {}
-    h_target = h_diag + zp.E0
-    out["energy"] = [rel(h_quad, h_target, np.maximum(abs(h_target).max(), 1e-300))]
-    for name, quad, diag, consts in (
-        ("momentum", p_quad, p_diag, zp.P0),
-        ("spin", s_quad, s_diag, zp.S0),
-    ):
-        scale = np.maximum(abs(diag).max(), abs(zp.E0))
-        out[name] = [rel(quad[comp], diag[comp] + float(consts[comp]), scale) for comp in range(3)]
-    return out
+        *fields.quadratic_P_from_fields(basis, t=t),
+        *fields.quadratic_S_from_fields(basis, t=t),
+    ]
 
 
 def check_observables(ctx: RunContext) -> list[Record]:
     basis = ctx.basis
-    diagonals = fields.observable_diagonals(basis)
+    h_diag, p_diag, s_diag = fields.observable_diagonals(basis)
+    zp = fields.zero_point(basis)
+    # On the margin-1 safe states each box integral equals its diagonal plus
+    # its zero-point constant, relative to the largest target entry of H and
+    # to the largest diagonal entry (at least |E0|) of P and of S.
+    targets = [h_diag + zp.E0, *(p_diag + zp.P0[:, None]), *(s_diag + zp.S0[:, None])]
+    h_scale = np.maximum(abs(targets[0]).max(), 1e-300)
+    p_scale, s_scale = (np.maximum(abs(d).max(), abs(zp.E0)) for d in (p_diag, s_diag))
     early = _quadratic_observables(basis, 0.0)
-    res0 = _observable_residuals(basis, diagonals, *early)
+    diagonals = [fock.diagonal_operator(basis, target) for target in targets]
+    table = fock.difference_residuals(early, diagonals, fock.safe_states(basis, 1))
+    table /= np.repeat([h_scale, p_scale, s_scale], [1, 3, 3])
     records = [
-        ctx.record(f"observables.{name}", {"margin": 1, "t": 0.0}, res0[name], 1e-10)
-        for name in ("energy", "momentum", "spin")
+        ctx.record(f"observables.{name}", {"margin": 1, "t": 0.0}, part, 1e-10)
+        for name, part in zip(("energy", "momentum", "spin"), np.split(table, [1, 4]))
     ]
     # Conservation: the quadratic observables do not depend on the field
     # evaluation time.
-    scale = np.maximum(abs(diagonals[0]).max(), 1.0)
-    late = _quadratic_observables(basis, 0.37)
-    pairs = [(early[0], late[0]), *zip(early[1], late[1]), *zip(early[2], late[2])]
-    drift = [(a - b).max_abs() / scale for a, b in pairs]
+    drift = fock.difference_residuals(early, _quadratic_observables(basis, 0.37)) / np.maximum(abs(h_diag).max(), 1.0)
     records.append(ctx.record("observables.conservation", {"t_other": 0.37}, drift, 1e-10))
     return records
 
@@ -599,7 +585,7 @@ def check_commutators(ctx: RunContext) -> list[Record]:
     # Anchor: the first pair's E-E commutators as assembled operators, over the
     # whole truncated space, against sum_m w_m [a_m, a-dagger_m] (1 below the cap, -n_max at it).
     d_table = np.where(basis.occupancy_table() < basis.n_max, 1.0, -float(basis.n_max))
-    diagonals = w[0][0] @ d_table.T
+    diagonals = np.einsum("ijm,sm->ijs", w[0][0], d_table)
     e1, e2 = (fields.field(basis, FieldKind.E, SpacetimePoint(r=r[0, s], t=float(t[0, s]))) for s in (0, 1))
     targets = {(i, j): fock.diagonal_operator(basis, diagonals[i, j]) for i, j in np.ndindex(3, 3)}
     cross.append(fock.commutator_residuals(e1, e2, targets))

@@ -52,11 +52,13 @@ operators, vstack(L) @ hstack(R) and vstack(R) @ hstack(L), whose blocks
 are the products L_k R_l and R_l L_k entry by entry; large operators are
 multiplied pair by pair.  A safe subspace enters a residual as a mask of
 basis states (safe_states), not as a projector product: P X P for the 0/1
-diagonal P keeps exactly the X_ij with i and j both kept.  One function,
-_block_maxima, turns a sparse residual into maxima, for the residual
-table and for SparseOperator.max_abs alike: an operator with no stored
-entry reads 0.0, and a NaN entry makes its maximum NaN, which verify
-fails.
+diagonal P keeps exactly the X_ij with i and j both kept.  Differences
+are read from a table too (difference_residuals): every L_k - R_k of two
+equally long lists comes from one subtraction of stacked operators,
+vstack(L) - vstack(R).  One function, _block_maxima, turns a sparse
+residual into maxima, for both tables and for SparseOperator.max_abs
+alike: an operator with no stored entry reads 0.0, and a NaN entry makes
+its maximum NaN, which verify fails.
 
 Text exports use float_reprs: shortest round-trip reprs, computed once per
 distinct bit pattern of a column.  export_operator reads the CSR arrays:
@@ -68,8 +70,8 @@ so no whole-file string is held.
 
 scipy is imported only where a scipy matrix is built or combined
 (SparseOperator.__init__, SparseOperator.matrix, _assemble, _placed,
-_stacked_residuals), so importing this module, the mode table and the Fock
-basis never load it.  expect, vacuum-scan and dump-operator run without
+_stacked_residuals, difference_residuals), so importing this module, the
+mode table and the Fock basis never load it.  expect, vacuum-scan and dump-operator run without
 scipy: the first two build no operator, and every operator dump-operator
 names is written by _csr_rows and exported from its arrays.  verify,
 which multiplies operators, is the one command that loads scipy.
@@ -575,6 +577,25 @@ def commutator_residuals(
         pair = {(0, 0): targets[k, l]} if (k, l) in targets else {}
         out[..., k, l] = _stacked_residuals(left[k : k + 1], right[l : l + 1], pair, dim, keep)[..., 0, 0]
     return out
+
+
+def difference_residuals(
+    left: Sequence[SparseOperator], right: Sequence[SparseOperator], keep: np.ndarray | None = None
+) -> np.ndarray:
+    """max |L_k - R_k| for every k: shape (..., len(left)), with keep as in commutator_residuals.
+
+    The table comes from one subtraction, vstack(L) - vstack(R), whose block
+    k holds L_k - R_k entry by entry, so every residual equals
+    (L_k - R_k).max_abs(keep) bit for bit.
+    """
+    import scipy.sparse as sp
+
+    if len(left) != len(right):
+        raise ValueError(f"cannot pair {len(left)} left operators with {len(right)} right operators")
+    for op in [*left[1:], *right]:
+        left[0]._same_basis(op)
+    table = _stack([op.matrix for op in left], sp.vstack) - _stack([op.matrix for op in right], sp.vstack)
+    return _block_maxima(table, left[0].basis.dim, (len(left), 1), keep)[..., 0]
 
 
 def number_operator(basis: FockBasis, mode: ModeKey) -> SparseOperator:

@@ -40,10 +40,6 @@ _AXIS_SWITCH = 0.9
 
 _SQRT2 = np.sqrt(2.0)
 _HELICITIES = np.array([1.0, -1.0])
-# (a x b)_i = a_next b_prev - a_prev b_next: the first three columns of
-# a[..., _LEFT] * b[..., _RIGHT] minus the last three.
-_LEFT = np.array([1, 2, 0, 2, 0, 1])
-_RIGHT = np.array([2, 0, 1, 1, 2, 0])
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -134,15 +130,6 @@ class PolarizationTriad:
         raise ValueError(f"helicity must be +1 or -1, got {s}")
 
 
-def cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise a x b over the last axis; the same products and differences as np.cross.
-
-    Much cheaper than np.cross on a single 3-vector.
-    """
-    products = a.take(_LEFT, axis=-1) * b.take(_RIGHT, axis=-1)
-    return products[..., :3] - products[..., 3:]
-
-
 def _frames(k: np.ndarray, reference) -> tuple[np.ndarray, np.ndarray]:
     """(e_hat, b_hat) rows for unit rows k; see `make_triad` for the gauge choice."""
     if reference is None:
@@ -156,7 +143,7 @@ def _frames(k: np.ndarray, reference) -> tuple[np.ndarray, np.ndarray]:
     if not norm.min() >= 1e-6:
         raise ValueError("reference axis is (nearly) parallel to k or not finite; pick another gauge reference")
     e = e / norm
-    return e, cross(k, e)
+    return e, np.cross(k, e)
 
 
 def triads(k, reference=None) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -232,12 +219,12 @@ def relation_residuals(k, eps_plus, eps_minus) -> dict[str, np.ndarray]:
         "transversality": rowmax(np.vecdot(eps, k[:, None])),
         "orthonormality": rowmax(np.vecdot(eps[:, :, None], eps[:, None]) - same),
         "conjugate_cross": rowmax(
-            cross(conj[:, :, None], eps[:, None]) - (same * sign * 1j)[..., None] * kk
+            np.cross(conj[:, :, None], eps[:, None]) - (same * sign * 1j)[..., None] * kk
         ),
-        "propagation_cross": rowmax(cross(k[:, None], eps) - sign * conj[:, ::-1]),
+        "propagation_cross": rowmax(np.cross(k[:, None], eps) - sign * conj[:, ::-1]),
         "minus_from_plus": rowmax(eps[:, 1] - 1j * conj[:, 0]),
         "plain_dot": rowmax(np.vecdot(conj[:, :, None], eps[:, None]) - 1j * opposite),
-        "plain_cross": rowmax(cross(eps[:, :, None], eps[:, None]) - (opposite * sign)[..., None] * kk),
+        "plain_cross": rowmax(np.cross(eps[:, :, None], eps[:, None]) - (opposite * sign)[..., None] * kk),
     }
     target = np.eye(3) - k[:, :, None] * k[:, None, :]
     res["completeness"] = rowmax(completeness_matrices(eps_plus, eps_minus) - target)

@@ -386,7 +386,7 @@ def test_sparse_operator_keeps_a_complex_csr():
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_every_maximum_is_one_block_reduction(standard_basis, seed):
-    """max_abs, masked or not, and the residual table give the plain maximum, 0.0 for no entry, and NaN for a NaN."""
+    """max_abs, masked or not, and the residual tables give the plain maximum, 0.0 for no entry, and NaN for a NaN."""
     dim = standard_basis.dim
     rng = np.random.default_rng(seed)
     stored = rng.random((dim, dim)) < 0.05
@@ -411,6 +411,23 @@ def test_every_maximum_is_one_block_reduction(standard_basis, seed):
     for table in (tables[0], tables[1], tables[2][0]):
         assert table[0, 0] == op.max_abs() and np.isnan(table[1, 0])
     assert tables[2][1, 0, 0] == tables[2][1, 1, 0] == op.max_abs(without_i)
+
+    # The difference table: entry k is (L_k - R_k).max_abs(keep), NaN kept, and 0.0 for L_k = R_k.
+    other = np.where(rng.random((dim, dim)) < 0.05, rng.standard_normal((dim, dim)), 0)
+    other = pf.SparseOperator(sp.csr_matrix(other), standard_basis)
+    left, right = [op, bad, op, other], [other, other, op, op]
+    for keep in (None, without_i, np.stack([everything, without_i])):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = fock.difference_residuals(left, right, keep)
+            masks = [None] if keep is None else keep.reshape(-1, dim)
+            want = np.reshape([[(a - b).max_abs(mask) for a, b in zip(left, right)] for mask in masks], got.shape)
+        assert got.shape == np.shape(keep)[:-1] + (len(left),) and np.array_equal(got, want, equal_nan=True)
+        assert np.array_equal(np.isnan(got[..., 1]), True if keep is None else keep[..., i]) and not got[..., 2].any()
+    with pytest.raises(BasisMismatchError):
+        fock.difference_residuals([op], [pf.identity(pf.build_basis(small_config()))])
+    with pytest.raises(ValueError, match="cannot pair 4 left operators with 3"):
+        fock.difference_residuals(left, right[:3])
 
 
 @pytest.fixture(scope="module")
