@@ -14,7 +14,9 @@ parses nothing.  --operator is parsed into a builder before any basis is built.
 Each check runner hands its residual arrays to RunContext.record, the one
 place where they are reduced to a verdict: the worst absolute value, with
 NaN propagated, passes only when finite and within the record's fixed
-tolerance.  report.json writes a non-finite worst value as null.
+tolerance.  report.json writes a non-finite worst value as null.  The
+RunContext also builds the basis and each mode's ladder operators once per
+run, for every check that reads them.
 
 Exit codes: 0 all checks pass, 1 at least one residual exceeded its
 tolerance or was not finite, 2 configuration or precondition error (ConfigError,
@@ -387,6 +389,12 @@ class RunContext:
             self._basis = fock.build_basis(self.scenario.lattice)
         return self._basis
 
+    @functools.cached_property
+    def ladders(self) -> tuple[list[fock.SparseOperator], list[fock.SparseOperator]]:
+        """(a_m of every mode, a-dagger_m of every mode), built once per run."""
+        basis = self.basis
+        return [fock.annihilation(basis, m) for m in basis.modes], [fock.creation(basis, m) for m in basis.modes]
+
     def rng(self, check: str) -> np.random.Generator:
         return np.random.default_rng([self.scenario.seed, _CHECK_STREAMS[check]])
 
@@ -486,8 +494,7 @@ def check_helicity(ctx: RunContext) -> list[Record]:
 def check_ladder(ctx: RunContext) -> list[Record]:
     basis = ctx.basis
     n_modes = basis.n_modes
-    a_ops = [fock.annihilation(basis, mode) for mode in basis.modes]
-    adag_ops = [fock.creation(basis, mode) for mode in basis.modes]
+    a_ops, adag_ops = ctx.ladders
     adjoint = fock.difference_residuals(adag_ops, [a.dagger() for a in a_ops])
     # Row i of the table: [a_i, a_j], then [a_i, a-dagger_j] less the identity for j = i;
     # reduced over every state, then over the margin-1 safe states.
@@ -589,13 +596,14 @@ def check_commutators(ctx: RunContext) -> list[Record]:
     e1, e2 = (fields.field(basis, FieldKind.E, SpacetimePoint(r=r[0, s], t=float(t[0, s]))) for s in (0, 1))
     targets = {(i, j): fock.diagonal_operator(basis, diagonals[i, j]) for i, j in np.ndindex(3, 3)}
     cross.append(fock.commutator_residuals(e1, e2, targets))
-    # [field, N] equals its sign-flipped closed form everywhere.
+    # [field, N] equals its sign-flipped closed form everywhere; N is diagonal,
+    # so each commutator is formed on the field's own arrays.
     x = SpacetimePoint(r=np.array([0.7, -0.4, 0.2]), t=0.3)
     all_kinds = (FieldKind.E, FieldKind.B, FieldKind.A)
     ops = [op for kind in all_kinds for op in fields.field(basis, kind, x)]
     flipped = [op for kind in all_kinds for op in fields.field_number_commutator(basis, kind, x)]
-    targets = {(k, 0): op for k, op in enumerate(flipped)}
-    number = fock.commutator_residuals(ops, [fock.total_number(basis)], targets)
+    n = basis.occupancy_table().sum(axis=1)
+    number = fock.difference_residuals([fock.diagonal_commutator(op, n) for op in ops], flipped)
     return [
         ctx.record("commutators.matrix_vs_closed", {"pairs": pairs, "margin": 1}, cross, 1e-10),
         ctx.record("commutators.equal_time", {"kinds": ["E", "B"]}, [w[0][pairs].sum(-1), w[1][pairs].sum(-1)], 1e-12),
@@ -620,7 +628,7 @@ def check_expectations(ctx: RunContext) -> list[Record]:
     states = (build_state(scenario, basis), ensembles.FockState(basis, z[0] + 1j * z[1]))
     # Matrix side: <a_m> and <a-dagger_m> on assembled ladder operators, summed
     # over the mode coefficients; closed side: amplitude_profile, mean_field_table.
-    ladders = [(fock.annihilation(basis, m), fock.creation(basis, m)) for m in basis.modes]
+    ladders = list(zip(*ctx.ladders))
     means = [ensembles.ladder_expectations(s, ladders) for s in states]
     first = SpacetimePoint(r=r[0], t=float(t[0]))
     residuals = []

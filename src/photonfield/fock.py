@@ -28,37 +28,43 @@ quadratic forms sum_kl w_kl L_k L_l (ladder_products), each assembled in one
 pass from the basis's ladder table, the one place that says how they act:
 L_k |s> = amplitude[k, s] |target[k, s]>, so a_j |s> = sqrt(occ_j)
 |s - strides[j]> and a-dagger_j |s> = sqrt(occ_j + 1) |s + strides[j]>,
-with amplitude 0 and target s where L_k annihilates s.  Both writers read
-whole table rows: an annihilated state gives a zero entry, which is not
-stored.  Only ensembles.amplitude_profile selects the live entries (those of
-positive amplitude, the same count in every row), since zeros in its sums
-would change how numpy groups them.
+with amplitude 0 and target s where L_k annihilates s.  The CSR pattern of
+a linear form depends only on which weights are nonzero, its live table
+rows: _linear_pattern builds it once per live set from the live entries
+(those of positive amplitude) and keeps it on the basis, and each form's
+data is one gather of its weights times the stored amplitudes.  Quadratic
+forms read whole table rows: an annihilated state gives a zero entry, which
+is not stored.  ensembles.amplitude_profile selects the live entries too
+(the same count in every row), since zeros in its sums would change how
+numpy groups them.
 
 SparseOperator holds the three arrays (data, indices, indptr) of a complex
 CSR matrix, and its scipy matrix over those same arrays.  Its constructor
 takes either a scipy matrix, kept as it is, or the three arrays.  Linear
-forms and diagonal_operator (identity, the number operators,
-safe_projector) write their CSR arrays directly (_csr_rows) and hand them
+forms (on their cached pattern) and diagonal_operator (identity, the number
+operators, safe_projector) write their CSR arrays directly and hand them
 to it, and the scipy matrix is built over them, without a copy, only when
 .matrix is first read: by sums, products, max_abs and expectations, never
 by an export.  Zero entries are not stored: row t of L_k is row t of the
 table row of its transpose (a_j and a-dagger_j are transposes of each
 other), and in the order a-dagger_1..a-dagger_n, a_n..a_1 the columns of
 every row increase.  Only quadratic forms, whose entries really add up, go
-through a coordinate list and scipy's COO conversion.  Commutator
-residuals are read from a table (commutator_residuals): every [L_k, R_l]
-of two lists of small operators comes from two scipy products of stacked
-operators, vstack(L) @ hstack(R) and vstack(R) @ hstack(L), whose blocks
-are the products L_k R_l and R_l L_k entry by entry; large operators are
-multiplied pair by pair.  A safe subspace enters a residual as a mask of
-basis states (safe_states), not as a projector product: P X P for the 0/1
-diagonal P keeps exactly the X_ij with i and j both kept.  Differences
-are read from a table too (difference_residuals): every L_k - R_k of two
-equally long lists comes from one subtraction of stacked operators,
-vstack(L) - vstack(R).  One function, _block_maxima, turns a sparse
-residual into maxima, for both tables and for SparseOperator.max_abs
-alike: an operator with no stored entry reads 0.0, and a NaN entry makes
-its maximum NaN, which verify fails.
+through a coordinate list and scipy's COO conversion.  A commutator with
+a diagonal operator needs no product: [X, diag(d)]_ij = (d_j - d_i) X_ij
+is written on X's own arrays (diagonal_commutator), as verify does for
+[field, N].  Commutator residuals are read from a table
+(commutator_residuals): every [L_k, R_l] of two lists of small operators
+comes from two scipy products of stacked operators, vstack(L) @ hstack(R)
+and vstack(R) @ hstack(L), whose blocks are the products L_k R_l and R_l
+L_k entry by entry; large operators are multiplied pair by pair.  A safe
+subspace enters a residual as a mask of basis states (safe_states), not as
+a projector product: P X P for the 0/1 diagonal P keeps exactly the X_ij
+with i and j both kept.  Differences are read from a table too
+(difference_residuals): every L_k - R_k of two equally long lists comes
+from one subtraction of stacked operators, vstack(L) - vstack(R).  One
+function, _block_maxima, turns a sparse residual into maxima, for both
+tables and for SparseOperator.max_abs alike: an operator with no stored
+entry reads 0.0, and a NaN entry makes its maximum NaN, which verify fails.
 
 Text exports use float_reprs: shortest round-trip reprs, computed once per
 distinct bit pattern of a column.  export_operator reads the CSR arrays:
@@ -71,10 +77,12 @@ so no whole-file string is held.
 scipy is imported only where a scipy matrix is built or combined
 (SparseOperator.__init__, SparseOperator.matrix, _assemble, _placed,
 _stacked_residuals, difference_residuals), so importing this module, the
-mode table and the Fock basis never load it.  expect, vacuum-scan and dump-operator run without
-scipy: the first two build no operator, and every operator dump-operator
-names is written by _csr_rows and exported from its arrays.  verify,
-which multiplies operators, is the one command that loads scipy.
+mode table and the Fock basis never load it, nor do ladder_sum,
+diagonal_operator and diagonal_commutator, which write arrays.  expect,
+vacuum-scan and dump-operator run without scipy: the first two build no
+operator, and every operator dump-operator names is written as arrays
+(ladder_sum or diagonal_operator) and exported from them.  verify, which
+multiplies operators, is the one command that loads scipy.
 """
 
 from __future__ import annotations
@@ -289,6 +297,8 @@ class FockBasis(ModeTable):
             raise RuntimeError(f"ladder targets must lie in 0..{dim - 1}; the basis index arithmetic is wrong")
         self.target.setflags(write=False)
         self.amplitude.setflags(write=False)
+        # CSR pattern of sum_k w_k L_k for each set of live table rows (_linear_pattern).
+        self._linear_patterns: dict[bytes, tuple[np.ndarray, ...]] = {}
 
     # -- index bookkeeping -------------------------------------------------
 
@@ -310,7 +320,7 @@ class SparseOperator:
 
     The arrays are not changed after construction.  matrix is the scipy
     CSR over those same arrays: the one given to the constructor, or for
-    an operator given as its arrays (as _csr_rows writes them) one built
+    an operator given as its arrays (as ladder_sum writes them) one built
     on first read.
     """
 
@@ -394,19 +404,10 @@ def diagonal_operator(basis: FockBasis, values: np.ndarray) -> SparseOperator:
     values = np.asarray(values).astype(complex)
     if values.shape != (basis.dim,):
         raise ValueError(f"expected {basis.dim} diagonal values, got shape {values.shape}")
-    return _csr_rows(basis, values[:, None], np.arange(basis.dim, dtype=np.int32)[:, None])
-
-
-def _csr_rows(basis: FockBasis, values: np.ndarray, columns: np.ndarray) -> SparseOperator:
-    """The CSR matrix with values[t, i] in row t, column columns[t, i]; zero values are not stored.
-
-    values (complex) and columns (int32) have shape (dim, K), and the
-    columns of each row increase with i.
-    """
     stored = values != 0
     indptr = np.zeros(basis.dim + 1, dtype=np.int32)
-    np.cumsum(stored.sum(axis=1), out=indptr[1:])
-    return SparseOperator((values[stored], columns[stored], indptr), basis)
+    np.cumsum(stored, out=indptr[1:])
+    return SparseOperator((values[stored], np.flatnonzero(stored).astype(np.int32), indptr), basis)
 
 
 def build_basis(config: LatticeConfig) -> FockBasis:
@@ -432,17 +433,42 @@ def ladder_sum(basis: FockBasis, weights: np.ndarray) -> SparseOperator:
     """sum_k weights[k] L_k, for weights of shape (2 n_modes,).
 
     L = (a_1..a_n, a-dagger_1..a-dagger_n); weights = (c, d) gives
-    sum_j (c_j a_j + d_j a-dagger_j).  Row t of L_k holds amplitude[k', t]
-    in column target[k', t], for k' the table row of L_k's transpose.  As
-    in _assemble, adding 0.0 turns -0.0 parts into 0.0.
+    sum_j (c_j a_j + d_j a-dagger_j).  The pattern depends only on which
+    weights are nonzero (_linear_pattern), and the data is one gather,
+    weights[ladder] * amplitude + 0.0: every stored amplitude is sqrt(k) >= 1,
+    so a nonzero weight gives no zero entry.  As in _assemble, adding 0.0
+    turns -0.0 parts into 0.0.
     """
-    n = basis.n_modes
     weights = np.asarray(weights, dtype=complex)
-    order = np.r_[n : 2 * n, n - 1 : -1 : -1]
-    order = order[weights[order] != 0]
-    rows = (order + n) % (2 * n)
-    values = weights[order, None] * basis.amplitude[rows] + 0.0
-    return _csr_rows(basis, values.T, basis.target[rows].T)
+    indices, indptr, ladder, amplitude = _linear_pattern(basis, weights != 0)
+    return SparseOperator((weights[ladder] * amplitude + 0.0, indices, indptr), basis)
+
+
+def _linear_pattern(basis: FockBasis, live: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(indices, indptr, ladder, amplitude) of sum_k w_k L_k for the weights nonzero where live is.
+
+    Row t of L_k holds amplitude[k', t] in column target[k', t], for k' the
+    table row of L_k's transpose, wherever that amplitude is positive; stored
+    entry e belongs to L_ladder[e] and has amplitude[e].  Built once per live
+    set and kept on the basis; the arrays are read-only and shared by every
+    operator built on them.
+    """
+    key = live.tobytes()
+    if key not in basis._linear_patterns:
+        n = basis.n_modes
+        order = np.r_[n : 2 * n, n - 1 : -1 : -1]
+        order = order[live[order]]
+        rows = (order + n) % (2 * n)
+        amplitude = basis.amplitude[rows].T
+        stored = amplitude > 0
+        indptr = np.zeros(basis.dim + 1, dtype=np.int32)
+        np.cumsum(stored.sum(axis=1), out=indptr[1:])
+        ladder = np.broadcast_to(order.astype(np.min_scalar_type(2 * n)), stored.shape)[stored]
+        pattern = (basis.target[rows].T[stored], indptr, ladder, amplitude[stored])
+        for arr in pattern:
+            arr.setflags(write=False)
+        basis._linear_patterns[key] = pattern
+    return basis._linear_patterns[key]
 
 
 def ladder_products(basis: FockBasis, weights: np.ndarray) -> SparseOperator:
@@ -472,6 +498,20 @@ def creation(basis: FockBasis, mode: ModeKey) -> SparseOperator:
 
 def commutator(a: SparseOperator, b: SparseOperator) -> SparseOperator:
     return a @ b - b @ a
+
+
+def diagonal_commutator(op: SparseOperator, d: np.ndarray) -> SparseOperator:
+    """[op, diag(d)] on op's own arrays: entry (i, j) is (d_j - d_i) op_ij.
+
+    No sparse product is formed, and the operator keeps op's indices and
+    indptr: an entry with d_i = d_j is stored as a zero, and a NaN entry
+    stays NaN.
+    """
+    d = np.asarray(d)
+    if d.shape != (op.basis.dim,):
+        raise ValueError(f"expected {op.basis.dim} diagonal values, got shape {d.shape}")
+    data = (d[op.indices] - d[_row_indices(op.indptr)]) * op.data
+    return SparseOperator((data, op.indices, op.indptr), op.basis)
 
 
 def _row_indices(indptr: np.ndarray) -> np.ndarray:

@@ -800,6 +800,27 @@ def test_expectation_check_assembles_ladders_once_and_four_fields(monkeypatch, g
     assert calls["creation"] == list(ctx.basis.modes)
 
 
+def test_verify_builds_each_ladder_operator_once(tmp_path, monkeypatch):
+    from photonfield import fock
+
+    calls = {"annihilation": [], "creation": []}
+
+    def counting(name):
+        original = getattr(fock, name)
+
+        def wrapped(basis, mode):
+            calls[name].append(mode)
+            return original(basis, mode)
+
+        monkeypatch.setattr(fock, name, wrapped)
+
+    counting("annihilation")
+    counting("creation")
+    assert cli.main(["verify", "--out", str(tmp_path)]) == 0
+    modes = list(cli.load_scenario(None).lattice.modes)
+    assert calls == {"annihilation": modes, "creation": modes}
+
+
 def test_error_inside_a_check_is_not_reported_as_configuration(tmp_path, monkeypatch):
     from photonfield import fields
 

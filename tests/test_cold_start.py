@@ -1,4 +1,4 @@
-"""Every command but verify leaves scipy unimported, each in a fresh interpreter."""
+"""Fresh interpreters: every command but verify leaves scipy unimported, and verify keeps to one CPU."""
 
 import ast
 import json
@@ -48,3 +48,33 @@ def test_verify_imports_scipy(tmp_path):
     # The positive control: the probe sees scipy where a command does load it.
     modules = _scipy_modules(tmp_path, "from photonfield import cli\nassert cli.main(['verify', '--out', 'out']) == 0")
     assert "scipy.sparse" in modules
+
+
+# Run in a fresh interpreter: one verify pass, then the CPU time of the whole
+# process and of its main thread over three more passes.
+ONE_CPU = """
+import contextlib, io, sys, time
+from photonfield import cli
+args = ["verify", "--out", "out", *sys.argv[1:]]
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(args) == 0
+    process, main = time.process_time(), time.thread_time()
+    for _ in range(3):
+        assert cli.main(args) == 0
+print(time.process_time() - process, time.thread_time() - main)
+"""
+
+
+@pytest.mark.parametrize("config", [None, "benchmarks/scenarios/verify-12m.json"], ids=["built-in", "verify-12m"])
+def test_verify_keeps_to_one_cpu(tmp_path, config):
+    # BLAS may run one thread per CPU: a call that hands it work, or leaves its
+    # threads spinning, shows as CPU time of threads other than the main one,
+    # whether or not a second CPU is free to run them.  The first pass is not
+    # timed: numpy's import starts those threads spinning too.
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    env.update(dict.fromkeys(("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"), str(os.cpu_count())))
+    args = [] if config is None else ["--config", str(ROOT / config)]
+    done = subprocess.run([sys.executable, "-c", ONE_CPU, *args], cwd=tmp_path, env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    process, main = map(float, done.stdout.split())
+    assert process <= 1.15 * main, f"{process:.3f} s of CPU, {main:.3f} s of it in the main thread"

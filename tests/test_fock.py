@@ -240,6 +240,117 @@ def test_ladder_sum_writes_the_csr_of_the_coordinate_recipe(config):
     assert np.any((parts == 0) & np.signbit(parts))
 
 
+def _masked_ladder_sum(basis, weights):
+    """(data, indices, indptr, amplitude per entry) of sum_k weights[k] L_k by the masked recipe.
+
+    Whole table rows of the nonzero weights are multiplied out, and every
+    product that is not 0 is stored: this is how ladder_sum wrote its
+    arrays before it read a cached pattern.
+    """
+    n = basis.n_modes
+    order = np.r_[n : 2 * n, n - 1 : -1 : -1]
+    order = order[weights[order] != 0]
+    rows = (order + n) % (2 * n)
+    values = (weights[order, None] * basis.amplitude[rows] + 0.0).T
+    stored = values != 0
+    indptr = np.zeros(basis.dim + 1, dtype=np.int32)
+    np.cumsum(stored.sum(axis=1), out=indptr[1:])
+    return values[stored], basis.target[rows].T[stored], indptr, basis.amplitude[rows].T[stored]
+
+
+def _special_weights(n, seed):
+    """Seeded complex weights with random zeros, NaN and +-inf parts."""
+    rng = np.random.default_rng(seed)
+    weights = rng.standard_normal(2 * n) + 1j * rng.standard_normal(2 * n)
+    weights[rng.random(2 * n) < 0.3] = 0.0
+    finite = weights.copy()
+    k = rng.permutation(2 * n)[:3]
+    weights[k[0]] = complex(np.nan, 1.0)
+    weights[k[1]] = complex(-np.inf, 0.5)
+    weights[k[2]] = complex(0.0, np.inf)
+    return finite, weights
+
+
+@pytest.mark.parametrize("fixture", ["standard_basis", "three_mode_basis"])
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_ladder_sum_stores_what_the_masked_recipe_stores(request, fixture, seed):
+    basis = request.getfixturevalue(fixture)
+    for weights in _special_weights(basis.n_modes, seed):
+        with np.errstate(invalid="ignore"):
+            got = fock.ladder_sum(basis, weights)
+            data, indices, indptr, amplitude = _masked_ladder_sum(basis, weights)
+        # A non-finite weight times the zero amplitude of an annihilated state is NaN, which the
+        # masked recipe stored on the diagonal; ladder_sum stores no entry there.
+        dropped = amplitude == 0
+        assert np.isnan(data[dropped]).all() and (indices[dropped] == fock._row_indices(indptr)[dropped]).all()
+        assert dropped.any() == (not np.isfinite(weights).all())
+        want = (data[~dropped], indices[~dropped], np.concatenate([[0], np.cumsum(~dropped)])[indptr].astype(np.int32))
+        for name, a, b in zip(("data", "indices", "indptr"), (got.data, got.indices, got.indptr), want):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+
+def test_ladder_sum_reuses_one_read_only_pattern_per_live_set(standard_basis):
+    basis = pf.build_basis(standard_basis.config)
+    rng = np.random.default_rng(4)
+    weights = rng.standard_normal(8) + 1j * rng.standard_normal(8)
+    weights[[2, 5]] = 0.0
+    first, again = fock.ladder_sum(basis, weights), fock.ladder_sum(basis, 3.0 * weights)
+    other = fock.ladder_sum(basis, np.where(weights == 0, 1.0, 0.0))
+    assert len(basis._linear_patterns) == 2
+    assert again.indices is first.indices and again.indptr is first.indptr
+    assert other.indices is not first.indices
+    for pattern in basis._linear_patterns.values():
+        assert not any(arr.flags.writeable for arr in pattern)
+    assert not pf.build_basis(standard_basis.config)._linear_patterns
+
+
+def test_built_in_verify_caches_at_most_ten_patterns(tmp_path, monkeypatch):
+    bases, build_basis = [], fock.build_basis
+    monkeypatch.setattr(fock, "build_basis", lambda config: bases.append(build_basis(config)) or bases[-1])
+    assert cli.main(["verify", "--out", str(tmp_path)]) == 0
+    assert len(bases) == 1 and 0 < len(bases[0]._linear_patterns) <= 10
+
+
+@pytest.mark.parametrize("fixture", ["standard_basis", "three_mode_basis"])
+def test_diagonal_commutator_with_n_is_the_field_number_closed_form(request, fixture):
+    basis = request.getfixturevalue(fixture)
+    rng = np.random.default_rng(6)
+    x = SpacetimePoint(r=rng.uniform(-2.0, 2.0, 3), t=float(rng.uniform(-1.0, 1.0)))
+    n = basis.occupancy_table().sum(axis=1)
+    for kind in FieldKind:
+        for op, closed in zip(pf.field(basis, kind, x), pf.field_number_commutator(basis, kind, x)):
+            got = fock.diagonal_commutator(op, n)
+            assert np.array_equal(got.indices, closed.indices) and np.array_equal(got.indptr, closed.indptr)
+            # == and not the bytes: -(+0.0) is -0.0, where the closed form stores +0.0.
+            assert got.data.dtype == complex and (got.data == closed.data).all()
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_diagonal_commutator_is_op_d_minus_d_op_on_the_same_pattern(standard_basis, seed):
+    basis, rng = standard_basis, np.random.default_rng(seed)
+    dim = basis.dim
+    stored = rng.random((dim, dim)) < 0.05
+    dense = np.where(stored, rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)), 0)
+    op = pf.SparseOperator(sp.csr_matrix(dense), basis)
+    d = rng.standard_normal(dim) * 10.0 ** rng.integers(-3, 4)
+    got = fock.diagonal_commutator(op, d)
+    assert got.indices is op.indices and got.indptr is op.indptr and got.basis is basis
+    diag = sp.diags(d.astype(complex), format="csr")
+    want = (op.matrix @ diag - diag @ op.matrix).toarray()
+    assert np.abs(got.matrix.toarray() - want).max() <= 4 * np.finfo(float).eps * op.max_abs() * np.abs(d).max()
+
+    # A NaN entry stays NaN, also where d_i = d_j.
+    data = op.data.copy()
+    data[[0, -1]] = np.nan
+    row = fock._row_indices(op.indptr)[-1]
+    d[op.indices[-1]] = d[row]
+    bad = fock.diagonal_commutator(pf.SparseOperator((data, op.indices, op.indptr), basis), d)
+    assert np.isnan(bad.data[[0, -1]]).all() and not np.isnan(bad.data[1:-1]).any()
+    for shape in [(dim + 1,), (dim, 1), ()]:
+        with pytest.raises(ValueError, match="diagonal values"):
+            fock.diagonal_commutator(op, np.ones(shape))
+
+
 def _live_ladder_products(basis, weights):
     """sum_kl weights[k, l] L_k L_l from the coordinate list of the states L_l does not annihilate."""
     k, l = np.nonzero(weights)

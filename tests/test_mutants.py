@@ -424,7 +424,7 @@ MUTANTS = {
     "maxwell_nan": (maxwell_nan, MAXWELL),
     "commutators_nan": (commutators_nan, ["commutators.matrix_vs_closed"]),
     "expectations_nan": (expectations_nan, ["expectations.two_path"]),
-    # These two reach a residual through fock._block_maxima: masked in the difference table, and unmasked in the commutator table.
+    # These two reach a residual through fock._block_maxima: in the masked and the unmasked difference table.
     "zero_point_nan": (zero_point_nan, ["observables.spin"]),
     "field_number_nan": (field_number_nan, ["commutators.field_number"]),
 }
