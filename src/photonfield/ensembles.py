@@ -130,7 +130,7 @@ def expectation(op: SparseOperator, state: FockState) -> complex:
     if op.basis is not state.basis:
         raise BasisMismatchError("operator and state live on different bases")
     c = state.coefficients
-    return complex(np.vdot(c, op.matrix @ c))
+    return complex(np.vdot(c, op.apply(c)))
 
 
 def ladder_expectations(

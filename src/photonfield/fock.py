@@ -39,32 +39,42 @@ is not stored.  ensembles.amplitude_profile selects the live entries too
 numpy groups them.
 
 SparseOperator holds the three arrays (data, indices, indptr) of a complex
-CSR matrix, and its scipy matrix over those same arrays.  Its constructor
-takes either a scipy matrix, kept as it is, or the three arrays.  Linear
-forms (on their cached pattern) and diagonal_operator (identity, the number
-operators, safe_projector) write their CSR arrays directly and hand them
-to it, and the scipy matrix is built over them, without a copy, only when
-.matrix is first read: by sums, products, max_abs and expectations, never
-by an export.  Zero entries are not stored: row t of L_k is row t of the
-table row of its transpose (a_j and a-dagger_j are transposes of each
-other), and in the order a-dagger_1..a-dagger_n, a_n..a_1 the columns of
-every row increase.  Only quadratic forms, whose entries really add up, go
-through a coordinate list and scipy's COO conversion.  A commutator with
-a diagonal operator needs no product: [X, diag(d)]_ij = (d_j - d_i) X_ij
-is written on X's own arrays (diagonal_commutator), as verify does for
-[field, N].  Commutator residuals are read from a table
-(commutator_residuals): every [L_k, R_l] of two lists of small operators
-comes from two scipy products of stacked operators, vstack(L) @ hstack(R)
-and vstack(R) @ hstack(L), whose blocks are the products L_k R_l and R_l
-L_k entry by entry; large operators are multiplied pair by pair.  A safe
-subspace enters a residual as a mask of basis states (safe_states), not as
-a projector product: P X P for the 0/1 diagonal P keeps exactly the X_ij
-with i and j both kept.  Differences are read from a table too
-(difference_residuals): every L_k - R_k of two equally long lists comes
-from one subtraction of stacked operators, vstack(L) - vstack(R).  One
-function, _block_maxima, turns a sparse residual into maxima, for both
+CSR matrix, and its constructor takes either the arrays or a scipy matrix.
+Linear forms (on their cached pattern) and diagonal_operator (identity, the
+number operators, safe_projector) write their CSR arrays directly; zero
+entries are not stored: row t of L_k is row t of the table row of its
+transpose (a_j and a-dagger_j are transposes of each other), and in the
+order a-dagger_1..a-dagger_n, a_n..a_1 the columns of every row increase.
+Only quadratic forms, whose entries really add up, go through a coordinate
+list.  A commutator with a diagonal operator needs no product: [X,
+diag(d)]_ij = (d_j - d_i) X_ij is written on X's own arrays
+(diagonal_commutator), as verify does for [field, N].  Commutator residuals
+are read from a table (commutator_residuals): every [L_k, R_l] of two lists
+of small operators comes from two products of stacked operators, vstack(L)
+@ hstack(R) and vstack(R) @ hstack(L), whose blocks are the products L_k
+R_l and R_l L_k entry by entry; large operators are multiplied pair by
+pair.  A safe subspace enters a residual as a mask of basis states
+(safe_states), not as a projector product: P X P for the 0/1 diagonal P
+keeps exactly the X_ij with i and j both kept.  Differences are read from a
+table too (difference_residuals): every L_k - R_k of two equally long lists
+comes from one subtraction of stacked operators, vstack(L) - vstack(R).
+One function, _block_maxima, turns a sparse residual into maxima, for both
 tables and for SparseOperator.max_abs alike: an operator with no stored
 entry reads 0.0, and a NaN entry makes its maximum NaN, which verify fails.
+
+The sparse algebra (products, sums and differences, coordinate lists, the
+adjoint, stacking and matrix-vector products) is scipy's: a few array
+helpers (_product, _combined, _from_coordinates, _adjoint, _hstack, and
+SparseOperator.apply) call scipy's compiled CSR kernels
+(scipy.sparse._sparsetools), the ones its csr methods call, in the same
+order, on the operators' own arrays, and return arrays.  Every result has
+the bits scipy's public API gives, but no scipy matrix object is built,
+which costs more than the kernel at these sizes.  vstack is a concatenation.
+SparseOperator.matrix, the scipy CSR over an operator's arrays, is built on
+first read; it is for tests, users and tracing, and nothing in the library
+reads it.  The kernels check the types of their arrays but not their
+lengths or values: SparseOperator's constructor checks the types, shapes
+and lengths, as scipy's own constructor does, but not the index values.
 
 Text exports use float_reprs: shortest round-trip reprs, computed once per
 distinct bit pattern of a column.  export_operator reads the CSR arrays:
@@ -74,15 +84,13 @@ sorted from its coordinate list.  Row and column labels come from one str
 table per call, and lines are joined and written EXPORT_CHUNK at a time,
 so no whole-file string is held.
 
-scipy is imported only where a scipy matrix is built or combined
-(SparseOperator.__init__, SparseOperator.matrix, _assemble, _placed,
-_stacked_residuals, difference_residuals), so importing this module, the
-mode table and the Fock basis never load it, nor do ladder_sum,
-diagonal_operator and diagonal_commutator, which write arrays.  expect,
-vacuum-scan and dump-operator run without scipy: the first two build no
-operator, and every operator dump-operator names is written as arrays
-(ladder_sum or diagonal_operator) and exported from them.  verify, which
-multiplies operators, is the one command that loads scipy.
+scipy is imported only where the kernels are called or a scipy matrix is
+built, so importing this module, the mode table and the Fock basis never
+load it, nor do ladder_sum, diagonal_operator and diagonal_commutator, which
+write arrays.  expect, vacuum-scan and dump-operator run without scipy: the
+first two build no operator, and every operator dump-operator names is
+written as arrays (ladder_sum or diagonal_operator) and exported from them.
+verify, which multiplies operators, is the one command that loads scipy.
 """
 
 from __future__ import annotations
@@ -98,6 +106,7 @@ if TYPE_CHECKING:
     import scipy.sparse as sp
 
 IntVec = tuple[int, int, int]
+Csr = tuple[np.ndarray, np.ndarray, np.ndarray]  # (data, indices, indptr) of a complex CSR matrix
 ModeKey = tuple[int, IntVec]  # (helicity, integer momentum)
 
 DIM_GUARD = 65536
@@ -290,8 +299,8 @@ class FockBasis(ModeTable):
         up = by_mode < self.n_max
         self.target = np.concatenate([states - step * (by_mode > 0), states + step * up])
         self.amplitude = np.sqrt(np.concatenate([by_mode, (by_mode + 1) * up]), dtype=float)
-        # The operators hand these targets to scipy as CSR indices, which
-        # it does not check: an index outside the basis would crash it.  A
+        # The operators hand these targets to scipy's kernels as CSR indices,
+        # which they do not check: an index outside the basis would crash them.  A
         # bad one is a bug here, not a bad scenario, so it is no ValueError.
         if not (self.target.min() >= 0 and self.target.max() < dim):
             raise RuntimeError(f"ladder targets must lie in 0..{dim - 1}; the basis index arithmetic is wrong")
@@ -318,29 +327,46 @@ class FockBasis(ModeTable):
 class SparseOperator:
     """Complex sparse matrix on a FockBasis, held as its CSR arrays data, indices and indptr.
 
-    The arrays are not changed after construction.  matrix is the scipy
-    CSR over those same arrays: the one given to the constructor, or for
-    an operator given as its arrays (as ladder_sum writes them) one built
-    on first read.
+    The constructor takes the three arrays, or a scipy matrix, which is
+    converted to a complex CSR if it is not one and kept.  It refuses, with
+    a ValueError, what the kernels could not read safely and scipy's own
+    constructor refuses without its full check: data that is not complex,
+    indices or indptr that are not int32, arrays that are not 1-D, an indptr
+    that does not fit the basis or does not start at 0, and an indptr[-1]
+    beyond the stored entries.  The index values are not checked.  Entries
+    past indptr[-1] are dropped.  The arrays are not changed after construction.
+    matrix is the scipy CSR over those same arrays, built on first read.
     """
 
-    def __init__(self, matrix: sp.spmatrix | tuple[np.ndarray, np.ndarray, np.ndarray], basis: FockBasis):
+    def __init__(self, matrix: sp.spmatrix | Csr, basis: FockBasis):
         if isinstance(matrix, tuple):
-            # (data, indices, indptr) of a complex CSR with int32 indices, kept without loading scipy.
-            self.data, self.indices, self.indptr = matrix
-            if len(self.indptr) != basis.dim + 1:
-                raise ValueError(f"indptr of length {len(self.indptr)} does not match basis dim {basis.dim}")
-            self.basis, self._matrix = basis, None
-            return
-        import scipy.sparse as sp
+            self._matrix = None
+            data, indices, indptr = (np.asarray(arr) for arr in matrix)
+        else:
+            import scipy.sparse as sp
 
-        # Kept as given, not copied: every sum and product already is a complex CSR.
-        if not (isinstance(matrix, sp.csr_matrix) and matrix.dtype == complex):
-            matrix = sp.csr_matrix(matrix, dtype=complex)
-        if matrix.shape != (basis.dim, basis.dim):
-            raise ValueError(f"matrix shape {matrix.shape} does not match basis dim {basis.dim}")
-        self.data, self.indices, self.indptr = matrix.data, matrix.indices, matrix.indptr
-        self.basis, self._matrix = basis, matrix
+            # Kept as given, not copied, when it already is a complex CSR.
+            if not (isinstance(matrix, sp.csr_matrix) and matrix.dtype == complex):
+                matrix = sp.csr_matrix(matrix, dtype=complex)
+            if matrix.shape != (basis.dim, basis.dim):
+                raise ValueError(f"matrix shape {matrix.shape} does not match basis dim {basis.dim}")
+            self._matrix = matrix
+            data, indices, indptr = matrix.data, matrix.indices, matrix.indptr
+        if not (data.dtype == complex and indices.dtype == np.int32 and indptr.dtype == np.int32):
+            dtypes = f"{data.dtype}, {indices.dtype}, {indptr.dtype}"
+            raise ValueError(f"expected complex data with int32 indices and indptr, got {dtypes}")
+        if not data.ndim == indices.ndim == indptr.ndim == 1:
+            raise ValueError("data, indices and indptr must be 1-D")
+        if len(indptr) != basis.dim + 1:
+            raise ValueError(f"indptr of length {len(indptr)} does not match basis dim {basis.dim}")
+        nnz = indptr[-1]
+        if not (indptr[0] == 0 and len(indices) == len(data) >= nnz >= 0):
+            raise ValueError(
+                f"indptr runs from {indptr[0]} to {nnz} over {len(data)} values and {len(indices)} indices"
+            )
+        if len(data) > nnz:
+            data, indices = data[:nnz], indices[:nnz]
+        self.data, self.indices, self.indptr, self.basis = data, indices, indptr, basis
 
     @property
     def matrix(self) -> sp.csr_matrix:
@@ -349,8 +375,13 @@ class SparseOperator:
             import scipy.sparse as sp
 
             shape = (self.basis.dim, self.basis.dim)
-            self._matrix = sp.csr_matrix((self.data, self.indices, self.indptr), shape=shape, copy=False)
+            self._matrix = sp.csr_matrix(self.arrays, shape=shape, copy=False)
         return self._matrix
+
+    @property
+    def arrays(self) -> Csr:
+        """(data, indices, indptr)."""
+        return self.data, self.indices, self.indptr
 
     @property
     def nnz(self) -> int:
@@ -363,25 +394,38 @@ class SparseOperator:
         if self.basis is not other.basis:
             raise BasisMismatchError("operators act on different bases")
 
-    def __add__(self, other: "SparseOperator") -> "SparseOperator":
+    def _entrywise(self, other: "SparseOperator", kernel: str) -> "SparseOperator":
         self._same_basis(other)
-        return SparseOperator(self.matrix + other.matrix, self.basis)
+        dim = self.basis.dim
+        return SparseOperator(_combined(self.arrays, other.arrays, dim, dim, kernel), self.basis)
+
+    def __add__(self, other: "SparseOperator") -> "SparseOperator":
+        return self._entrywise(other, "csr_plus_csr")
 
     def __sub__(self, other: "SparseOperator") -> "SparseOperator":
-        self._same_basis(other)
-        return SparseOperator(self.matrix - other.matrix, self.basis)
+        return self._entrywise(other, "csr_minus_csr")
 
     def __matmul__(self, other: "SparseOperator") -> "SparseOperator":
         self._same_basis(other)
-        return SparseOperator(self.matrix @ other.matrix, self.basis)
+        dim = self.basis.dim
+        return SparseOperator(_product(self.arrays, other.arrays, dim, dim), self.basis)
 
     def __mul__(self, scalar: complex) -> "SparseOperator":
-        return SparseOperator(self.matrix * scalar, self.basis)
+        return SparseOperator((self.data * scalar, self.indices, self.indptr), self.basis)
 
     __rmul__ = __mul__
 
     def dagger(self) -> "SparseOperator":
-        return SparseOperator(self.matrix.conj().T.tocsr(), self.basis)
+        return SparseOperator(_adjoint(self.arrays, self.basis.dim), self.basis)
+
+    def apply(self, vector: np.ndarray) -> np.ndarray:
+        """The operator times a (dim,) vector, as scipy's matrix @ vector forms it."""
+        dim, vector = self.basis.dim, np.asarray(vector)
+        if vector.shape != (dim,):
+            raise ValueError(f"expected a vector of {dim} entries, got shape {vector.shape}")
+        out = np.zeros(dim, dtype=complex)
+        _sparsetools().csr_matvec(dim, dim, self.indptr, self.indices, self.data, vector, out)
+        return out
 
     # -- inspection ------------------------------------------------------------
 
@@ -392,7 +436,7 @@ class SparseOperator:
         entries with keep[i] and keep[j]: the max_abs of P X P for the
         projector P onto the kept states.
         """
-        return float(_block_maxima(self.matrix, self.basis.dim, (1, 1), keep)[0, 0])
+        return float(_block_maxima(self.arrays, self.basis.dim, (1, 1), keep)[0, 0])
 
 
 def identity(basis: FockBasis) -> SparseOperator:
@@ -419,14 +463,8 @@ def _assemble(basis: FockBasis, rows, cols, data) -> SparseOperator:
 
     Adding 0.0 turns -0.0 parts into 0.0: exports never show the sign of a zero.
     """
-    import scipy.sparse as sp
-
     keep = data != 0
-    matrix = sp.csr_matrix(
-        (data[keep] + 0.0, (rows[keep], cols[keep])), shape=(basis.dim, basis.dim)
-    )
-    matrix.eliminate_zeros()
-    return SparseOperator(matrix, basis)
+    return SparseOperator(_from_coordinates(rows[keep], cols[keep], data[keep] + 0.0, basis.dim, basis.dim), basis)
 
 
 def ladder_sum(basis: FockBasis, weights: np.ndarray) -> SparseOperator:
@@ -519,20 +557,115 @@ def _row_indices(indptr: np.ndarray) -> np.ndarray:
     return np.repeat(np.arange(len(indptr) - 1), np.diff(indptr))
 
 
-def _block_maxima(matrix: sp.csr_matrix, dim: int, blocks: tuple[int, int], keep) -> np.ndarray:
+def _sparsetools():
+    """scipy's compiled CSR kernels, the ones scipy.sparse's own csr methods call.
+
+    Only the array helpers below and SparseOperator.apply call them.  A
+    kernel checks the types of its arrays, and refuses to write into a
+    read-only one, but reads lengths from indptr: SparseOperator checks
+    that they fit.
+    """
+    from scipy.sparse import _sparsetools
+
+    return _sparsetools
+
+
+def _empty(n_rows: int, nnz: int) -> Csr:
+    return np.empty(nnz, dtype=complex), np.empty(nnz, dtype=np.int32), np.empty(n_rows + 1, dtype=np.int32)
+
+
+def _pruned(csr: Csr) -> Csr:
+    """The arrays without the unused space a kernel leaves after indptr[-1]."""
+    data, indices, indptr = csr
+    return data[: indptr[-1]], indices[: indptr[-1]], indptr
+
+
+def _product(a: Csr, b: Csr, n_rows: int, n_cols: int) -> Csr:
+    """a @ b for a with n_rows rows and b with n_cols columns, as scipy's csr product forms it.
+
+    Exact zeros are not stored, and a row's columns are in the kernel's order, not sorted.
+    """
+    kernels = _sparsetools()
+    nnz = kernels.csr_matmat_maxnnz(n_rows, n_cols, a[2], a[1], b[2], b[1])
+    if nnz > np.iinfo(np.int32).max:
+        raise LatticeSizeError(f"a product of {nnz} entries does not fit int32 indices")
+    out = _empty(n_rows, nnz)
+    kernels.csr_matmat(n_rows, n_cols, a[2], a[1], a[0], b[2], b[1], b[0], out[2], out[1], out[0])
+    return _pruned(out)
+
+
+def _combined(a: Csr, b: Csr, n_rows: int, n_cols: int, kernel: str) -> Csr:
+    """a + b or a - b (kernel csr_plus_csr or csr_minus_csr), as scipy's csr sum forms it.
+
+    Exact zeros are not stored.
+    """
+    out = _empty(n_rows, len(a[0]) + len(b[0]))
+    getattr(_sparsetools(), kernel)(n_rows, n_cols, a[2], a[1], a[0], b[2], b[1], b[0], out[2], out[1], out[0])
+    return _pruned(out)
+
+
+def _from_coordinates(rows, cols, values, n_rows: int, n_cols: int) -> Csr:
+    """The canonical CSR of coordinate entries: duplicates add and zeros are not stored.
+
+    The steps of scipy's csr_matrix((values, (rows, cols))) then
+    eliminate_zeros(): entries are counted into rows in input order, a row is
+    sorted only when its columns are not already in order (the sort is not
+    stable), and repeated coordinates are summed in that order.
+    """
+    kernels = _sparsetools()
+    out = data, indices, indptr = _empty(n_rows, len(values))
+    rows, cols = rows.astype(np.int32), cols.astype(np.int32)
+    kernels.coo_tocsr(n_rows, n_cols, len(values), rows, cols, values, indptr, indices, data)
+    if not kernels.csr_has_sorted_indices(n_rows, indptr, indices):
+        kernels.csr_sort_indices(n_rows, indptr, indices, data)
+    kernels.csr_sum_duplicates(n_rows, n_cols, indptr, indices, data)
+    kernels.csr_eliminate_zeros(n_rows, n_cols, indptr, indices, data)
+    return _pruned(out)
+
+
+def _adjoint(a: Csr, dim: int) -> Csr:
+    """The conjugate transpose of a dim x dim CSR, as scipy's matrix.conj().T.tocsr() forms it."""
+    out = _empty(dim, len(a[0]))
+    _sparsetools().csr_tocsc(dim, dim, a[2], a[1], a[0].conj(), out[2], out[1], out[0])
+    return out
+
+
+def _vstack(parts: list[Csr]) -> Csr:
+    """The CSR of the parts stacked top to bottom: their arrays concatenated, indptr shifted."""
+    if len(parts) == 1:
+        return parts[0]
+    starts = np.cumsum([0] + [len(data) for data, _, _ in parts], dtype=np.int32)
+    indptr = np.concatenate([part[2][:-1] + start for part, start in zip(parts, starts)] + [starts[-1:]])
+    return np.concatenate([part[0] for part in parts]), np.concatenate([part[1] for part in parts]), indptr
+
+
+def _hstack(parts: list[Csr], dim: int) -> Csr:
+    """The CSR of dim-column parts side by side, as scipy's hstack forms it."""
+    if len(parts) == 1:
+        return parts[0]
+    data = np.concatenate([part[0] for part in parts])
+    out = _empty(dim, len(data))
+    widths = np.full(len(parts), dim, dtype=np.int32)
+    indptrs, indices = (np.concatenate([part[i] for part in parts]) for i in (2, 1))
+    _sparsetools().csr_hstack(len(parts), dim, widths, indptrs, indices, data, out[2], out[1], out[0])
+    return out
+
+
+def _block_maxima(csr: Csr, dim: int, blocks: tuple[int, int], keep) -> np.ndarray:
     """max |X_ij| in each dim x dim block of a CSR matrix over entries with keep[i] and keep[j], 0.0 for none.
 
     i and j are the row and column inside the block.  keep of shape (..., dim)
     gives maxima of shape (..., *blocks); None keeps every state.  A NaN
     entry makes its block's maximum NaN, without a warning.
     """
+    data, indices, indptr = csr
     keep = np.ones(dim, dtype=bool) if keep is None else np.asarray(keep, dtype=bool)
     if keep.shape[-1:] != (dim,):
         raise ValueError(f"keep must hold one flag per basis state ({dim}), got shape {keep.shape}")
-    block = np.repeat(np.arange(blocks[0]) * blocks[1], np.diff(matrix.indptr[::dim])) + matrix.indices // dim
-    magnitude = np.abs(matrix.data)
-    i = _row_indices(matrix.indptr) % dim
-    j = matrix.indices % dim
+    block = np.repeat(np.arange(blocks[0]) * blocks[1], np.diff(indptr[::dim])) + indices // dim
+    magnitude = np.abs(data)
+    i = _row_indices(indptr) % dim
+    j = indices % dim
     masks = keep.reshape(-1, dim)
     out = np.zeros((len(masks), blocks[0] * blocks[1]))
     with np.errstate(invalid="ignore"):
@@ -542,39 +675,30 @@ def _block_maxima(matrix: sp.csr_matrix, dim: int, blocks: tuple[int, int], keep
     return out.reshape(keep.shape[:-1] + blocks)
 
 
-def _stack(matrices: list[sp.csr_matrix], stack) -> sp.csr_matrix:
-    """The one matrix itself, or stack(matrices) as CSR (sp.vstack or sp.hstack)."""
-    return matrices[0] if len(matrices) == 1 else stack(matrices, format="csr")
-
-
-def _placed(blocks: dict[tuple[int, int], SparseOperator], shape: tuple[int, int], dim: int) -> sp.csr_matrix:
-    """One CSR matrix of the given shape with blocks[k, l] in dim x dim block (k, l), zero elsewhere."""
-    import scipy.sparse as sp
-
+def _placed(blocks: dict[tuple[int, int], SparseOperator], shape: tuple[int, int], dim: int) -> Csr:
+    """The CSR of the given shape with blocks[k, l] in dim x dim block (k, l), zero elsewhere."""
     if shape == (dim, dim):
-        return blocks[0, 0].matrix
+        return blocks[0, 0].arrays
     parts = [(k * dim + _row_indices(op.indptr), l * dim + op.indices, op.data)
              for (k, l), op in blocks.items()]
     rows, cols, data = (np.concatenate(part) for part in zip(*parts))
-    return sp.csr_matrix((data, (rows, cols)), shape=shape)
+    return _from_coordinates(rows, cols, data, *shape)
 
 
 def _stacked_residuals(left, right, targets, dim: int, keep) -> np.ndarray:
     """commutator_residuals of all pairs at once, from two products of stacked operators."""
-    import scipy.sparse as sp
-
-    left, right = [op.matrix for op in left], [op.matrix for op in right]
+    left, right = [op.arrays for op in left], [op.arrays for op in right]
     shape = (len(left) * dim, len(right) * dim)
-    forward = _stack(left, sp.vstack) @ _stack(right, sp.hstack)
-    backward = _stack(right, sp.vstack) @ _stack(left, sp.hstack)
+    forward = _product(_vstack(left), _hstack(right, dim), *shape)
+    backward = _product(_vstack(right), _hstack(left, dim), *shape[::-1])
     if len(left) * len(right) > 1:
         # Block (l, k) of backward is R_l L_k: entry (l dim + i, k dim + j) moves to (k dim + i, l dim + j).
-        rows, cols = _row_indices(backward.indptr), backward.indices
+        rows, cols = _row_indices(backward[2]), backward[1]
         moved = (cols // dim * dim + rows % dim, rows // dim * dim + cols % dim)
-        backward = sp.csr_matrix((backward.data, moved), shape=shape)
-    table = forward - backward
+        backward = _from_coordinates(*moved, backward[0], *shape)
+    table = _combined(forward, backward, *shape, "csr_minus_csr")
     if targets:
-        table = table - _placed(targets, shape, dim)
+        table = _combined(table, _placed(targets, shape, dim), *shape, "csr_minus_csr")
     return _block_maxima(table, dim, (len(left), len(right)), keep)
 
 
@@ -592,15 +716,16 @@ def commutator_residuals(
     projector P onto the kept states); each (dim,) row gives one table, so
     the result has shape (..., len(left), len(right)).
 
-    Small operators are stacked, and the whole table comes from two scipy
+    Small operators are stacked, and the whole table comes from two sparse
     products: vstack(L) @ hstack(R) holds L_k R_l in block (k, l), and
     vstack(R) @ hstack(L) holds R_l L_k in block (l, k), which is moved to
     block (k, l) by coordinate arithmetic.  Operators with a product of
     more than STACK_LIMIT estimated entries are multiplied pair by pair:
     there stacking saves no call overhead and only adds passes over the
-    data.  scipy forms each entry of a block as the same sum of products,
-    in the same order, as the product of the two operators alone, and the
-    differences are taken as in commutator, so every residual equals
+    data.  The product kernel forms each entry of a block as the same sum
+    of products, in the same order, as the product of the two operators
+    alone, and the differences are taken as in commutator, so every
+    residual equals
     (commutator(L_k, R_l) - T_kl).max_abs(keep) bit for bit.
     """
     targets = targets or {}
@@ -628,14 +753,14 @@ def difference_residuals(
     k holds L_k - R_k entry by entry, so every residual equals
     (L_k - R_k).max_abs(keep) bit for bit.
     """
-    import scipy.sparse as sp
-
     if len(left) != len(right):
         raise ValueError(f"cannot pair {len(left)} left operators with {len(right)} right operators")
     for op in [*left[1:], *right]:
         left[0]._same_basis(op)
-    table = _stack([op.matrix for op in left], sp.vstack) - _stack([op.matrix for op in right], sp.vstack)
-    return _block_maxima(table, left[0].basis.dim, (len(left), 1), keep)[..., 0]
+    dim = left[0].basis.dim
+    stacks = (_vstack([op.arrays for op in ops]) for ops in (left, right))
+    table = _combined(*stacks, len(left) * dim, dim, "csr_minus_csr")
+    return _block_maxima(table, dim, (len(left), 1), keep)[..., 0]
 
 
 def number_operator(basis: FockBasis, mode: ModeKey) -> SparseOperator:

@@ -821,6 +821,28 @@ def test_verify_builds_each_ladder_operator_once(tmp_path, monkeypatch):
     assert calls == {"annihilation": modes, "creation": modes}
 
 
+def test_warm_verify_builds_no_scipy_matrix(tmp_path, monkeypatch):
+    # verify's sparse algebra runs scipy's kernels on the operators' own
+    # arrays; a scipy matrix costs more to build than the kernel does.  The
+    # first pass is left out: it may load and set up what later ones reuse.
+    import scipy.sparse as sp
+    from scipy.sparse import _compressed
+
+    assert cli.main(["verify", "--out", str(tmp_path / "first")]) == 0
+    built, init = [], _compressed._cs_matrix.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(type(self).__name__)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(_compressed._cs_matrix, "__init__", counting)
+    sp.csr_matrix((2, 2))
+    assert built == ["csr_matrix"]  # the count sees a construction
+    built.clear()
+    assert cli.main(["verify", "--out", str(tmp_path / "second")]) == 0
+    assert built == []
+
+
 def test_error_inside_a_check_is_not_reported_as_configuration(tmp_path, monkeypatch):
     from photonfield import fields
 

@@ -1,5 +1,6 @@
 import io
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -13,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import photonfield as pf
-from photonfield import cli, fields, fock
+from photonfield import cli, ensembles, fields, fock
 from photonfield.fields import FieldKind, SpacetimePoint
 from photonfield.fock import BasisMismatchError, LatticeSizeError, float_reprs
 
@@ -493,6 +494,245 @@ def test_sparse_operator_keeps_a_complex_csr():
     assert isinstance(converted, sp.csr_matrix) and converted.dtype == complex
     with pytest.raises(ValueError, match="basis dim"):
         pf.SparseOperator((matrix.data, matrix.indices, matrix.indptr[:-1]), basis)
+
+
+def _raw_operator(basis, rng, nan=False):
+    """Seeded CSR arrays as given: unsorted columns, repeated coordinates, two pairs of entries that cancel to 0."""
+    dim = basis.dim
+    rows, cols = rng.integers(0, dim, size=(2, 3 * dim))
+    data = rng.standard_normal(3 * dim) + 1j * rng.standard_normal(3 * dim)
+    twice = rng.choice(3 * dim, size=6, replace=False)
+    rows, cols = np.r_[rows, rows[twice]], np.r_[cols, cols[twice]]
+    data = np.r_[data, data[twice[:4]], -data[twice[4:]]]
+    if nan:
+        data[rng.integers(len(data))] = np.nan
+    order = np.argsort(rows, kind="stable")
+    indptr = np.searchsorted(rows[order], np.arange(dim + 1)).astype(np.int32)
+    return pf.SparseOperator((data[order], cols[order].astype(np.int32), indptr), basis)
+
+
+def _operator_zoo(basis, seed):
+    """Raw operators (one with a NaN), library operators in canonical form, and an empty operator."""
+    rng = np.random.default_rng(seed)
+    x = SpacetimePoint(r=np.array([0.3, -0.2, 0.15]), t=0.1)
+    empty = (np.zeros(0, dtype=complex), np.zeros(0, dtype=np.int32), np.zeros(basis.dim + 1, dtype=np.int32))
+    return [
+        _raw_operator(basis, rng),
+        _raw_operator(basis, rng, nan=True),
+        pf.annihilation(basis, basis.modes[0]),
+        pf.field(basis, FieldKind.E, x)[0],
+        pf.quadratic_H_from_fields(basis),
+        fock.diagonal_operator(basis, rng.standard_normal(basis.dim)),
+        pf.SparseOperator(empty, basis),
+    ]
+
+
+def _assert_same_csr(arrays, matrix, label):
+    for name, got in zip(("data", "indices", "indptr"), arrays):
+        want = getattr(matrix, name)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (label, name)
+
+
+def _scipy_assemble(dim, rows, cols, data):
+    """The coordinate recipe through scipy's public API: csr_matrix((data, (rows, cols))), then eliminate_zeros()."""
+    keep = data != 0
+    matrix = sp.csr_matrix((data[keep] + 0.0, (rows[keep], cols[keep])), shape=(dim, dim))
+    matrix.eliminate_zeros()
+    return matrix
+
+
+def _scipy_maxima(matrix, keeps):
+    """max |X_ij| over the entries with keep[i] and keep[j], for each keep; 0.0 for none, NaN kept."""
+    coo = matrix.tocoo()
+    return [np.max(np.abs(coo.data[keep[coo.row] & keep[coo.col]]), initial=0.0) for keep in keeps]
+
+
+@pytest.mark.parametrize("seed", [3, 4])
+@pytest.mark.parametrize("fixture", ["standard_basis", "three_mode_basis"])
+def test_sparse_algebra_has_the_bits_of_scipy(request, fixture, seed):
+    """Every sum, product, adjoint, scaling and expectation has the arrays scipy's public API gives on .matrix."""
+    basis = request.getfixturevalue(fixture)
+    ops = _operator_zoo(basis, seed)
+    assert any(np.isnan(op.data).any() for op in ops) and ops[-1].nnz == 0
+    # Repeated coordinates and unsorted columns reach the kernels.
+    assert not ops[0].matrix.has_canonical_format and not ops[0].matrix.has_sorted_indices
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # NaN arithmetic in the scipy oracle
+        for i, a in enumerate(ops):
+            for j, b in enumerate(ops):
+                _assert_same_csr((a @ b).arrays, a.matrix @ b.matrix, ("@", i, j))
+                _assert_same_csr((a - b).arrays, a.matrix - b.matrix, ("-", i, j))
+                _assert_same_csr((a + b).arrays, a.matrix + b.matrix, ("+", i, j))
+            _assert_same_csr(a.dagger().arrays, a.matrix.conj().T.tocsr(), ("dagger", i))
+            for z in (0.5 - 2.0j, -3.0):
+                _assert_same_csr((a * z).arrays, a.matrix * z, ("*", i, z))
+                _assert_same_csr((z * a).arrays, z * a.matrix, ("r*", i, z))
+            z = np.random.default_rng(i).standard_normal((2, basis.dim))
+            state = ensembles.FockState(basis, z[0] + 1j * z[1])
+            c = state.coefficients
+            got, want = ensembles.expectation(a, state), complex(np.vdot(c, a.matrix @ c))
+            assert np.array(got).tobytes() == np.array(want).tobytes(), ("expectation", i)
+    # The first two operators cancel: the sums and the difference store no zero.
+    assert (ops[0] - ops[0]).nnz == 0 and (ops[0] + ops[0] * -1.0).nnz == 0
+
+
+@pytest.mark.parametrize("fixture", ["standard_basis", "three_mode_basis"])
+def test_coordinate_assembly_has_the_bits_of_scipy(request, fixture):
+    """_assemble and ladder_products against csr_matrix((data, (rows, cols))) then eliminate_zeros()."""
+    basis = request.getfixturevalue(fixture)
+    dim, rng = basis.dim, np.random.default_rng(9)
+    # Repeated coordinates out of order, pairs that cancel to 0, explicit zeros, a NaN, and no entry at all.
+    rows, cols = rng.integers(0, dim, size=(2, 4 * dim))
+    data = rng.standard_normal(4 * dim) + 1j * rng.standard_normal(4 * dim)
+    twice = rng.choice(4 * dim, size=8, replace=False)
+    rows, cols, data = np.r_[rows, rows[twice]], np.r_[cols, cols[twice]], np.r_[data, -data[twice]]
+    data[rng.choice(len(data), size=5)] = 0.0
+    data[7] = np.nan
+    for label, keep in (("all", slice(None)), ("none", slice(0))):
+        got = fock._assemble(basis, rows[keep], cols[keep], data[keep])
+        _assert_same_csr(got.arrays, _scipy_assemble(dim, rows[keep], cols[keep], data[keep]), label)
+    size = (2 * basis.n_modes,) * 2
+    for nan in (False, True):
+        w = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+        w[rng.random(size) < 0.4] = 0.0
+        if nan:
+            w[0, -1] = np.nan
+        # The parent recipe: whole table rows as one coordinate list.
+        k, l = np.nonzero(w)
+        mid = basis.target[l]
+        products = w[k, l][:, None] * (basis.amplitude[k[:, None], mid] * basis.amplitude[l])
+        rows, cols = basis.target[k[:, None], mid].ravel(), np.tile(np.arange(dim), len(l))
+        want = _scipy_assemble(dim, rows, cols, products.ravel())
+        _assert_same_csr(fock.ladder_products(basis, w).arrays, want, ("ladder_products", nan))
+
+
+@pytest.mark.parametrize("limit", [0, np.inf], ids=["pair_by_pair", "stacked"])
+@pytest.mark.parametrize("fixture", ["standard_basis", "three_mode_basis"])
+def test_residual_tables_equal_scipy_commutators_and_differences(request, monkeypatch, fixture, limit):
+    basis = request.getfixturevalue(fixture)
+    monkeypatch.setattr(fock, "STACK_LIMIT", limit)
+    ops = _operator_zoo(basis, 5)
+    left, right = ops[:4], [ops[6], ops[1], ops[3], ops[0]]
+    targets = {(0, 0): ops[5], (2, 1): ops[1], (3, 3): ops[4]}
+    safe = fock.safe_states(basis, 1)
+    everything = np.ones(basis.dim, dtype=bool)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        for keep in (None, safe, np.stack([everything, safe])):
+            keeps = [everything] if keep is None else np.reshape(keep, (-1, basis.dim))
+            table = pf.commutator_residuals(left, right, targets, keep)
+            want = np.zeros((len(keeps), len(left), len(right)))
+            for k, l in np.ndindex(len(left), len(right)):
+                residual = left[k].matrix @ right[l].matrix - right[l].matrix @ left[k].matrix
+                if (k, l) in targets:
+                    residual = residual - targets[k, l].matrix
+                want[:, k, l] = _scipy_maxima(residual, keeps)
+            assert np.array_equal(table, want.reshape(table.shape), equal_nan=True), keep
+            if keep is None:
+                assert np.isnan(table[2, 1]) and (table == 0).any() and (table > 0).any()
+            table = fock.difference_residuals(left, right, keep)
+            want = [_scipy_maxima(a.matrix - b.matrix, keeps) for a, b in zip(left, right)]
+            assert np.array_equal(table, np.transpose(want).reshape(table.shape), equal_nan=True), keep
+
+
+def _malformed_arrays(dim):
+    """CSR arrays the kernels cannot read safely, each refused by SparseOperator."""
+    data, indices = np.ones(dim, dtype=complex), np.arange(dim, dtype=np.int32)
+    indptr = np.arange(dim + 1, dtype=np.int32)
+    late, past, short = indptr.copy(), indptr.copy(), indptr.copy()
+    late[0] = 1
+    past[-1] = dim + 10**7
+    short[-1] = -1
+    return {
+        "float data": (data.real, indices, indptr),
+        "int64 indices": (data, indices.astype(np.int64), indptr),
+        "int64 indptr": (data, indices, indptr.astype(np.int64)),
+        "2-D data": (data[:, None], indices, indptr),
+        "2-D indptr": (data, indices, indptr[None, :]),
+        "indptr not from 0": (data, indices, late),
+        "indptr past the entries": (data, indices, past),
+        "negative indptr end": (data, indices, short),
+        "more values than indices": (np.ones(dim + 1, dtype=complex), indices, indptr),
+        "short indptr": (data, indices, indptr[:-1]),
+    }
+
+
+def test_sparse_operator_refuses_arrays_the_kernels_cannot_read(three_mode_basis):
+    dim = three_mode_basis.dim
+    for label, arrays in _malformed_arrays(dim).items():
+        with pytest.raises(ValueError):
+            pf.SparseOperator(arrays, three_mode_basis)
+        # The same arrays put into a scipy matrix after it was built; one
+        # with float data is converted to complex, as any other matrix is.
+        matrix = sp.identity(dim, dtype=complex, format="csr")
+        matrix.data, matrix.indices, matrix.indptr = arrays
+        if label == "float data":
+            assert pf.SparseOperator(matrix, three_mode_basis).data.dtype == complex
+            continue
+        with pytest.raises(ValueError):
+            pf.SparseOperator(matrix, three_mode_basis)
+    # Entries past indptr[-1] are dropped, as scipy's check_format drops them.
+    data, indices, indptr = np.arange(5.0) + 0j, np.arange(5, dtype=np.int32), np.zeros(dim + 1, dtype=np.int32)
+    indptr[1:] = 3
+    op = pf.SparseOperator((data, indices, indptr), three_mode_basis)
+    assert op.nnz == len(op.data) == len(op.indices) == len(op.matrix.data) == 3
+    # The vector kernel reads as many entries as the basis has states.
+    for shape in [(dim - 1,), (dim, 1)]:
+        with pytest.raises(ValueError, match="vector of 27 entries"):
+            op.apply(np.ones(shape))
+
+
+def test_malformed_arrays_never_reach_the_kernels():
+    # Without the constructor's checks an indptr past the stored entries
+    # sends the product kernel reading far outside its arrays.  A fresh
+    # process, so that a crash fails this test alone.
+    code = (
+        "import numpy as np, photonfield as pf\n"
+        "basis = pf.build_basis(pf.LatticeConfig(length=6.0, n_max=3, modes=((1, (0, 0, 1)),)))\n"
+        "indptr = np.array([0, 1, 2, 3, 10**7], dtype=np.int32)\n"
+        "try:\n"
+        "    op = pf.SparseOperator((np.ones(4, dtype=complex), np.arange(4, dtype=np.int32), indptr), basis)\n"
+        "except ValueError:\n"
+        "    print('refused')\n"
+        "else:\n"
+        "    print((op @ op).nnz, (op - op.dagger()).nnz)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(pf.__file__).parent.parent)}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert (done.returncode, done.stdout) == (0, "refused\n"), done.stderr
+
+
+def test_kernels_refuse_to_write_into_the_shared_ladder_patterns(standard_basis):
+    op = pf.creation(standard_basis, standard_basis.modes[1])
+    indices, indptr = op.indices, op.indptr
+    assert not indices.flags.writeable and not indptr.flags.writeable
+    before = indices.copy()
+    kernels = fock._sparsetools()
+    dim = standard_basis.dim
+    with pytest.raises(ValueError, match="read-only"):
+        kernels.csr_sort_indices(dim, indptr, indices, op.data.copy())
+    with pytest.raises(ValueError, match="read-only"):
+        kernels.csr_eliminate_zeros(dim, dim, indptr.copy(), indices, op.data.copy())
+    assert np.array_equal(indices, before)
+
+
+# The compiled kernels fock calls, each named once in fock.py.  They are private
+# to scipy, so a release that renames one fails here, not inside a verify run.
+FOCK_KERNELS = {
+    "coo_tocsr", "csr_eliminate_zeros", "csr_has_sorted_indices", "csr_hstack", "csr_matmat",
+    "csr_matmat_maxnnz", "csr_matvec", "csr_minus_csr", "csr_plus_csr", "csr_sort_indices",
+    "csr_sum_duplicates", "csr_tocsc",
+}
+
+
+def test_every_kernel_fock_calls_exists():
+    from scipy.sparse import _sparsetools
+
+    source = Path(fock.__file__).read_text()
+    called = set(re.findall(r"(?:kernels|_sparsetools\(\))\.(\w+)\(", source))
+    called |= set(re.findall(r'"(csr_\w+_csr)"', source))
+    assert called == FOCK_KERNELS
+    assert not [name for name in sorted(called) if not callable(getattr(_sparsetools, name, None))]
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
