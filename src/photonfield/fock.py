@@ -73,8 +73,8 @@ which costs more than the kernel at these sizes.  vstack is a concatenation.
 SparseOperator.matrix, the scipy CSR over an operator's arrays, is built on
 first read; it is for tests, users and tracing, and nothing in the library
 reads it.  The kernels check the types of their arrays but not their
-lengths or values: SparseOperator's constructor checks the types, shapes
-and lengths, as scipy's own constructor does, but not the index values.
+lengths or index values: SparseOperator's constructor checks all of them,
+as scipy's check_format(full_check=True) does.
 
 Text exports use float_reprs: shortest round-trip reprs, computed once per
 distinct bit pattern of a column.  export_operator reads the CSR arrays:
@@ -90,12 +90,19 @@ load it, nor do ladder_sum, diagonal_operator and diagonal_commutator, which
 write arrays.  expect, vacuum-scan and dump-operator run without scipy: the
 first two build no operator, and every operator dump-operator names is
 written as arrays (ladder_sum or diagonal_operator) and exported from them.
-verify, which multiplies operators, is the one command that loads scipy.
+verify, which multiplies operators, is the one command that loads scipy,
+and it loads only the top-level package and the kernels' own extension
+file (_sparsetools), once per process, not the scipy.sparse package.  The
+scipy.sparse package is imported where a scipy matrix is built or read:
+SparseOperator from a matrix, and SparseOperator.matrix.  If it is already
+imported, its own kernel module is used.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
+from functools import cache
 from typing import IO, TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -330,10 +337,10 @@ class SparseOperator:
     The constructor takes the three arrays, or a scipy matrix, which is
     converted to a complex CSR if it is not one and kept.  It refuses, with
     a ValueError, what the kernels could not read safely and scipy's own
-    constructor refuses without its full check: data that is not complex,
-    indices or indptr that are not int32, arrays that are not 1-D, an indptr
-    that does not fit the basis or does not start at 0, and an indptr[-1]
-    beyond the stored entries.  The index values are not checked.  Entries
+    check_format(full_check=True) refuses: data that is not complex, indices
+    or indptr that are not int32, arrays that are not 1-D, an indptr that
+    does not fit the basis, does not start at 0 or decreases, an indptr[-1]
+    beyond the stored entries, and a column index outside 0..dim-1.  Entries
     past indptr[-1] are dropped.  The arrays are not changed after construction.
     matrix is the scipy CSR over those same arrays, built on first read.
     """
@@ -366,6 +373,13 @@ class SparseOperator:
             )
         if len(data) > nnz:
             data, indices = data[:nnz], indices[:nnz]
+        # The rest of scipy's full check: the kernels index rows by indptr and
+        # columns by indices without bounds.  As uint32, a negative index reads
+        # at least 2**31, so one maximum bounds both ends.
+        if nnz and indices.view(np.uint32).max() >= basis.dim:
+            raise ValueError(f"column indices must lie in 0..{basis.dim - 1}")
+        if (indptr[1:] < indptr[:-1]).any():
+            raise ValueError("indptr must not decrease")
         self.data, self.indices, self.indptr, self.basis = data, indices, indptr, basis
 
     @property
@@ -557,17 +571,42 @@ def _row_indices(indptr: np.ndarray) -> np.ndarray:
     return np.repeat(np.arange(len(indptr) - 1), np.diff(indptr))
 
 
+@cache
 def _sparsetools():
     """scipy's compiled CSR kernels, the ones scipy.sparse's own csr methods call.
 
     Only the array helpers below and SparseOperator.apply call them.  A
     kernel checks the types of its arrays, and refuses to write into a
-    read-only one, but reads lengths from indptr: SparseOperator checks
-    that they fit.
-    """
-    from scipy.sparse import _sparsetools
+    read-only one, but trusts indptr and the index values: SparseOperator
+    checks that they fit.
 
-    return _sparsetools
+    The module is found once per process.  If scipy.sparse is already
+    imported, it is that package's _sparsetools.  Otherwise only the
+    top-level scipy package is imported (it checks the numpy version), and
+    scipy/sparse/_sparsetools*.so is loaded by file, without the rest of
+    scipy.sparse.  The loader registers the module in sys.modules; the
+    entry is removed, or a later import of scipy.sparse would find it there
+    and not bind its own _sparsetools.
+    """
+    package = sys.modules.get("scipy.sparse")
+    if package is not None:
+        return package._sparsetools
+    import importlib.machinery
+    from pathlib import Path
+
+    import scipy
+
+    name, directory = "scipy.sparse._sparsetools", Path(scipy.__file__).parent / "sparse"
+    paths = [directory / f"_sparsetools{suffix}" for suffix in importlib.machinery.EXTENSION_SUFFIXES]
+    path = next((str(path) for path in paths if path.is_file()), None)
+    if path is None:
+        raise ImportError(f"scipy's compiled CSR kernels (_sparsetools) are not in {directory}")
+    loader = importlib.machinery.ExtensionFileLoader(name, path)
+    module = loader.create_module(importlib.machinery.ModuleSpec(name, loader, origin=path))
+    loader.exec_module(module)
+    if sys.modules.get(name) is module:
+        del sys.modules[name]
+    return module
 
 
 def _empty(n_rows: int, nnz: int) -> Csr:

@@ -1,4 +1,5 @@
-"""Fresh interpreters: every command but verify leaves scipy unimported, and verify keeps to one CPU."""
+"""Fresh interpreters: every command but verify leaves scipy unimported, verify loads
+scipy's CSR kernels without the scipy.sparse package, and verify keeps to one CPU."""
 
 import ast
 import json
@@ -46,8 +47,55 @@ def test_dump_operator_does_not_import_scipy(tmp_path, name):
 
 def test_verify_imports_scipy(tmp_path):
     # The positive control: the probe sees scipy where a command does load it.
-    modules = _scipy_modules(tmp_path, "from photonfield import cli\nassert cli.main(['verify', '--out', 'out']) == 0")
-    assert "scipy.sparse" in modules
+    # verify calls scipy's compiled CSR kernels, loaded by fock from their own
+    # file, and imports no module of the scipy.sparse package.
+    snippet = (
+        "from pathlib import Path\n"
+        "from photonfield import cli, fock\n"
+        "assert cli.main(['verify', '--out', 'out']) == 0\n"
+        "assert fock._sparsetools.cache_info().currsize == 1\n"
+        "kernels = Path(fock._sparsetools().__file__)\n"
+        "assert (kernels.parent.name, kernels.name.split('.')[0]) == ('sparse', '_sparsetools'), kernels"
+    )
+    modules = _scipy_modules(tmp_path, snippet)
+    assert "scipy" in modules
+    assert [m for m in modules if m == "scipy.sparse" or m.startswith("scipy.sparse.")] == []
+
+
+# Run in fresh interpreters: fock loads scipy's kernels by file unless
+# scipy.sparse is already imported, and the package must work after that.
+KERNELS_FIRST = """
+import sys
+import numpy as np
+from photonfield import cli, fock
+assert cli.main(["verify", "--out", "first"]) == 0
+assert fock._sparsetools.cache_info().currsize == 1 and "scipy.sparse" not in sys.modules
+import scipy.sparse as sp
+assert callable(sp._sparsetools.csr_matmat)
+config = fock.LatticeConfig(length=5.0, n_max=2, modes=((1, (0, 0, 1)), (-1, (1, 0, 0)), (1, (0, -1, 1))))
+basis, rng = fock.build_basis(config), np.random.default_rng(3)
+x = fock.ladder_sum(basis, rng.normal(size=6) + 1j * rng.normal(size=6))
+y = fock.ladder_products(basis, rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6)))
+for a, b in [(x, y), (y, x), (y, y)]:
+    ours, theirs = fock._product(a.arrays, b.arrays, basis.dim, basis.dim), a.matrix @ b.matrix
+    assert theirs.nnz == len(ours[0]) > 0
+    assert all(mine.tobytes() == arr.tobytes() for mine, arr in zip(ours, (theirs.data, theirs.indices, theirs.indptr)))
+"""
+
+PACKAGE_FIRST = """
+import scipy.sparse as sp
+from photonfield import cli, fock
+assert cli.main(["verify", "--out", "second"]) == 0
+assert fock._sparsetools() is sp._sparsetools
+"""
+
+
+def test_kernels_and_scipy_sparse_in_either_import_order(tmp_path):
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    for code in (KERNELS_FIRST, PACKAGE_FIRST):
+        done = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+    assert (tmp_path / "first/report.json").read_bytes() == (tmp_path / "second/report.json").read_bytes()
 
 
 # Run in a fresh interpreter: one verify pass, then the CPU time of the whole

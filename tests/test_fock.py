@@ -639,10 +639,14 @@ def _malformed_arrays(dim):
     """CSR arrays the kernels cannot read safely, each refused by SparseOperator."""
     data, indices = np.ones(dim, dtype=complex), np.arange(dim, dtype=np.int32)
     indptr = np.arange(dim + 1, dtype=np.int32)
-    late, past, short = indptr.copy(), indptr.copy(), indptr.copy()
+    late, past, short, falling = indptr.copy(), indptr.copy(), indptr.copy(), indptr.copy()
     late[0] = 1
     past[-1] = dim + 10**7
     short[-1] = -1
+    falling[1] = 3
+    wide, negative = indices.copy(), indices.copy()
+    wide[-1] = dim
+    negative[0] = -1
     return {
         "float data": (data.real, indices, indptr),
         "int64 indices": (data, indices.astype(np.int64), indptr),
@@ -654,6 +658,9 @@ def _malformed_arrays(dim):
         "negative indptr end": (data, indices, short),
         "more values than indices": (np.ones(dim + 1, dtype=complex), indices, indptr),
         "short indptr": (data, indices, indptr[:-1]),
+        "decreasing indptr": (data, indices, falling),
+        "index past the basis": (data, wide, indptr),
+        "negative index": (data, negative, indptr),
     }
 
 
@@ -682,16 +689,14 @@ def test_sparse_operator_refuses_arrays_the_kernels_cannot_read(three_mode_basis
             op.apply(np.ones(shape))
 
 
-def test_malformed_arrays_never_reach_the_kernels():
-    # Without the constructor's checks an indptr past the stored entries
-    # sends the product kernel reading far outside its arrays.  A fresh
-    # process, so that a crash fails this test alone.
+def _refused_in_a_fresh_process(indices: str, indptr: str) -> None:
+    # A fresh process, so that a crash fails the calling test alone.
     code = (
         "import numpy as np, photonfield as pf\n"
         "basis = pf.build_basis(pf.LatticeConfig(length=6.0, n_max=3, modes=((1, (0, 0, 1)),)))\n"
-        "indptr = np.array([0, 1, 2, 3, 10**7], dtype=np.int32)\n"
+        f"indices, indptr = np.array({indices}, dtype=np.int32), np.array({indptr}, dtype=np.int32)\n"
         "try:\n"
-        "    op = pf.SparseOperator((np.ones(4, dtype=complex), np.arange(4, dtype=np.int32), indptr), basis)\n"
+        "    op = pf.SparseOperator((np.ones(4, dtype=complex), indices, indptr), basis)\n"
         "except ValueError:\n"
         "    print('refused')\n"
         "else:\n"
@@ -700,6 +705,18 @@ def test_malformed_arrays_never_reach_the_kernels():
     env = {**os.environ, "PYTHONPATH": str(Path(pf.__file__).parent.parent)}
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
     assert (done.returncode, done.stdout) == (0, "refused\n"), done.stderr
+
+
+def test_malformed_arrays_never_reach_the_kernels():
+    # Without the constructor's checks an indptr past the stored entries
+    # sends the product kernel reading far outside its arrays.
+    _refused_in_a_fresh_process("np.arange(4)", "[0, 1, 2, 3, 10**7]")
+
+
+def test_index_past_the_basis_never_reaches_the_kernels():
+    # Without the check of the index values, op @ op on this operator kills
+    # the process with SIGSEGV: the kernels index their work arrays by column.
+    _refused_in_a_fresh_process("[0, 1, 2, 10**7]", "np.arange(5)")
 
 
 def test_kernels_refuse_to_write_into_the_shared_ladder_patterns(standard_basis):
@@ -716,6 +733,19 @@ def test_kernels_refuse_to_write_into_the_shared_ladder_patterns(standard_basis)
     assert np.array_equal(indices, before)
 
 
+def test_missing_kernel_file_names_the_directory_searched(monkeypatch):
+    # Without scipy.sparse imported, fock looks for the kernels' file itself.
+    import importlib.machinery
+
+    import scipy
+
+    monkeypatch.delitem(sys.modules, "scipy.sparse")
+    monkeypatch.setattr(importlib.machinery, "EXTENSION_SUFFIXES", [".missing"])
+    directory = str(Path(scipy.__file__).parent / "sparse")
+    with pytest.raises(ImportError, match=re.escape(directory)):
+        fock._sparsetools.__wrapped__()
+
+
 # The compiled kernels fock calls, each named once in fock.py.  They are private
 # to scipy, so a release that renames one fails here, not inside a verify run.
 FOCK_KERNELS = {
@@ -726,13 +756,18 @@ FOCK_KERNELS = {
 
 
 def test_every_kernel_fock_calls_exists():
-    from scipy.sparse import _sparsetools
+    # fock loads the kernels from scipy's file by name: a scipy that moves
+    # the file fails here too.
+    import scipy
 
+    kernels = fock._sparsetools()
+    path = Path(kernels.__file__)
+    assert path.parent == Path(scipy.__file__).parent / "sparse" and path.name.split(".")[0] == "_sparsetools"
     source = Path(fock.__file__).read_text()
     called = set(re.findall(r"(?:kernels|_sparsetools\(\))\.(\w+)\(", source))
     called |= set(re.findall(r'"(csr_\w+_csr)"', source))
     assert called == FOCK_KERNELS
-    assert not [name for name in sorted(called) if not callable(getattr(_sparsetools, name, None))]
+    assert not [name for name in sorted(called) if not callable(getattr(kernels, name, None))]
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
