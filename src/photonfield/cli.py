@@ -88,9 +88,12 @@ class GridSpec:
 
 SCAN_CUTOFFS = (1, 2, 3, 4)
 # Bounds on the scenario's size fields, refused at parse time.  At the bound,
-# expect on a 12-mode lattice (the most modes NNZ_BUDGET admits) took 0.54 s
-# and 88 MiB (tracemalloc peak), and the scan over cutoffs 1..64 took 0.24 s
-# and 77 MiB; the scan's memory grows as the cube of its largest cutoff.
+# on a 12-mode lattice (the most modes NNZ_BUDGET admits), expect took
+# 0.25-0.45 s with a tracemalloc peak of 4.8 MiB, and the scan over cutoffs
+# 1..64 took 0.13-0.19 s with a peak of 3.2 MiB (2-vCPU x86_64 host, whose
+# speed varies by half from run to run).  Both stream fixed-size blocks
+# (ensembles.GRID_BLOCK, ensembles.SCAN_BLOCK), so their memory stays flat as
+# the grid or the cutoff grows; the bounds limit their run time.
 GRID_SAMPLES_MAX = 1 << 16
 SCAN_CUTOFF_MAX = 64
 
@@ -160,6 +163,10 @@ def _parse_mode_key(data, path: str) -> tuple[int, tuple[int, int, int]]:
         raise ConfigError(f"{path}.s: helicity must be 1 or -1, got {s!r}")
     if not (isinstance(n, list) and len(n) == 3 and all(_is_int(v) for v in n)):
         raise ConfigError(f"{path}.n: lattice momentum must be a list of 3 integers")
+    if any(abs(v) > fock.MODE_COMPONENT_MAX for v in n):
+        raise ConfigError(
+            f"{path}.n: each component must lie in -2**53..2**53 (exact as an int64 and as a float), got {n!r}"
+        )
     return int(s), (n[0], n[1], n[2])
 
 
@@ -701,12 +708,11 @@ def run_expect(scenario: Scenario, out_dir: Path) -> int:
     basis = fock.build_basis(scenario.lattice)
     state = build_state(scenario, basis)
     r, t = scenario.grid.arrays()
-    table = ensembles.mean_field_table(state, scenario.grid.kind, r, t)
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / "grid.csv"
     with path.open("w") as stream:
-        ensembles.write_grid_csv(table, stream)
-    print(f"{len(table)} grid rows -> {path}")
+        ensembles.write_grid_csv(ensembles.mean_field_blocks(state, scenario.grid.kind, r, t), stream)
+    print(f"{len(t)} grid rows -> {path}")
     return 0
 
 

@@ -14,25 +14,37 @@ agree to 1e-10.  The matrix path of a mean field takes <a_m> and
 <a-dagger_m> on the assembled per-mode ladder operators
 (ladder_expectations) and sums them over the mode coefficients
 (ladder_mean_field); verify ties that sum to one assembled field operator
-per kind.  A grid of mean fields is one stacked evaluation
-(mean_field_table) over one amplitude profile, and its CSV formats each
-distinct value of a column once.
+per kind.  A grid of mean fields is a stacked evaluation over one
+amplitude profile: one table (mean_field_table), or GRID_BLOCK coefficient
+entries at a time (mean_field_blocks), with the same bits either way.  Its
+CSV formats each distinct value of a column once per block, and expect
+writes it block by block, so its memory does not grow with the grid.
 
 The vacuum <E^2> is a sum of the per-mode terms fock.dispersion gives: over
 the mode table (vacuum_field_square) or over momentum balls
-(vacuum_field_square_scan), whose totals check_vacuum_scan bounds.
+(vacuum_field_square_scan), whose totals check_vacuum_scan bounds.  The scan
+walks the cube of its largest ball in blocks of whole n_x slabs, at most
+SCAN_BLOCK cube points each, so its memory does not grow with the cube either.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import IO, Iterable, Mapping, Sequence
+from typing import IO, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from .fock import BasisMismatchError, FockBasis, ModeKey, ModeTable, SparseOperator, dispersion, float_reprs, mode_key
 from .fields import FieldKind, SpacetimePoint, field_mode_coefficients, mode_coefficients
+
+# mean_field_blocks evaluates this many mode coefficients of each component
+# (points x modes) at a time.
+GRID_BLOCK = 4096
+# vacuum_field_square_scan takes the momentum cube in blocks of whole n_x
+# slabs, at most this many lattice points each (at least one slab): a scan to
+# cutoff 24, a cube of 49^3 points, is one block.
+SCAN_BLOCK = 1 << 17
 
 
 @dataclass(frozen=True, eq=False)
@@ -186,6 +198,11 @@ def field_expectation_closed_form(
     return _mean_field(coeffs, amplitude_profile(state))
 
 
+def _mean_field_rows(basis: ModeTable, kind: FieldKind, r: np.ndarray, t: np.ndarray, amps: np.ndarray) -> np.ndarray:
+    """(N, 7) rows (t, x, y, z, Fx, Fy, Fz) of the mean field of amplitudes amps at stacked points."""
+    return np.column_stack([t, r, _mean_field(mode_coefficients(basis, kind, r, t), amps)])
+
+
 def mean_field_table(state: FockState, kind: FieldKind, r: np.ndarray, t: np.ndarray) -> np.ndarray:
     """(N, 7) rows (t, x, y, z, Fx, Fy, Fz) of the closed-form mean field.
 
@@ -194,8 +211,21 @@ def mean_field_table(state: FockState, kind: FieldKind, r: np.ndarray, t: np.nda
     coefficients of all points are computed once each; every row equals
     field_expectation_closed_form at its point.
     """
-    means = _mean_field(mode_coefficients(state.basis, kind, r, t), amplitude_profile(state))
-    return np.column_stack([t, r, means])
+    return _mean_field_rows(state.basis, kind, r, t, amplitude_profile(state))
+
+
+def mean_field_blocks(state: FockState, kind: FieldKind, r: np.ndarray, t: np.ndarray) -> Iterator[np.ndarray]:
+    """mean_field_table's rows in blocks of GRID_BLOCK // n_modes points (at least one).
+
+    amplitude_profile runs once, on the first block.  Every coefficient is
+    computed by the same operations as for its point alone, so the blocks
+    stacked equal mean_field_table bit for bit; only one block's
+    coefficients are held at a time.
+    """
+    amps = amplitude_profile(state)
+    size = max(1, GRID_BLOCK // state.basis.n_modes)
+    for start in range(0, len(t), size):
+        yield _mean_field_rows(state.basis, kind, r[start : start + size], t[start : start + size], amps)
 
 
 def expectation_grid(
@@ -217,14 +247,17 @@ GRID_HEADER = "t,x,y,z,Fx,Fy,Fz"
 def write_grid_csv(rows, stream: IO[str]) -> None:
     """CSV with shortest round-trip float formatting (bit-stable output).
 
-    rows is a list of (t, x, y, z, Fx, Fy, Fz) tuples or an (N, 7) array;
-    each column is formatted with fock.float_reprs.
+    rows is one table, a list or tuple of (t, x, y, z, Fx, Fy, Fz) rows or
+    an (N, 7) array, or any other iterable of (n, 7) arrays (as
+    mean_field_blocks yields), written one after another.  Each column of a
+    table is formatted with fock.float_reprs.
     """
     stream.write(GRID_HEADER + "\n")
-    table = np.asarray(rows, dtype=float)
-    if len(table):
-        columns = [float_reprs(column) for column in table.T]
-        stream.writelines(",".join(texts) + "\n" for texts in zip(*columns))
+    for table in (rows,) if isinstance(rows, (list, tuple, np.ndarray)) else rows:
+        table = np.asarray(table, dtype=float)
+        if len(table):
+            columns = [float_reprs(column) for column in table.T]
+            stream.writelines(",".join(texts) + "\n" for texts in zip(*columns))
 
 
 def vacuum_field_square(basis: ModeTable) -> float:
@@ -246,20 +279,43 @@ def vacuum_field_square_scan(
     gives the vacuum <E^2> term of every n in the largest ball, in (nx, ny,
     nz) lexicographic order, and each cutoff's value adds twice that term
     (two helicities) per momentum of its ball, one term after another.
+
+    The cube of the largest ball is taken in blocks of whole n_x slabs
+    (SCAN_BLOCK), in that order, and each cutoff's running total is carried
+    from block to block; a block in which every |n_x| exceeds a cutoff adds
+    nothing to its total and is skipped for it.
     """
     if any(cutoff < 1 for cutoff in cutoffs):
         raise ValueError("cutoffs must be >= 1")
     if not cutoffs:
         return []
-    # Every smaller ball is a subset of the largest in the same order.
     top = max(cutoffs)
-    n = np.indices((2 * top + 1,) * 3, dtype=np.int32).reshape(3, -1).T - top
-    n2 = np.vecdot(n, n)
-    ball = (n2 > 0) & (n2 <= top * top)
-    n, n2 = n[ball], n2[ball]
-    terms = 2.0 * dispersion(n, length, hbar, c)[3]
-    # cumsum adds the terms one after another, as a running total would.
-    return [(cutoff, float(np.cumsum(terms[n2 <= cutoff * cutoff])[-1])) for cutoff in cutoffs]
+    side = np.arange(-top, top + 1, dtype=np.int32)
+    plane = side[:, None] ** 2 + side**2  # n_y^2 + n_z^2 over one slab
+    slabs = max(1, SCAN_BLOCK // plane.size)
+    totals = [0.0] * len(cutoffs)
+    for start in range(0, len(side), slabs):
+        block = side[start : start + slabs]
+        n2, terms = zip(*(_slab_terms(x, plane, top, length, hbar, c) for x in block))
+        # Entry 0 holds a cutoff's total so far, and n2 = 0 keeps it in every
+        # ball: cumsum then adds the block's terms to it one after another, as
+        # a running total over the whole ball would.
+        n2 = np.concatenate([[0], *n2], dtype=np.int32)
+        terms = np.concatenate([[0.0], *terms])
+        nearest = np.abs(block).min()
+        for i, cutoff in enumerate(cutoffs):
+            if nearest <= cutoff:
+                terms[0] = totals[i]
+                totals[i] = float(np.cumsum(terms[n2 <= cutoff * cutoff])[-1])
+    return list(zip(cutoffs, totals))
+
+
+def _slab_terms(x, plane: np.ndarray, top: int, length: float, hbar: float, c: float) -> tuple[np.ndarray, np.ndarray]:
+    """|n|^2 and twice the vacuum <E^2> term of each n with n_x = x in the ball |n| <= top, in (n_y, n_z) order."""
+    n2 = x * x + plane
+    ny, nz = np.nonzero((n2 > 0) & (n2 <= top * top))
+    n = np.stack([np.full(len(ny), x), ny - top, nz - top], axis=1)
+    return n2[ny, nz], 2.0 * dispersion(n, length, hbar, c)[3]
 
 
 def check_vacuum_scan(length: float, hbar: float, c: float, cutoffs: Sequence[int]) -> None:

@@ -80,9 +80,11 @@ Text exports use float_reprs: shortest round-trip reprs, computed once per
 distinct bit pattern of a column.  export_operator reads the CSR arrays:
 in canonical format (strictly increasing columns in each row, which it
 checks in numpy) their storage order is row-major; any other operator is
-sorted from its coordinate list.  Row and column labels come from one str
-table per call, and lines are joined and written EXPORT_CHUNK at a time,
-so no whole-file string is held.
+sorted row by row.  It works EXPORT_CHUNK entries at a time: the
+canonical check, the row of each entry (from the indptr of the rows the
+chunk spans), the label lookups in one str table per call, float_reprs of
+re and im, and the joined lines.  So it holds no whole-operator column;
+only a non-canonical operator is sorted whole first.
 
 scipy is imported only where the kernels are called or a scipy matrix is
 built, so importing this module, the mode table and the Fock basis never
@@ -121,7 +123,12 @@ NNZ_BUDGET = 200000
 # commutator_residuals stacks operators whose products hold at most this
 # many entries (estimated as nnz(L) nnz(R) / dim).
 STACK_LIMIT = 1 << 14
-# export_operator joins and writes this many lines at a time.
+# Largest |component| of a mode momentum n.  Every integer up to 2**53 is
+# exact as a float as well as an int64, so n stays an exact int64 array and
+# p = (2 pi hbar / L) n rounds once.  Past 2**63 the momenta would make an
+# object array, on which numpy's ufuncs fail.
+MODE_COMPONENT_MAX = 2**53
+# export_operator reads, formats and writes this many entries at a time.
 EXPORT_CHUNK = 4096
 
 
@@ -174,6 +181,8 @@ class LatticeConfig:
                 raise ValueError(f"helicity must be +1 or -1, got {s}")
             if len(n) != 3:
                 raise ValueError(f"lattice momentum must be a 3-vector, got {n}")
+            if any(abs(v) > MODE_COMPONENT_MAX for v in n):
+                raise ValueError(f"lattice momentum components must lie in -2**53..2**53, got {n}")
             if n == (0, 0, 0):
                 raise ValueError("zero-momentum mode is excluded (omega = 0)")
         if len(set(norm_modes)) != len(norm_modes):
@@ -847,16 +856,36 @@ def export_operator(op: SparseOperator, stream: IO[str]) -> None:
     stored nonzero, sorted row-major.  Floats use shortest round-trip
     decimal formatting, so the output is bit-exact across runs.
     """
-    basis = op.basis
-    rows, cols, data = _row_indices(op.indptr), op.indices, op.data
-    if np.any(np.diff(rows * basis.dim + cols) <= 0):
-        # Not canonical (a row's columns do not strictly increase): sort the
-        # coordinate list, keeping repeated coordinates in storage order.
-        order = np.lexsort((cols, rows))
-        rows, cols, data = rows[order], cols[order], data[order]
+    basis, indptr, cols, data = op.basis, op.indptr, op.indices, op.data
+    if not _canonical(indptr, cols):
+        # A row's columns do not strictly increase: sort each row by column,
+        # keeping repeated coordinates in storage order.  Every entry stays
+        # in its row, so indptr still holds.
+        order = np.lexsort((cols, _row_indices(indptr)))
+        cols, data = cols[order], data[order]
     labels = np.array(list(map(str, range(basis.dim))), dtype=object)
-    columns = (labels[rows].tolist(), labels[cols].tolist(), float_reprs(data.real), float_reprs(data.imag))
     stream.write(f"{basis.dim} {basis.n_modes} {basis.n_max}\n")
-    for start in range(0, len(data), EXPORT_CHUNK):
-        chunk = (column[start : start + EXPORT_CHUNK] for column in columns)
-        stream.write("\n".join(map(" ".join, zip(*chunk))) + "\n")
+    for start in range(0, len(cols), EXPORT_CHUNK):
+        stop = start + EXPORT_CHUNK
+        rows, part = _chunk_rows(indptr, start, stop), data[start:stop]
+        columns = (labels[rows].tolist(), labels[cols[start:stop]].tolist(), float_reprs(part.real), float_reprs(part.imag))
+        stream.write("\n".join(map(" ".join, zip(*columns))) + "\n")
+
+
+def _chunk_rows(indptr: np.ndarray, start: int, stop: int) -> np.ndarray:
+    """Row of each stored entry from start up to stop (or the last entry), read from the rows they span."""
+    first, last = np.searchsorted(indptr, [start, min(stop, indptr[-1]) - 1], side="right") - 1
+    return first + _row_indices(np.clip(indptr[first : last + 2], start, stop))
+
+
+def _canonical(indptr: np.ndarray, cols: np.ndarray) -> bool:
+    """True when the columns strictly increase inside each row, read EXPORT_CHUNK entries at a time."""
+    # starts[e]: a row starts at entry e, where its column may be the smaller.
+    starts = np.zeros(len(cols) + 1, dtype=bool)
+    starts[indptr] = True
+    for start in range(1, len(cols), EXPORT_CHUNK):
+        # Entry start is compared with the entry before it, the last of the previous chunk.
+        stop = min(start + EXPORT_CHUNK, len(cols))
+        if np.any((np.diff(cols[start - 1 : stop]) <= 0) & ~starts[start:stop]):
+            return False
+    return True

@@ -89,6 +89,68 @@ def test_bad_vacuum_scan_cutoffs_rejected(tmp_path, capsys, cutoffs):
     assert "scenario.vacuum_scan.cutoffs" in capsys.readouterr().err
 
 
+COMMANDS = (["verify"], ["expect"], ["vacuum-scan"], ["dump-operator", "--operator", "H"])
+
+
+@pytest.mark.parametrize("argv", COMMANDS, ids=lambda argv: argv[0])
+@pytest.mark.parametrize("n", [[10**20, 0, -1], [0, -(2**64), 1], [2**53 + 1, 0, 0]], ids=["1e20", "-2^64", "2^53+1"])
+def test_huge_mode_momentum_exits_2_with_its_path(tmp_path, capsys, argv, n):
+    # Such a momentum once passed the parser and ended every command in a
+    # numpy UFuncTypeError on an object array.
+    data = default_data()
+    data["lattice"]["modes"][1]["n"] = n
+    config = write_scenario(tmp_path, data)
+    assert cli.main([*argv, "--config", config, "--out", str(tmp_path / "o")]) == 2
+    captured = capsys.readouterr()
+    assert "scenario.lattice.modes[1].n" in captured.err and "2**53" in captured.err
+    assert captured.out == "" and not (tmp_path / "o").exists()
+
+
+def bounds_data():
+    """The built-in scenario on the 12 axis modes (n_max = 1, dim 4096), grid and scan at their size bounds."""
+    data = default_data()
+    axes = ([1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0], [0, 0, 1], [0, 0, -1])
+    data["lattice"]["n_max"] = 1
+    data["lattice"]["modes"] = [{"s": s, "n": n} for n in axes for s in (1, -1)]
+    data["state"]["cap"] = 1
+    data["grid"]["samples"] = cli.GRID_SAMPLES_MAX
+    data["vacuum_scan"] = {"cutoffs": list(range(1, cli.SCAN_CUTOFF_MAX + 1))}
+    return data
+
+
+# Budgets for the tracemalloc peaks at the size bounds.  Before the emitters
+# streamed their output in fixed-size blocks, the peaks were 87.7, 60.7 and
+# 5.2 MiB; with the blocks they are about 4.8, 3.2 and 3.5 MiB.
+EMITTER_BUDGETS_MIB = {"expect": 8.0, "vacuum-scan": 4.0, "dump-operator": 5.0}
+
+
+def test_emitters_stay_within_their_memory_budgets_at_the_size_bounds(tmp_path, capsys):
+    import tracemalloc
+
+    config = write_scenario(tmp_path, bounds_data())
+    peaks = {}
+    for command, budget in EMITTER_BUDGETS_MIB.items():
+        argv = [command, "--config", config, "--out", str(tmp_path / command)]
+        if command == "dump-operator":
+            argv += ["--operator", "Ex@0.3,-0.2,0.15,0.1"]
+        tracemalloc.start()
+        try:
+            assert cli.main(argv) == 0
+            peaks[command] = tracemalloc.get_traced_memory()[1] / 2**20
+        finally:
+            tracemalloc.stop()
+    assert all(peaks[command] < budget for command, budget in EMITTER_BUDGETS_MIB.items()), peaks
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:2] == [f"{cli.GRID_SAMPLES_MAX} grid rows -> {tmp_path / 'expect' / 'grid.csv'}",
+                         f"{cli.SCAN_CUTOFF_MAX} scan rows -> {tmp_path / 'vacuum-scan' / 'vacuum_scan.csv'}"]
+
+
+def test_mode_momentum_at_2_to_53_is_parsed():
+    data = default_data()
+    data["lattice"]["modes"][1]["n"] = [2**53, 0, -(2**53)]
+    assert cli.parse_scenario(data).lattice.modes[1] == (-1, (2**53, 0, -(2**53)))
+
+
 def test_single_helicity_commutator_scenario_exits_2(tmp_path, capsys):
     data = default_data()
     data["lattice"]["modes"] = [{"s": 1, "n": [0, 0, 1]}, {"s": 1, "n": [0, 0, -1]}]
@@ -241,6 +303,34 @@ def test_expect_grid_equals_pointwise_rows_written_per_value(tmp_path):
     expected = io.StringIO()
     oracles.grid_csv_oracle(rows, expected)
     assert (out / "grid.csv").read_text() == expected.getvalue()
+
+
+@pytest.mark.parametrize("grid_block", [None, 3, 8])
+@pytest.mark.parametrize("offset", [-1, 0, 1], ids=["below", "at", "above"])
+def test_expect_writes_block_edges_like_one_table(tmp_path, monkeypatch, grid_block, offset):
+    # The grid is evaluated and written GRID_BLOCK // n_modes points at a time
+    # (at least one); around a block edge its bytes are those of one whole
+    # mean_field_table written value by value, from one amplitude profile.
+    import io
+
+    from photonfield import ensembles, fock
+
+    if grid_block is not None:
+        monkeypatch.setattr(ensembles, "GRID_BLOCK", grid_block)
+    data = default_data()
+    block = max(1, ensembles.GRID_BLOCK // len(data["lattice"]["modes"]))
+    data["grid"]["samples"] = 2 * block + offset
+    scenario = cli.parse_scenario(data)
+    state = cli.build_state(scenario, fock.build_basis(scenario.lattice))
+    expected = io.StringIO()
+    oracles.grid_csv_oracle(ensembles.mean_field_table(state, FieldKind.E, *scenario.grid.arrays()), expected)
+    profiles = []
+    profile = ensembles.amplitude_profile
+    monkeypatch.setattr(ensembles, "amplitude_profile", lambda state: profiles.append(state) or profile(state))
+    out = tmp_path / "out"
+    assert cli.main(["expect", "--config", write_scenario(tmp_path, data), "--out", str(out)]) == 0
+    assert (out / "grid.csv").read_text() == expected.getvalue()
+    assert len(profiles) == 1
 
 
 @pytest.mark.parametrize("where,value", [("t_stop", float("inf")), ("r", [0.0, float("nan"), 0.0])])

@@ -328,6 +328,21 @@ def test_vacuum_scan_matches_running_total_oracle(length, hbar, c):
         assert value == oracles.vacuum_scan_oracle(length, hbar, c, cutoff)
 
 
+# Cutoff 4 is a cube of 9 slabs of 81 points: blocks of 1, 4 (4 + 4 + 1, one
+# slab above an edge), 3 (three whole blocks), 5 (5 + 4, one slab below an
+# edge) and 9 or more slabs (one block).
+@pytest.mark.parametrize("slabs", [1, 4, 3, 5, 9, None])
+def test_vacuum_scan_blocks_match_the_running_total_oracle(monkeypatch, slabs):
+    from photonfield import ensembles
+
+    if slabs is not None:
+        monkeypatch.setattr(ensembles, "SCAN_BLOCK", 81 * slabs + 80)
+    length, hbar, c = 5.0, 0.7, 1.3
+    cutoffs = (3, 1, 4, 2, 4)  # out of order, with a repeat
+    rows = pf.vacuum_field_square_scan(length, hbar, c, cutoffs)
+    assert rows == [(cutoff, oracles.vacuum_scan_oracle(length, hbar, c, cutoff)) for cutoff in cutoffs]
+
+
 def test_expectation_grid_rows_equal_pointwise_closed_form(coherent_state, monkeypatch):
     from photonfield import ensembles
 
@@ -357,6 +372,8 @@ def test_grid_csv_matches_per_value_oracle():
     assert ",-0.0," in expected
     assert _grid_text(rows, pf.write_grid_csv) == expected
     assert _grid_text(table, pf.write_grid_csv) == expected
+    # Blocks, as expect writes them, with an empty one among them.
+    assert _grid_text(iter(np.array_split(table, [0, 7, 7, 30])), pf.write_grid_csv) == expected
 
 
 def test_grid_csv_empty_matches_oracle(standard_basis):

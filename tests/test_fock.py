@@ -135,6 +135,21 @@ def test_mode_keys_accept_numpy_integers(standard_basis):
     assert all(type(v) is int for v in (config.modes[0][0], *config.modes[0][1]))
 
 
+@pytest.mark.parametrize("component", [10**20, -(2**64), 2**53 + 1, -(2**53) - 1])
+def test_lattice_config_refuses_momentum_components_beyond_2_to_53(component):
+    # Beyond 2**53 a component is not exact as a float, and beyond 2**63 the
+    # momenta make an object array that numpy's ufuncs refuse.
+    with pytest.raises(ValueError, match=re.escape("-2**53..2**53")):
+        small_config(modes=((1, (component, 0, -1)),))
+
+
+def test_lattice_config_accepts_momentum_components_at_2_to_53():
+    for component in (2**53, -(2**53), np.int64(2**53)):
+        config = small_config(modes=((1, (component, 0, -1)),), n_max=1)
+        assert config.modes[0][1][0] == int(component)
+        assert pf.build_basis(config).n.dtype == np.int64
+
+
 def test_creation_ladder_factor():
     basis = pf.build_basis(small_config())
     adag = pf.creation(basis, basis.modes[0])
@@ -1108,6 +1123,49 @@ def test_export_spans_write_chunks_like_the_oracle(standard_basis, monkeypatch, 
     if chunk is not None:
         monkeypatch.setattr(fock, "EXPORT_CHUNK", count if chunk == "nnz" else chunk)
     assert _export_text(op, pf.export_operator) == _export_text(op, oracles.export_operator_oracle)
+
+
+@pytest.mark.parametrize("offset", [-1, 0, 1], ids=["below", "at", "above"])
+def test_export_block_edges_like_the_oracle(standard_basis, offset):
+    # Canonical and sorted operators of EXPORT_CHUNK - 1, EXPORT_CHUNK and
+    # EXPORT_CHUNK + 1 entries: the canonical check, the row lookup and the
+    # formatting run one chunk at a time.
+    dim, count = standard_basis.dim, fock.EXPORT_CHUNK + offset
+    rng = np.random.default_rng(14)
+    index = np.sort(rng.choice(dim**2, size=count, replace=False))
+    rows, cols = np.divmod(index, dim)
+    data = rng.standard_normal(count) + 1j * rng.choice([0.0, -0.0, 0.5], count)
+    indptr = np.searchsorted(rows, np.arange(dim + 1)).astype(np.int32)
+    canonical = pf.SparseOperator((data, cols.astype(np.int32), indptr), standard_basis)
+    # Reversing the columns inside every row keeps the rows and makes the
+    # operator non-canonical: it takes the sorted path.
+    flipped = np.concatenate([cols[a:b][::-1] for a, b in zip(indptr[:-1], indptr[1:])]).astype(np.int32)
+    reversed_rows = pf.SparseOperator((data, flipped, indptr), standard_basis)
+    assert not reversed_rows.matrix.has_canonical_format
+    for op in (canonical, reversed_rows):
+        text = _export_text(op, pf.export_operator)
+        assert len(text.splitlines()) == 1 + count
+        assert text == _export_text(op, oracles.export_operator_oracle)
+
+
+@pytest.mark.parametrize("swap", [0, 1], ids=["entries_chunk-1_chunk", "entries_chunk_chunk+1"])
+def test_export_sees_a_column_order_broken_only_at_a_chunk_edge(standard_basis, swap):
+    # Two neighbouring entries of one row at a chunk edge are the only ones
+    # out of order: every chunk that does not hold both is canonical.
+    dim, chunk = standard_basis.dim, fock.EXPORT_CHUNK
+    rows = np.repeat(np.arange(dim), dim)[5 : chunk + 7]
+    cols = np.tile(np.arange(dim), dim)[5 : chunk + 7].astype(np.int32)
+    a, b = chunk - 1 + swap, chunk + swap
+    assert rows[a] == rows[b]
+    cols[[a, b]] = cols[[b, a]]
+    indptr = np.searchsorted(rows, np.arange(dim + 1)).astype(np.int32)
+    op = pf.SparseOperator((np.arange(1, chunk + 3) * (1 - 0.5j), cols, indptr), standard_basis)
+    text = _export_text(op, pf.export_operator)
+    assert text == _export_text(op, oracles.export_operator_oracle)
+    assert text.splitlines()[a + 1 : b + 2] == [
+        f"{rows[a]} {cols[b]} {float(b + 1)!r} {-(b + 1) / 2!r}",
+        f"{rows[a]} {cols[a]} {float(a + 1)!r} {-(a + 1) / 2!r}",
+    ]
 
 
 def test_symmetry_flags(standard_basis):
