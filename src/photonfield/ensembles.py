@@ -35,7 +35,17 @@ from typing import IO, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .fock import BasisMismatchError, FockBasis, ModeKey, ModeTable, SparseOperator, dispersion, float_reprs, mode_key
+from .fock import (
+    BasisMismatchError,
+    FockBasis,
+    ModeKey,
+    ModeTable,
+    SparseOperator,
+    dispersion,
+    float_reprs,
+    lowering_expectations,
+    mode_key,
+)
 from .fields import FieldKind, SpacetimePoint, field_mode_coefficients, mode_coefficients
 
 # mean_field_blocks evaluates this many mode coefficients of each component
@@ -169,16 +179,11 @@ def ladder_mean_field(coeffs: np.ndarray, means: np.ndarray) -> np.ndarray:
 def amplitude_profile(state: FockState) -> np.ndarray:
     """<a_m> for every mode, a complex (n_modes,) array in mode order.
 
-    <a_m> = sum_s conj(C[target]) C[s] amplitude over the live entries of
-    row m of the basis's ladder table (a_m |s> = amplitude |target>,
-    amplitude > 0); this is the coefficient-weighted form and agrees with
-    the matrix expectation.
+    The coefficient-weighted form sum_s conj(C[s - strides[m]]) C[s]
+    sqrt(n_m(s)) (fock.lowering_expectations), which agrees with the matrix
+    expectation.
     """
-    basis, c = state.basis, state.coefficients
-    amplitude = basis.amplitude[: basis.n_modes]
-    live = amplitude > 0
-    terms = np.conj(c[basis.target[: basis.n_modes][live]]) * c[np.nonzero(live)[1]] * amplitude[live]
-    return np.sum(terms.reshape(basis.n_modes, -1), axis=1)
+    return lowering_expectations(state.basis, state.coefficients)
 
 
 def _mean_field(coeffs: np.ndarray, amps: np.ndarray) -> np.ndarray:

@@ -194,9 +194,10 @@ def observable_diagonals(basis: FockBasis) -> tuple[np.ndarray, np.ndarray, np.n
     """Diagonals of H, P and S in the occupation basis, shapes (dim,), (3, dim) and (3, dim).
 
     Each is the occupancy table times a per-mode value: hbar omega, the
-    components of p and the components of the spin.
+    components of p and the components of the spin.  The table is derived
+    as floats, the type the products take it in.
     """
-    occ = basis.occupancy_table()
+    occ = basis.occupancy_table(float)
     return (
         occ @ (basis.config.hbar * basis.omega),
         np.stack([occ @ basis.p[:, i] for i in range(3)]),
@@ -291,8 +292,8 @@ def _stored_values(basis: ModeTable, coeffs: np.ndarray) -> np.ndarray:
 
     coeffs (..., n_modes, C) give (..., C, n_modes, n_max): c_m sqrt(k) for
     k = 1..n_max.  Each entry of a_m that an operator on a FockBasis stores
-    has the magnitude of one of these, bit for bit, and every k occurs (the
-    ladder table holds sqrt(k) at occupancy k); the a-dagger side holds their
+    has the magnitude of one of these, bit for bit, and every k occurs (a_m
+    takes sqrt(k) from occupancy k); the a-dagger side holds their
     conjugates.  So a maximum over them is the maximum over the stored entries.
     """
     return np.swapaxes(coeffs, -1, -2)[..., None] * np.sqrt(np.arange(1, basis.config.n_max + 1), dtype=float)

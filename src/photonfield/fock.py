@@ -25,24 +25,27 @@ subspaces whose occupancies stay below the cap.
 Operators are coefficient arrays over the ladder operators L = (a_1..a_n,
 a-dagger_1..a-dagger_n): linear forms sum_k w_k L_k (ladder_sum) and
 quadratic forms sum_kl w_kl L_k L_l (ladder_products), each assembled in one
-pass from the basis's ladder table, the one place that says how they act:
-L_k |s> = amplitude[k, s] |target[k, s]>, so a_j |s> = sqrt(occ_j)
-|s - strides[j]> and a-dagger_j |s> = sqrt(occ_j + 1) |s + strides[j]>,
-with amplitude 0 and target s where L_k annihilates s.  The CSR pattern of
-a linear form depends only on which weights are nonzero, its live table
-rows: _linear_pattern builds it once per live set from the live entries
-(those of positive amplitude) and keeps it on the basis, and each form's
-data is one gather of its weights times the stored amplitudes.  Quadratic
-forms read whole table rows: an annihilated state gives a zero entry, which
-is not stored.  ensembles.amplitude_profile selects the live entries too
-(the same count in every row), since zeros in its sums would change how
-numpy groups them.
+pass.  The basis stores nothing per state: a state's index is a number in
+base n_max + 1 whose digits are its occupancies (FockBasis._digits), and
+_ladder_rows, the one place that says how the ladder operators act, derives
+what a call reads from the strides: L_k |s> = amplitude |target>, so a_j |s>
+= sqrt(occ_j) |s - strides[j]> and a-dagger_j |s> = sqrt(occ_j + 1) |s +
+strides[j]>, with amplitude 0 and target s where L_k annihilates s.  The CSR
+pattern of a linear form depends only on which weights are nonzero, its
+live ladder operators: _linear_pattern derives their rows once per live set,
+keeps the live entries (those of positive amplitude) on the basis, and each
+form's data is one gather of its weights times the stored amplitudes.
+Quadratic forms derive the rows of their nonzero pairs: an annihilated
+state gives a zero entry, which is not stored.  <a_m> of a state vector
+(lowering_expectations) reads the vector reshaped to (-1, n_max + 1,
+strides[m]) and sums only the live terms (the same count for every mode),
+since zeros in its sums would change how numpy groups them.
 
 SparseOperator holds the three arrays (data, indices, indptr) of a complex
 CSR matrix, and its constructor takes either the arrays or a scipy matrix.
 Linear forms (on their cached pattern) and diagonal_operator (identity, the
 number operators, safe_projector) write their CSR arrays directly; zero
-entries are not stored: row t of L_k is row t of the table row of its
+entries are not stored: row t of L_k is row t of the ladder row of its
 transpose (a_j and a-dagger_j are transposes of each other), and in the
 order a-dagger_1..a-dagger_n, a_n..a_1 the columns of every row increase.
 Only quadratic forms, whose entries really add up, go through a coordinate
@@ -73,8 +76,11 @@ which costs more than the kernel at these sizes.  vstack is a concatenation.
 SparseOperator.matrix, the scipy CSR over an operator's arrays, is built on
 first read; it is for tests, users and tracing, and nothing in the library
 reads it.  The kernels check the types of their arrays but not their
-lengths or index values: SparseOperator's constructor checks all of them,
-as scipy's check_format(full_check=True) does.
+lengths or index values: SparseOperator's constructor checks an operator's
+arrays, as scipy's check_format(full_check=True) does, and every other
+kernel call goes through one check (_kernel) of the arrays it reads and the
+room of those it writes, so that a wrong size or offset in a helper raises a
+RuntimeError instead of ending the process in a signal.
 
 Text exports use float_reprs: shortest round-trip reprs, computed once per
 distinct bit pattern of a column.  export_operator reads the CSR arrays:
@@ -278,7 +284,9 @@ class FockBasis(ModeTable):
     Basis states are ordered lexicographically in the occupancy tuple with
     the first mode most significant: for two modes with n_max = 1 the
     order is (0,0), (0,1), (1,0), (1,1).  This ordering is part of the
-    on-disk operator export contract.
+    on-disk operator export contract.  The basis keeps n_max, dim and the
+    strides of that ordering, and no table per state: occupancies and
+    ladder rows are derived from the strides where they are read.
     """
 
     def __init__(self, config: LatticeConfig):
@@ -290,13 +298,13 @@ class FockBasis(ModeTable):
                 f"basis dimension {local}^{n_modes} = {dim} exceeds the guard "
                 f"{DIM_GUARD}; reduce the mode count or n_max"
             )
-        # The basis holds the ladder table, two arrays (target, amplitude) of
-        # exactly 2 n_modes x dim entries; an assembled field operator stores
-        # at most that many nonzeros.
-        table_size = 2 * n_modes * dim
-        if table_size > NNZ_BUDGET:
+        # A linear form sum_k w_k L_k, a field operator for one, stores at
+        # most 2 n_modes entries per basis state: the budget bounds the
+        # operators, as nothing per state is kept on the basis.
+        entries = 2 * n_modes * dim
+        if entries > NNZ_BUDGET:
             raise LatticeSizeError(
-                f"the ladder table of 2 x {n_modes} modes x dim {dim} = {table_size} entries "
+                f"operators of up to 2 x {n_modes} modes x dim {dim} = {entries} entries "
                 f"exceed the budget {NNZ_BUDGET}; reduce the mode count or n_max"
             )
         super().__init__(config)
@@ -305,31 +313,25 @@ class FockBasis(ModeTable):
         # strides[j] = local^(n_modes - 1 - j): index increment for one
         # quantum in mode j under the lexicographic ordering.
         self.strides = tuple(local ** (self.n_modes - 1 - j) for j in range(self.n_modes))
-        occ = np.unravel_index(np.arange(dim), (local,) * self.n_modes)
-        self._occupancies = np.stack(occ, axis=1)  # shape (dim, n_modes)
-        # Ladder table, row k = L_k in the order a_1..a_n, a-dagger_1..a-dagger_n:
-        # L_k |s> = amplitude[k, s] |target[k, s]>, amplitude 0 and target s
-        # where L_k annihilates s.  Shape (2 n_modes, dim) each.
-        by_mode, states = np.stack(occ).astype(np.int32), np.arange(dim, dtype=np.int32)
-        step = np.asarray(self.strides, dtype=np.int32)[:, None]
-        up = by_mode < self.n_max
-        self.target = np.concatenate([states - step * (by_mode > 0), states + step * up])
-        self.amplitude = np.sqrt(np.concatenate([by_mode, (by_mode + 1) * up]), dtype=float)
-        # The operators hand these targets to scipy's kernels as CSR indices,
-        # which they do not check: an index outside the basis would crash them.  A
-        # bad one is a bug here, not a bad scenario, so it is no ValueError.
-        if not (self.target.min() >= 0 and self.target.max() < dim):
-            raise RuntimeError(f"ladder targets must lie in 0..{dim - 1}; the basis index arithmetic is wrong")
-        self.target.setflags(write=False)
-        self.amplitude.setflags(write=False)
-        # CSR pattern of sum_k w_k L_k for each set of live table rows (_linear_pattern).
+        # CSR pattern of sum_k w_k L_k for each set of live ladder operators (_linear_pattern).
         self._linear_patterns: dict[bytes, tuple[np.ndarray, ...]] = {}
 
     # -- index bookkeeping -------------------------------------------------
 
-    def occupancy_table(self) -> np.ndarray:
-        """(dim, n_modes) array of occupancies, row i = basis state i."""
-        return self._occupancies
+    def occupancy_table(self, dtype=np.int64) -> np.ndarray:
+        """(dim, n_modes) C-ordered array of occupancies, row i = basis state i, derived on each call (_digits)."""
+        return np.ascontiguousarray(self._digits().T, dtype=dtype)
+
+    def _digits(self, modes=None) -> np.ndarray:
+        """int32 occupancies, row i = mode modes[i] (every mode by default) in every basis state.
+
+        The occupancies of state s are its digits in base n_max + 1: n_j =
+        (s // strides[j]) mod (n_max + 1).
+        """
+        strides = np.asarray(self.strides, dtype=np.int32)
+        if modes is not None:
+            strides = strides[modes]
+        return np.arange(self.dim, dtype=np.int32) // strides[:, None] % np.int32(self.n_max + 1)
 
     def index(self, occupancies: Sequence[int]) -> int:
         occ = tuple(_integer(v) for v in occupancies)
@@ -447,6 +449,8 @@ class SparseOperator:
         if vector.shape != (dim,):
             raise ValueError(f"expected a vector of {dim} entries, got shape {vector.shape}")
         out = np.zeros(dim, dtype=complex)
+        # The constructor has checked the operator's arrays, and the vector
+        # length is checked above: nothing is left for _kernel to check.
         _sparsetools().csr_matvec(dim, dim, self.indptr, self.indices, self.data, vector, out)
         return out
 
@@ -490,6 +494,45 @@ def _assemble(basis: FockBasis, rows, cols, data) -> SparseOperator:
     return SparseOperator(_from_coordinates(rows[keep], cols[keep], data[keep] + 0.0, basis.dim, basis.dim), basis)
 
 
+def _ladder_amplitudes(quanta: np.ndarray) -> np.ndarray:
+    """sqrt(quanta) as floats: the amplitude of a ladder step that counts this many quanta.
+
+    a takes sqrt(n) from a state with n quanta in its mode, a-dagger sqrt(n
+    + 1); 0 quanta is a step that annihilates the state.
+    """
+    return np.sqrt(quanta, dtype=float)
+
+
+def _ladder_rows(
+    basis: FockBasis, ladder: np.ndarray, states: np.ndarray, occupancy: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """(target, amplitude) of the ladder operators L_k, k in ladder, on basis states.
+
+    L_k |s> = amplitude[i, t] |target[i, t]> for k = ladder[i] and s =
+    states[i, t], in the order L = (a_1..a_n, a-dagger_1..a-dagger_n).
+    states is an int32 array of len(ladder) rows and occupancy the quanta n
+    in L_k's mode j of each of those states (every basis state in order
+    and basis._digits(ladder % n_modes), for instance).  a_j moves s to s -
+    strides[j] with amplitude sqrt(n), and a-dagger_j to s + strides[j] with
+    sqrt(n + 1); where L_k annihilates s (n = 0 for a_j, n = n_max for
+    a-dagger_j), the amplitude is 0 and the target s.  Derived on each
+    call; target is int32.
+    """
+    ladder = np.asarray(ladder, dtype=np.intp)
+    modes, raising = ladder % basis.n_modes, (ladder >= basis.n_modes)[:, None]
+    quanta = occupancy + raising
+    quanta *= quanta <= basis.n_max
+    amplitude = _ladder_amplitudes(quanta)
+    stride = np.asarray(basis.strides, dtype=np.int32)[modes][:, None]
+    target = states + np.where(raising, stride, -stride) * (quanta > 0)
+    # The operators hand these targets to scipy's kernels as CSR indices:
+    # one outside the basis is a bug in the index arithmetic, not a bad
+    # scenario, so it is no ValueError.
+    if _outside(target.ravel(), basis.dim):
+        raise RuntimeError(f"ladder targets must lie in 0..{basis.dim - 1}; the basis index arithmetic is wrong")
+    return target, amplitude
+
+
 def ladder_sum(basis: FockBasis, weights: np.ndarray) -> SparseOperator:
     """sum_k weights[k] L_k, for weights of shape (2 n_modes,).
 
@@ -508,24 +551,25 @@ def ladder_sum(basis: FockBasis, weights: np.ndarray) -> SparseOperator:
 def _linear_pattern(basis: FockBasis, live: np.ndarray) -> tuple[np.ndarray, ...]:
     """(indices, indptr, ladder, amplitude) of sum_k w_k L_k for the weights nonzero where live is.
 
-    Row t of L_k holds amplitude[k', t] in column target[k', t], for k' the
-    table row of L_k's transpose, wherever that amplitude is positive; stored
-    entry e belongs to L_ladder[e] and has amplitude[e].  Built once per live
-    set and kept on the basis; the arrays are read-only and shared by every
-    operator built on them.
+    Row t of L_k holds amplitude[k', t] in column target[k', t] of the
+    _ladder_rows of k', the transpose of L_k, wherever that amplitude is
+    positive; stored entry e belongs to L_ladder[e] and has amplitude[e].
+    Only the live operators' rows are derived, once per live set, and the
+    pattern is kept on the basis; its arrays are read-only and shared by
+    every operator built on them.
     """
     key = live.tobytes()
     if key not in basis._linear_patterns:
         n = basis.n_modes
         order = np.r_[n : 2 * n, n - 1 : -1 : -1]
         order = order[live[order]]
-        rows = (order + n) % (2 * n)
-        amplitude = basis.amplitude[rows].T
+        ladder, states = (order + n) % (2 * n), np.arange(basis.dim, dtype=np.int32)
+        target, amplitude = (rows.T for rows in _ladder_rows(basis, ladder, states, basis._digits()[ladder % n]))
         stored = amplitude > 0
         indptr = np.zeros(basis.dim + 1, dtype=np.int32)
         np.cumsum(stored.sum(axis=1), out=indptr[1:])
         ladder = np.broadcast_to(order.astype(np.min_scalar_type(2 * n)), stored.shape)[stored]
-        pattern = (basis.target[rows].T[stored], indptr, ladder, amplitude[stored])
+        pattern = (target[stored], indptr, ladder, amplitude[stored])
         for arr in pattern:
             arr.setflags(write=False)
         basis._linear_patterns[key] = pattern
@@ -535,16 +579,39 @@ def _linear_pattern(basis: FockBasis, live: np.ndarray) -> tuple[np.ndarray, ...
 def ladder_products(basis: FockBasis, weights: np.ndarray) -> SparseOperator:
     """sum_{k,l} weights[k, l] L_k L_l, for weights of shape (2 n_modes, 2 n_modes).
 
-    Built without sparse products: for every state s, L_l takes s to
-    m = target[l, s], and L_k takes m on to target[k, m], both read from
-    whole rows of the ladder table.  Where L_l or L_k annihilates, the
-    product of the two amplitudes is 0.0, and _assemble does not store it.
+    Built without sparse products, from _ladder_rows: for every state s,
+    L_l takes s to a state m, and L_k takes m on.  Only the pairs with a
+    nonzero weight are derived.  Where L_l or L_k annihilates, the product
+    of the two amplitudes is 0.0, and _assemble does not store it.
     """
     k, l = np.nonzero(weights)
-    mid = basis.target[l]
-    data = weights[k, l][:, None] * (basis.amplitude[k[:, None], mid] * basis.amplitude[l])
+    n, states, digits = basis.n_modes, np.arange(basis.dim, dtype=np.int32), basis._digits()
+    mid, first = _ladder_rows(basis, l, states, digits[l % n])
+    # m has the occupancies of s but in L_l's own mode, where L_l moved one
+    # quantum unless it annihilated s (m = s).
+    moved = ((k % n == l % n) * np.where(l < n, -1, 1)).astype(np.int32)
+    target, second = _ladder_rows(basis, k, mid, digits[k % n] + moved[:, None] * (mid != states))
+    data = weights[k, l][:, None] * (second * first)
     src = np.tile(np.arange(basis.dim), len(l))
-    return _assemble(basis, basis.target[k[:, None], mid].ravel(), src, data.ravel())
+    return _assemble(basis, target.ravel(), src, data.ravel())
+
+
+def lowering_expectations(basis: FockBasis, vector: np.ndarray) -> np.ndarray:
+    """<v, a_m v> of every mode m for a (dim,) vector v: a complex (n_modes,) array in mode order.
+
+    a_m takes state s, with n_m(s) >= 1, to s - strides[m] with amplitude
+    sqrt(n_m(s)), so <a_m> = sum_s conj(v[s - strides[m]]) v[s] sqrt(n_m(s)).
+    Reshaped to (-1, n_max + 1, strides[m]), v's axis 1 is mode m's
+    occupancy: slices 1: and :-1 of it pair every such s with its target,
+    in the order of s, and the terms are summed in that order by one np.sum.
+    """
+    vector = np.asarray(vector)
+    roots = _ladder_amplitudes(np.arange(1, basis.n_max + 1))[:, None]
+    out = np.empty(basis.n_modes, dtype=complex)
+    for m, stride in enumerate(basis.strides):
+        v = vector.reshape(-1, basis.n_max + 1, stride)
+        out[m] = np.sum((np.conj(v[:, :-1]) * v[:, 1:] * roots).ravel())
+    return out
 
 
 def annihilation(basis: FockBasis, mode: ModeKey) -> SparseOperator:
@@ -584,10 +651,9 @@ def _row_indices(indptr: np.ndarray) -> np.ndarray:
 def _sparsetools():
     """scipy's compiled CSR kernels, the ones scipy.sparse's own csr methods call.
 
-    Only the array helpers below and SparseOperator.apply call them.  A
-    kernel checks the types of its arrays, and refuses to write into a
-    read-only one, but trusts indptr and the index values: SparseOperator
-    checks that they fit.
+    They are called through _kernel, whose check (_misfit) finds what does
+    not fit.  A kernel checks the types of its arrays, and refuses to write
+    into a read-only one, but trusts indptr and the index values.
 
     The module is found once per process.  If scipy.sparse is already
     imported, it is that package's _sparsetools.  Otherwise only the
@@ -618,6 +684,115 @@ def _sparsetools():
     return module
 
 
+def _kernel(name: str, *args):
+    """scipy's compiled kernel name called on args, once _misfit has found nothing wrong with them.
+
+    Every kernel call in fock goes through here, but SparseOperator.apply's
+    on arrays its constructor has checked.  The kernels check the
+    types of their arrays but trust their lengths and values: an indptr that
+    does not fit, an index outside the matrix or an output without room for
+    every entry makes them read or write outside an array, and the process
+    dies of a signal or runs on in corrupted memory.  Such arrays come from
+    a bug in fock's array helpers, not from a bad input, so they raise
+    RuntimeError.
+    """
+    _refuse(name, _misfit(name, args))
+    return getattr(_sparsetools(), name)(*args)
+
+
+def _refuse(name: str, problem: str) -> None:
+    """Raise the RuntimeError of a misfit problem found for the kernel name, if there is one."""
+    if problem:
+        raise RuntimeError(f"scipy's {name} was handed {problem}; an array helper in fock is wrong")
+
+
+def _misfit(name: str, args) -> str:
+    """What keeps the kernel name from running safely on args, or "" when nothing does.
+
+    No matrix it reads may be _unreadable, every output must have _room
+    for the entries it can write, and a coordinate list must hold its
+    entries.  The arguments follow scipy's sparsetools: the row count
+    (and column count) first, then each matrix as indptr, indices (and
+    data).  csr_matmat's output room is csr_matmat_maxnnz of its inputs,
+    which only _product knows, and checks, without a second such pass.
+    """
+    if name in ("csr_has_sorted_indices", "csr_sort_indices"):
+        n_rows, *matrix = args
+        return _unreadable(matrix, n_rows, None)
+    if name == "csr_hstack":
+        n_blocks, n_rows, widths, indptrs, indices, data, *out = args
+        if len(widths) != n_blocks or len(indptrs) != n_blocks * (n_rows + 1):
+            return f"{len(widths)} widths and {len(indptrs)} row pointers for {n_blocks} blocks of {n_rows} rows"
+        # Block b's indptr counts its own entries, which follow those of blocks 0..b-1.
+        blocks = indptrs.reshape(n_blocks, n_rows + 1)
+        if blocks[:, 0].any() or (blocks[:, 1:] < blocks[:, :-1]).any():
+            return "a block indptr that does not start at 0 or decreases"
+        counts = blocks[:, -1]
+        nnz = int(counts.sum())
+        if min(len(indices), len(data)) < nnz:
+            return f"{nnz} entries in arrays of {min(len(indices), len(data))}"
+        if nnz and (indices[:nnz].view(np.uint32) >= np.repeat(widths, counts)).any():
+            return "a column index outside its block"
+        return _room(out, n_rows, nnz)
+    if name == "coo_tocsr":
+        n_rows, n_cols, nnz, rows, cols, values, *out = args
+        if min(len(rows), len(cols), len(values)) < nnz:
+            return f"a coordinate list of {nnz} entries in arrays of {min(len(rows), len(cols), len(values))}"
+        return _outside(rows[:nnz], n_rows) or _outside(cols[:nnz], n_cols) or _room(out, n_rows, nnz)
+    n_rows, n_cols, *arrays = args
+    if name in ("csr_sum_duplicates", "csr_eliminate_zeros"):
+        # These compare neighbouring column indices and index no array by them.
+        return _unreadable(arrays, n_rows, None)
+    if name == "csr_tocsc":
+        return _unreadable(arrays[:3], n_rows, n_cols) or _room(arrays[3:], n_cols, arrays[0][-1])
+    if name in ("csr_plus_csr", "csr_minus_csr"):
+        a, b, out = arrays[:3], arrays[3:6], arrays[6:]
+        problem = _unreadable(a, n_rows, n_cols) or _unreadable(b, n_rows, n_cols)
+        return problem or _room(out, n_rows, int(a[0][-1]) + int(b[0][-1]))
+    if name in ("csr_matmat_maxnnz", "csr_matmat"):
+        # a is n_rows x m and b is m x n_cols, m read from b's indptr.
+        width = 2 if name == "csr_matmat_maxnnz" else 3
+        a, b = arrays[:width], arrays[width : 2 * width]
+        inner = len(b[0]) - 1
+        return _unreadable(a, n_rows, inner) or _unreadable(b, inner, n_cols)
+    return "arguments of a kernel with no check"
+
+
+def _unreadable(matrix, n_rows: int, n_cols: int | None) -> str:
+    """What keeps a kernel from reading CSR arrays (indptr, indices[, data]) of n_rows rows, or "".
+
+    indptr must have n_rows + 1 entries, start at 0 and not decrease, and
+    the entries it counts must lie in the other arrays, with column indices
+    in 0..n_cols-1 (not checked for None).
+    """
+    indptr, *entries = matrix
+    if len(indptr) != n_rows + 1:
+        return f"an indptr of {len(indptr)} entries for {n_rows} rows"
+    nnz, stored = int(indptr[-1]), min(len(arr) for arr in entries)
+    if indptr[0] != 0 or (indptr[1:] < indptr[:-1]).any():
+        return "an indptr that does not start at 0 or decreases"
+    if stored < nnz:
+        return f"{nnz} entries in arrays of {stored}"
+    return "" if n_cols is None else _outside(entries[0][:nnz], n_cols)
+
+
+def _outside(index: np.ndarray, bound: int) -> str:
+    """"an index outside 0..bound-1" if an int32 index is, or ""."""
+    # As uint32, a negative index reads at least 2**31, so one maximum bounds both ends.
+    if len(index) and index.view(np.uint32).max() >= bound:
+        return f"an index outside 0..{bound - 1}"
+    return ""
+
+
+def _room(out, n_rows: int, entries: int) -> str:
+    """What keeps output CSR arrays (indptr, indices, data) from taking n_rows rows and entries entries, or ""."""
+    indptr, indices, data = out
+    room = min(len(indices), len(data))
+    if len(indptr) != n_rows + 1 or room < entries:
+        return f"an output of {len(indptr)} row pointers and room for {room} entries, for {n_rows} rows and {entries}"
+    return ""
+
+
 def _empty(n_rows: int, nnz: int) -> Csr:
     return np.empty(nnz, dtype=complex), np.empty(nnz, dtype=np.int32), np.empty(n_rows + 1, dtype=np.int32)
 
@@ -633,12 +808,12 @@ def _product(a: Csr, b: Csr, n_rows: int, n_cols: int) -> Csr:
 
     Exact zeros are not stored, and a row's columns are in the kernel's order, not sorted.
     """
-    kernels = _sparsetools()
-    nnz = kernels.csr_matmat_maxnnz(n_rows, n_cols, a[2], a[1], b[2], b[1])
+    nnz = _kernel("csr_matmat_maxnnz", n_rows, n_cols, a[2], a[1], b[2], b[1])
     if nnz > np.iinfo(np.int32).max:
         raise LatticeSizeError(f"a product of {nnz} entries does not fit int32 indices")
     out = _empty(n_rows, nnz)
-    kernels.csr_matmat(n_rows, n_cols, a[2], a[1], a[0], b[2], b[1], b[0], out[2], out[1], out[0])
+    _refuse("csr_matmat", _room(out[::-1], n_rows, nnz))
+    _kernel("csr_matmat", n_rows, n_cols, a[2], a[1], a[0], b[2], b[1], b[0], out[2], out[1], out[0])
     return _pruned(out)
 
 
@@ -648,7 +823,7 @@ def _combined(a: Csr, b: Csr, n_rows: int, n_cols: int, kernel: str) -> Csr:
     Exact zeros are not stored.
     """
     out = _empty(n_rows, len(a[0]) + len(b[0]))
-    getattr(_sparsetools(), kernel)(n_rows, n_cols, a[2], a[1], a[0], b[2], b[1], b[0], out[2], out[1], out[0])
+    _kernel(kernel, n_rows, n_cols, a[2], a[1], a[0], b[2], b[1], b[0], out[2], out[1], out[0])
     return _pruned(out)
 
 
@@ -660,21 +835,20 @@ def _from_coordinates(rows, cols, values, n_rows: int, n_cols: int) -> Csr:
     sorted only when its columns are not already in order (the sort is not
     stable), and repeated coordinates are summed in that order.
     """
-    kernels = _sparsetools()
     out = data, indices, indptr = _empty(n_rows, len(values))
     rows, cols = rows.astype(np.int32), cols.astype(np.int32)
-    kernels.coo_tocsr(n_rows, n_cols, len(values), rows, cols, values, indptr, indices, data)
-    if not kernels.csr_has_sorted_indices(n_rows, indptr, indices):
-        kernels.csr_sort_indices(n_rows, indptr, indices, data)
-    kernels.csr_sum_duplicates(n_rows, n_cols, indptr, indices, data)
-    kernels.csr_eliminate_zeros(n_rows, n_cols, indptr, indices, data)
+    _kernel("coo_tocsr", n_rows, n_cols, len(values), rows, cols, values, indptr, indices, data)
+    if not _kernel("csr_has_sorted_indices", n_rows, indptr, indices):
+        _kernel("csr_sort_indices", n_rows, indptr, indices, data)
+    _kernel("csr_sum_duplicates", n_rows, n_cols, indptr, indices, data)
+    _kernel("csr_eliminate_zeros", n_rows, n_cols, indptr, indices, data)
     return _pruned(out)
 
 
 def _adjoint(a: Csr, dim: int) -> Csr:
     """The conjugate transpose of a dim x dim CSR, as scipy's matrix.conj().T.tocsr() forms it."""
     out = _empty(dim, len(a[0]))
-    _sparsetools().csr_tocsc(dim, dim, a[2], a[1], a[0].conj(), out[2], out[1], out[0])
+    _kernel("csr_tocsc", dim, dim, a[2], a[1], a[0].conj(), out[2], out[1], out[0])
     return out
 
 
@@ -695,7 +869,7 @@ def _hstack(parts: list[Csr], dim: int) -> Csr:
     out = _empty(dim, len(data))
     widths = np.full(len(parts), dim, dtype=np.int32)
     indptrs, indices = (np.concatenate([part[i] for part in parts]) for i in (2, 1))
-    _sparsetools().csr_hstack(len(parts), dim, widths, indptrs, indices, data, out[2], out[1], out[0])
+    _kernel("csr_hstack", len(parts), dim, widths, indptrs, indices, data, out[2], out[1], out[0])
     return out
 
 
@@ -813,11 +987,11 @@ def difference_residuals(
 
 def number_operator(basis: FockBasis, mode: ModeKey) -> SparseOperator:
     j = basis.mode_index(mode)
-    return diagonal_operator(basis, basis.occupancy_table()[:, j].astype(float))
+    return diagonal_operator(basis, basis._digits([j])[0].astype(float))
 
 
 def total_number(basis: FockBasis) -> SparseOperator:
-    return diagonal_operator(basis, basis.occupancy_table().sum(axis=1).astype(float))
+    return diagonal_operator(basis, basis._digits().sum(axis=0).astype(float))
 
 
 def safe_states(basis: FockBasis, margin: int) -> np.ndarray:
@@ -829,7 +1003,7 @@ def safe_states(basis: FockBasis, margin: int) -> np.ndarray:
     """
     if margin < 0 or margin > basis.n_max:
         raise ValueError(f"margin must lie in 0..{basis.n_max}, got {margin}")
-    return (basis.occupancy_table() <= basis.n_max - margin).all(axis=1)
+    return (basis._digits() <= basis.n_max - margin).all(axis=0)
 
 
 def safe_projector(basis: FockBasis, margin: int) -> SparseOperator:

@@ -1,7 +1,10 @@
 """Independent oracles used by the tests.
 
 The ladder oracle builds a_j as a Kronecker product of single-mode
-matrices, independent of the library's lowering table.
+matrices, independent of the library's derived ladder rows.  The ladder
+table oracle stores what the basis derives: target and amplitude of every
+ladder operator on every state, built by unravelling the state index, and
+the table amplitude profile reads <a_m> off its live entries.
 
 The quadrature oracle integrates the quadratic field densities over the
 box on a uniform grid.  The integrands are trigonometric polynomials whose
@@ -59,6 +62,36 @@ def kron_lowering(basis, j):
     matrix = sp.kron(sp.kron(left, single), right).tocsr()
     matrix.eliminate_zeros()  # with a 2x2 right factor sp.kron builds a BSR whose dense blocks store zeros
     return matrix
+
+
+def ladder_table(basis):
+    """(target, amplitude, occupancies) of the basis, as stored tables.
+
+    Row k of target and amplitude is L_k in the order a_1..a_n,
+    a-dagger_1..a-dagger_n: L_k |s> = amplitude[k, s] |target[k, s]>,
+    amplitude 0 and target s where L_k annihilates s; both have shape
+    (2 n_modes, dim), target int32.  occupancies is (dim, n_modes) int64,
+    row i = basis state i.
+    """
+    dim, local = basis.dim, basis.n_max + 1
+    occ = np.unravel_index(np.arange(dim), (local,) * basis.n_modes)
+    occupancies = np.stack(occ, axis=1)
+    by_mode, states = np.stack(occ).astype(np.int32), np.arange(dim, dtype=np.int32)
+    step = np.asarray(basis.strides, dtype=np.int32)[:, None]
+    up = by_mode < basis.n_max
+    target = np.concatenate([states - step * (by_mode > 0), states + step * up])
+    amplitude = np.sqrt(np.concatenate([by_mode, (by_mode + 1) * up]), dtype=float)
+    return target, amplitude, occupancies
+
+
+def table_amplitude_profile(state):
+    """<a_m> of every mode from the live entries (amplitude > 0) of the ladder table's a rows."""
+    basis, c = state.basis, state.coefficients
+    target, amplitude, _ = ladder_table(basis)
+    amplitude, target = amplitude[: basis.n_modes], target[: basis.n_modes]
+    live = amplitude > 0
+    terms = np.conj(c[target[live]]) * c[np.nonzero(live)[1]] * amplitude[live]
+    return np.sum(terms.reshape(basis.n_modes, -1), axis=1)
 
 
 def _grid(basis):

@@ -145,6 +145,42 @@ def test_emitters_stay_within_their_memory_budgets_at_the_size_bounds(tmp_path, 
                          f"{cli.SCAN_CUTOFF_MAX} scan rows -> {tmp_path / 'vacuum-scan' / 'vacuum_scan.csv'}"]
 
 
+def test_emit_8m_emitters_hold_the_state_and_a_block_and_no_per_state_table(tmp_path, capsys):
+    """expect and dump-operator H on the emit-8m lattice, in process, after one warm-up run each.
+
+    An emitter needs the state's coefficient vector (16 bytes per basis
+    state) and one block of 4096 complex coefficients for each of 3
+    components (a grid block, GRID_BLOCK; an export chunk is as many
+    entries); the budget is four of each, 1.15 MiB here.  A per-state table
+    of the 2 n_modes ladder operators does not fit in it: the target and
+    amplitude table and the occupancies the basis once kept came to 1.6 MiB
+    (12 bytes per state and ladder operator, 8 per state and mode), and
+    the two peaks were 3.4 and 2.7 MiB.
+    """
+    import tracemalloc
+
+    from photonfield import ensembles, fock
+
+    config = str(Path(__file__).resolve().parents[1] / "benchmarks" / "scenarios" / "emit-8m.json")
+    basis = fock.build_basis(cli.load_scenario(config).lattice)
+    budget = 4 * (16 * basis.dim + 16 * 3 * ensembles.GRID_BLOCK)
+    peaks = {}
+    for argv in (["expect"], ["dump-operator", "--operator", "H"]):
+        argv = [*argv, "--config", config, "--out", str(tmp_path / argv[0])]
+        assert cli.main(argv) == 0
+        tracemalloc.start()
+        try:
+            assert cli.main(argv) == 0
+            peaks[argv[0]] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert all(peak < budget for peak in peaks.values()), (peaks, budget)
+    # Nothing per state and mode of 8 bytes or more stays on a built basis.
+    arrays = {name: value for name, value in vars(basis).items() if isinstance(value, np.ndarray)}
+    assert not [name for name, arr in arrays.items() if arr.itemsize >= 8 and arr.size >= basis.dim * basis.n_modes]
+    capsys.readouterr()
+
+
 def test_mode_momentum_at_2_to_53_is_parsed():
     data = default_data()
     data["lattice"]["modes"][1]["n"] = [2**53, 0, -(2**53)]

@@ -193,12 +193,20 @@ LADDER_CONFIGS = [
 ]
 
 
+def every_ladder_row(basis):
+    """fock._ladder_rows of every ladder operator on every basis state, in order."""
+    ladder = np.arange(2 * basis.n_modes)
+    states = np.arange(basis.dim, dtype=np.int32)
+    return fock._ladder_rows(basis, ladder, states, basis._digits(ladder % basis.n_modes))
+
+
 @pytest.mark.parametrize("config", LADDER_CONFIGS, ids=["n_max1", "n_max2", "n_max3"])
 def test_ladder_table_matches_kron_oracle(config):
     basis = pf.build_basis(config)
     n = basis.n_modes
-    assert basis.target.shape == basis.amplitude.shape == (2 * n, basis.dim)
-    assert basis.target.dtype == np.int32 and basis.amplitude.dtype == np.float64
+    target, amplitude = every_ladder_row(basis)
+    assert target.shape == amplitude.shape == (2 * n, basis.dim)
+    assert target.dtype == np.int32 and amplitude.dtype == np.float64
     lowering = [oracles.kron_lowering(basis, j) for j in range(n)]
     for k, ref in enumerate(lowering + [op.conj().T for op in lowering]):
         ref = ref.tocsc()
@@ -206,10 +214,42 @@ def test_ladder_table_matches_kron_oracle(config):
             rows = ref.indices[ref.indptr[s] : ref.indptr[s + 1]]
             values = ref.data[ref.indptr[s] : ref.indptr[s + 1]]
             if len(rows) == 0:
-                assert (basis.amplitude[k, s], basis.target[k, s]) == (0.0, s), (k, s)
+                assert (amplitude[k, s], target[k, s]) == (0.0, s), (k, s)
             else:
                 assert len(rows) == 1 and values[0].imag == 0.0
-                assert (basis.amplitude[k, s], basis.target[k, s]) == (values[0].real, rows[0]), (k, s)
+                assert (amplitude[k, s], target[k, s]) == (values[0].real, rows[0]), (k, s)
+
+
+@pytest.mark.parametrize("lattice", ["standard", "three_mode", "emit-8m", "verify-12m"])
+def test_derived_ladder_rows_occupancies_and_profile_equal_the_stored_table(request, lattice):
+    """The basis stores no table: what it derives equals the table oracle bit for bit."""
+    if lattice in ("standard", "three_mode"):
+        basis = request.getfixturevalue(f"{lattice}_basis")
+    else:
+        basis = pf.build_basis(cli.load_scenario(str(SCENARIOS / f"{lattice}.json")).lattice)
+    target, amplitude, occupancies = oracles.ladder_table(basis)
+    n = basis.n_modes
+    got_target, got_amplitude = every_ladder_row(basis)
+    assert got_target.dtype == target.dtype and got_target.tobytes() == target.tobytes()
+    assert got_amplitude.dtype == amplitude.dtype and got_amplitude.tobytes() == amplitude.tobytes()
+    # Rows in any order and on any states: those of the table, read at those states.
+    rng = np.random.default_rng(11)
+    ladder = rng.integers(0, 2 * n, 5)
+    states = rng.integers(0, basis.dim, (5, 7)).astype(np.int32)
+    got_target, got_amplitude = fock._ladder_rows(basis, ladder, states, occupancies[states, ladder[:, None] % n])
+    assert np.array_equal(got_target, np.take_along_axis(target[ladder], states, axis=1))
+    assert got_amplitude.tobytes() == np.take_along_axis(amplitude[ladder], states, axis=1).tobytes()
+    # int64, not a narrower type: d_j - d_i of a row sum must not wrap (diagonal_commutator).
+    table = basis.occupancy_table()
+    assert table.dtype == np.int64 and table.flags.c_contiguous and np.array_equal(table, occupancies)
+    assert np.array_equal(basis._digits(), occupancies.T)
+    assert np.array_equal(basis._digits([n - 1, 0]), occupancies.T[[n - 1, 0]])
+    assert np.array_equal(basis.occupancy_table(float), occupancies) and basis.occupancy_table(float).flags.c_contiguous
+    for seed in range(3):
+        rng = np.random.default_rng(seed)
+        state = ensembles.FockState(basis, rng.standard_normal(basis.dim) + 1j * rng.standard_normal(basis.dim))
+        got = ensembles.amplitude_profile(state)
+        assert got.dtype == complex and got.tobytes() == oracles.table_amplitude_profile(state).tobytes()
 
 
 def _coo_ladder_sum(basis, weights):
@@ -251,8 +291,9 @@ def test_ladder_sum_writes_the_csr_of_the_coordinate_recipe(config):
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (name, field)
         assert got.has_canonical_format and want.has_canonical_format, name
     # The signed-zero case is not vacuous: before 0.0 is added, its products carry -0.0 parts.
-    raw = _ladder_weights(basis.n_modes)["signed_zeros"][:, None] * basis.amplitude
-    parts = np.concatenate([raw.real[basis.amplitude > 0], raw.imag[basis.amplitude > 0]])
+    _, amplitude, _ = oracles.ladder_table(basis)
+    raw = _ladder_weights(basis.n_modes)["signed_zeros"][:, None] * amplitude
+    parts = np.concatenate([raw.real[amplitude > 0], raw.imag[amplitude > 0]])
     assert np.any((parts == 0) & np.signbit(parts))
 
 
@@ -264,14 +305,15 @@ def _masked_ladder_sum(basis, weights):
     arrays before it read a cached pattern.
     """
     n = basis.n_modes
+    target, amplitude, _ = oracles.ladder_table(basis)
     order = np.r_[n : 2 * n, n - 1 : -1 : -1]
     order = order[weights[order] != 0]
     rows = (order + n) % (2 * n)
-    values = (weights[order, None] * basis.amplitude[rows] + 0.0).T
+    values = (weights[order, None] * amplitude[rows] + 0.0).T
     stored = values != 0
     indptr = np.zeros(basis.dim + 1, dtype=np.int32)
     np.cumsum(stored.sum(axis=1), out=indptr[1:])
-    return values[stored], basis.target[rows].T[stored], indptr, basis.amplitude[rows].T[stored]
+    return values[stored], target[rows].T[stored], indptr, amplitude[rows].T[stored]
 
 
 def _special_weights(n, seed):
@@ -370,10 +412,11 @@ def test_diagonal_commutator_is_op_d_minus_d_op_on_the_same_pattern(standard_bas
 def _live_ladder_products(basis, weights):
     """sum_kl weights[k, l] L_k L_l from the coordinate list of the states L_l does not annihilate."""
     k, l = np.nonzero(weights)
-    src = np.nonzero(basis.amplitude > 0)[1].reshape(2 * basis.n_modes, -1)[l]
-    mid = basis.target[l[:, None], src]
-    data = weights[k, l][:, None] * (basis.amplitude[k[:, None], mid] * basis.amplitude[l[:, None], src])
-    rows, cols, data = basis.target[k[:, None], mid].ravel(), src.ravel(), data.ravel()
+    target, amplitude, _ = oracles.ladder_table(basis)
+    src = np.nonzero(amplitude > 0)[1].reshape(2 * basis.n_modes, -1)[l]
+    mid = target[l[:, None], src]
+    data = weights[k, l][:, None] * (amplitude[k[:, None], mid] * amplitude[l[:, None], src])
+    rows, cols, data = target[k[:, None], mid].ravel(), src.ravel(), data.ravel()
     keep = data != 0
     matrix = sp.csr_matrix((data[keep] + 0.0, (rows[keep], cols[keep])), shape=(basis.dim, basis.dim))
     matrix.eliminate_zeros()
@@ -612,13 +655,18 @@ def test_coordinate_assembly_has_the_bits_of_scipy(request, fixture):
         w[rng.random(size) < 0.4] = 0.0
         if nan:
             w[0, -1] = np.nan
-        # The parent recipe: whole table rows as one coordinate list.
+        # The table recipe: whole table rows as one coordinate list.
         k, l = np.nonzero(w)
-        mid = basis.target[l]
-        products = w[k, l][:, None] * (basis.amplitude[k[:, None], mid] * basis.amplitude[l])
-        rows, cols = basis.target[k[:, None], mid].ravel(), np.tile(np.arange(dim), len(l))
+        target, amplitude, _ = oracles.ladder_table(basis)
+        mid = target[l]
+        products = w[k, l][:, None] * (amplitude[k[:, None], mid] * amplitude[l])
+        rows, cols = target[k[:, None], mid].ravel(), np.tile(np.arange(dim), len(l))
         want = _scipy_assemble(dim, rows, cols, products.ravel())
         _assert_same_csr(fock.ladder_products(basis, w).arrays, want, ("ladder_products", nan))
+    # No nonzero weight: the empty coordinate list.
+    nothing = np.zeros(0, dtype=int)
+    want = _scipy_assemble(dim, nothing, nothing, np.zeros(0, dtype=complex))
+    _assert_same_csr(fock.ladder_products(basis, np.zeros(size)).arrays, want, ("ladder_products", "zero"))
 
 
 @pytest.mark.parametrize("limit", [0, np.inf], ids=["pair_by_pair", "stacked"])
@@ -779,7 +827,7 @@ def test_every_kernel_fock_calls_exists():
     path = Path(kernels.__file__)
     assert path.parent == Path(scipy.__file__).parent / "sparse" and path.name.split(".")[0] == "_sparsetools"
     source = Path(fock.__file__).read_text()
-    called = set(re.findall(r"(?:kernels|_sparsetools\(\))\.(\w+)\(", source))
+    called = set(re.findall(r'_kernel\("(\w+)"', source)) | set(re.findall(r"_sparsetools\(\)\.(\w+)\(", source))
     called |= set(re.findall(r'"(csr_\w+_csr)"', source))
     assert called == FOCK_KERNELS
     assert not [name for name in sorted(called) if not callable(getattr(kernels, name, None))]

@@ -9,10 +9,22 @@ with L = 2 pi and hbar = c = 1 it would cancel.
 
 The NaN mutants each put a NaN into a residual that is not the first one
 of its record, where a reduction by Python's max would drop it.
+
+The helper mutants change one operator in fock's array helpers, in the
+source of a copied package, and run verify in a fresh process: each hands
+scipy's compiled kernels arrays that do not fit, and must end in a Python
+exception from the array check every kernel call goes through, not in a
+signal.
 """
 
 import json
+import os
+import re
+import shutil
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -67,8 +79,12 @@ def scale_amplitudes(monkeypatch, factor, kinds=tuple(FieldKind)):
 
 
 def n_for_sqrt_n(monkeypatch):
-    """The ladder table stores n where a_j |n> carries sqrt(n) (and n + 1 for sqrt(n + 1))."""
-    mutate_basis(monkeypatch, "amplitude", lambda basis: np.square(basis.amplitude))
+    """The ladder amplitudes are n where a_j |n> carries sqrt(n) (and n + 1 for sqrt(n + 1)).
+
+    fock._ladder_amplitudes gives the amplitudes of every ladder operator,
+    quadratic form and <a_m>.
+    """
+    wrap(monkeypatch, fock, "_ladder_amplitudes", lambda f: lambda quanta: np.square(f(quanta)))
 
 
 def eb_closed_form_sign(monkeypatch):
@@ -443,3 +459,35 @@ def test_mutant_fails_verify(tmp_path, monkeypatch, mutant):
     apply, failing = MUTANTS[mutant]
     apply(monkeypatch)
     assert failing_records(tmp_path) == (1, failing)
+
+
+# One mutant per helper site: (source text, its mutant).  Without the check
+# the first ends verify in SIGABRT, the second in a hang on corrupted memory
+# and the other five in SIGABRT or SIGSEGV.  _product checks the room of its
+# own output, from the csr_matmat_maxnnz count only it has.
+HELPER_MUTANTS = {
+    "operator_nnz": ("        nnz = indptr[-1]\n        if not", "        nnz = indptr[1]\n        if not"),
+    "pruned": ("return data[: indptr[-1]], indices", "return data[: indptr[1]], indices"),
+    "combined_size": ("len(a[0]) + len(b[0])", "len(a[0]) - len(b[0])"),
+    "vstack_offsets": ("part[2][:-1] + start", "part[2][:-1] - start"),
+    "placed_offsets": ("k * dim + _row_indices(op.indptr)", "k * dim - _row_indices(op.indptr)"),
+    "moved_coordinates": ("cols // dim * dim + rows % dim", "cols // dim * dim - rows % dim"),
+    "product_room": ("    out = _empty(n_rows, nnz)\n", "    out = _empty(n_rows, nnz - 1)\n"),
+}
+
+
+@pytest.mark.parametrize("site", list(HELPER_MUTANTS))
+def test_helper_mutant_ends_in_a_python_exception(tmp_path, site):
+    original, mutant = HELPER_MUTANTS[site]
+    src = tmp_path / "src"
+    shutil.copytree(Path(fock.__file__).parent, src / "photonfield", ignore=shutil.ignore_patterns("__pycache__"))
+    module = src / "photonfield" / "fock.py"
+    text = module.read_text()
+    assert text.count(original) == 1
+    module.write_text(text.replace(original, mutant))
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    command = [sys.executable, "-m", "photonfield.cli", "verify", "--out", "o"]
+    done = subprocess.run(command, cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 1, (done.returncode, done.stderr[-1000:])
+    last = done.stderr.splitlines()[-1]
+    assert re.fullmatch(r"RuntimeError: scipy's \w+ was handed .+; an array helper in fock is wrong", last), last
