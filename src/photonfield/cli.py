@@ -827,8 +827,12 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "vacuum-scan":
             return run_vacuum_scan(scenario, out_dir)
         return run_dump_operator(scenario, out_dir, args.operator)
-    except (ConfigError, fock.LatticeSizeError) as err:
+    except ConfigError as err:
         print(f"error: {err}", file=sys.stderr)
+        return 2
+    except fock.LatticeSizeError as err:
+        # The size guards read the lattice: its mode count and n_max.
+        print(f"error: scenario.lattice: {err}", file=sys.stderr)
         return 2
 
 

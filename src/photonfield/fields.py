@@ -308,7 +308,10 @@ def _derivatives(basis: ModeTable, kind: FieldKind, x: SpacetimePoint, h: float,
     if method == "analytic":
         amplitudes, phase = _amplitudes(basis, kind, x.t), _phase(basis, x.r)
         factors = [_derivative_factors(basis, phase, dt, dr) for dt, *dr in np.eye(4, dtype=int)]
-        return _stored_values(basis, amplitudes * np.stack(factors)[..., None])
+        # A derivative past the float range (c = 1e300, say) is inf or NaN,
+        # which fails its record: no numpy warning is needed to show it.
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _stored_values(basis, amplitudes * np.stack(factors)[..., None])
     steps = h * np.eye(4)
     t = np.concatenate([x.t + steps[:, 0], x.t - steps[:, 0]])
     r = np.concatenate([x.r + steps[:, 1:], x.r - steps[:, 1:]])

@@ -42,7 +42,7 @@ strides[m]) and sums only the live terms (the same count for every mode),
 since zeros in its sums would change how numpy groups them.
 
 SparseOperator holds the three arrays (data, indices, indptr) of a complex
-CSR matrix, and its constructor takes either the arrays or a scipy matrix.
+CSR matrix, and its constructor takes those arrays.
 Linear forms (on their cached pattern) and diagonal_operator (identity, the
 number operators, safe_projector) write their CSR arrays directly; zero
 entries are not stored: row t of L_k is row t of the ladder row of its
@@ -77,10 +77,13 @@ SparseOperator.matrix, the scipy CSR over an operator's arrays, is built on
 first read; it is for tests, users and tracing, and nothing in the library
 reads it.  The kernels check the types of their arrays but not their
 lengths or index values: SparseOperator's constructor checks an operator's
-arrays, as scipy's check_format(full_check=True) does, and every other
-kernel call goes through one check (_kernel) of the arrays it reads and the
-room of those it writes, so that a wrong size or offset in a helper raises a
-RuntimeError instead of ending the process in a signal.
+arrays, as scipy's check_format(full_check=True) does, and each array
+helper checks what it hands its kernel (_unreadable and _outside for the
+arrays read, _room for those written), so that a wrong size or offset in a
+helper raises a RuntimeError (_refuse) instead of ending the process in a
+signal.  A kernel call that reads only arrays its helper has just checked,
+or a checked call has just written, gets no second check: csr_matmat after
+csr_matmat_maxnnz, and the passes after coo_tocsr.
 
 Text exports use float_reprs: shortest round-trip reprs, computed once per
 distinct bit pattern of a column.  export_operator reads the CSR arrays:
@@ -92,18 +95,18 @@ chunk spans), the label lookups in one str table per call, float_reprs of
 re and im, and the joined lines.  So it holds no whole-operator column;
 only a non-canonical operator is sorted whole first.
 
-scipy is imported only where the kernels are called or a scipy matrix is
-built, so importing this module, the mode table and the Fock basis never
-load it, nor do ladder_sum, diagonal_operator and diagonal_commutator, which
-write arrays.  expect, vacuum-scan and dump-operator run without scipy: the
-first two build no operator, and every operator dump-operator names is
-written as arrays (ladder_sum or diagonal_operator) and exported from them.
+scipy is imported only where the kernels are called or
+SparseOperator.matrix is read, so importing this module, the mode table
+and the Fock basis never load it, nor do ladder_sum, diagonal_operator and
+diagonal_commutator, which write arrays.  expect, vacuum-scan and
+dump-operator run without scipy: the first two build no operator, and every
+operator dump-operator names is written as arrays (ladder_sum or
+diagonal_operator) and exported from them.
 verify, which multiplies operators, is the one command that loads scipy,
 and it loads only the top-level package and the kernels' own extension
 file (_sparsetools), once per process, not the scipy.sparse package.  The
-scipy.sparse package is imported where a scipy matrix is built or read:
-SparseOperator from a matrix, and SparseOperator.matrix.  If it is already
-imported, its own kernel module is used.
+scipy.sparse package is imported only where SparseOperator.matrix is read.
+If it is already imported, its own kernel module is used.
 """
 
 from __future__ import annotations
@@ -111,14 +114,11 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 from functools import cache
-from typing import IO, TYPE_CHECKING, Sequence
+from typing import IO, Sequence
 
 import numpy as np
 
 from .polarization import row_norms, triads
-
-if TYPE_CHECKING:
-    import scipy.sparse as sp
 
 IntVec = tuple[int, int, int]
 Csr = tuple[np.ndarray, np.ndarray, np.ndarray]  # (data, indices, indptr) of a complex CSR matrix
@@ -345,9 +345,8 @@ class FockBasis(ModeTable):
 class SparseOperator:
     """Complex sparse matrix on a FockBasis, held as its CSR arrays data, indices and indptr.
 
-    The constructor takes the three arrays, or a scipy matrix, which is
-    converted to a complex CSR if it is not one and kept.  It refuses, with
-    a ValueError, what the kernels could not read safely and scipy's own
+    The constructor takes the three arrays.  It refuses, with a
+    ValueError, what the kernels could not read safely and scipy's own
     check_format(full_check=True) refuses: data that is not complex, indices
     or indptr that are not int32, arrays that are not 1-D, an indptr that
     does not fit the basis, does not start at 0 or decreases, an indptr[-1]
@@ -356,20 +355,8 @@ class SparseOperator:
     matrix is the scipy CSR over those same arrays, built on first read.
     """
 
-    def __init__(self, matrix: sp.spmatrix | Csr, basis: FockBasis):
-        if isinstance(matrix, tuple):
-            self._matrix = None
-            data, indices, indptr = (np.asarray(arr) for arr in matrix)
-        else:
-            import scipy.sparse as sp
-
-            # Kept as given, not copied, when it already is a complex CSR.
-            if not (isinstance(matrix, sp.csr_matrix) and matrix.dtype == complex):
-                matrix = sp.csr_matrix(matrix, dtype=complex)
-            if matrix.shape != (basis.dim, basis.dim):
-                raise ValueError(f"matrix shape {matrix.shape} does not match basis dim {basis.dim}")
-            self._matrix = matrix
-            data, indices, indptr = matrix.data, matrix.indices, matrix.indptr
+    def __init__(self, arrays: Csr, basis: FockBasis):
+        data, indices, indptr = (np.asarray(arr) for arr in arrays)
         if not (data.dtype == complex and indices.dtype == np.int32 and indptr.dtype == np.int32):
             dtypes = f"{data.dtype}, {indices.dtype}, {indptr.dtype}"
             raise ValueError(f"expected complex data with int32 indices and indptr, got {dtypes}")
@@ -392,10 +379,11 @@ class SparseOperator:
         if (indptr[1:] < indptr[:-1]).any():
             raise ValueError("indptr must not decrease")
         self.data, self.indices, self.indptr, self.basis = data, indices, indptr, basis
+        self._matrix = None
 
     @property
-    def matrix(self) -> sp.csr_matrix:
-        """The scipy CSR matrix over data, indices and indptr, which it shares without a copy."""
+    def matrix(self):
+        """The scipy.sparse csr_matrix over data, indices and indptr, which it shares without a copy."""
         if self._matrix is None:
             import scipy.sparse as sp
 
@@ -449,8 +437,8 @@ class SparseOperator:
         if vector.shape != (dim,):
             raise ValueError(f"expected a vector of {dim} entries, got shape {vector.shape}")
         out = np.zeros(dim, dtype=complex)
-        # The constructor has checked the operator's arrays, and the vector
-        # length is checked above: nothing is left for _kernel to check.
+        # The constructor has checked the operator's arrays and the vector's
+        # length is checked above, so csr_matvec gets no check of its own.
         _sparsetools().csr_matvec(dim, dim, self.indptr, self.indices, self.data, vector, out)
         return out
 
@@ -651,9 +639,9 @@ def _row_indices(indptr: np.ndarray) -> np.ndarray:
 def _sparsetools():
     """scipy's compiled CSR kernels, the ones scipy.sparse's own csr methods call.
 
-    They are called through _kernel, whose check (_misfit) finds what does
-    not fit.  A kernel checks the types of its arrays, and refuses to write
-    into a read-only one, but trusts indptr and the index values.
+    A kernel checks the types of its arrays, and refuses to write into a
+    read-only one, but trusts indptr and the index values: the array helpers
+    that call one check those first (_refuse).
 
     The module is found once per process.  If scipy.sparse is already
     imported, it is that package's _sparsetools.  Otherwise only the
@@ -684,96 +672,38 @@ def _sparsetools():
     return module
 
 
-def _kernel(name: str, *args):
-    """scipy's compiled kernel name called on args, once _misfit has found nothing wrong with them.
-
-    Every kernel call in fock goes through here, but SparseOperator.apply's
-    on arrays its constructor has checked.  The kernels check the
-    types of their arrays but trust their lengths and values: an indptr that
-    does not fit, an index outside the matrix or an output without room for
-    every entry makes them read or write outside an array, and the process
-    dies of a signal or runs on in corrupted memory.  Such arrays come from
-    a bug in fock's array helpers, not from a bad input, so they raise
-    RuntimeError.
-    """
-    _refuse(name, _misfit(name, args))
-    return getattr(_sparsetools(), name)(*args)
-
-
 def _refuse(name: str, problem: str) -> None:
-    """Raise the RuntimeError of a misfit problem found for the kernel name, if there is one."""
+    """Raise the RuntimeError of a problem found with the arrays for the kernel name, if there is one.
+
+    The kernels check the types of their arrays but trust their lengths and
+    values: an indptr that does not fit, an index outside the matrix or an
+    output without room for every entry makes them read or write outside an
+    array, and the process dies of a signal or runs on in corrupted memory.
+    Such arrays come from a bug in fock's array helpers, not from a bad
+    input, so each helper checks what it hands its kernel and refuses here.
+    """
     if problem:
         raise RuntimeError(f"scipy's {name} was handed {problem}; an array helper in fock is wrong")
 
 
-def _misfit(name: str, args) -> str:
-    """What keeps the kernel name from running safely on args, or "" when nothing does.
+def _unreadable(csr: Csr, n_rows: int, n_cols: int, blocks: int = 1) -> str:
+    """What keeps a kernel from reading CSR arrays of n_rows x n_cols matrices, or "".
 
-    No matrix it reads may be _unreadable, every output must have _room
-    for the entries it can write, and a coordinate list must hold its
-    entries.  The arguments follow scipy's sparsetools: the row count
-    (and column count) first, then each matrix as indptr, indices (and
-    data).  csr_matmat's output room is csr_matmat_maxnnz of its inputs,
-    which only _product knows, and checks, without a second such pass.
+    The arrays hold blocks matrices one after another, as csr_hstack reads
+    them: indptr is their indptrs concatenated, each of n_rows + 1 entries,
+    starting at 0 and not decreasing, and the entries they count, block after
+    block, must lie in data and indices, with column indices in 0..n_cols-1.
     """
-    if name in ("csr_has_sorted_indices", "csr_sort_indices"):
-        n_rows, *matrix = args
-        return _unreadable(matrix, n_rows, None)
-    if name == "csr_hstack":
-        n_blocks, n_rows, widths, indptrs, indices, data, *out = args
-        if len(widths) != n_blocks or len(indptrs) != n_blocks * (n_rows + 1):
-            return f"{len(widths)} widths and {len(indptrs)} row pointers for {n_blocks} blocks of {n_rows} rows"
-        # Block b's indptr counts its own entries, which follow those of blocks 0..b-1.
-        blocks = indptrs.reshape(n_blocks, n_rows + 1)
-        if blocks[:, 0].any() or (blocks[:, 1:] < blocks[:, :-1]).any():
-            return "a block indptr that does not start at 0 or decreases"
-        counts = blocks[:, -1]
-        nnz = int(counts.sum())
-        if min(len(indices), len(data)) < nnz:
-            return f"{nnz} entries in arrays of {min(len(indices), len(data))}"
-        if nnz and (indices[:nnz].view(np.uint32) >= np.repeat(widths, counts)).any():
-            return "a column index outside its block"
-        return _room(out, n_rows, nnz)
-    if name == "coo_tocsr":
-        n_rows, n_cols, nnz, rows, cols, values, *out = args
-        if min(len(rows), len(cols), len(values)) < nnz:
-            return f"a coordinate list of {nnz} entries in arrays of {min(len(rows), len(cols), len(values))}"
-        return _outside(rows[:nnz], n_rows) or _outside(cols[:nnz], n_cols) or _room(out, n_rows, nnz)
-    n_rows, n_cols, *arrays = args
-    if name in ("csr_sum_duplicates", "csr_eliminate_zeros"):
-        # These compare neighbouring column indices and index no array by them.
-        return _unreadable(arrays, n_rows, None)
-    if name == "csr_tocsc":
-        return _unreadable(arrays[:3], n_rows, n_cols) or _room(arrays[3:], n_cols, arrays[0][-1])
-    if name in ("csr_plus_csr", "csr_minus_csr"):
-        a, b, out = arrays[:3], arrays[3:6], arrays[6:]
-        problem = _unreadable(a, n_rows, n_cols) or _unreadable(b, n_rows, n_cols)
-        return problem or _room(out, n_rows, int(a[0][-1]) + int(b[0][-1]))
-    if name in ("csr_matmat_maxnnz", "csr_matmat"):
-        # a is n_rows x m and b is m x n_cols, m read from b's indptr.
-        width = 2 if name == "csr_matmat_maxnnz" else 3
-        a, b = arrays[:width], arrays[width : 2 * width]
-        inner = len(b[0]) - 1
-        return _unreadable(a, n_rows, inner) or _unreadable(b, inner, n_cols)
-    return "arguments of a kernel with no check"
-
-
-def _unreadable(matrix, n_rows: int, n_cols: int | None) -> str:
-    """What keeps a kernel from reading CSR arrays (indptr, indices[, data]) of n_rows rows, or "".
-
-    indptr must have n_rows + 1 entries, start at 0 and not decrease, and
-    the entries it counts must lie in the other arrays, with column indices
-    in 0..n_cols-1 (not checked for None).
-    """
-    indptr, *entries = matrix
-    if len(indptr) != n_rows + 1:
-        return f"an indptr of {len(indptr)} entries for {n_rows} rows"
-    nnz, stored = int(indptr[-1]), min(len(arr) for arr in entries)
-    if indptr[0] != 0 or (indptr[1:] < indptr[:-1]).any():
+    data, indices, indptr = csr
+    if len(indptr) != blocks * (n_rows + 1):
+        return f"an indptr of {len(indptr)} entries for {blocks} x {n_rows} rows"
+    rows = indptr.reshape(blocks, n_rows + 1)
+    nnz, stored = int(rows[:, -1].sum()), min(len(data), len(indices))
+    if rows[:, 0].any() or (rows[:, 1:] < rows[:, :-1]).any():
         return "an indptr that does not start at 0 or decreases"
     if stored < nnz:
         return f"{nnz} entries in arrays of {stored}"
-    return "" if n_cols is None else _outside(entries[0][:nnz], n_cols)
+    return _outside(indices[:nnz], n_cols)
 
 
 def _outside(index: np.ndarray, bound: int) -> str:
@@ -784,9 +714,9 @@ def _outside(index: np.ndarray, bound: int) -> str:
     return ""
 
 
-def _room(out, n_rows: int, entries: int) -> str:
-    """What keeps output CSR arrays (indptr, indices, data) from taking n_rows rows and entries entries, or ""."""
-    indptr, indices, data = out
+def _room(out: Csr, n_rows: int, entries: int) -> str:
+    """What keeps output CSR arrays from taking n_rows rows and entries entries, or ""."""
+    data, indices, indptr = out
     room = min(len(indices), len(data))
     if len(indptr) != n_rows + 1 or room < entries:
         return f"an output of {len(indptr)} row pointers and room for {room} entries, for {n_rows} rows and {entries}"
@@ -808,12 +738,16 @@ def _product(a: Csr, b: Csr, n_rows: int, n_cols: int) -> Csr:
 
     Exact zeros are not stored, and a row's columns are in the kernel's order, not sorted.
     """
-    nnz = _kernel("csr_matmat_maxnnz", n_rows, n_cols, a[2], a[1], b[2], b[1])
+    # a is n_rows x m and b is m x n_cols, m read from b's indptr.
+    inner = len(b[2]) - 1
+    _refuse("csr_matmat_maxnnz", _unreadable(a, n_rows, inner) or _unreadable(b, inner, n_cols))
+    nnz = _sparsetools().csr_matmat_maxnnz(n_rows, n_cols, a[2], a[1], b[2], b[1])
     if nnz > np.iinfo(np.int32).max:
         raise LatticeSizeError(f"a product of {nnz} entries does not fit int32 indices")
     out = _empty(n_rows, nnz)
-    _refuse("csr_matmat", _room(out[::-1], n_rows, nnz))
-    _kernel("csr_matmat", n_rows, n_cols, a[2], a[1], a[0], b[2], b[1], b[0], out[2], out[1], out[0])
+    # csr_matmat reads the a and b checked above, data included.
+    _refuse("csr_matmat", _room(out, n_rows, nnz))
+    _sparsetools().csr_matmat(n_rows, n_cols, a[2], a[1], a[0], b[2], b[1], b[0], out[2], out[1], out[0])
     return _pruned(out)
 
 
@@ -823,7 +757,9 @@ def _combined(a: Csr, b: Csr, n_rows: int, n_cols: int, kernel: str) -> Csr:
     Exact zeros are not stored.
     """
     out = _empty(n_rows, len(a[0]) + len(b[0]))
-    _kernel(kernel, n_rows, n_cols, a[2], a[1], a[0], b[2], b[1], b[0], out[2], out[1], out[0])
+    problem = _unreadable(a, n_rows, n_cols) or _unreadable(b, n_rows, n_cols)
+    _refuse(kernel, problem or _room(out, n_rows, int(a[2][-1]) + int(b[2][-1])))
+    getattr(_sparsetools(), kernel)(n_rows, n_cols, a[2], a[1], a[0], b[2], b[1], b[0], out[2], out[1], out[0])
     return _pruned(out)
 
 
@@ -836,19 +772,26 @@ def _from_coordinates(rows, cols, values, n_rows: int, n_cols: int) -> Csr:
     stable), and repeated coordinates are summed in that order.
     """
     out = data, indices, indptr = _empty(n_rows, len(values))
-    rows, cols = rows.astype(np.int32), cols.astype(np.int32)
-    _kernel("coo_tocsr", n_rows, n_cols, len(values), rows, cols, values, indptr, indices, data)
-    if not _kernel("csr_has_sorted_indices", n_rows, indptr, indices):
-        _kernel("csr_sort_indices", n_rows, indptr, indices, data)
-    _kernel("csr_sum_duplicates", n_rows, n_cols, indptr, indices, data)
-    _kernel("csr_eliminate_zeros", n_rows, n_cols, indptr, indices, data)
+    rows, cols, nnz = rows.astype(np.int32), cols.astype(np.int32), len(values)
+    problem = _outside(rows[:nnz], n_rows) or _outside(cols[:nnz], n_cols) or _room(out, n_rows, nnz)
+    if min(len(rows), len(cols)) < nnz:
+        problem = f"a coordinate list of {nnz} entries in arrays of {min(len(rows), len(cols))}"
+    _refuse("coo_tocsr", problem)
+    _sparsetools().coo_tocsr(n_rows, n_cols, nnz, rows, cols, values, indptr, indices, data)
+    # The passes below read only the CSR that coo_tocsr has just written.
+    if not _sparsetools().csr_has_sorted_indices(n_rows, indptr, indices):
+        _sparsetools().csr_sort_indices(n_rows, indptr, indices, data)
+    _sparsetools().csr_sum_duplicates(n_rows, n_cols, indptr, indices, data)
+    _sparsetools().csr_eliminate_zeros(n_rows, n_cols, indptr, indices, data)
     return _pruned(out)
 
 
 def _adjoint(a: Csr, dim: int) -> Csr:
     """The conjugate transpose of a dim x dim CSR, as scipy's matrix.conj().T.tocsr() forms it."""
+    a = a[0].conj(), a[1], a[2]
     out = _empty(dim, len(a[0]))
-    _kernel("csr_tocsc", dim, dim, a[2], a[1], a[0].conj(), out[2], out[1], out[0])
+    _refuse("csr_tocsc", _unreadable(a, dim, dim) or _room(out, dim, int(a[2][-1])))
+    _sparsetools().csr_tocsc(dim, dim, a[2], a[1], a[0], out[2], out[1], out[0])
     return out
 
 
@@ -865,11 +808,11 @@ def _hstack(parts: list[Csr], dim: int) -> Csr:
     """The CSR of dim-column parts side by side, as scipy's hstack forms it."""
     if len(parts) == 1:
         return parts[0]
-    data = np.concatenate([part[0] for part in parts])
+    stacked = data, indices, indptrs = tuple(np.concatenate([part[i] for part in parts]) for i in range(3))
     out = _empty(dim, len(data))
     widths = np.full(len(parts), dim, dtype=np.int32)
-    indptrs, indices = (np.concatenate([part[i] for part in parts]) for i in (2, 1))
-    _kernel("csr_hstack", len(parts), dim, widths, indptrs, indices, data, out[2], out[1], out[0])
+    _refuse("csr_hstack", _unreadable(stacked, dim, dim, len(parts)) or _room(out, dim, len(data)))
+    _sparsetools().csr_hstack(len(parts), dim, widths, indptrs, indices, data, out[2], out[1], out[0])
     return out
 
 

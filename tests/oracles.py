@@ -42,6 +42,9 @@ The mode-table oracle builds each mode's kinematics and polarization one
 mode at a time (a Direction, make_triad and 1-D norms), independent of the
 basis's stacked mode table.  The adjoint residual reads hermiticity off the
 matrix itself.
+
+from_scipy is test tooling: the SparseOperator of a scipy matrix, built
+from the arrays of its complex CSR.
 """
 
 import math
@@ -51,6 +54,12 @@ import scipy.sparse as sp
 
 import photonfield as pf
 from photonfield.fields import FieldKind, SpacetimePoint
+
+
+def from_scipy(m, basis):
+    """The SparseOperator of m, a scipy sparse matrix or a dense array: m as a complex CSR, then its arrays."""
+    m = sp.csr_matrix(m, dtype=complex)
+    return pf.SparseOperator((m.data, m.indices, m.indptr), basis)
 
 
 def kron_lowering(basis, j):

@@ -1,13 +1,18 @@
+import contextlib
 import copy
+import io
 import json
 import os
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from photonfield import cli
 from photonfield.fields import FieldKind, SpacetimePoint
@@ -104,6 +109,44 @@ def test_huge_mode_momentum_exits_2_with_its_path(tmp_path, capsys, argv, n):
     captured = capsys.readouterr()
     assert "scenario.lattice.modes[1].n" in captured.err and "2**53" in captured.err
     assert captured.out == "" and not (tmp_path / "o").exists()
+
+
+def _leaves(data, path=()):
+    """The path of every value in a JSON tree that is no object or list, as a tuple of keys and indices."""
+    if isinstance(data, (dict, list)):
+        items = data.items() if isinstance(data, dict) else enumerate(data)
+        return [leaf for key, value in items for leaf in _leaves(value, (*path, key))]
+    return [path]
+
+
+FUZZ_POOL = (None, 1, -1, 0, 0.5, 1e300, 10**20, 2**53 + 1, float("nan"), "x", [], {}, True, [0, 0, 0])
+FUZZ_EDIT = st.tuples(st.sampled_from(_leaves(cli.DEFAULT_SCENARIO)), st.sampled_from(FUZZ_POOL))
+
+
+# The fuzzed scenarios are independent of tmp_path, which each example overwrites.
+@settings(
+    max_examples=1000, derandomize=True, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(argv=st.sampled_from(COMMANDS), edits=st.lists(FUZZ_EDIT, min_size=1, max_size=2))
+def test_fuzzed_scenario_ends_in_an_exit_code(tmp_path, argv, edits):
+    # The built-in scenario with one or two values replaced from a fixed pool:
+    # a bad field is exit 2 with its path, never a traceback or a numpy warning.
+    data = default_data()
+    for (*parents, key), value in edits:
+        node = data
+        for parent in parents:
+            node = node[parent]
+        node[key] = copy.deepcopy(value)
+    config = write_scenario(tmp_path, data)
+    err = io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        warnings.simplefilter("error", RuntimeWarning)
+        code = cli.main([*argv, "--config", config, "--out", str(tmp_path / "o")])
+    message = err.getvalue()
+    assert code in (0, 1, 2)
+    if code == 2:
+        # The file's own name (scenario.json) is no field path.
+        assert "scenario." in message.replace(config, "") or f"scenario file {config}" in message, message
 
 
 def bounds_data():
@@ -298,7 +341,17 @@ def test_dimension_guard_message(tmp_path, capsys):
     config = write_scenario(tmp_path, data)
     assert cli.main(["verify", "--config", config, "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
-    assert "dimension" in err and "guard" in err
+    assert "dimension" in err and "guard" in err and err.startswith("error: scenario.lattice: ")
+
+
+@pytest.mark.parametrize("argv", [argv for argv in COMMANDS if argv[0] != "vacuum-scan"], ids=lambda argv: argv[0])
+def test_n_max_past_the_size_guard_exits_2_with_its_path(tmp_path, capsys, argv):
+    # The size guard refused this lattice with an error that named no scenario field.
+    data = default_data()
+    data["lattice"]["n_max"] = 10**20
+    config = write_scenario(tmp_path, data)
+    assert cli.main([*argv, "--config", config, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith("error: scenario.lattice: basis dimension")
 
 
 def test_canonical_commutator_passes_at_high_occupancy(tmp_path):
@@ -502,20 +555,17 @@ def test_record_judges_the_worst_absolute_residual(residuals, tolerance, passed,
         assert passed is (written <= tolerance)
 
 
-def test_nonfinite_residual_is_written_as_null_and_fails(tmp_path):
-    # With c = 1e300 the analytic Maxwell residuals overflow to NaN.  A fresh
-    # process: in this one the overflow warning would be raised as an error.
+def test_nonfinite_residual_is_written_as_null_and_fails(tmp_path, capsys):
+    # With c = 1e300 the analytic Maxwell residuals overflow to NaN, without
+    # a numpy warning: in-process, where one would be raised as an error.
     data = default_data()
     data["lattice"]["c"] = 1e300
     config = write_scenario(tmp_path, data)
-    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
-    command = [sys.executable, "-m", "photonfield.cli", "verify", "--config", config, "--out", "o"]
-    done = subprocess.run(command, cwd=tmp_path, env=env, capture_output=True, text=True)
-    assert done.returncode == 1, done.stderr
+    assert cli.main(["verify", "--config", config, "--out", str(tmp_path / "o")]) == 1
     report = json.loads((tmp_path / "o" / "report.json").read_text(), parse_constant=pytest.fail)
     analytic = next(r for r in report["records"] if r["check"] == "maxwell.analytic")
     assert (analytic["residual"], analytic["pass"]) == (None, False)
-    assert "FAIL maxwell.analytic residual=nan " in done.stdout
+    assert "FAIL maxwell.analytic residual=nan " in capsys.readouterr().out
 
 
 def test_one_process_runs_commands_like_fresh_processes(tmp_path, capsys):

@@ -98,18 +98,38 @@ def test_kernels_and_scipy_sparse_in_either_import_order(tmp_path):
     assert (tmp_path / "first/report.json").read_bytes() == (tmp_path / "second/report.json").read_bytes()
 
 
-# Run in a fresh interpreter: one verify pass, then the CPU time of the whole
-# process and of its main thread over three more passes.
+# Run in a fresh interpreter: one verify pass, a wait until no thread but the
+# main one uses CPU, then the CPU time of the whole process and of its main
+# thread over three more passes, and that of each thread ("<id> <name>":
+# seconds, in the clock ticks of /proc/self/task/*/stat).
 ONE_CPU = """
-import contextlib, io, sys, time
+import contextlib, io, json, os, sys, threading, time
+from pathlib import Path
 from photonfield import cli
+def threads():
+    ticks, out = os.sysconf("SC_CLK_TCK"), {}
+    for stat in Path("/proc/self/task").glob("*/stat"):
+        name, _, fields = stat.read_text().partition(" (")[2].rpartition(") ")
+        utime, stime = fields.split()[11:13]
+        out[f"{stat.parent.name} {name}"] = (int(utime) + int(stime)) / ticks
+    return out
+def others():
+    main = f"{threading.get_native_id()} "
+    return sum(seconds for thread, seconds in threads().items() if not thread.startswith(main))
 args = ["verify", "--out", "out", *sys.argv[1:]]
 with contextlib.redirect_stdout(io.StringIO()):
     assert cli.main(args) == 0
-    process, main = time.process_time(), time.thread_time()
+    for _ in range(20):
+        idle = others()
+        time.sleep(0.1)
+        if others() == idle:
+            break
+    before, process, main = threads(), time.process_time(), time.thread_time()
     for _ in range(3):
         assert cli.main(args) == 0
+    after = threads()
 print(time.process_time() - process, time.thread_time() - main)
+print(json.dumps({thread: round(after[thread] - before.get(thread, 0.0), 3) for thread in after}))
 """
 
 
@@ -117,12 +137,15 @@ print(time.process_time() - process, time.thread_time() - main)
 def test_verify_keeps_to_one_cpu(tmp_path, config):
     # BLAS may run one thread per CPU: a call that hands it work, or leaves its
     # threads spinning, shows as CPU time of threads other than the main one,
-    # whether or not a second CPU is free to run them.  The first pass is not
-    # timed: numpy's import starts those threads spinning too.
+    # whether or not a second CPU is free to run them.  The passes are timed
+    # only once those threads are idle: numpy's import starts OpenBLAS's
+    # threads, and each spins for 2**28 clock cycles (0.13 s at 2.1 GHz) after
+    # it starts or ends a task, which can outlast the import and the first pass.
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     env.update(dict.fromkeys(("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"), str(os.cpu_count())))
     args = [] if config is None else ["--config", str(ROOT / config)]
     done = subprocess.run([sys.executable, "-c", ONE_CPU, *args], cwd=tmp_path, env=env, capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
-    process, main = map(float, done.stdout.split())
-    assert process <= 1.15 * main, f"{process:.3f} s of CPU, {main:.3f} s of it in the main thread"
+    times, threads = done.stdout.splitlines()
+    process, main = map(float, times.split())
+    assert process <= 1.15 * main, f"{process:.3f} s of CPU, {main:.3f} s of it in the main thread; by thread {threads}"

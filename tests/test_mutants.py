@@ -32,6 +32,8 @@ import pytest
 from photonfield import cli, ensembles, fields, fock, polarization, spin
 from photonfield.fields import FieldKind
 
+import oracles
+
 
 def wrap(monkeypatch, module, name, make):
     """Replace module.<name> by make(original)."""
@@ -292,7 +294,7 @@ def nan_entry(op):
     """A copy of op whose last stored entry is NaN."""
     matrix = op.matrix.copy()
     matrix.data[-1] = np.nan
-    return fock.SparseOperator(matrix, op.basis)
+    return oracles.from_scipy(matrix, op.basis)
 
 
 def ladder_nan(monkeypatch):
@@ -461,10 +463,11 @@ def test_mutant_fails_verify(tmp_path, monkeypatch, mutant):
     assert failing_records(tmp_path) == (1, failing)
 
 
-# One mutant per helper site: (source text, its mutant).  Without the check
-# the first ends verify in SIGABRT, the second in a hang on corrupted memory
-# and the other five in SIGABRT or SIGSEGV.  _product checks the room of its
-# own output, from the csr_matmat_maxnnz count only it has.
+# One mutant per helper site: (source text, its mutant).  Without the checks
+# each ends verify in SIGABRT or SIGSEGV, or in a hang on corrupted memory.
+# _product checks the room of its own output, from the csr_matmat_maxnnz
+# count only it has; the last three give _adjoint, _hstack and
+# _from_coordinates an output one entry short.
 HELPER_MUTANTS = {
     "operator_nnz": ("        nnz = indptr[-1]\n        if not", "        nnz = indptr[1]\n        if not"),
     "pruned": ("return data[: indptr[-1]], indices", "return data[: indptr[1]], indices"),
@@ -473,6 +476,9 @@ HELPER_MUTANTS = {
     "placed_offsets": ("k * dim + _row_indices(op.indptr)", "k * dim - _row_indices(op.indptr)"),
     "moved_coordinates": ("cols // dim * dim + rows % dim", "cols // dim * dim - rows % dim"),
     "product_room": ("    out = _empty(n_rows, nnz)\n", "    out = _empty(n_rows, nnz - 1)\n"),
+    "adjoint_room": ("out = _empty(dim, len(a[0]))", "out = _empty(dim, len(a[0]) - 1)"),
+    "hstack_room": ("out = _empty(dim, len(data))", "out = _empty(dim, len(data) - 1)"),
+    "coordinates_room": ("_empty(n_rows, len(values))", "_empty(n_rows, len(values) - 1)"),
 }
 
 
