@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -188,6 +190,41 @@ def test_photon_rejects_non_finite(field, value):
         photon(**{field: value})
 
 
+@pytest.mark.parametrize("k", [np.array([0.0, 0.0, 1.0]), [0.0, 0.0, 1.0]], ids=["ndarray", "list"])
+def test_photon_refuses_a_k_that_is_not_a_direction(k):
+    with pytest.raises(TypeError, match=f"k must be a Direction, got {type(k).__name__}"):
+        photon(k=k)
+
+
+@pytest.mark.parametrize(
+    "omega, hbar, c",
+    [(1e300, 1e10, 1.0), (1e300, 1.0, 1e-10), (np.float64(1e300), np.float64(1e10), 1.0)],
+    ids=["energy", "momentum", "numpy_floats"],
+)
+def test_photon_refuses_an_energy_or_momentum_that_is_not_finite(omega, hbar, c):
+    with pytest.raises(ValueError, match="energy hbar omega and the momentum hbar omega / c must be finite"):
+        photon(omega=omega, hbar=hbar, c=c)
+
+
+@pytest.mark.parametrize(
+    "omega, t", [(1.0, np.inf), (1.0, -np.inf), (1.0, np.nan), (1e300, 1e10)], ids=["inf", "-inf", "nan", "overflow"]
+)
+def test_rotating_vectors_refuses_a_phase_that_is_not_finite(omega, t):
+    with pytest.raises(ValueError, match=f"phase omega t \\+ theta must be finite, got .* at t = {t!r}"):
+        pf.rotating_vectors(photon(omega=omega), t)
+
+
+def test_photon_builds_its_triad_on_first_read():
+    p = photon(k=pf.Direction(k=np.array([0.6, 0.0, 0.8])))
+    assert "triad" not in vars(p)
+    assert "triad" not in [f.name for f in dataclasses.fields(p)] and "triad" not in repr(p)
+    pf.rotating_vectors(p, 0.3)
+    assert "triad" not in vars(p)
+    triad = p.triad
+    assert p.triad is triad and vars(p)["triad"] is triad
+    assert triad.k is p.k and triad.e_hat.tolist() == pf.make_triad(p.k).e_hat.tolist()
+
+
 def test_tensor_keeps_the_callers_array_writeable():
     f = np.array(pf.build_tensor(np.array([0.3, -1.2, 0.7]), np.array([1.1, 0.4, -0.6])).f)
     tensor = pf.PhotonTensor(f=f)
@@ -252,6 +289,16 @@ def test_null_residuals_match_dot_form(v, omega, s, t, beta):
         assert all(abs(g - w) <= 1e-15 * scale for g, w in zip(got, want))
 
 
+AXES = [pf.Direction(k=sign * row) for row in np.eye(3) for sign in (1.0, -1.0)]
+
+
+def assert_rotating_bits(p, t):
+    e, b = pf.rotating_vectors(p, t)
+    assert (b == np.cross(p.k.k, e)).all()
+    phase = np.exp(-1j * (p.omega * t + p.theta))
+    assert e.tobytes() == (np.sqrt(2.0) * p.omega * np.real(p.triad.eps(p.s) * phase)).tobytes()
+
+
 def test_rotating_b_is_np_cross_bit_for_bit():
     rng = np.random.default_rng(8)
     for _ in range(300):
@@ -262,11 +309,12 @@ def test_rotating_b_is_np_cross_bit_for_bit():
             s=int(rng.choice([1, -1])),
             theta=float(rng.uniform(0.0, 2.0 * np.pi)),
         )
-        t = float(rng.uniform(0.0, 6.0))
-        e, b = pf.rotating_vectors(p, t)
-        assert (b == np.cross(p.k.k, e)).all()
-        phase = np.exp(-1j * (p.omega * t + p.theta))
-        assert e.tobytes() == (np.sqrt(2.0) * p.omega * np.real(p.triad.eps(p.s) * phase)).tobytes()
+        assert_rotating_bits(p, float(rng.uniform(0.0, 6.0)))
+    # The six axis directions, whose frames hold signed zeros, with both helicities.
+    for k in AXES:
+        for s in (1, -1):
+            p = photon(omega=float(rng.uniform(0.5, 3.0)), k=k, s=s, theta=float(rng.uniform(0.0, 2.0 * np.pi)))
+            assert_rotating_bits(p, float(rng.uniform(0.0, 6.0)))
 
 
 def numpy_rule(f):

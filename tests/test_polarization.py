@@ -238,3 +238,15 @@ def test_circular_vectors_are_kept_and_read_only():
         with pytest.raises(AttributeError):
             setattr(triad, name, first.copy())
     assert triad.eps(1) is triad.eps_plus and triad.eps(-1) is triad.eps_minus
+
+
+def test_the_float_rows_are_the_rows_of_triads_bit_for_bit():
+    v = np.random.default_rng(23).standard_normal((20000, 3))
+    axes = [sign * row for row in np.eye(3) for sign in (1.0, -1.0)]
+    k = np.concatenate([v / np.linalg.norm(v, axis=1, keepdims=True), switch_neighbourhood(), axes])
+    e_hat, b_hat, eps_plus, eps_minus = polarization.triads(k)
+    for i, row in enumerate(k):
+        e, b = polarization._frame_row(row)
+        plus, minus = polarization._eps_row(row, 1), polarization._eps_row(row, -1)
+        assert np.array(e).tobytes() == e_hat[i].tobytes() and np.array(b).tobytes() == b_hat[i].tobytes(), i
+        assert plus.tobytes() == eps_plus[i].tobytes() and minus.tobytes() == eps_minus[i].tobytes(), i
