@@ -56,6 +56,9 @@ class ClassicalPhoton:
             raise TypeError(f"k must be a Direction, got {type(self.k).__name__}")
         if not (self.omega > 0 and math.isfinite(self.omega)):
             raise ValueError(f"omega must be positive and finite, got {self.omega}")
+        # The rotating vectors' amplitude; it overflows for omega above about 1.27e308.
+        if not math.isfinite(math.sqrt(2.0) * float(self.omega)):
+            raise ValueError(f"sqrt(2) omega must be finite, got omega = {self.omega!r}")
         # A bool or a float equal to 1 would pass `in (1, -1)`; fock.mode_key refuses them too.
         if isinstance(self.s, bool) or not isinstance(self.s, (int, np.integer)) or self.s not in (1, -1):
             raise ValueError(f"helicity must be +1 or -1, got {self.s}")

@@ -24,7 +24,10 @@ LatticeSizeError); any other exception is a defect and propagates.  The
 commutators check's precondition (fields.closed_form_gap) is a ConfigError
 of run_verify before its first check, so fields.CompletenessError is a
 defect here.  Outputs are byte-stable across runs: all sampling is seeded
-and the seed is recorded in the report.
+and the seed is recorded in the report.  Each check that samples draws from
+its own standard-library Mersenne Twister (random.Random), seeded by the
+string "<seed>/<stream id>", so its draws depend neither on the other checks
+selected nor on PYTHONHASHSEED; only uniforms are drawn (_uniforms).
 """
 
 from __future__ import annotations
@@ -32,6 +35,8 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
+import random
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -402,8 +407,13 @@ class RunContext:
         basis = self.basis
         return [fock.annihilation(basis, m) for m in basis.modes], [fock.creation(basis, m) for m in basis.modes]
 
-    def rng(self, check: str) -> np.random.Generator:
-        return np.random.default_rng([self.scenario.seed, _CHECK_STREAMS[check]])
+    def rng(self, check: str) -> random.Random:
+        """The check's own Mersenne Twister, seeded by the string "<seed>/<stream id>".
+
+        A string seed is hashed by SHA-512 whatever PYTHONHASHSEED is, and the
+        string maps (seed, stream) one-to-one for seeds of any size.
+        """
+        return random.Random(f"{self.scenario.seed}/{_CHECK_STREAMS[check]}")
 
     def record(self, check: str, params: dict, residuals, tolerance: float) -> Record:
         """The verdict on residuals: an array, or a sequence of arrays or floats.
@@ -424,19 +434,26 @@ class RunContext:
         )
 
 
-def _random_directions(rng: np.random.Generator, count: int) -> np.ndarray:
-    """count unit rows, stacked (count, 3).
+def _uniforms(rng: random.Random, shape: tuple[int, ...]) -> np.ndarray:
+    """Uniforms in [0, 1) of the given shape, filled in C order.
 
-    The draws are those of count successive rng.standard_normal(3) calls,
-    each skipped (and redrawn after the others) when its norm is below 1e-6.
+    Each is the top 53 bits of one rng.getrandbits(64) word times 2**-53, so
+    a stacked draw equals the same values drawn one row at a time.
     """
-    rows = np.empty((0, 3))
-    while len(rows) < count:
-        v = rng.standard_normal((count - len(rows), 3))
-        norm = np.sqrt(np.vecdot(v, v))[:, None]
-        keep = norm[:, 0] > 1e-6
-        rows = np.concatenate([rows, v[keep] / norm[keep]])
-    return rows
+    words = np.frombuffer(rng.randbytes(8 * math.prod(shape)), dtype="<u8")
+    return ((words >> 11) * 2.0**-53).reshape(shape)
+
+
+def _random_directions(rng: random.Random, count: int) -> np.ndarray:
+    """count unit rows, stacked (count, 3), uniform on the sphere.
+
+    Archimedes' map of one (count, 2) uniform draw (u, v): z = 2u - 1,
+    phi = 2 pi v, row (sqrt(1 - z^2) cos phi, sqrt(1 - z^2) sin phi, z).
+    """
+    u = _uniforms(rng, (count, 2))
+    z, phi = 2.0 * u[:, 0] - 1.0, 2.0 * np.pi * u[:, 1]
+    rho = np.sqrt(1.0 - z * z)
+    return np.stack([rho * np.cos(phi), rho * np.sin(phi), z], axis=1)
 
 
 def _near_singular_directions(count: int) -> np.ndarray:
@@ -585,10 +602,11 @@ def check_commutators(ctx: RunContext) -> list[Record]:
     rng = ctx.rng("commutators")
     length = basis.config.length
     pairs = 20
-    draws = [(rng.uniform(-length / 2, length / 2, size=(2, 3)), rng.uniform(-1.0, 1.0, size=2)) for _ in range(pairs)]
+    # Each row of the draw is one pair: r1, r2 in the box, then t1, t2 in [-1, 1).
+    draws = _uniforms(rng, (pairs, 8))
     # Row `pairs` is an equal-time pair: its commutators vanish on the safe subspace.
-    r = np.stack([d[0] for d in draws] + [np.array([[0.2, 0.4, -0.3], [-0.1, 0.8, 0.6]])])
-    t = np.stack([d[1] for d in draws] + [np.array([0.5, 0.5])])
+    r = np.concatenate([length * (draws[:, :6] - 0.5).reshape(pairs, 2, 3), [[[0.2, 0.4, -0.3], [-0.1, 0.8, 0.6]]]])
+    t = np.concatenate([2.0 * draws[:, 6:] - 1.0, [[0.5, 0.5]]])
     kinds = ((FieldKind.E, FieldKind.E), (FieldKind.B, FieldKind.B), (FieldKind.E, FieldKind.B))
     rho, tau = r[:pairs, 0] - r[:pairs, 1], t[:pairs, 0] - t[:pairs, 1]
     closed = [fields.field_commutator_kernel(basis, *k, rho, tau) for k in kinds]
@@ -626,12 +644,12 @@ def check_expectations(ctx: RunContext) -> list[Record]:
     if scenario.grid is not None:
         r, t = scenario.grid.arrays()
     else:
-        # Row by row, the stream of 8 draws of uniform(size=3) then uniform().
-        draws = rng.uniform(-1, 1, size=(8, 4))
+        # Each row of the draw is one point in [-1, 1)^4: r, then t.
+        draws = 2.0 * _uniforms(rng, (8, 4)) - 1.0
         r, t = draws[:, :3], draws[:, 3]
     # The scenario state, then a complex random state: its <a_m> != <a-dagger_m>,
-    # so a conjugation error cannot cancel.
-    z = rng.standard_normal((2, basis.dim))
+    # so a conjugation error cannot cancel.  Both parts are uniform in [-1, 1).
+    z = 2.0 * _uniforms(rng, (2, basis.dim)) - 1.0
     states = (build_state(scenario, basis), ensembles.FockState(basis, z[0] + 1j * z[1]))
     # Matrix side: <a_m> and <a-dagger_m> on assembled ladder operators, summed
     # over the mode coefficients; closed side: amplitude_profile, mean_field_table.

@@ -268,23 +268,32 @@ def helicity_oracle(k, cutoff=1e-6):
     return tuple(out)
 
 
+def uniform_oracle(rng):
+    """One uniform in [0, 1): the top 53 bits of one 64-bit word of the stream."""
+    return (rng.getrandbits(64) >> 11) / 2.0**53
+
+
 def random_directions_oracle(rng, count):
-    """count unit 3-vectors drawn one standard_normal(3) at a time, near-zero draws skipped."""
+    """count unit 3-vectors, one (u, v) pair at a time through Archimedes' map.
+
+    z = 2u - 1 is uniform on [-1, 1), so the row is uniform on the sphere.
+    cos and sin are numpy's, which the library's stacked rows call too.
+    """
     out = []
-    while len(out) < count:
-        v = rng.standard_normal(3)
-        norm = np.linalg.norm(v)
-        if norm > 1e-6:
-            out.append(v / norm)
+    for _ in range(count):
+        u, v = uniform_oracle(rng), uniform_oracle(rng)
+        z, phi = 2.0 * u - 1.0, 2.0 * np.pi * v
+        rho = math.sqrt(1.0 - z * z)
+        out.append([rho * float(np.cos(phi)), rho * float(np.sin(phi)), z])
     return np.array(out)
 
 
 def expectation_points_oracle(rng, count):
-    """count points drawn one at a time: r = uniform(-1, 1, size=3), then t = uniform(-1, 1)."""
+    """count points in [-1, 1)^4 drawn one at a time: r (3 uniforms), then t."""
     r, t = [], []
     for _ in range(count):
-        r.append(rng.uniform(-1, 1, size=3))
-        t.append(rng.uniform(-1, 1))
+        r.append([2.0 * uniform_oracle(rng) - 1.0 for _ in range(3)])
+        t.append(2.0 * uniform_oracle(rng) - 1.0)
     return np.array(r), np.array(t)
 
 

@@ -206,6 +206,23 @@ def test_photon_refuses_an_energy_or_momentum_that_is_not_finite(omega, hbar, c)
         photon(omega=omega, hbar=hbar, c=c)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("omega", [1.5e308, np.float64(1.3e308), np.finfo(float).max], ids=["1.5e308", "numpy", "max"])
+def test_photon_refuses_an_amplitude_that_is_not_finite(omega):
+    # hbar omega is finite here; sqrt(2) omega, the rotating vectors' amplitude, is not.
+    with pytest.raises(ValueError, match=r"sqrt\(2\) omega must be finite, got omega = "):
+        photon(omega=omega)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("omega", [1e308, np.finfo(float).max / np.sqrt(2.0)], ids=["1e308", "largest"])
+@pytest.mark.parametrize("k", [Z, pf.Direction(k=np.array([0.6, 0.0, 0.8]))], ids=["z", "oblique"])
+def test_rotating_vectors_are_finite_at_the_largest_omega(omega, k):
+    for s in (1, -1):
+        e, b = pf.rotating_vectors(photon(omega=omega, k=k, s=s), 0.7 / omega)
+        assert np.all(np.isfinite(e)) and np.all(np.isfinite(b))
+
+
 @pytest.mark.parametrize(
     "omega, t", [(1.0, np.inf), (1.0, -np.inf), (1.0, np.nan), (1e300, 1e10)], ids=["inf", "-inf", "nan", "overflow"]
 )

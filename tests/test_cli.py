@@ -3,6 +3,7 @@ import copy
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import warnings
@@ -1033,28 +1034,76 @@ def test_error_inside_a_check_is_not_reported_as_configuration(tmp_path, monkeyp
         cli.main(["verify", "--config", config, "--out", str(tmp_path / "o")])
 
 
-class ScriptedNormal:
-    """Stand-in generator serving standard_normal draws from a fixed stream."""
+class ScriptedWords:
+    """Stand-in generator serving randbytes from a fixed list of 64-bit words."""
 
-    def __init__(self, values):
-        self.values = np.asarray(values, dtype=float).ravel()
-        self.used = 0
+    def __init__(self, words):
+        self.words = list(words)
 
-    def standard_normal(self, size):
-        n = int(np.prod(size))
-        out = self.values[self.used:self.used + n].reshape(size)
-        self.used += n
-        return out
+    def randbytes(self, n):
+        words, self.words = self.words[: n // 8], self.words[n // 8 :]
+        return b"".join(w.to_bytes(8, "little") for w in words)
 
 
 def test_stacked_random_directions_draw_the_per_call_stream():
-    got = cli._random_directions(np.random.default_rng([20260808, 0]), 996)
-    want = oracles.random_directions_oracle(np.random.default_rng([20260808, 0]), 996)
+    got = cli._random_directions(random.Random("20260808/0"), 996)
+    want = oracles.random_directions_oracle(random.Random("20260808/0"), 996)
     assert np.array_equal(got, want)
-    # A rejected (near-zero) draw is replaced by the next draw of the stream.
-    stream = np.random.default_rng(3).standard_normal((8, 3))
-    stream[2] = [1e-9, 0.0, -1e-9]
-    stream[4] = 0.0
-    scripted, reference = ScriptedNormal(stream), ScriptedNormal(stream)
-    assert np.array_equal(cli._random_directions(scripted, 6), oracles.random_directions_oracle(reference, 6))
-    assert scripted.used == reference.used == 24
+    # The extreme words: u = 0 (the pole z = -1) and u = 1 - 2**-53.
+    extreme = cli._random_directions(ScriptedWords([0, 0, 2**64 - 1, 2**64 - 1, 0, 2**63]), 3)
+    assert extreme[0].tolist() == [0.0, 0.0, -1.0]
+    # Unit rows to a few ulps, as a row divided by its norm is.
+    for rows in (got, extreme):
+        assert np.max(np.abs(np.vecdot(rows, rows) - 1.0)) <= 4 * np.finfo(float).eps
+
+
+def test_uniforms_stacked_equal_row_by_row_and_the_oracle():
+    stacked, rows, words = (random.Random("7/5") for _ in range(3))
+    draw = cli._uniforms(stacked, (20, 8))
+    assert np.array_equal(draw, np.stack([cli._uniforms(rows, (8,)) for _ in range(20)]))
+    assert draw.ravel().tolist() == [oracles.uniform_oracle(words) for _ in range(160)]
+    # All three leave the stream at the same word.
+    assert stacked.getrandbits(64) == rows.getrandbits(64) == words.getrandbits(64)
+    assert 0.0 <= draw.min() and draw.max() < 1.0
+
+
+def _check_records(tmp_path, name, checks, seed):
+    data = default_data()
+    data["checks"] = checks
+    out = tmp_path / "-".join(checks)
+    assert cli.main(["verify", "--config", write_scenario(tmp_path, data), "--out", str(out), "--seed", str(seed)]) == 0
+    records = json.loads((out / "report.json").read_text())["records"]
+    return [r for r in records if r["check"].startswith(f"{name}.")]
+
+
+@pytest.mark.parametrize("name", ["commutators", "expectations"])
+def test_check_draws_do_not_depend_on_the_other_checks(tmp_path, name):
+    # Each check's stream is its own: alone, with all checks and in reversed
+    # order, its residuals are the same floats.
+    alone = _check_records(tmp_path, name, [name], 9001)
+    assert alone and all(r["residual"] > 0.0 for r in alone if r["check"].endswith(("matrix_vs_closed", "two_path")))
+    assert _check_records(tmp_path, name, list(cli.CHECK_NAMES), 9001) == alone
+    assert _check_records(tmp_path, name, list(reversed(cli.CHECK_NAMES)), 9001) == alone
+
+
+@pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**64 + 1])
+def test_verify_passes_at_seeds_past_the_word_sizes(tmp_path, seed):
+    out = tmp_path / "o"
+    assert cli.main(["verify", "--out", str(out), "--seed", str(seed)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["seed"] == seed
+    assert len(report["records"]) == 23 and all(r["pass"] for r in report["records"])
+
+
+def test_distinct_seeds_and_checks_draw_distinct_streams():
+    scenario = cli.parse_scenario(default_data())
+    seeds = [0, 1, 10, 2**32 - 1, 2**32, 2**64 + 1]
+    draws = {
+        cli._uniforms(cli.RunContext(replace(scenario, seed=seed)).rng(check), (4,)).tobytes()
+        for seed in seeds
+        for check in cli.CHECK_NAMES
+    }
+    assert len(draws) == len(seeds) * len(cli.CHECK_NAMES)
+    # The same seed and check draw the same stream in a new context.
+    again = cli.RunContext(replace(scenario, seed=10)).rng("helicity")
+    assert cli._uniforms(again, (4,)).tobytes() in draws

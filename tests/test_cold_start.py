@@ -1,5 +1,6 @@
 """Fresh interpreters: every command but verify leaves scipy unimported, verify loads
-scipy's CSR kernels without the scipy.sparse package, and verify keeps to one CPU."""
+scipy's CSR kernels without the scipy.sparse package and draws without numpy.random,
+and verify keeps to one CPU."""
 
 import ast
 import json
@@ -60,6 +61,22 @@ def test_verify_imports_scipy(tmp_path):
     modules = _scipy_modules(tmp_path, snippet)
     assert "scipy" in modules
     assert [m for m in modules if m == "scipy.sparse" or m.startswith("scipy.sparse.")] == []
+
+
+@pytest.mark.parametrize("config", [None, "benchmarks/scenarios/verify-12m.json"], ids=["built-in", "verify-12m"])
+def test_verify_draws_without_numpy_random(tmp_path, config):
+    # verify's seeded draws come from the standard library's random.Random;
+    # numpy.random, and the secrets and OpenSSL hashlib it loads, stay out.
+    args = ["verify", "--out", "out"] + ([] if config is None else ["--config", str(ROOT / config)])
+    code = (
+        "import sys\nfrom photonfield import cli\n"
+        f"assert cli.main({args!r}) == 0\n"
+        "print([m for m in ('numpy.random', 'secrets', '_hashlib') if m in sys.modules])"
+    )
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"
 
 
 # Run in fresh interpreters: fock loads scipy's kernels by file unless
