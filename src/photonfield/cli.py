@@ -607,11 +607,13 @@ def check_commutators(ctx: RunContext) -> list[Record]:
     # Row `pairs` is an equal-time pair: its commutators vanish on the safe subspace.
     r = np.concatenate([length * (draws[:, :6] - 0.5).reshape(pairs, 2, 3), [[[0.2, 0.4, -0.3], [-0.1, 0.8, 0.6]]]])
     t = np.concatenate([2.0 * draws[:, 6:] - 1.0, [[0.5, 0.5]]])
-    kinds = ((FieldKind.E, FieldKind.E), (FieldKind.B, FieldKind.B), (FieldKind.E, FieldKind.B))
+    # The (B, E) kernel carries its own sign, so it is checked apart from (E, B).
+    e, b = FieldKind.E, FieldKind.B
+    kinds = ((e, e), (b, b), (e, b), (b, e))
     rho, tau = r[:pairs, 0] - r[:pairs, 1], t[:pairs, 0] - t[:pairs, 1]
     closed = [fields.field_commutator_kernel(basis, *k, rho, tau) for k in kinds]
-    coeffs = [[fields.mode_coefficients(basis, f, r[:, s], t[:, s]) for s, f in enumerate(k)] for k in kinds]
-    w = [fields.commutator_weights(u, v) for u, v in coeffs]
+    coeffs = {(f, s): fields.mode_coefficients(basis, f, r[:, s], t[:, s]) for f in (e, b) for s in (0, 1)}
+    w = [fields.commutator_weights(coeffs[f1, 0], coeffs[f2, 1]) for f1, f2 in kinds]
     # On the margin-1 safe subspace each commutator is the sum of its weights.
     cross = [wk[:pairs].sum(-1) - c for wk, c in zip(w, closed)]
     # Anchor: the first pair's E-E commutators as assembled operators, over the

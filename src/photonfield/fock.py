@@ -95,7 +95,7 @@ chunk spans), the label lookups in one str table per call, float_reprs of
 re and im, and the joined lines.  So it holds no whole-operator column;
 only a non-canonical operator is sorted whole first.
 
-scipy is imported only where the kernels are called or
+scipy is loaded only where the kernels are called or
 SparseOperator.matrix is read, so importing this module, the mode table
 and the Fock basis never load it, nor do ladder_sum, diagonal_operator and
 diagonal_commutator, which write arrays.  expect, vacuum-scan and
@@ -103,10 +103,10 @@ dump-operator run without scipy: the first two build no operator, and every
 operator dump-operator names is written as arrays (ladder_sum or
 diagonal_operator) and exported from them.
 verify, which multiplies operators, is the one command that loads scipy,
-and it loads only the top-level package and the kernels' own extension
-file (_sparsetools), once per process, not the scipy.sparse package.  The
-scipy.sparse package is imported only where SparseOperator.matrix is read.
-If it is already imported, its own kernel module is used.
+and it loads only the kernels' own extension file (_sparsetools), once per
+process, without importing a scipy package.  The scipy.sparse package is
+imported only where SparseOperator.matrix is read.  If it is already
+imported, its own kernel module is used.
 """
 
 from __future__ import annotations
@@ -644,22 +644,25 @@ def _sparsetools():
     that call one check those first (_refuse).
 
     The module is found once per process.  If scipy.sparse is already
-    imported, it is that package's _sparsetools.  Otherwise only the
-    top-level scipy package is imported (it checks the numpy version), and
-    scipy/sparse/_sparsetools*.so is loaded by file, without the rest of
-    scipy.sparse.  The loader registers the module in sys.modules; the
-    entry is removed, or a later import of scipy.sparse would find it there
-    and not bind its own _sparsetools.
+    imported, it is that package's _sparsetools.  Otherwise find_spec gives
+    scipy's directory, without importing scipy, and
+    scipy/sparse/_sparsetools*.so is loaded by file: scipy's package init
+    does not run, the extension's numpy C-API check does.  The loader
+    registers the module in sys.modules; the entry is removed, or a later
+    import of scipy.sparse would find it there and not bind its own
+    _sparsetools.
     """
     package = sys.modules.get("scipy.sparse")
     if package is not None:
         return package._sparsetools
     import importlib.machinery
+    import importlib.util
     from pathlib import Path
 
-    import scipy
-
-    name, directory = "scipy.sparse._sparsetools", Path(scipy.__file__).parent / "sparse"
+    spec = importlib.util.find_spec("scipy")
+    if spec is None:
+        raise ImportError("scipy is not installed; fock needs its CSR kernels")
+    name, directory = "scipy.sparse._sparsetools", Path(spec.submodule_search_locations[0]) / "sparse"
     paths = [directory / f"_sparsetools{suffix}" for suffix in importlib.machinery.EXTENSION_SUFFIXES]
     path = next((str(path) for path in paths if path.is_file()), None)
     if path is None:

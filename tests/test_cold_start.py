@@ -1,6 +1,6 @@
-"""Fresh interpreters: every command but verify leaves scipy unimported, verify loads
-scipy's CSR kernels without the scipy.sparse package and draws without numpy.random,
-and verify keeps to one CPU."""
+"""Fresh interpreters: no command imports a scipy module, verify loads scipy's CSR
+kernels from their own file and draws without numpy.random, and verify keeps to one
+CPU."""
 
 import ast
 import json
@@ -46,21 +46,24 @@ def test_dump_operator_does_not_import_scipy(tmp_path, name):
     assert _scipy_modules(tmp_path, snippet) == []
 
 
-def test_verify_imports_scipy(tmp_path):
-    # The positive control: the probe sees scipy where a command does load it.
-    # verify calls scipy's compiled CSR kernels, loaded by fock from their own
-    # file, and imports no module of the scipy.sparse package.
+@pytest.mark.parametrize("config", [None, "benchmarks/scenarios/verify-12m.json"], ids=["built-in", "verify-12m"])
+def test_verify_loads_the_kernel_file_alone(tmp_path, config):
+    # The positive control: verify does call scipy's compiled CSR kernels, once
+    # loaded, from scipy/sparse/_sparsetools*.  fock finds that file with
+    # importlib, so no scipy module is imported, not even the top-level
+    # package, nor the subprocess and sysconfig modules its init pulls in.
+    args = ["verify", "--out", "out"] + ([] if config is None else ["--config", str(ROOT / config)])
     snippet = (
-        "from pathlib import Path\n"
+        "import sys\nfrom pathlib import Path\n"
         "from photonfield import cli, fock\n"
-        "assert cli.main(['verify', '--out', 'out']) == 0\n"
+        f"assert cli.main({args!r}) == 0\n"
         "assert fock._sparsetools.cache_info().currsize == 1\n"
         "kernels = Path(fock._sparsetools().__file__)\n"
-        "assert (kernels.parent.name, kernels.name.split('.')[0]) == ('sparse', '_sparsetools'), kernels"
+        "assert kernels.parent.parts[-2:] == ('scipy', 'sparse'), kernels\n"
+        "assert kernels.name.split('.')[0] == '_sparsetools', kernels\n"
+        "assert not {'subprocess', 'sysconfig'} & sys.modules.keys(), sorted(sys.modules)"
     )
-    modules = _scipy_modules(tmp_path, snippet)
-    assert "scipy" in modules
-    assert [m for m in modules if m == "scipy.sparse" or m.startswith("scipy.sparse.")] == []
+    assert _scipy_modules(tmp_path, snippet) == []
 
 
 @pytest.mark.parametrize("config", [None, "benchmarks/scenarios/verify-12m.json"], ids=["built-in", "verify-12m"])

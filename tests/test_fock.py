@@ -799,6 +799,16 @@ def test_missing_kernel_file_names_the_directory_searched(monkeypatch):
         fock._sparsetools.__wrapped__()
 
 
+def test_kernels_without_scipy_installed_name_scipy(monkeypatch):
+    # fock finds scipy's directory with importlib; no scipy installed is an ImportError.
+    import importlib.util
+
+    monkeypatch.delitem(sys.modules, "scipy.sparse")
+    monkeypatch.setattr(importlib.util, "find_spec", lambda name: None)
+    with pytest.raises(ImportError, match="^scipy is not installed"):
+        fock._sparsetools.__wrapped__()
+
+
 # The compiled kernels fock calls, each named once in fock.py.  They are private
 # to scipy, so a release that renames one fails here, not inside a verify run.
 FOCK_KERNELS = {

@@ -15,6 +15,11 @@ source of a copied package, and run verify in a fresh process: each hands
 scipy's compiled kernels arrays that do not fit, and must end in a Python
 exception from the array check every kernel call goes through, not in a
 signal.
+
+The oblique mutants change one operator in the same way, and exit 0 on the
+built-in lattice, whose momenta all lie on the z axis with |n| = 1.  They
+run on an oblique lattice, where the unmutated package first passes every
+record, and must fail there.
 """
 
 import json
@@ -96,6 +101,19 @@ def eb_closed_form_sign(monkeypatch):
         def mutated(basis, kind1, kind2, rho, tau):
             value = kernel(basis, kind1, kind2, rho, tau)
             return value if kind1 is kind2 else -value
+
+        return mutated
+
+    wrap(monkeypatch, fields, "field_commutator_kernel", make)
+
+
+def be_closed_form_sign(monkeypatch):
+    """The B-E commutator kernel alone carries the wrong sign; E-B keeps its own."""
+
+    def make(kernel):
+        def mutated(basis, kind1, kind2, rho, tau):
+            value = kernel(basis, kind1, kind2, rho, tau)
+            return -value if (FieldKind(kind1), FieldKind(kind2)) == (FieldKind.B, FieldKind.E) else value
 
         return mutated
 
@@ -330,7 +348,7 @@ def maxwell_nan(monkeypatch):
 
 
 def commutators_nan(monkeypatch):
-    """The E-B commutator kernel, the last of the three kinds, carries a NaN at its last pair."""
+    """The E-B and B-E commutator kernels, the last two of the four kinds, carry a NaN at their last pair."""
 
     def make(kernel):
         def mutated(basis, kind1, kind2, rho, tau):
@@ -395,6 +413,7 @@ MUTANTS = {
         ],
     ),
     "eb_closed_form_sign": (eb_closed_form_sign, ["commutators.matrix_vs_closed"]),
+    "be_closed_form_sign": (be_closed_form_sign, ["commutators.matrix_vs_closed"]),
     "field_number_negated": (field_number_negated, ["commutators.field_number"]),
     "time_phase_sign": (time_phase_sign, ["commutators.matrix_vs_closed", "maxwell.fd", "maxwell.richardson"]),
     "space_phase_sign": (space_phase_sign, ["maxwell.fd", "maxwell.richardson"]),
@@ -482,18 +501,71 @@ HELPER_MUTANTS = {
 }
 
 
-@pytest.mark.parametrize("site", list(HELPER_MUTANTS))
-def test_helper_mutant_ends_in_a_python_exception(tmp_path, site):
-    original, mutant = HELPER_MUTANTS[site]
+def verify_in_copy(tmp_path, edit, *args):
+    """verify in a fresh process on a copy of the package, edited by edit = (module, original, mutant) unless None."""
     src = tmp_path / "src"
     shutil.copytree(Path(fock.__file__).parent, src / "photonfield", ignore=shutil.ignore_patterns("__pycache__"))
-    module = src / "photonfield" / "fock.py"
-    text = module.read_text()
-    assert text.count(original) == 1
-    module.write_text(text.replace(original, mutant))
+    if edit is not None:
+        module, original, mutant = edit
+        path = src / "photonfield" / module
+        text = path.read_text()
+        assert text.count(original) == 1
+        path.write_text(text.replace(original, mutant))
     env = {**os.environ, "PYTHONPATH": str(src)}
-    command = [sys.executable, "-m", "photonfield.cli", "verify", "--out", "o"]
-    done = subprocess.run(command, cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    command = [sys.executable, "-m", "photonfield.cli", "verify", "--out", "o", *args]
+    return subprocess.run(command, cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+
+
+@pytest.mark.parametrize("site", list(HELPER_MUTANTS))
+def test_helper_mutant_ends_in_a_python_exception(tmp_path, site):
+    done = verify_in_copy(tmp_path, ("fock.py", *HELPER_MUTANTS[site]))
     assert done.returncode == 1, (done.returncode, done.stderr[-1000:])
     last = done.stderr.splitlines()[-1]
     assert re.fullmatch(r"RuntimeError: scipy's \w+ was handed .+; an array helper in fock is wrong", last), last
+
+
+# Mutants that exit 0 on the built-in lattice, where every momentum lies on
+# the z axis and |n| = 1, run on an oblique lattice instead: both helicities
+# of +-(1, 1, 0) and +-(1, 0, 1), at L = 2 pi and hbar = c = 1, where the
+# unmutated package passes every record.  Each is (module, source text, its
+# mutant, how verify must end: the failed records, or how its last stderr
+# line begins).
+OBLIQUE_MUTANTS = {
+    "div_e_sign": ("fields.py", "d_e[1, 0] + d_e[2, 1]", "d_e[1, 0] - d_e[2, 1]", MAXWELL),
+    "div_b_sign": ("fields.py", "d_b[1, 0] + d_b[2, 1]", "d_b[1, 0] - d_b[2, 1]", MAXWELL),
+    # |k| = |n| for k = n / |n|: the polarization triad refuses it.
+    "k_times_norm": (
+        "fock.py",
+        "nv / row_norms(nv)",
+        "nv * row_norms(nv)",
+        "ValueError: direction must be unit length, row 0 has |k|",
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def oblique_scenario(tmp_path_factory):
+    """The oblique scenario's file, once the unmutated package has passed every record on it."""
+    tmp_path = tmp_path_factory.mktemp("oblique")
+    modes = [{"s": s, "n": [sign * c for c in n]} for n in ([1, 1, 0], [1, 0, 1]) for sign in (1, -1) for s in (1, -1)]
+    lattice = {"length": 2.0 * np.pi, "n_max": 1, "hbar": 1.0, "c": 1.0, "modes": modes}
+    state = {"kind": "coherent", "alpha": [0.5, 0.0], "mode": modes[0], "cap": 1}
+    config = tmp_path / "oblique.json"
+    config.write_text(json.dumps({**cli.DEFAULT_SCENARIO, "lattice": lattice, "state": state}))
+    done = verify_in_copy(tmp_path, None, "--config", str(config))
+    assert done.returncode == 0, done.stdout[-2000:] + done.stderr[-1000:]
+    records = json.loads((tmp_path / "o" / "report.json").read_text())["records"]
+    assert len(records) == 23 and all(r["pass"] for r in records)
+    return config
+
+
+@pytest.mark.parametrize("site", list(OBLIQUE_MUTANTS))
+def test_oblique_lattice_mutant_fails_verify(tmp_path, oblique_scenario, site):
+    *edit, ending = OBLIQUE_MUTANTS[site]
+    done = verify_in_copy(tmp_path, edit, "--config", str(oblique_scenario))
+    assert done.returncode == 1, (done.returncode, done.stderr[-1000:])
+    if isinstance(ending, str):
+        assert done.stderr.splitlines()[-1].startswith(ending), done.stderr[-1000:]
+    else:
+        records = json.loads((tmp_path / "o" / "report.json").read_text())["records"]
+        assert [r["check"] for r in records if not r["pass"]] == ending
